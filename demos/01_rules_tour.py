@@ -2,20 +2,25 @@
 
 Every rule maps class probabilities to a *set* of candidate labels.  Run
 this script to see how each formulation trades the size of that set
-against the chance of missing the true class.
+against the chance of missing the true class.  All eight are built from
+two primitives, ``top_indices`` and ``threshold_set``; a classifier's
+``predict`` applies a whole formulation to one vector.
 """
 
 import numpy as np
 
 from predsets import (
-    predict_fscore,
-    predict_hybrid_error,
-    predict_hybrid_size,
-    predict_penalized,
-    predict_pointwise_error,
-    predict_top_k,
-    predict_with_threshold,
+    CalibratedClassifier,
+    FormulationSpec,
+    Kind,
+    threshold_set,
+    top_indices,
 )
+
+
+def predict(spec, p, theta=None):
+    return CalibratedClassifier(spec, theta=theta).predict(p).tolist()
+
 
 p = np.array([0.42, 0.23, 0.15, 0.11, 0.06, 0.03])
 
@@ -23,33 +28,35 @@ print("conditional probabilities:", p, "\n")
 
 print("fixed-size rules")
 for k in (1, 2, 3):
-    labels = predict_top_k(p, k)
+    labels = top_indices(p, k)
+    assert labels.tolist() == predict(FormulationSpec(Kind.TOP_K, k=k), p)
     print(f"  top-{k}:                 {labels.tolist()}")
 
 print("\nadaptive size from a point-wise error budget")
 for eps in (0.5, 0.2, 0.05):
-    labels = predict_pointwise_error(p, eps, 0.0)
-    mass = p[labels - 1].sum()
+    labels = predict(FormulationSpec(Kind.POINTWISE_ERROR, eps=eps), p)
+    mass = p[np.array(labels) - 1].sum()
     print(
-        f"  eps={eps:<5} -> {labels.tolist()} "
+        f"  eps={eps:<5} -> {labels} "
         f"(covered mass {mass:.2f} >= {1 - eps:.2f})"
     )
 
 print("\nthresholding rules (penalized / calibrated cutoffs)")
 for theta in (0.05, 0.12, 0.3):
-    print(f"  cutoff {theta:<5} -> {predict_penalized(p, theta).tolist()}")
-assert predict_with_threshold(p, 0.12).tolist() == predict_penalized(p, 0.12).tolist()
+    penalized = predict(FormulationSpec(Kind.PENALIZED, lam=theta), p)
+    print(f"  cutoff {theta:<5} -> {penalized}")
+assert threshold_set(p, 0.12).tolist() == predict(
+    FormulationSpec(Kind.PENALIZED, lam=0.12), p
+)
 
 print("\nhybrids combine a cutoff with a hard cap or a coverage floor")
-print("  cutoff 0.1 capped at k=2: ", predict_hybrid_size(p, 0.1, 2).tolist())
-print(
-    "  cutoff 0.3, eps=0.2, threshold reading:",
-    predict_hybrid_error(p, 0.3, 0.2, "lemma-threshold").tolist(),
-)
-print(
-    "  cutoff 0.3, eps=0.2, union reading:    ",
-    predict_hybrid_error(p, 0.3, 0.2, "union-with-pointwise").tolist(),
-)
+capped = FormulationSpec(Kind.HYBRID_SIZE, kbar=1.5, k=2)
+print("  cutoff 0.1 capped at k=2: ", predict(capped, p, theta=0.1))
+for mode, reading in (("lemma-threshold", "threshold reading:"),
+                      ("union-with-pointwise", "union reading:    ")):
+    floor = FormulationSpec(Kind.HYBRID_ERROR, ebar=0.1, eps=0.2, mode=mode)
+    print(f"  cutoff 0.3, eps=0.2, {reading}", predict(floor, p, theta=0.3))
 
 print("\nF-score rule thresholds at the fitted root (see demo 02)")
-print("  theta*=0.18 ->", predict_fscore(p, 0.18).tolist())
+fscore = FormulationSpec(Kind.F_SCORE, beta=1.0)
+print("  theta*=0.18 ->", predict(fscore, p, theta=0.18))

@@ -10,7 +10,6 @@ an evaluation harness for error/size trade-off curves.
 
 from .core import (
     ScoreSet,
-    TieBreakPolicy,
     softmax,
     threshold_set,
     top_indices,
@@ -21,13 +20,6 @@ from .formulations import (
     Kind,
     MODE_LEMMA_THRESHOLD,
     MODE_UNION_POINTWISE,
-    predict_fscore,
-    predict_hybrid_error,
-    predict_hybrid_size,
-    predict_penalized,
-    predict_pointwise_error,
-    predict_top_k,
-    predict_with_threshold,
 )
 from .calibration import (
     CalibratedClassifier,

@@ -17,13 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ScoreSet, softmax
+from .core import (
+    ScoreSet,
+    mask_to_labels,
+    softmax,
+    topk_mask,
+    validate_probability_vector,
+)
 from .errors import (
-    EbarOutOfRange,
     EmptyScoreSet,
     InfeasiblePair,
     InvalidOffset,
-    KbarOutOfRange,
     KOutOfRange,
     MissingLogits,
     NegativeU,
@@ -260,9 +264,9 @@ class CalibratedClassifier:
         return rule_mask(self.spec, P, self.theta, offset=self.offset)
 
     def predict(self, p: np.ndarray) -> np.ndarray:
-        """Ascending 1-based label set for a single probability vector."""
-        mask = self.predict_mask(np.asarray(p, dtype=np.float64)[None, :])
-        return np.flatnonzero(mask[0]) + 1
+        """Ascending labels of one validated vector: a row of predict_mask."""
+        row = validate_probability_vector(p)[None, :]
+        return mask_to_labels(self.predict_mask(row)[0])
 
     def scores_for(self, scores: ScoreSet) -> np.ndarray:
         """Probability matrix of ``scores`` at this classifier's temperature.
@@ -308,11 +312,11 @@ def fit_average_size(
     the threshold is 0 and every prediction is the full label set.
     """
     _require_nonempty(scores)
-    if not 0.0 < kbar <= scores.L:
-        raise KbarOutOfRange(f"kbar={kbar!r} outside (0, {scores.L}]")
+    spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=float(kbar))
+    spec.check_class_count(scores.L)
     theta = generalized_inverse(empirical_g(scores), kbar)
     return CalibratedClassifier(
-        spec=FormulationSpec(Kind.AVERAGE_SIZE, kbar=float(kbar)),
+        spec=spec,
         theta=theta,
         provenance=_provenance(scores.n, seed),
     )
@@ -329,14 +333,13 @@ def fit_average_error(
     the calibration set is at most ``ebar``.
     """
     _require_nonempty(scores)
-    if not 0.0 < ebar < 1.0:
-        raise EbarOutOfRange(f"ebar={ebar!r} outside (0, 1)")
+    spec = FormulationSpec(Kind.AVERAGE_ERROR, ebar=float(ebar))
     labels = scores.require_labels("fit_average_error")
     true_scores = scores.probs[np.arange(scores.n), labels - 1]
     m = math.ceil(scores.n * (1.0 - ebar))
     theta = float(np.sort(true_scores, kind="stable")[scores.n - m])
     return CalibratedClassifier(
-        spec=FormulationSpec(Kind.AVERAGE_ERROR, ebar=float(ebar)),
+        spec=spec,
         theta=theta,
         provenance=_provenance(scores.n, seed),
     )
@@ -352,17 +355,11 @@ def fit_hybrid_size(
     to :func:`fit_average_size`.
     """
     _require_nonempty(scores)
-    if not 1 <= k <= scores.L:
-        raise KOutOfRange(f"k={k!r} outside [1, {scores.L}]")
-    if not 0.0 < kbar:
-        raise KbarOutOfRange(f"kbar={kbar!r} must be > 0")
-    if not kbar < k:
-        raise ParameterOrderViolation(
-            f"need kbar < k, got kbar={kbar!r}, k={k!r}"
-        )
+    spec = FormulationSpec(Kind.HYBRID_SIZE, kbar=float(kbar), k=k)
+    spec.check_class_count(scores.L)
     theta = generalized_inverse(empirical_g_k(scores, k), kbar)
     return CalibratedClassifier(
-        spec=FormulationSpec(Kind.HYBRID_SIZE, kbar=float(kbar), k=int(k)),
+        spec=spec,
         theta=theta,
         provenance=_provenance(scores.n, seed),
     )
@@ -429,8 +426,7 @@ def fit_fscore(
     ``max_iters`` halvings were not enough.
     """
     _require_nonempty(scores)
-    if beta <= 0:
-        raise ValueError(f"beta={beta!r} must be > 0")
+    spec = FormulationSpec(Kind.F_SCORE, beta=float(beta))
     probs = scores.probs
     lo, hi = 0.0, 1.0
     theta = 0.5
@@ -447,7 +443,7 @@ def fit_fscore(
     else:
         raise NonConvergence(max_iters, residual)
     return CalibratedClassifier(
-        spec=FormulationSpec(Kind.F_SCORE, beta=float(beta)),
+        spec=spec,
         theta=float(theta),
         provenance=_provenance(scores.n, seed),
     )
@@ -538,8 +534,6 @@ def feasibility_check(
     if not 1 <= k <= scores.L:
         raise KOutOfRange(f"k={k!r} outside [1, {scores.L}]")
     labels = scores.require_labels("feasibility_check")
-    from .core import topk_mask
-
     member = topk_mask(scores.probs, k)[np.arange(scores.n), labels - 1]
     eps_k = float(np.mean(~member))
     return FeasibilityReport(eps_k=eps_k, feasible=bool(ebar >= eps_k))

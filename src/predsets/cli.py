@@ -2,15 +2,13 @@
 
 Commands: ``calibrate``, ``predict``, ``evaluate``, ``sweep``, ``synth``,
 ``oracle-check``.  All commands are deterministic given their input files
-and seed; prediction row order always equals input row order regardless of
-the worker count.
+and seed; prediction row order always equals input row order.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,12 +58,7 @@ def _spec_from_args(args) -> FormulationSpec:
             kwargs[name] = value
     if kind is Kind.HYBRID_ERROR:
         kwargs["mode"] = args.mode
-    if kind is Kind.POINTWISE_ERROR and not isinstance(
-        getattr(args, "offset", None), str
-    ):
-        offset = getattr(args, "offset", None)
-        if offset is not None:
-            kwargs["offset"] = float(offset)
+    # --offset stays out of the spec: calibrate resolves it (see _offset_arg)
     return FormulationSpec(kind, **kwargs)
 
 
@@ -85,18 +78,6 @@ def _check_class_count(clf: CalibratedClassifier, scores: ScoreSet) -> None:
         raise ClassCountMismatch(
             f"model was fit with L={model_L}, scores have L={scores.L}"
         )
-
-
-def _predict_mask_parallel(
-    clf: CalibratedClassifier, scores: ScoreSet, workers: int
-) -> np.ndarray:
-    P = clf.scores_for(scores)
-    if workers <= 1 or scores.n < 2 * workers:
-        return clf.predict_mask(P)
-    chunks = np.array_split(np.arange(scores.n), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda idx: clf.predict_mask(P[idx]), chunks))
-    return np.vstack(parts)
 
 
 def cmd_calibrate(args) -> int:
@@ -132,7 +113,7 @@ def cmd_predict(args) -> int:
     clf = io.read_model(args.model)
     scores = io.read_scores(args.scores)
     _check_class_count(clf, scores)
-    mask = _predict_mask_parallel(clf, scores, args.workers)
+    mask = clf.predict_set_mask(scores)
     io.write_predictions(args.out, scores.ids, mask)
     print(f"{scores.n} predictions written to {args.out}")
     return 0
@@ -343,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="metrics on a labeled test file")

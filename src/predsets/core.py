@@ -1,15 +1,12 @@
 """Core domain types and the two primitive set constructors.
 
-Every prediction rule in this library is built from two operations on a
-vector of conditional class probabilities ``p``:
-
-* ``top_indices(p, k)`` -- the ``k`` labels with largest probability, and
-* ``threshold_set(p, theta)`` -- all labels with probability ``>= theta``.
-
-Labels are 1-based integers in ``{1, ..., L}``; label sets are returned as
-ascending ``numpy`` integer arrays.  All functions here are pure: they never
-mutate their inputs and identical inputs give bitwise-identical outputs, so
-they are safe to call from any number of workers.
+Every prediction rule in this library is built from two operations on rows
+of conditional class probabilities: ``topk_mask(P, k)`` keeps the ``k``
+largest entries of each row and ``threshold_mask(P, theta)`` keeps the
+entries ``>= theta``; ``top_indices`` and ``threshold_set`` are their
+one-row views.  Labels are 1-based integers in ``{1, ..., L}``; label sets
+are ascending ``numpy`` integer arrays.  All functions here are pure: they
+never mutate their inputs and identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -23,28 +20,12 @@ from .errors import (
     KOutOfRange,
     MissingLabels,
     NegativeEntry,
+    NonFiniteEntry,
     SumOutOfTolerance,
     TooFewClasses,
 )
 
 DEFAULT_SUM_TOL = 1e-6
-
-#: The single supported tie-breaking mode.  Ties between equal probabilities
-#: are resolved toward the smaller label index, which makes every rule
-#: deterministic even on score files that contain exact ties.
-TIE_ASCENDING = "ascending-label-index"
-
-
-@dataclass(frozen=True)
-class TieBreakPolicy:
-    """How equal probabilities are ordered.  Only one mode exists; it is
-    recorded explicitly so that serialized classifiers are self-describing."""
-
-    mode: str = TIE_ASCENDING
-
-    def __post_init__(self):
-        if self.mode != TIE_ASCENDING:
-            raise ValueError(f"unsupported tie-break mode: {self.mode!r}")
 
 
 def validate_probability_vector(
@@ -70,6 +51,8 @@ def validate_probability_vector(
     ------
     TooFewClasses
         If fewer than two entries.
+    NonFiniteEntry
+        If any entry is NaN or infinite.
     NegativeEntry
         If any entry is below zero.
     SumOutOfTolerance
@@ -78,68 +61,46 @@ def validate_probability_vector(
     p = np.array(raw, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
         raise TooFewClasses(f"need at least 2 classes, got shape {p.shape}")
-    if np.any(p < 0.0):
-        bad = int(np.argmax(p < 0.0))
-        raise NegativeEntry(f"entry {bad} is {p[bad]!r} < 0")
-    s = float(p.sum())
-    if abs(s - 1.0) > tol:
-        raise SumOutOfTolerance(s, tol)
+    check_probability_rows(p[None, :], tol)
     p.flags.writeable = False
     return p
 
 
-def descending_order(p: np.ndarray) -> np.ndarray:
-    """Indices (0-based) of ``p`` sorted by decreasing value.
+def check_probability_rows(P: np.ndarray, tol: float = DEFAULT_SUM_TOL):
+    """Raise unless every row of the 2-D ``P`` is a probability vector.
 
-    Equal values keep ascending index order (stable sort), which is exactly
-    the ascending-label-index tie policy.
+    The finiteness check comes first: ``NaN < 0`` and ``|NaN - 1| > tol``
+    are both False, so the sign and sum checks alone would pass NaN.
     """
-    return np.argsort(-np.asarray(p, dtype=np.float64), kind="stable")
+    finite = np.isfinite(P)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NonFiniteEntry(f"row {i}, entry {j} is {P[i, j]!r}")
+    if np.any(P < 0.0):
+        i, j = np.argwhere(P < 0.0)[0]
+        raise NegativeEntry(f"row {i}, entry {j} is {P[i, j]!r} < 0")
+    sums = P.sum(axis=1)
+    off = np.abs(sums - 1.0)
+    if np.any(off > tol):
+        i = int(np.argmax(off))
+        raise SumOutOfTolerance(float(sums[i]), tol)
 
 
-def top_indices(
-    p: np.ndarray, k: int, tie: TieBreakPolicy | None = None
-) -> np.ndarray:
-    """The ``k`` labels with largest probability.
-
-    Among equal probabilities the smaller label index wins.  Returns a
-    read-only ascending array of exactly ``k`` labels in ``{1, ..., L}``.
-    """
-    if tie is not None and tie.mode != TIE_ASCENDING:  # pragma: no cover
-        raise ValueError(f"unsupported tie-break mode: {tie.mode!r}")
-    p = np.asarray(p, dtype=np.float64)
-    L = p.size
-    if not (isinstance(k, (int, np.integer)) and 0 <= k <= L):
-        raise KOutOfRange(f"k={k!r} outside [0, {L}]")
-    labels = np.sort(descending_order(p)[: int(k)]) + 1
-    labels.flags.writeable = False
-    return labels
-
-
-def threshold_set(p: np.ndarray, theta: float) -> np.ndarray:
-    """All labels whose probability is ``>= theta`` (non-strict).
-
-    ``theta = 0`` includes every label; any ``theta`` above the largest
-    entry yields the empty set, which is a legal prediction.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    labels = np.flatnonzero(p >= float(theta)) + 1
-    labels.flags.writeable = False
-    return labels
-
-
-# --- vectorized counterparts ----------------------------------------------
+# --- the two primitive rules -------------------------------------------------
 #
-# Batch rules operate on an (n, L) matrix and return an (n, L) boolean
-# membership mask: mask[i, ell-1] says whether label ell is predicted for
-# row i.  They implement the same tie policy as the single-vector functions.
+# mask[i, ell-1] says whether label ell is predicted for row i.
 
 
 def topk_mask(P: np.ndarray, k: int) -> np.ndarray:
-    """Boolean membership mask of the top-``k`` rule over rows of ``P``."""
+    """Boolean membership mask of the top-``k`` rule over rows of ``P``.
+
+    Ties between equal probabilities go to the smaller label index: the
+    stable argsort keeps equal entries in ascending label order, which
+    makes every rule deterministic even on score files with exact ties.
+    """
     P = np.asarray(P, dtype=np.float64)
     n, L = P.shape
-    if not 0 <= k <= L:
+    if not (isinstance(k, (int, np.integer)) and 0 <= k <= L):
         raise KOutOfRange(f"k={k!r} outside [0, {L}]")
     order = np.argsort(-P, axis=1, kind="stable")
     mask = np.zeros((n, L), dtype=bool)
@@ -150,13 +111,29 @@ def topk_mask(P: np.ndarray, k: int) -> np.ndarray:
 
 
 def threshold_mask(P: np.ndarray, theta: float) -> np.ndarray:
-    """Boolean membership mask of the thresholding rule over rows of ``P``."""
+    """Boolean membership mask of the thresholding rule over rows of ``P``.
+
+    The comparison is non-strict: ``theta = 0`` includes every label, and
+    any ``theta`` above the largest entry yields the empty set, which is a
+    legal prediction.
+    """
     return np.asarray(P, dtype=np.float64) >= float(theta)
 
 
 def mask_to_labels(mask_row: np.ndarray) -> np.ndarray:
     """Convert one boolean membership row to ascending 1-based labels."""
     return np.flatnonzero(mask_row) + 1
+
+
+def top_indices(p: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` most probable labels: one row of topk_mask."""
+    row = np.asarray(p, dtype=np.float64)[None, :]
+    return mask_to_labels(topk_mask(row, k)[0])
+
+
+def threshold_set(p: np.ndarray, theta: float) -> np.ndarray:
+    """Labels with probability ``>= theta``: one row of threshold_mask."""
+    return mask_to_labels(threshold_mask(p, theta))
 
 
 # --- score sets -------------------------------------------------------------
@@ -200,16 +177,7 @@ class ScoreSet:
         n, L = self.probs.shape
         if len(self.ids) != n:
             raise ValueError(f"{len(self.ids)} ids for {n} rows")
-        if np.any(self.probs < 0.0):
-            i, j = np.argwhere(self.probs < 0.0)[0]
-            raise NegativeEntry(
-                f"probs[{i}, {j}] = {self.probs[i, j]!r} < 0"
-            )
-        sums = self.probs.sum(axis=1)
-        off = np.abs(sums - 1.0)
-        if np.any(off > DEFAULT_SUM_TOL):
-            i = int(np.argmax(off))
-            raise SumOutOfTolerance(float(sums[i]), DEFAULT_SUM_TOL)
+        check_probability_rows(self.probs)
         if self.labels is None:
             self.labels = np.zeros(n, dtype=np.int64)
         else:

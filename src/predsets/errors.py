@@ -17,6 +17,10 @@ class NegativeEntry(PredsetsError, ValueError):
     """A probability vector contains an entry below zero."""
 
 
+class NonFiniteEntry(PredsetsError, ValueError):
+    """A probability vector contains NaN or an infinite entry."""
+
+
 class SumOutOfTolerance(PredsetsError, ValueError):
     """Probability entries do not sum to one within the allowed tolerance."""
 

@@ -7,6 +7,7 @@ per-class error rate serves as its observable proxy throughout.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,26 +162,15 @@ SWEEP_PARAM = {
 def spec_with_param(template: FormulationSpec, value: float) -> FormulationSpec:
     """Copy of ``template`` with its sweep parameter replaced by ``value``."""
     name = SWEEP_PARAM[template.kind]
-    fields = {
-        "k": template.k,
-        "eps": template.eps,
-        "offset": template.offset,
-        "lam": template.lam,
-        "kbar": template.kbar,
-        "ebar": template.ebar,
-        "beta": template.beta,
-        "mode": template.mode,
-        "tie": template.tie,
-    }
-    if name == "k":
-        if float(value) != int(value):
-            raise KOutOfRange(
-                f"top-k sweeps need integer grid values, got {value!r}"
-            )
-        fields[name] = int(value)
+    if name != "k":
+        value = float(value)
+    elif float(value) != int(value):
+        raise KOutOfRange(
+            f"top-k sweeps need integer grid values, got {value!r}"
+        )
     else:
-        fields[name] = float(value)
-    return FormulationSpec(template.kind, **fields)
+        value = int(value)
+    return dataclasses.replace(template, **{name: value})
 
 
 def sweep(

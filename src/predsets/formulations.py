@@ -1,25 +1,20 @@
 """The eight prediction rules and their parameter record.
 
-Each rule maps a probability vector (plus fitted parameters) to a label
-set.  Five of them are pure thresholding; the point-wise error rule is an
-adaptive top-k; the hybrids intersect or combine the two primitives.
+Each rule maps rows of probabilities (plus fitted parameters) to label
+sets, as a boolean membership mask.  Five of them are pure thresholding;
+the point-wise error rule is an adaptive top-k; the hybrids intersect or
+combine the two primitives.  :func:`rule_mask` is the one implementation
+of all eight; ``CalibratedClassifier.predict`` is its one-row view.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    TieBreakPolicy,
-    descending_order,
-    threshold_mask,
-    threshold_set,
-    top_indices,
-    topk_mask,
-)
+from .core import threshold_mask, topk_mask
 from .errors import (
     InvalidBeta,
     InvalidEpsilon,
@@ -45,7 +40,7 @@ class Kind(str, enum.Enum):
     F_SCORE = "f-score"
 
 
-#: Combine modes for the hybrid error rule (see predict_hybrid_error).
+#: Combine modes for the hybrid error rule (see rule_mask).
 MODE_LEMMA_THRESHOLD = "lemma-threshold"
 MODE_UNION_POINTWISE = "union-with-pointwise"
 
@@ -92,7 +87,6 @@ class FormulationSpec:
     ebar: float | None = None
     beta: float | None = None
     mode: str = MODE_LEMMA_THRESHOLD
-    tie: TieBreakPolicy = field(default_factory=TieBreakPolicy)
 
     def __post_init__(self):
         kind = Kind(self.kind)
@@ -110,11 +104,11 @@ class FormulationSpec:
                 )
         elif kind is Kind.PENALIZED:
             self._need("lam")
-            if self.lam < 0:
+            if not self.lam >= 0:
                 raise NegativeLambda(f"lambda={self.lam!r} < 0")
         elif kind is Kind.AVERAGE_SIZE:
             self._need("kbar")
-            if self.kbar <= 0:
+            if not self.kbar > 0:
                 raise KbarOutOfRange(f"kbar={self.kbar!r} must be > 0")
         elif kind is Kind.AVERAGE_ERROR:
             self._need("ebar")
@@ -196,100 +190,17 @@ def _check_eps(eps):
 # --- the rules --------------------------------------------------------------
 
 
-def predict_top_k(p: np.ndarray, k: int) -> np.ndarray:
-    """Point-wise size control: the ``k`` most probable labels."""
-    return top_indices(p, k)
-
-
-def pointwise_error_cutoff(p: np.ndarray, eps: float, offset: float = 0.0) -> int:
-    """Number of top labels needed to reach cumulative mass ``1 - eps + offset``.
-
-    This is the adaptive set size of the point-wise error rule: the smallest
-    ``k`` whose top-``k`` cumulative probability meets the target.  A size of
-    zero is possible only when the target is not positive (``eps = 1`` with no
-    offset); when floating-point shortfall leaves even the full sum below a
-    target ``<= 1`` the full set is returned.
-    """
-    _check_eps(eps)
-    if not 0.0 <= offset <= eps:
-        raise InvalidOffset(f"offset={offset!r} outside [0, {eps!r}]")
-    p = np.asarray(p, dtype=np.float64)
-    target = 1.0 - eps + offset
-    if target <= 0.0:
-        return 0
-    csum = np.cumsum(p[descending_order(p)])
-    reached = np.flatnonzero(csum >= target)
-    if reached.size == 0:
-        return p.size
-    return int(reached[0]) + 1
-
-
-def predict_pointwise_error(
-    p: np.ndarray, eps: float, offset: float = 0.0
-) -> np.ndarray:
-    """Point-wise error control: smallest top set with mass ``>= 1 - eps + offset``."""
-    return top_indices(p, pointwise_error_cutoff(p, eps, offset))
-
-
-def predict_penalized(p: np.ndarray, lam: float) -> np.ndarray:
-    """Penalized rule: thresholding at the penalty weight ``lam``."""
-    if lam < 0:
-        raise NegativeLambda(f"lambda={lam!r} < 0")
-    return threshold_set(p, lam)
-
-
-def predict_with_threshold(p: np.ndarray, theta: float) -> np.ndarray:
-    """Thresholding at a calibrated cutoff (average size / error rules)."""
-    return threshold_set(p, theta)
-
-
-def predict_hybrid_size(p: np.ndarray, theta: float, k: int) -> np.ndarray:
-    """Hybrid size control: threshold set intersected with the top-``k`` set."""
-    p = np.asarray(p, dtype=np.float64)
-    if not 1 <= k <= p.size:
-        raise KOutOfRange(f"k={k!r} outside [1, {p.size}]")
-    out = np.intersect1d(threshold_set(p, theta), top_indices(p, k))
-    out.flags.writeable = False
-    return out
-
-
-def predict_hybrid_error(
-    p: np.ndarray,
-    theta: float,
-    eps: float,
-    mode: str = MODE_LEMMA_THRESHOLD,
-) -> np.ndarray:
-    """Hybrid error control.
-
-    ``mode="lemma-threshold"`` applies the stated closed form: thresholding
-    at the calibrated cutoff.  ``mode="union-with-pointwise"`` unions that
-    set with the point-wise error rule at ``eps``, which guarantees the
-    point-wise constraint by construction.  Both are exposed because a pure
-    threshold can violate the point-wise constraint on some distributions;
-    the brute-force oracle reports how each mode behaves case by case.
-    """
-    base = threshold_set(p, theta)
-    if mode == MODE_LEMMA_THRESHOLD:
-        return base
-    if mode == MODE_UNION_POINTWISE:
-        out = np.union1d(base, predict_pointwise_error(p, eps, 0.0))
-        out.flags.writeable = False
-        return out
-    raise ValueError(f"unknown combine mode {mode!r}")
-
-
-def predict_fscore(p: np.ndarray, theta_star: float) -> np.ndarray:
-    """F-score rule: thresholding at the fitted root ``theta_star``."""
-    return threshold_set(p, theta_star)
-
-
-# --- vectorized rules -------------------------------------------------------
-
-
 def pointwise_error_mask(
     P: np.ndarray, eps: float, offset: float = 0.0
 ) -> np.ndarray:
-    """Membership mask of the point-wise error rule over rows of ``P``."""
+    """Membership mask of the point-wise error rule over rows of ``P``.
+
+    Each row keeps its smallest top set whose cumulative probability
+    reaches ``1 - eps + offset``.  A set is empty only when that target is
+    not positive (``eps = 1`` with no offset); when floating-point
+    shortfall leaves even the full sum below a target ``<= 1`` the full
+    set is kept.
+    """
     _check_eps(eps)
     if not 0.0 <= offset <= eps:
         raise InvalidOffset(f"offset={offset!r} outside [0, {eps!r}]")
@@ -315,6 +226,14 @@ def rule_mask(spec: FormulationSpec, P: np.ndarray, theta: float | None,
 
     ``theta`` is the fitted threshold for the kinds that use one;
     ``offset`` overrides the spec's point-wise offset when given.
+
+    The hybrid error rule has two combine modes.  ``lemma-threshold``
+    applies the stated closed form: thresholding at the calibrated cutoff.
+    ``union-with-pointwise`` unions that set with the point-wise error set
+    at ``eps``, which guarantees the point-wise constraint by construction.
+    Both are exposed because a pure threshold can violate the point-wise
+    constraint on some distributions; the brute-force oracle reports how
+    each mode behaves case by case.
     """
     kind = spec.kind
     if kind is Kind.TOP_K:

@@ -10,6 +10,7 @@ are human-readable key-value text with a format-version field.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +80,8 @@ def read_scores(path) -> ScoreSet:
                     line=lineno,
                 )
             ids.append(row[0])
-            labels.append(0 if row[1] == "" else int(row[1]))
             try:
+                labels.append(0 if row[1] == "" else int(row[1]))
                 probs.append([float(v) for v in row[2 : 2 + L]])
                 if n_logits:
                     logits.append([float(v) for v in row[2 + L :]])
@@ -88,9 +89,16 @@ def read_scores(path) -> ScoreSet:
                 raise ParseError(f"{path}: {exc}", line=lineno) from None
     if not ids:
         raise ParseError(f"{path}: no data rows")
+    probs = np.array(probs)
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ParseError(
+            f"{path}: non-finite probability in {ids[row]!r}", line=row + 2
+        )
     return ScoreSet(
         ids=ids,
-        probs=np.array(probs),
+        probs=probs,
         labels=np.array(labels, dtype=np.int64),
         logits=np.array(logits) if n_logits else None,
     )
@@ -115,27 +123,31 @@ def write_predictions(path, ids, mask: np.ndarray) -> None:
 # offset field is not serialized separately
 _SPEC_FIELDS = ("k", "eps", "lam", "kbar", "ebar", "beta", "mode")
 
+#: Provenance keys a model file carries, in file order, with their parsers.
+_PROVENANCE_PARSERS = {
+    "L": int,
+    "calibration_set_size": int,
+    "seed": int,
+    "fitted_at": str,
+    "temperature_at_bound": {"True": True, "False": False}.__getitem__,
+}
+
 
 def write_model(path, clf: CalibratedClassifier) -> None:
     lines = [f"format_version: {MODEL_FORMAT_VERSION}"]
     lines.append(f"kind: {clf.spec.kind.value}")
     for name in _SPEC_FIELDS:
         value = getattr(clf.spec, name)
-        if value is None:
-            continue
         if name == "mode" and clf.spec.kind is not Kind.HYBRID_ERROR:
             continue
-        if name == "k":
-            lines.append(f"k: {int(value)}")
-        elif name == "mode":
-            lines.append(f"mode: {value}")
-        else:
-            lines.append(f"{name}: {fmt(value)}")
+        if value is not None:
+            text = value if name in ("k", "mode") else fmt(value)
+            lines.append(f"{name}: {text}")
     if clf.theta is not None:
         lines.append(f"theta: {fmt(clf.theta)}")
     lines.append(f"temperature: {fmt(clf.temperature)}")
     lines.append(f"offset: {fmt(clf.offset)}")
-    for key in ("L", "calibration_set_size", "seed", "fitted_at"):
+    for key in _PROVENANCE_PARSERS:
         if key in clf.provenance and clf.provenance[key] is not None:
             lines.append(f"{key}: {clf.provenance[key]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -144,6 +156,7 @@ def write_model(path, clf: CalibratedClassifier) -> None:
 def read_model(path) -> CalibratedClassifier:
     path = Path(path)
     entries: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(
         path.read_text(encoding="utf-8").splitlines(), start=1
     ):
@@ -153,6 +166,7 @@ def read_model(path) -> CalibratedClassifier:
             raise ParseError(f"{path}: expected 'key: value'", line=lineno)
         key, value = line.split(":", 1)
         entries[key.strip()] = value.strip()
+        line_of[key.strip()] = lineno
     version = entries.pop("format_version", None)
     if version != str(MODEL_FORMAT_VERSION):
         raise ParseError(
@@ -163,30 +177,42 @@ def read_model(path) -> CalibratedClassifier:
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: bad or missing kind ({exc})") from None
 
-    def grab_float(name):
-        return float(entries.pop(name)) if name in entries else None
+    def grab(name, parse=float, default=None):
+        """Remove and parse one entry; ``default`` when absent."""
+        if name not in entries:
+            return default
+        text = entries.pop(name)
+        try:
+            value = parse(text)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError
+        except (KeyError, ValueError):
+            raise ParseError(
+                f"{path}: bad {name} value {text!r}", line=line_of[name]
+            ) from None
+        return value
 
     spec_kwargs = {}
-    if "k" in entries:
-        spec_kwargs["k"] = int(entries.pop("k"))
-    for name in ("eps", "lam", "kbar", "ebar", "beta"):
-        value = grab_float(name)
+    for name in ("k", "eps", "lam", "kbar", "ebar", "beta", "mode"):
+        value = grab(name, {"k": int, "mode": str}.get(name, float))
         if value is not None:
             spec_kwargs[name] = value
-    if "mode" in entries:
-        spec_kwargs["mode"] = entries.pop("mode")
-    theta = grab_float("theta")
-    temperature = grab_float("temperature") or 1.0
-    offset = grab_float("offset") or 0.0
+    theta = grab("theta")
+    temperature = grab("temperature", default=1.0)
+    if temperature <= 0:
+        raise ParseError(
+            f"{path}: temperature {temperature!r} must be > 0",
+            line=line_of["temperature"],
+        )
+    offset = grab("offset", default=0.0)
     if kind is Kind.POINTWISE_ERROR:
         spec_kwargs["offset"] = offset
     spec = FormulationSpec(kind, **spec_kwargs)
     provenance = {}
-    for key in ("L", "calibration_set_size", "seed"):
-        if key in entries:
-            provenance[key] = int(entries.pop(key))
-    if "fitted_at" in entries:
-        provenance["fitted_at"] = entries.pop("fitted_at")
+    for key, parse in _PROVENANCE_PARSERS.items():
+        value = grab(key, parse)
+        if value is not None:
+            provenance[key] = value
     if entries:
         raise ParseError(f"{path}: unknown keys {sorted(entries)}")
     return CalibratedClassifier(

@@ -19,21 +19,21 @@ from .calibration import (
     generalized_inverse,
     largest_level_knot,
 )
-from .core import ScoreSet, validate_probability_vector
+from .core import (
+    ScoreSet,
+    check_probability_rows,
+    mask_to_labels,
+    topk_mask,
+    validate_probability_vector,
+)
 from .errors import NonConvergence, TooLargeForBruteForce
 from .formulations import (
     FormulationSpec,
     Kind,
     MODE_LEMMA_THRESHOLD,
     MODE_UNION_POINTWISE,
-    pointwise_error_cutoff,
-    predict_hybrid_error,
-    predict_hybrid_size,
-    predict_penalized,
-    predict_pointwise_error,
-    predict_top_k,
-    predict_with_threshold,
-    predict_fscore,
+    pointwise_error_mask,
+    rule_mask,
 )
 
 #: Refuse joint enumeration beyond this many assignments.
@@ -55,12 +55,7 @@ class DiscreteDistribution:
         m = len(self.x_ids)
         if self.marginal.shape != (m,):
             raise ValueError("one marginal probability per support point")
-        if np.any(self.marginal < 0):
-            raise ValueError("marginal probabilities must be nonnegative")
-        if abs(float(self.marginal.sum()) - 1.0) > 1e-12:
-            raise ValueError(
-                f"marginals sum to {self.marginal.sum()!r}, not 1"
-            )
+        check_probability_rows(self.marginal[None, :], tol=1e-12)
         if self.cond.ndim != 2 or self.cond.shape[0] != m:
             raise ValueError("cond must be (|support|, L)")
         for row in self.cond:
@@ -117,14 +112,18 @@ def exact_fscore(
 
 def exact_top_k_error(dist: DiscreteDistribution, k: int) -> float:
     """Exact probability that the true label falls outside the top-k set."""
-    return exact_error(
-        dist,
-        AssignmentClassifier(
-            {
-                x: tuple(int(v) for v in predict_top_k(p, k))
-                for x, p in zip(dist.x_ids, dist.cond)
-            }
-        ),
+    return exact_error(dist, _mask_assignment(dist, topk_mask(dist.cond, k)))
+
+
+def _mask_assignment(
+    dist: DiscreteDistribution, mask: np.ndarray
+) -> AssignmentClassifier:
+    """The label sets of a membership mask over ``dist.cond``'s rows."""
+    return AssignmentClassifier(
+        {
+            x: tuple(int(v) for v in mask_to_labels(row))
+            for x, row in zip(dist.x_ids, mask)
+        }
     )
 
 
@@ -167,16 +166,10 @@ def exact_threshold_functions(
 
     H_eps = None
     if eps is not None:
-        scores, weights = [], []
-        for w_x, p in zip(dist.marginal, dist.cond):
-            cut = pointwise_error_cutoff(p, eps, 0.0)
-            top = np.sort(p)[::-1][:cut]
-            scores.append(top)
-            weights.append(w_x * top)
-        H_eps = EmpiricalStepFunction(
-            np.concatenate(scores) if scores else [],
-            np.concatenate(weights) if weights else [],
-        )
+        member = pointwise_error_mask(dist.cond, eps, 0.0)
+        knots = dist.cond[member]
+        point_weight = np.broadcast_to(dist.marginal[:, None], dist.cond.shape)
+        H_eps = EmpiricalStepFunction(knots, point_weight[member] * knots)
     return ExactThresholdFunctions(G=G, H=H, G_k=G_k, H_eps=H_eps, eps=eps)
 
 
@@ -240,32 +233,13 @@ def closed_form_assignment(
 ) -> AssignmentClassifier:
     """Apply a formulation's closed-form rule at every support point.
 
+    The sets come from :func:`rule_mask`, the code the classifier runs.
     ``theta`` defaults to the exact population threshold when the rule
     needs one.
     """
     if theta is None and spec.needs_fit:
         theta = population_threshold(dist, spec)
-    out = {}
-    for x, p in zip(dist.x_ids, dist.cond):
-        kind = spec.kind
-        if kind is Kind.TOP_K:
-            labels = predict_top_k(p, spec.k)
-        elif kind is Kind.POINTWISE_ERROR:
-            labels = predict_pointwise_error(p, spec.eps, spec.offset)
-        elif kind is Kind.PENALIZED:
-            labels = predict_penalized(p, spec.lam)
-        elif kind is Kind.AVERAGE_SIZE or kind is Kind.AVERAGE_ERROR:
-            labels = predict_with_threshold(p, theta)
-        elif kind is Kind.HYBRID_SIZE:
-            labels = predict_hybrid_size(p, theta, spec.k)
-        elif kind is Kind.HYBRID_ERROR:
-            labels = predict_hybrid_error(p, theta, spec.eps, spec.mode)
-        elif kind is Kind.F_SCORE:
-            labels = predict_fscore(p, theta)
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled kind {kind!r}")
-        out[x] = tuple(int(v) for v in labels)
-    return AssignmentClassifier(out)
+    return _mask_assignment(dist, rule_mask(spec, dist.cond, theta))
 
 
 # --- brute force ---------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 
 from predsets import io
 from predsets.calibration import (
+    CalibratedClassifier,
     calibrate,
     empirical_g,
     empirical_h,
@@ -28,8 +29,7 @@ from predsets.formulations import (
     FormulationSpec,
     Kind,
     pointwise_error_mask,
-    predict_penalized,
-    predict_with_threshold,
+    rule_mask,
 )
 from predsets.oracle import (
     DiscreteDistribution,
@@ -265,16 +265,22 @@ def test_criterion_7_equivalences():
     thetas = np.random.default_rng(14).uniform(0, 1.05, size=10_000)
     same = all(
         np.array_equal(
-            predict_penalized(P[i], thetas[i]),
-            predict_with_threshold(P[i], thetas[i]),
+            CalibratedClassifier(
+                FormulationSpec(Kind.PENALIZED, lam=thetas[i])
+            ).predict(P[i]),
+            np.flatnonzero(P[i] >= thetas[i]) + 1,
         )
         for i in range(0, 10_000, 97)
     )
-    # full vectorized identity on all rows
+    # full vectorized identity on all rows: the penalized rule and the
+    # calibrated-cutoff rule are both thresholding
+    cutoff_spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
     for theta in (0.0, 0.11, 0.47, 0.93):
-        same &= bool(
-            np.array_equal(threshold_mask(P, theta), threshold_mask(P, theta))
-        )
+        penalized_spec = FormulationSpec(Kind.PENALIZED, lam=theta)
+        penalized = rule_mask(penalized_spec, P, None)
+        cutoff = rule_mask(cutoff_spec, P, theta)
+        same &= bool(np.array_equal(penalized, P >= theta))
+        same &= bool(np.array_equal(cutoff, penalized))
 
     rng = np.random.default_rng(15)
     probs = rng.dirichlet(np.ones(6), size=500)
@@ -364,11 +370,10 @@ def test_criterion_9_infeasibility_detection():
 
 
 def test_criterion_10_cli_round_trip(tmp_path, monkeypatch):
-    """calibrate -> predict -> evaluate is byte-identical across runs and
-    across worker counts."""
+    """calibrate -> predict -> evaluate is byte-identical across runs."""
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
 
-    def pipeline(workdir, workers):
+    def pipeline(workdir):
         workdir.mkdir(exist_ok=True)
         prefix = workdir / "data"
         assert main([
@@ -386,7 +391,6 @@ def test_criterion_10_cli_round_trip(tmp_path, monkeypatch):
         assert main([
             "predict", "--model", str(model),
             "--scores", f"{prefix}_test.csv", "--out", str(preds),
-            "--workers", str(workers),
         ]) == 0
         metrics = workdir / "metrics.txt"
         assert main([
@@ -400,13 +404,13 @@ def test_criterion_10_cli_round_trip(tmp_path, monkeypatch):
             open(metrics, "rb").read(),
         ]
 
-    run_a = pipeline(tmp_path / "a", workers=1)
-    run_b = pipeline(tmp_path / "b", workers=1)
-    run_c = pipeline(tmp_path / "c", workers=4)
+    run_a = pipeline(tmp_path / "a")
+    run_b = pipeline(tmp_path / "b")
+    run_c = pipeline(tmp_path / "c")
     ok = run_a == run_b == run_c
     report(
         10,
         "CLI round-trip determinism",
         ok,
-        "3 pipelines byte-identical (workers 1, 1, 4)",
+        "3 pipelines byte-identical",
     )

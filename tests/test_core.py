@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from predsets.calibration import CalibratedClassifier
 from predsets.core import (
     ScoreSet,
-    TieBreakPolicy,
     threshold_set,
     top_indices,
     validate_probability_vector,
@@ -14,9 +14,14 @@ from predsets.core import (
 from predsets.errors import (
     KOutOfRange,
     NegativeEntry,
+    NonFiniteEntry,
     SumOutOfTolerance,
     TooFewClasses,
 )
+from predsets.formulations import FormulationSpec, Kind
+from predsets.oracle import DiscreteDistribution
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 def prob_vectors(min_L=2, max_L=8):
@@ -85,6 +90,8 @@ class TestTopIndices:
             top_indices(p, 3)
         with pytest.raises(KOutOfRange):
             top_indices(p, -1)
+        with pytest.raises(KOutOfRange):
+            top_indices(p, 1.0)
 
     @given(prob_vectors(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -146,13 +153,6 @@ class TestThresholdSet:
         assert runs[5:] == [[1, 3]] * 5
 
 
-class TestTieBreakPolicy:
-    def test_single_mode(self):
-        assert TieBreakPolicy().mode == "ascending-label-index"
-        with pytest.raises(ValueError):
-            TieBreakPolicy(mode="random")
-
-
 class TestScoreSet:
     def test_shared_L_and_labels(self):
         s = ScoreSet(
@@ -173,3 +173,39 @@ class TestScoreSet:
     def test_row_sum_checked(self):
         with pytest.raises(SumOutOfTolerance):
             ScoreSet(ids=["a"], probs=[[0.7, 0.7]])
+
+
+class TestNonFiniteRejected:
+    """NaN and infinities fail at every boundary that takes probabilities;
+    ``NaN < 0`` and ``|NaN - 1| > tol`` are both False, so the sign and sum
+    checks alone would let them through."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_validate_probability_vector(self, bad):
+        with pytest.raises(NonFiniteEntry):
+            validate_probability_vector([bad, 0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_score_set(self, bad):
+        with pytest.raises(NonFiniteEntry) as exc:
+            ScoreSet(ids=["a", "b"], probs=[[0.5, 0.5], [bad, 1.0]])
+        assert "row 1, entry 0" in str(exc.value)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_classifier_predict(self, bad):
+        clf = CalibratedClassifier(FormulationSpec(Kind.TOP_K, k=1))
+        with pytest.raises(NonFiniteEntry):
+            clf.predict(np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_distribution(self, bad):
+        with pytest.raises(NonFiniteEntry):
+            DiscreteDistribution(
+                x_ids=["x", "y"], marginal=[0.5, 0.5],
+                cond=[[0.5, 0.5], [bad, 1.0]],
+            )
+        with pytest.raises(NonFiniteEntry):
+            DiscreteDistribution(
+                x_ids=["x", "y"], marginal=[bad, 1.0],
+                cond=[[0.5, 0.5], [0.5, 0.5]],
+            )

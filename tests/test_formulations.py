@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from predsets.calibration import CalibratedClassifier
 from predsets.errors import (
     InvalidEpsilon,
     InvalidOffset,
@@ -17,96 +18,117 @@ from predsets.formulations import (
     MODE_LEMMA_THRESHOLD,
     MODE_UNION_POINTWISE,
     pointwise_error_mask,
-    predict_fscore,
-    predict_hybrid_error,
-    predict_hybrid_size,
-    predict_penalized,
-    predict_pointwise_error,
-    predict_top_k,
-    predict_with_threshold,
 )
 
 from test_core import prob_vectors
 
+TOP_K = Kind.TOP_K
+POINTWISE = Kind.POINTWISE_ERROR
+PENALIZED = Kind.PENALIZED
+HYBRID_SIZE = Kind.HYBRID_SIZE
+HYBRID_ERROR = Kind.HYBRID_ERROR
+
+
+def predict(kind, p, theta=None, **params):
+    """Labels of one probability vector under the classifier's rule.
+
+    ``theta`` is the fitted cutoff of the threshold kinds; parameters the
+    rule does not read (kbar of hybrid-size, ebar of hybrid-error) only
+    need to pass the spec's checks.
+    """
+    clf = CalibratedClassifier(FormulationSpec(kind, **params), theta=theta)
+    return clf.predict(p)
+
+
+def labels(kind, p, theta=None, **params):
+    return predict(kind, p, theta, **params).tolist()
+
+
+def thresholded(p, theta):
+    """The calibrated-cutoff rule of the average-size/error kinds."""
+    return labels(Kind.AVERAGE_SIZE, p, theta, kbar=1.0)
+
 
 class TestPredictTopK:
     def test_argmax(self):
-        assert predict_top_k(np.array([0.7, 0.2, 0.1]), 1).tolist() == [1]
+        assert labels(TOP_K, np.array([0.7, 0.2, 0.1]), k=1) == [1]
 
     def test_k_equals_L(self):
-        assert predict_top_k(np.array([0.7, 0.2, 0.1]), 3).tolist() == [1, 2, 3]
+        assert labels(TOP_K, np.array([0.7, 0.2, 0.1]), k=3) == [1, 2, 3]
 
     def test_sort_check(self):
         # independent oracle: sort the entries, take the two largest labels
         p = np.array([0.4, 0.35, 0.15, 0.1])
         expect = sorted(np.argsort(-p)[:2] + 1)
         assert expect == [1, 2]
-        assert predict_top_k(p, 2).tolist() == expect
+        assert labels(TOP_K, p, k=2) == expect
 
 
 class TestPredictPointwiseError:
     def test_cumulative_sums(self):
         # cumulative sums 0.5, 0.8 >= 0.75 at k=2
         p = np.array([0.5, 0.3, 0.2])
-        assert predict_pointwise_error(p, 0.25, 0.0).tolist() == [1, 2]
+        assert labels(POINTWISE, p, eps=0.25) == [1, 2]
 
     def test_zero_error_forces_full_set(self):
         p = np.array([0.5, 0.3, 0.2])
-        assert predict_pointwise_error(p, 0.0, 0.0).tolist() == [1, 2, 3]
+        assert labels(POINTWISE, p, eps=0.0) == [1, 2, 3]
 
     def test_offset_non_strict_boundary(self):
         # 0.8 >= 0.80 with non-strict comparison
         p = np.array([0.5, 0.3, 0.2])
-        assert predict_pointwise_error(p, 0.25, 0.05).tolist() == [1, 2]
+        assert labels(POINTWISE, p, eps=0.25, offset=0.05) == [1, 2]
 
     def test_empty_only_when_target_nonpositive(self):
         p = np.array([0.5, 0.3, 0.2])
-        assert predict_pointwise_error(p, 1.0, 0.0).tolist() == []
-        assert predict_pointwise_error(p, 1.0, 0.5).tolist() == [1]
+        assert labels(POINTWISE, p, eps=1.0) == []
+        assert labels(POINTWISE, p, eps=1.0, offset=0.5) == [1]
 
     def test_parameter_errors(self):
-        p = np.array([0.5, 0.5])
+        P = np.array([[0.5, 0.5]])
         with pytest.raises(InvalidEpsilon):
-            predict_pointwise_error(p, 1.5, 0.0)
+            FormulationSpec(POINTWISE, eps=1.5)
         with pytest.raises(InvalidOffset):
-            predict_pointwise_error(p, 0.2, 0.3)
+            FormulationSpec(POINTWISE, eps=0.2, offset=0.3)
+        with pytest.raises(InvalidEpsilon):
+            pointwise_error_mask(P, 1.5, 0.0)
+        with pytest.raises(InvalidOffset):
+            pointwise_error_mask(P, 0.2, 0.3)
 
     @given(prob_vectors(), st.sampled_from([0.01, 0.1, 0.3, 0.6]))
     @settings(max_examples=300, deadline=None)
     def test_coverage_and_minimality(self, p, eps):
-        labels = predict_pointwise_error(p, eps, 0.0)
-        mass = p[labels - 1].sum()
+        kept = predict(POINTWISE, p, eps=eps)
+        mass = p[kept - 1].sum()
         assert mass >= 1.0 - eps
-        if labels.size >= 1:
-            top_smaller = np.sort(p)[::-1][: labels.size - 1].sum()
+        if kept.size >= 1:
+            top_smaller = np.sort(p)[::-1][: kept.size - 1].sum()
             assert top_smaller < 1.0 - eps
 
     @given(prob_vectors(), st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=200, deadline=None)
     def test_antitone_in_eps(self, p, e1, e2):
         lo, hi = min(e1, e2), max(e1, e2)
-        assert set(predict_pointwise_error(p, hi, 0.0).tolist()) <= set(
-            predict_pointwise_error(p, lo, 0.0).tolist()
+        assert set(labels(POINTWISE, p, eps=hi)) <= set(
+            labels(POINTWISE, p, eps=lo)
         )
 
 
 class TestPredictPenalized:
     def test_thresholding(self):
         p = np.array([0.5, 0.3, 0.2])
-        assert predict_penalized(p, 0.25).tolist() == [1, 2]
-        assert predict_penalized(p, 0.6).tolist() == []
-        assert predict_penalized(p, 0.0).tolist() == [1, 2, 3]
+        assert labels(PENALIZED, p, lam=0.25) == [1, 2]
+        assert labels(PENALIZED, p, lam=0.6) == []
+        assert labels(PENALIZED, p, lam=0.0) == [1, 2, 3]
 
     def test_negative_lambda(self):
         with pytest.raises(NegativeLambda):
-            predict_penalized(np.array([0.5, 0.5]), -0.1)
+            FormulationSpec(PENALIZED, lam=-0.1)
 
     @given(prob_vectors(), st.floats(0, 1.2))
     @settings(max_examples=200, deadline=None)
-    def test_equals_predict_with_threshold_everywhere(self, p, lam):
-        assert np.array_equal(
-            predict_penalized(p, lam), predict_with_threshold(p, lam)
-        )
+    def test_equals_threshold_rule_everywhere(self, p, lam):
+        assert labels(PENALIZED, p, lam=lam) == thresholded(p, lam)
 
 
 class TestPredictWithThreshold:
@@ -123,61 +145,72 @@ class TestPredictWithThreshold:
         g = EmpiricalStepFunction(p, np.ones(3))
         theta = generalized_inverse(g, 2.0)
         assert theta == 0.3
-        assert predict_with_threshold(p, theta).tolist() == [1, 2]
+        assert thresholded(p, theta) == [1, 2]
 
     def test_theta_one(self):
-        assert predict_with_threshold(np.array([0.5, 0.3, 0.2]), 1.0).tolist() == []
-        assert predict_with_threshold(np.array([1.0, 0.0]), 1.0).tolist() == [1]
+        assert thresholded(np.array([0.5, 0.3, 0.2]), 1.0) == []
+        assert thresholded(np.array([1.0, 0.0]), 1.0) == [1]
 
 
 class TestPredictHybridSize:
     def test_intersection(self):
         p = np.array([0.4, 0.3, 0.2, 0.1])
-        assert predict_hybrid_size(p, 0.25, 1).tolist() == [1]
-        assert predict_hybrid_size(p, 0.5, 2).tolist() == []
-        assert predict_hybrid_size(p, 0.0, 2).tolist() == [1, 2]
+        assert labels(HYBRID_SIZE, p, 0.25, kbar=0.5, k=1) == [1]
+        assert labels(HYBRID_SIZE, p, 0.5, kbar=0.5, k=2) == []
+        assert labels(HYBRID_SIZE, p, 0.0, kbar=0.5, k=2) == [1, 2]
 
     def test_k_out_of_range(self):
         with pytest.raises(KOutOfRange):
-            predict_hybrid_size(np.array([0.5, 0.5]), 0.1, 0)
+            FormulationSpec(HYBRID_SIZE, kbar=0.5, k=0)
+        with pytest.raises(KOutOfRange):
+            predict(HYBRID_SIZE, np.array([0.5, 0.5]), 0.1, kbar=0.5, k=3)
 
     @given(prob_vectors(), st.floats(0, 1), st.integers(1, 8))
     @settings(max_examples=200, deadline=None)
     def test_subset_of_both_parents(self, p, theta, k):
         k = min(k, p.size)
-        hybrid = set(predict_hybrid_size(p, theta, k).tolist())
-        assert hybrid <= set(predict_top_k(p, k).tolist())
-        assert hybrid <= set(predict_penalized(p, theta).tolist())
+        hybrid = set(labels(HYBRID_SIZE, p, theta, kbar=0.5, k=k))
+        assert hybrid <= set(labels(TOP_K, p, k=k))
+        assert hybrid <= set(labels(PENALIZED, p, lam=theta))
         assert len(hybrid) <= k
 
 
 class TestPredictHybridError:
+    @staticmethod
+    def hybrid(p, theta, eps, mode):
+        return predict(HYBRID_ERROR, p, theta, ebar=0.0, eps=eps, mode=mode)
+
     def test_lemma_threshold_mode(self):
         p = np.array([0.6, 0.3, 0.1])
-        assert predict_hybrid_error(p, 0.5, 0.2, MODE_LEMMA_THRESHOLD).tolist() == [1]
+        kept = self.hybrid(p, 0.5, 0.2, MODE_LEMMA_THRESHOLD)
+        assert kept.tolist() == [1]
 
     def test_union_mode_guarantees_pointwise(self):
         # point-wise set is {1, 2} since 0.6 < 0.8; union with {1}
         p = np.array([0.6, 0.3, 0.1])
-        assert predict_hybrid_error(p, 0.5, 0.2, MODE_UNION_POINTWISE).tolist() == [1, 2]
+        kept = self.hybrid(p, 0.5, 0.2, MODE_UNION_POINTWISE)
+        assert kept.tolist() == [1, 2]
 
     def test_theta_zero_includes_all_in_both_modes(self):
         p = np.array([0.6, 0.3, 0.1])
         for mode in (MODE_LEMMA_THRESHOLD, MODE_UNION_POINTWISE):
-            assert predict_hybrid_error(p, 0.0, 1.0, mode).tolist() == [1, 2, 3]
+            assert self.hybrid(p, 0.0, 1.0, mode).tolist() == [1, 2, 3]
 
     @given(prob_vectors(), st.floats(0, 1), st.floats(0.05, 1))
     @settings(max_examples=200, deadline=None)
     def test_union_mode_satisfies_pointwise_constraint(self, p, theta, eps):
-        labels = predict_hybrid_error(p, theta, eps, MODE_UNION_POINTWISE)
-        assert p[labels - 1].sum() >= 1.0 - eps
+        kept = self.hybrid(p, theta, eps, MODE_UNION_POINTWISE)
+        assert p[kept - 1].sum() >= 1.0 - eps
 
 
 class TestPredictFscore:
     def test_examples(self):
-        assert predict_fscore(np.array([0.5, 0.5]), 0.5).tolist() == [1, 2]
-        assert predict_fscore(np.array([0.9, 0.1]), 0.3).tolist() == [1]
-        assert predict_fscore(np.array([0.4, 0.3, 0.3]), 0.35).tolist() == [1]
+        def fscore(p, theta):
+            return labels(Kind.F_SCORE, np.array(p), theta, beta=1.0)
+
+        assert fscore([0.5, 0.5], 0.5) == [1, 2]
+        assert fscore([0.9, 0.1], 0.3) == [1]
+        assert fscore([0.4, 0.3, 0.3], 0.35) == [1]
 
 
 class TestFormulationSpec:
@@ -194,11 +227,41 @@ class TestFormulationSpec:
         with pytest.raises(ValueError):
             FormulationSpec(Kind.PENALIZED)  # missing lam
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            (Kind.POINTWISE_ERROR, {"eps": "x"}),
+            (Kind.PENALIZED, {"lam": "x"}),
+            (Kind.AVERAGE_SIZE, {"kbar": "x"}),
+            (Kind.AVERAGE_ERROR, {"ebar": "x"}),
+            (Kind.HYBRID_SIZE, {"kbar": "x", "k": 2}),
+            (Kind.HYBRID_ERROR, {"ebar": "x", "eps": 0.5}),
+            (Kind.F_SCORE, {"beta": "x"}),
+        ],
+    )
+    def test_nan_parameters_rejected(self, kind, params):
+        params = {k: float("nan") if v == "x" else v for k, v in params.items()}
+        with pytest.raises(ValueError):
+            FormulationSpec(kind, **params)
+
     def test_L_dependent_checks(self):
         spec = FormulationSpec(Kind.TOP_K, k=5)
         with pytest.raises(KOutOfRange):
             spec.check_class_count(3)
         spec.check_class_count(5)
+
+
+def pointwise_reference(p, eps):
+    """Independent point-wise rule: walk labels by decreasing probability
+    (ties to the smaller label) until the kept mass reaches ``1 - eps``."""
+    order = sorted(range(len(p)), key=lambda j: (-p[j], j))
+    kept, mass = [], 0.0
+    for j in order:
+        if mass >= 1.0 - eps:
+            break
+        kept.append(j + 1)
+        mass += float(p[j])
+    return sorted(kept)
 
 
 class TestVectorizedAgreement:
@@ -210,5 +273,5 @@ class TestVectorizedAgreement:
         eps = float(rng.uniform(0.01, 0.9))
         mask = pointwise_error_mask(P, eps, 0.0)
         for i in range(P.shape[0]):
-            expect = predict_pointwise_error(P[i], eps, 0.0)
-            assert np.array_equal(np.flatnonzero(mask[i]) + 1, expect)
+            expect = pointwise_reference(P[i], eps)
+            assert (np.flatnonzero(mask[i]) + 1).tolist() == expect

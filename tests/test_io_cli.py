@@ -7,7 +7,7 @@ import pytest
 from predsets import io
 from predsets.calibration import calibrate, fit_average_size
 from predsets.cli import main
-from predsets.core import ScoreSet
+from predsets.core import ScoreSet, softmax
 from predsets.errors import ParseError
 from predsets.evaluation import evaluate
 from predsets.formulations import FormulationSpec, Kind
@@ -64,6 +64,23 @@ class TestScoreFiles:
             io.read_scores(bad)
         assert exc.value.line == 2
 
+    def test_non_integer_label_names_its_line(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,label,p_1,p_2\nr1,1,0.5,0.5\nr2,x,0.5,0.5\n")
+        with pytest.raises(ParseError) as exc:
+            io.read_scores(bad)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_probability_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"id,label,p_1,p_2\nr1,1,0.5,0.5\nr2,2,0.5,0.5\nr3,,{bad},{bad}\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            io.read_scores(path)
+        assert exc.value.line == 4
+
 
 class TestModelFiles:
     def test_round_trip_all_kinds(self, tmp_path):
@@ -102,6 +119,34 @@ class TestModelFiles:
             assert np.array_equal(
                 loaded.predict_mask(probs), clf.predict_mask(probs)
             )
+
+    def test_temperature_at_bound_round_trip(self, tmp_path):
+        # the true class carries the smallest logit, so the likelihood
+        # keeps improving up to the upper end of the temperature search
+        z = np.array([[2.0, 0.0]])
+        s = ScoreSet(ids=["a"], probs=softmax(z), labels=[2], logits=z)
+        clf = calibrate(
+            FormulationSpec(Kind.TOP_K, k=1), s, temperature="fit", seed=3
+        )
+        assert clf.provenance["temperature_at_bound"] is True
+        path = tmp_path / "m.model"
+        io.write_model(path, clf)
+        assert "temperature_at_bound: True" in path.read_text()
+        loaded = io.read_model(path)
+        assert loaded.provenance["temperature_at_bound"] is True
+        assert loaded.provenance == clf.provenance
+
+    def test_temperature_default_and_bounds(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text("format_version: 1\nkind: top-k\nk: 1\n")
+        assert io.read_model(path).temperature == 1.0
+        for bad in ("0", "-2.0", "nan", "inf"):
+            path.write_text(
+                f"format_version: 1\nkind: top-k\nk: 1\ntemperature: {bad}\n"
+            )
+            with pytest.raises(ParseError) as exc:
+                io.read_model(path)
+            assert exc.value.line == 4
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "m.model"
@@ -400,19 +445,3 @@ class TestPipelineDeterminism:
             labels = np.flatnonzero(mask[i]) + 1
             expect = f"{test.ids[i]},{';'.join(map(str, labels))},{len(labels)}"
             assert row == expect
-
-    def test_workers_do_not_change_output(self, tmp_path, synth_files):
-        model = tmp_path / "m.model"
-        run_cli(
-            "calibrate", "--formulation", "pointwise-error", "--eps", 0.1,
-            "--scores", synth_files["calib"], "--model", model,
-        )
-        outs = []
-        for workers in (1, 4):
-            out = tmp_path / f"p{workers}.csv"
-            run_cli(
-                "predict", "--model", model, "--scores", synth_files["test"],
-                "--out", out, "--workers", workers,
-            )
-            outs.append(open(out, "rb").read())
-        assert outs[0] == outs[1]

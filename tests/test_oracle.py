@@ -197,6 +197,27 @@ class TestEquivalenceSuite:
                         r.constraint_ok,
                     )
 
+    def test_suite_catches_a_broken_threshold_mask(self, monkeypatch):
+        # the oracle must judge the masks the classifier runs: a strict
+        # comparison in the thresholding rule drops every label sitting
+        # exactly at the fitted cutoff, and the suite has to notice
+        import predsets.formulations as formulations
+
+        monkeypatch.setattr(
+            formulations,
+            "threshold_mask",
+            lambda P, theta: np.asarray(P, dtype=np.float64) > float(theta),
+        )
+        rng = np.random.default_rng(9)
+        mismatches = 0
+        for i in range(10):
+            d = random_test_distribution(rng)
+            mismatches += sum(
+                r.judged and not r.passed
+                for r in equivalence_suite(d, rng, f"d{i}")
+            )
+        assert mismatches > 0
+
     def test_hybrid_error_reported_not_judged(self):
         rng = np.random.default_rng(10)
         d = random_test_distribution(rng)
