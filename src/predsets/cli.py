@@ -16,7 +16,7 @@ from . import io
 from .calibration import CalibratedClassifier, calibrate
 from .core import ScoreSet
 from .errors import ClassCountMismatch, PredsetsError
-from .evaluation import evaluate, per_class_violation, sweep
+from .evaluation import SWEEP_PARAM, PerClassViolation, evaluate, sweep
 from .formulations import FormulationSpec, Kind, MODE_LEMMA_THRESHOLD
 from .oracle import (
     equivalence_suite,
@@ -152,7 +152,9 @@ def cmd_evaluate(args) -> int:
     metrics = evaluate(clf, test, beta=args.beta)
     violation = None
     if clf.spec.eps is not None:
-        violation = per_class_violation(clf, test, clf.spec.eps)
+        violation = PerClassViolation.from_rates(
+            metrics.per_class_error, clf.spec.eps
+        )
 
     gate_lines = None
     problems = []
@@ -213,17 +215,11 @@ def _spec_from_args_sweep(args, L: int) -> FormulationSpec:
     kwargs = dict(placeholder)
     for name in ("k", "eps", "ebar", "kbar", "lam", "beta"):
         value = getattr(args, name, None)
-        if value is not None and name not in _swept_field(kind):
+        if value is not None and name != SWEEP_PARAM[kind]:
             kwargs[name] = value
     if kind is Kind.HYBRID_ERROR:
         kwargs["mode"] = args.mode
     return FormulationSpec(kind, **kwargs)
-
-
-def _swept_field(kind: Kind) -> str:
-    from .evaluation import SWEEP_PARAM
-
-    return SWEEP_PARAM[kind]
 
 
 def cmd_synth(args) -> int:

@@ -107,25 +107,27 @@ class PerClassViolation:
             return 0.0
         return sum(self.violated.values()) / len(self.violated)
 
+    @classmethod
+    def from_rates(
+        cls, rates: dict[int, float], eps: float
+    ) -> "PerClassViolation":
+        """Percentile summary and flags of per-class error ``rates``, such
+        as :attr:`MetricsReport.per_class_error`."""
+        values = np.array(list(rates.values()))
+        quantiles = {q: float(np.percentile(values, q)) for q in PERCENTILES}
+        violated = {c: r > eps for c, r in rates.items()}
+        return cls(
+            eps=eps, rates=rates, quantiles=quantiles, violated=violated
+        )
+
 
 def per_class_violation(
     classifier: CalibratedClassifier, test: ScoreSet, eps: float
 ) -> PerClassViolation:
     """Per-class error rates, their percentile summary, and violation flags."""
-    labels = test.require_labels("per_class_violation")
-    mask = classifier.predict_set_mask(test)
-    covered = mask[np.arange(test.n), labels - 1]
-    rates: dict[int, float] = {}
-    for c in np.unique(labels):
-        rows = labels == c
-        rates[int(c)] = 1.0 - float(np.mean(covered[rows]))
-    values = np.array(list(rates.values()))
-    quantiles = {
-        q: float(np.percentile(values, q)) for q in PERCENTILES
-    }
-    violated = {c: r > eps for c, r in rates.items()}
-    return PerClassViolation(
-        eps=eps, rates=rates, quantiles=quantiles, violated=violated
+    test.require_labels("per_class_violation")
+    return PerClassViolation.from_rates(
+        evaluate(classifier, test).per_class_error, eps
     )
 
 
@@ -205,9 +207,8 @@ def sweep(
     for point_idx, value in enumerate(grid):
         try:
             spec = spec_with_param(template, value)
-            errors, sizes = [], []
-            first_clf = None
             if spec.needs_fit:
+                reports = []
                 for rep in range(seeds):
                     rng = np.random.default_rng(
                         [base_seed, point_idx, rep]
@@ -220,25 +221,20 @@ def sweep(
                         offset=offset,
                         seed=base_seed,
                     )
-                    if first_clf is None:
-                        first_clf = clf
-                    m = evaluate(clf, test, beta=beta)
-                    errors.append(m.avg_error)
-                    sizes.append(m.avg_size)
+                    reports.append(evaluate(clf, test, beta=beta))
             else:
                 clf = calibrate(
                     spec, calib, temperature=temperature, offset=offset,
                     seed=base_seed,
                 )
-                first_clf = clf
-                m = evaluate(clf, test, beta=beta)
-                errors = [m.avg_error] * seeds
-                sizes = [m.avg_size] * seeds
+                reports = [evaluate(clf, test, beta=beta)] * seeds
+            errors = [m.avg_error for m in reports]
+            sizes = [m.avg_size for m in reports]
 
             quantiles = None
             if spec.eps is not None:
-                quantiles = per_class_violation(
-                    first_clf, test, spec.eps
+                quantiles = PerClassViolation.from_rates(
+                    reports[0].per_class_error, spec.eps
                 ).quantiles
             curve.points.append(
                 SweepPoint(

@@ -3,15 +3,20 @@
 Score files are UTF-8 CSV with header ``id,label,p_1,...,p_L`` and optional
 parallel logit columns ``z_1,...,z_L``; the label column is empty for
 unlabeled rows.  Floats are serialized with their shortest round-trip
-representation, so write -> read -> write is byte-identical.  Model files
-are human-readable key-value text with a format-version field.
+representation, so write -> read -> write is byte-identical.  Score files,
+distribution fixtures and per-class CSVs share one reader and one writer:
+a read parses all float columns in one ``np.loadtxt`` pass, and a write
+streams one joined line per row.  Model files are human-readable key-value
+text with a format-version field.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from itertools import compress
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,91 +35,172 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-# --- score files -----------------------------------------------------------
+# --- numeric CSVs: scores, distribution fixtures, per-class rates -----------
 
 
-def write_scores(path, scores: ScoreSet) -> None:
-    path = Path(path)
-    L = scores.L
-    header = ["id", "label"] + [f"p_{j}" for j in range(1, L + 1)]
-    if scores.logits is not None:
-        header += [f"z_{j}" for j in range(1, L + 1)]
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(scores.n):
-            label = scores.labels[i]
-            row = [scores.ids[i], "" if label == 0 else str(int(label))]
-            row += [fmt(v) for v in scores.probs[i]]
-            if scores.logits is not None:
-                row += [fmt(v) for v in scores.logits[i]]
-            writer.writerow(row)
+def _write_table(path, header, leading, values: np.ndarray) -> None:
+    """Write ``header``, then one line per row of ``values``: that row's
+    csv-quoted ``leading`` fields, then its floats.  Lines are streamed."""
+    # writerow returns what the file's write returns: here the quoted line;
+    # the trailing empty field keeps csv from quoting a lone empty field
+    join = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(join(header))
+        for fields, row in zip(leading, values):
+            floats = ",".join(map(repr, row.tolist()))
+            fh.write(f"{join([*fields, ''])[:-1]}{floats}\n")
 
 
-def read_scores(path) -> ScoreSet:
-    path = Path(path)
+def _read_table(path, check_header, converters):
+    """Parse a CSV whose first ``len(converters)`` columns are text and
+    whose other columns are floats.
+
+    ``check_header(path, header)`` raises :class:`ParseError` on a bad
+    header and returns what the caller needs from it.  Returns that, the
+    leading columns (one list per converter) and the floats as an (n, m)
+    array from one ``np.loadtxt`` pass.  A file holding a quote, and a file
+    with any line that pass does not take, goes through
+    :func:`_parse_records`, which raises the first error with its line.
+    """
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    if len(lines) < 2 or any('"' in line for line in lines):
+        return _parse_records(path, check_header, converters)
+    header = lines[0].rstrip("\r\n").split(",")
+    shape = check_header(path, header)
+    n_lead, rows = len(converters), []
+    n_commas = len(header) - n_lead - 1
+    try:
+        for line in lines[1:]:
+            fields = line.split(",", n_lead)
+            # loadtxt ignores fields past usecols, so count them here
+            if len(fields) <= n_lead or fields[-1].count(",") != n_commas:
+                raise ValueError("wrong field count")
+            rows.append(fields[:n_lead])
+        columns = [
+            list(map(convert, column))
+            for convert, column in zip(converters, zip(*rows))
+        ]
+        values = np.loadtxt(
+            lines[1:],
+            delimiter=",",
+            usecols=range(n_lead, len(header)),
+            comments=None,
+            ndmin=2,
+        )
+    except ValueError:
+        return _parse_records(path, check_header, converters)
+    return shape, columns, values
+
+
+def _parse_records(path, check_header, converters):
+    """Parse record by record with ``csv``, raising at the first bad line."""
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        L = sum(1 for name in header if name.startswith("p_"))
-        n_logits = sum(1 for name in header if name.startswith("z_"))
-        expected = (
-            ["id", "label"]
-            + [f"p_{j}" for j in range(1, L + 1)]
-            + [f"z_{j}" for j in range(1, n_logits + 1)]
-        )
-        if header != expected or L < 2 or n_logits not in (0, L):
-            raise ParseError(
-                f"{path}: header must be id,label,p_1..p_L[,z_1..z_L], "
-                f"got {','.join(header)}",
-                line=1,
-            )
-        ids, labels, probs, logits = [], [], [], []
+        shape = check_header(path, header)
+        rows, values = [], []
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
+            if len(row) != len(header):
                 raise ParseError(
-                    f"{path}: expected {len(expected)} fields, got {len(row)}",
+                    f"{path}: expected {len(header)} fields, got {len(row)}",
                     line=lineno,
                 )
-            ids.append(row[0])
             try:
-                labels.append(0 if row[1] == "" else int(row[1]))
-                probs.append([float(v) for v in row[2 : 2 + L]])
-                if n_logits:
-                    logits.append([float(v) for v in row[2 + L :]])
+                rows.append([c(v) for c, v in zip(converters, row)])
+                values.append([float(v) for v in row[len(converters) :]])
             except ValueError as exc:
                 raise ParseError(f"{path}: {exc}", line=lineno) from None
-    if not ids:
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    probs = np.array(probs)
-    finite = np.isfinite(probs).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
+    return shape, [list(column) for column in zip(*rows)], np.array(values)
+
+
+def write_scores(path, scores: ScoreSet) -> None:
+    names = [f"p_{j}" for j in range(1, scores.L + 1)]
+    values = scores.probs
+    if scores.logits is not None:
+        names += [f"z_{j}" for j in range(1, scores.L + 1)]
+        values = np.hstack([scores.probs, scores.logits])
+    labels = ["" if v == 0 else str(v) for v in scores.labels.tolist()]
+    header = ["id", "label"] + names
+    _write_table(path, header, zip(scores.ids, labels), values)
+
+
+def _score_header(path, header) -> int:
+    """Class count ``L`` of a valid score-file header."""
+    L = sum(1 for name in header if name.startswith("p_"))
+    expected = ["id", "label"] + [f"p_{j}" for j in range(1, L + 1)]
+    if len(header) > L + 2:
+        expected += [f"z_{j}" for j in range(1, L + 1)]
+    if header != expected or L < 2:
         raise ParseError(
-            f"{path}: non-finite probability in {ids[row]!r}", line=row + 2
+            f"{path}: header must be id,label,p_1..p_L[,z_1..z_L], "
+            f"got {','.join(header)}",
+            line=1,
         )
+    return L
+
+
+def read_scores(path) -> ScoreSet:
+    path = Path(path)
+    L, (ids, labels), values = _read_table(
+        path, _score_header, (str, lambda text: int(text) if text else None)
+    )
+    # an empty label means unlabeled; a written label must lie in [1, L]
+    labelled = np.array([v is not None for v in labels])
+    labels = np.array([v or 0 for v in labels], dtype=np.int64)
+    non_finite = ~np.isfinite(values[:, :L]).all(axis=1)
+    bad = non_finite | (labelled & ((labels < 1) | (labels > L)))
+    if bad.any():
+        row = int(np.argmax(bad))
+        problem = (
+            "non-finite probability"
+            if non_finite[row]
+            else f"label {labels[row]} outside [1, {L}]"
+        )
+        raise ParseError(f"{path}: {problem} in {ids[row]!r}", line=row + 2)
     return ScoreSet(
         ids=ids,
-        probs=probs,
-        labels=np.array(labels, dtype=np.int64),
-        logits=np.array(logits) if n_logits else None,
+        probs=values[:, :L],
+        labels=labels,
+        logits=values[:, L:] if values.shape[1] > L else None,
     )
 
 
 def write_predictions(path, ids, mask: np.ndarray) -> None:
     """One row per sample: id, semicolon-joined ascending labels, set size."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    names = [str(j) for j in range(1, mask.shape[1] + 1)]
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "labels", "size"])
-        for i, sample_id in enumerate(ids):
-            labels = np.flatnonzero(mask[i]) + 1
-            writer.writerow(
-                [sample_id, ";".join(str(v) for v in labels), len(labels)]
-            )
+        writer.writerows(
+            (sample_id, ";".join(compress(names, row)), sum(row))
+            for sample_id, row in zip(ids, map(np.ndarray.tolist, mask))
+        )
+
+
+def write_distribution(path, dist: DiscreteDistribution) -> None:
+    header = ["x_id", "marginal"] + [f"p_{j}" for j in range(1, dist.L + 1)]
+    values = np.column_stack([dist.marginal, dist.cond])
+    _write_table(path, header, zip(dist.x_ids), values)
+
+
+def _distribution_header(path, header) -> None:
+    if header[:2] != ["x_id", "marginal"]:
+        raise ParseError(f"{path}: bad header", line=1)
+
+
+def read_distribution(path) -> DiscreteDistribution:
+    _, (x_ids,), values = _read_table(
+        Path(path), _distribution_header, (str,)
+    )
+    return DiscreteDistribution(
+        x_ids=x_ids, marginal=values[:, 0], cond=values[:, 1:]
+    )
 
 
 # --- model files -------------------------------------------------------------
@@ -252,18 +338,15 @@ def write_metrics(path, report: MetricsReport, gate_lines=None) -> None:
 
 
 def write_per_class(path, report: MetricsReport) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", "error_rate", "avg_size"])
-        for c in sorted(report.per_class_error):
-            writer.writerow(
-                [
-                    c,
-                    fmt(report.per_class_error[c]),
-                    fmt(report.per_class_avg_size[c]),
-                ]
-            )
+    classes = sorted(report.per_class_error)
+    header = ["label", "error_rate", "avg_size"]
+    values = np.array(
+        [
+            [report.per_class_error[c], report.per_class_avg_size[c]]
+            for c in classes
+        ]
+    )
+    _write_table(path, header, zip(classes), values)
 
 
 def write_curve(path, curve: SweepCurve) -> None:
@@ -296,51 +379,3 @@ def write_curve(path, curve: SweepCurve) -> None:
             else:
                 row += [""] * len(PERCENTILES)
             writer.writerow(row)
-
-
-# --- distribution fixtures -------------------------------------------------------
-
-
-def write_distribution(path, dist: DiscreteDistribution) -> None:
-    path = Path(path)
-    L = dist.L
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["x_id", "marginal"] + [f"p_{j}" for j in range(1, L + 1)]
-        )
-        for i in range(dist.n_points):
-            writer.writerow(
-                [dist.x_ids[i], fmt(dist.marginal[i])]
-                + [fmt(v) for v in dist.cond[i]]
-            )
-
-
-def read_distribution(path) -> DiscreteDistribution:
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if header[:2] != ["x_id", "marginal"]:
-            raise ParseError(f"{path}: bad header", line=1)
-        L = len(header) - 2
-        x_ids, marginal, cond = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != L + 2:
-                raise ParseError(
-                    f"{path}: expected {L + 2} fields", line=lineno
-                )
-            x_ids.append(row[0])
-            try:
-                marginal.append(float(row[1]))
-                cond.append([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}", line=lineno) from None
-    if not x_ids:
-        raise ParseError(f"{path}: no data rows")
-    return DiscreteDistribution(
-        x_ids=x_ids, marginal=np.array(marginal), cond=np.array(cond)
-    )

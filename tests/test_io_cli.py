@@ -3,8 +3,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from predsets import io
+from predsets import calibration, io
 from predsets.calibration import calibrate, fit_average_size
 from predsets.cli import main
 from predsets.core import ScoreSet, softmax
@@ -80,6 +81,85 @@ class TestScoreFiles:
         with pytest.raises(ParseError) as exc:
             io.read_scores(path)
         assert exc.value.line == 4
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (["r1,1,0.5,0.5", "r2,1,0.5,0.5,0.1"], 3),  # too many fields
+            (["r1,1,0.5,0.5", "r2,1,0.5"], 3),  # too few fields
+            (["r1,1,0.5,0.5", "r2,1,0.5,x"], 3),  # bad float
+            (['"r,1",1,0.5,0.5', '"r""2",1.5,0.5,0.5'], 3),  # bad label
+            (["r1,1,0.5,0.5", "r2,3,0.5,0.5"], 3),  # label above L
+            (["r1,-1,0.5,0.5", "r2,1,0.5,0.5"], 2),  # negative label
+            (["r1,1,0.5,0.5", "r2,0,0.5,0.5"], 3),  # 0: unlabeled is empty
+            (["r1,1,0.5,0.5", "r2,9,0.5,0.5", "r3,1,nan,nan"], 3),  # label
+            (["r1,1,0.5,0.5", "r2,1,nan,nan", "r3,9,0.5,0.5"], 3),  # first
+            (["r1,1,0.5,0.5", "r2,x,0.5,0.5", "r3,1,0.5,y"], 3),  # first wins
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, rows, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["id,label,p_1,p_2"] + rows) + "\n")
+        with pytest.raises(ParseError) as exc:
+            io.read_scores(path)
+        assert exc.value.line == line
+
+    def test_crlf_file_reads_like_lf(self, tmp_path, tiny_scores):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        io.write_scores(lf, tiny_scores)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = io.read_scores(lf), io.read_scores(crlf)
+        assert a.ids == b.ids
+        assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(a.labels, b.labels)
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_round_trip_property(self, tmp_path, data):
+        L = data.draw(st.integers(2, 5), label="L")
+        n = data.draw(st.integers(1, 6), label="n")
+        ids = data.draw(
+            st.lists(st.text(alphabet='aZ0 ,";\n\u00e9', max_size=6),
+                     min_size=n, max_size=n),
+            label="ids",
+        )
+        special = st.sampled_from([0.0, 5e-324, 1e-300, 1.0])
+        logits = None
+        if data.draw(st.booleans(), label="logits"):
+            z = st.one_of(special, st.floats(-30, 30))
+            logits = np.array(
+                data.draw(st.lists(st.lists(z, min_size=L, max_size=L),
+                                   min_size=n, max_size=n), label="z")
+            )
+            probs = softmax(logits)
+        else:
+            # 1.0 plus entries below its half-ulp still sums to exactly 1
+            tail = st.lists(st.sampled_from([0.0, 5e-324, 1e-300]),
+                            min_size=L - 1, max_size=L - 1)
+            probs = np.array([
+                data.draw(st.permutations([1.0] + data.draw(tail)))
+                for _ in range(n)
+            ])
+        labels = data.draw(
+            st.lists(st.integers(0, L), min_size=n, max_size=n), label="y"
+        )
+        s = ScoreSet(ids=ids, probs=probs, labels=labels, logits=logits)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        io.write_scores(p1, s)
+        loaded = io.read_scores(p1)
+        io.write_scores(p2, loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert loaded.ids == ids
+        assert np.array_equal(loaded.probs, s.probs)
+        assert np.array_equal(loaded.labels, s.labels)
+        if logits is None:
+            assert loaded.logits is None
+        else:
+            assert np.array_equal(loaded.logits, logits)
 
 
 class TestModelFiles:
@@ -164,6 +244,15 @@ class TestDistributionFixture:
         assert loaded.x_ids == dist.x_ids
         assert np.array_equal(loaded.marginal, dist.marginal)
         assert np.array_equal(loaded.cond, dist.cond)
+
+    def test_empty_id_round_trips_byte_identical(self, tmp_path):
+        dist = make_distribution("dirichlet-like", 3, 2, support=2)
+        dist.x_ids = ["", 'a,"b']
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        io.write_distribution(p1, dist)
+        assert p1.read_text().splitlines()[1].startswith(",")
+        io.write_distribution(p2, io.read_distribution(p1))
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def run_cli(*argv):
@@ -351,6 +440,30 @@ class TestCliCalibratePredictEvaluate:
         assert "avg_error:" in text and "gate_violations: 0" in text
         assert open(tmp_path / "pc.csv").read().startswith("label,")
 
+    def test_evaluate_builds_the_mask_once(
+        self, tmp_path, synth_files, monkeypatch
+    ):
+        model = tmp_path / "m.model"
+        run_cli(
+            "calibrate", "--formulation", "pointwise-error", "--eps", 0.2,
+            "--scores", synth_files["calib"], "--model", model,
+        )
+        calls = []
+        rule_mask = calibration.rule_mask
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rule_mask(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "rule_mask", counted)
+        code = run_cli(
+            "evaluate", "--model", model, "--test", synth_files["test"],
+            "--out", tmp_path / "metrics.txt",
+            "--per-class", tmp_path / "pc.csv",
+        )
+        assert code == 0
+        assert len(calls) == 1
+
     def test_gate_violation_exits_nonzero(self, tmp_path, synth_files):
         # an average-size model whose budget the test set cannot violate
         # is gated at an absurdly tight slack by lying about kbar: fit at
@@ -396,6 +509,21 @@ class TestCliSweep:
         for line in lines:
             param, _, _, size_mean = line.split(",")[:4]
             assert abs(float(size_mean) - float(param)) < 0.2
+
+    def test_hybrid_size_uses_given_k(self, tmp_path, synth_files):
+        curves = {}
+        for k in (2, 3):
+            out = tmp_path / f"k{k}.csv"
+            code = run_cli(
+                "sweep", "--formulation", "hybrid-size", "--k", k,
+                "--grid", "1.4,1.9", "--repeats", 2,
+                "--calib", synth_files["calib"], "--test", synth_files["test"],
+                "--out", out,
+            )
+            assert code == 0
+            curves[k] = open(out).read()
+        assert curves[2] != curves[3]
+        assert ",ok," in curves[2] and ",failed" not in curves[2]
 
     def test_empty_grid_usage_error(self, tmp_path, synth_files):
         code = run_cli(
