@@ -49,7 +49,7 @@ print(f"  held-out avg error   {m.avg_error:.4f}  (budget 0.05)")
 print(f"  held-out avg size    {m.avg_size:.3f}\n")
 
 print("F-score rule: the cutoff is the root of a scalar equation")
-clf = fit_fscore(calib, beta=1.0, tol=1e-12)
+clf = fit_fscore(calib, beta=1.0)
 residual = fscore_objective_derivative(calib.probs, 1.0, clf.theta)
 m = evaluate(clf, held_out)
 print(f"  fitted cutoff        {clf.theta:.6f}")

@@ -6,10 +6,17 @@ This module estimates those cutoffs from data: empirical step functions
 over pooled scores, their generalized inverses, the point-wise offset, the
 F-score root, temperature scaling, and the feasibility check for the
 average-error-with-size-cap problem.
+
+Every fitted cutoff is read off one representation, the sorted knots of
+:class:`EmpiricalStepFunction`: a generalized inverse of G, G_k or H, the
+largest knot reaching a level of H_eps, or the exact F-score root.  The
+knots carry per-sample counts, so a bootstrap replicate is the same knots
+reweighted (see ``evaluation.sweep``).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import time
@@ -17,100 +24,109 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ScoreSet,
-    mask_to_labels,
-    softmax,
-    topk_mask,
-    validate_probability_vector,
-)
-from .errors import (
-    EmptyScoreSet,
-    InfeasiblePair,
-    InvalidOffset,
-    KOutOfRange,
-    MissingLogits,
-    NegativeU,
-    NonConvergence,
-    ParameterOrderViolation,
-    Saturated,
-    TooFewClasses,
-)
-from .formulations import (
-    FormulationSpec,
-    Kind,
-    pointwise_error_mask,
-    rule_mask,
-)
-
-__all__ = [
-    "EmpiricalStepFunction",
-    "generalized_inverse",
-    "largest_level_knot",
-    "CalibratedClassifier",
-    "empirical_g",
-    "empirical_h",
-    "empirical_g_k",
-    "empirical_h_eps",
-    "fit_average_size",
-    "fit_average_error",
-    "fit_hybrid_size",
-    "fit_hybrid_error",
-    "fit_fscore",
-    "fscore_objective_derivative",
-    "pointwise_offset",
-    "fit_temperature",
-    "TEMPERATURE_BOUNDS",
-    "feasibility_check",
-    "FeasibilityReport",
-    "calibrate",
-]
+from .core import ScoreSet, mask_to_labels, softmax, topk_mask
+from .core import validate_probability_vector
+from .errors import EmptyScoreSet, InfeasiblePair, InvalidOffset, KOutOfRange
+from .errors import MissingLogits, NegativeU, ParameterOrderViolation
+from .errors import Saturated, TooFewClasses
+from .formulations import FormulationSpec, Kind, pointwise_error_mask, rule_mask
 
 
 class EmpiricalStepFunction:
-    """A non-increasing step function ``f(t) = sum of weights of knots >= t``.
+    """A non-increasing step function ``f(t) = (weight of knots >= t) / norm``.
 
-    Knots with equal score are merged.  ``f(0)`` equals the total weight and
-    ``f(t) = 0`` for ``t`` above the largest knot.  This is the shared
-    representation for the empirical (and exact, in the oracle) versions of
-    the pooled-score function G, the true-class-score function H, and their
-    hybrid variants.
+    Entries with equal score merge into one knot carrying their summed
+    weight; ``weights`` may be one scalar for every entry.  ``f(0)`` equals
+    the total weight over ``norm`` and ``f(t) = 0`` for ``t`` above the
+    largest knot.  This is the one representation of the empirical (and
+    exact, in the oracle) pooled-score function G, the true-class-score
+    function H, and their hybrid variants G_k and H_eps.
+
+    The entries are sorted once.  Given ``rows``, the sample each entry
+    belongs to, :meth:`reweight` evaluates ``f`` for per-sample counts
+    without sorting again: a bootstrap replicate is the same knots carrying
+    multinomial counts.  Integer weights stay integers, so ``tail`` holds
+    exact counts, compared against ``level * norm``.
     """
 
-    def __init__(self, scores, weights):
+    def __init__(self, scores, weights, rows=None, norm=1):
         scores = np.asarray(scores, dtype=np.float64).ravel()
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        if scores.size != weights.size:
+        weights = np.asarray(weights)
+        if weights.ndim and weights.size != scores.size:
             raise ValueError("scores and weights must have equal length")
         if np.any(weights < 0):
             raise ValueError("knot weights must be nonnegative")
-        order = np.argsort(scores, kind="stable")
-        scores = scores[order]
-        weights = weights[order]
-        # merge duplicate scores so each knot is a distinct jump
-        uniq, start = np.unique(scores, return_index=True)
-        summed = np.add.reduceat(weights, start) if scores.size else weights
-        self.scores = uniq
-        # tail[j] = f(scores[j]) = total weight at or above scores[j]
-        self.tail = np.cumsum(summed[::-1])[::-1] if uniq.size else summed
+        if weights.ndim:
+            order = np.argsort(scores, kind="stable")
+            ordered = scores[order]
+        else:
+            ordered = np.sort(scores)
+        first = np.ones(ordered.size, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        self.scores = ordered[first]
+        self.norm = norm
+        self._start = np.flatnonzero(first)
+        # the entries as given; reweight sorts their rows on first use
+        self._entries = (scores, weights, rows)
+        self._sorted = None
+        if weights.ndim:
+            self._merge(weights.ravel()[order])
+        else:
+            self._set(np.diff(self._start, append=ordered.size) * weights)
+
+    def _merge(self, weights):
+        # sum the weights of the sorted entries knot by knot, unless every
+        # knot is one entry
+        if self._start.size < weights.size:
+            weights = np.add.reduceat(weights, self._start)
+        self._set(weights)
+
+    def _set(self, weight):
+        # weight[j] = weight of knot j; tail[j] = weight at or above it
+        self.weight = weight
+        self.tail = np.cumsum(weight[::-1])[::-1]
+
+    def reweight(self, counts) -> "EmpiricalStepFunction":
+        """The same knots, each entry's weight times its sample's count.
+
+        The entries of one knot are summed in sorted order, which for
+        float weights need not be the order the constructor used.
+        """
+        if self._sorted is None:
+            scores, weights, rows = self._entries
+            if rows is None:
+                raise ValueError("reweight needs the rows of the entries")
+            order = np.argsort(scores)
+            self._sorted = (
+                np.asarray(rows).ravel()[order],
+                weights.ravel()[order] if weights.ndim else weights,
+            )
+        rows, weights = self._sorted
+        out = copy.copy(self)
+        out._merge(np.asarray(counts)[rows] * weights)
+        return out
+
+    def mass(self) -> "EmpiricalStepFunction":
+        """The same knots, each weighing its score times its weight / norm.
+
+        Computed per merged knot, so a knot's weight does not depend on the
+        order or multiplicity of the entries that make it up.
+        """
+        out = copy.copy(self)
+        out.norm = 1
+        out._set(self.weight * (self.scores / self.norm))
+        return out
 
     @property
     def total(self) -> float:
         """Value at t = 0 (all knots counted)."""
-        return float(self.tail[0]) if self.scores.size else 0.0
-
-    @property
-    def max_score(self) -> float:
-        if self.scores.size == 0:
-            raise ValueError("step function has no knots")
-        return float(self.scores[-1])
+        return float(self.tail[0] / self.norm) if self.scores.size else 0.0
 
     def value(self, t) -> np.ndarray | float:
         """Evaluate ``f`` at scalar or array ``t``."""
         t = np.asarray(t, dtype=np.float64)
         idx = np.searchsorted(self.scores, t, side="left")
-        padded = np.append(self.tail, 0.0)
-        out = padded[idx]
+        out = np.append(self.tail, 0)[idx] / self.norm
         return float(out) if out.ndim == 0 else out
 
     def __repr__(self):
@@ -123,23 +139,26 @@ class EmpiricalStepFunction:
 def generalized_inverse(f: EmpiricalStepFunction, u: float) -> float:
     """Smallest cutoff at which the step function has dropped to ``u``.
 
-    Follows ``inf{t : f(t) <= u}`` restricted to the knot grid: returns 0
-    when ``f(0) <= u`` already, otherwise the smallest knot score whose
-    value is ``<= u``.  When even the largest knot leaves ``f`` above ``u``
-    the request is unattainable and :class:`Saturated` is raised (carrying
-    the largest knot score) instead of silently clamping.
+    Follows ``inf{t : f(t) <= u}`` restricted to the knots that carry
+    weight: returns 0 when ``f(0) <= u`` already, otherwise the smallest
+    such knot score whose value is ``<= u``.  When even the largest knot
+    leaves ``f`` above ``u`` the request is unattainable and
+    :class:`Saturated` is raised (carrying the largest knot score) instead
+    of silently clamping.
     """
     u = float(u)
     if u < 0:
         raise NegativeU(f"u={u!r} < 0")
-    if f.total <= u:
+    level = u * f.norm
+    if f.scores.size == 0 or f.tail[0] <= level:
         return 0.0
     # tail is non-increasing over ascending scores; find the first knot
-    # with tail <= u
-    idx = int(np.searchsorted(-f.tail, -u, side="left"))
-    if idx >= f.scores.size:
-        raise Saturated(u, f.max_score)
-    return float(f.scores[idx])
+    # with tail <= level, then the first knot from there that has weight
+    idx = int(np.searchsorted(-f.tail, -level, side="left"))
+    heavy = np.flatnonzero(f.weight[idx:])
+    if heavy.size == 0:  # report the largest knot that carries weight
+        raise Saturated(u, float(f.scores[np.flatnonzero(f.weight)[-1]]))
+    return float(f.scores[idx + heavy[0]])
 
 
 def largest_level_knot(f: EmpiricalStepFunction, level: float) -> float:
@@ -150,34 +169,87 @@ def largest_level_knot(f: EmpiricalStepFunction, level: float) -> float:
     true-class mass must stay above ``1 - ebar``.  Raises
     :class:`InfeasiblePair` when no knot attains the level.
     """
-    if f.scores.size == 0 or f.total < level:
+    if f.scores.size == 0 or f.tail[0] < level * f.norm:
         raise InfeasiblePair(
             f"step function never reaches level {level!r} "
             f"(maximum attainable {f.total!r})"
         )
     # last knot with tail >= level
-    idx = int(np.searchsorted(-f.tail, -level, side="right")) - 1
+    idx = int(np.searchsorted(-f.tail, -level * f.norm, side="right")) - 1
     return float(f.scores[idx])
+
+
+def fscore_root(g: EmpiricalStepFunction, beta: float) -> float:
+    """Exact root of the F-score condition over the pooled scores ``g``.
+
+    ``phi(theta) = beta^2 theta - sum_{knots s > theta} (s - theta) w(s) / norm``
+    is continuous, strictly increasing and linear between knots.  With
+    ``M_j`` and ``W_j`` the mass and weight of the knots at or above
+    ``s_j``, the root on the segment below the first knot where
+    ``phi >= 0`` is ``theta = M_j / (norm beta^2 + W_j)``.  That knot is
+    found by binary search; ``phi`` is non-negative at the largest one.
+    """
+    mass = g.mass().tail  # M_j / norm
+    b2 = beta * beta
+    lo, hi = 0, g.scores.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        s = g.scores[mid]
+        if b2 * s - (mass[mid] - s * (g.tail[mid] / g.norm)) >= 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(mass[lo] / (b2 + g.tail[lo] / g.norm))
 
 
 # --- empirical step-function builders ---------------------------------------
 
 
+def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None):
+    """Unit-count knots, over rows of ``P``, of the step function the
+    cutoff of ``kind`` inverts: G (average-size, f-score), H
+    (average-error), G_k (hybrid-size) or the member counts of H_eps
+    (hybrid-error)."""
+    n = P.shape[0]
+    rows = None
+    if kind is Kind.AVERAGE_ERROR:
+        values = P[np.arange(n), labels - 1][:, None]
+    elif kind is Kind.HYBRID_SIZE:
+        values = np.sort(P, axis=1)[:, -k:]
+    elif kind is Kind.HYBRID_ERROR:
+        rows, cols = np.nonzero(pointwise_error_mask(P, eps, 0.0))
+        values = P[rows, cols]
+    else:
+        values = P
+    if rows is None:
+        rows = np.broadcast_to(np.arange(n)[:, None], values.shape)
+    return EmpiricalStepFunction(values, 1, rows, norm=n)
+
+
+def _cutoff(spec: FormulationSpec, f: EmpiricalStepFunction) -> float:
+    """The fitted threshold of ``spec`` from its (reweighted) knots."""
+    kind = spec.kind
+    if kind in (Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
+        return generalized_inverse(f, spec.kbar)
+    if kind is Kind.AVERAGE_ERROR:
+        return largest_level_knot(f, 1.0 - spec.ebar)
+    if kind is Kind.HYBRID_ERROR:
+        return largest_level_knot(f.mass(), 1.0 - spec.ebar)
+    return fscore_root(f, spec.beta)
+
+
 def empirical_g(scores: ScoreSet) -> EmpiricalStepFunction:
-    """Pooled-score function: counts all N*L probabilities, weight 1/N each.
+    """Pooled-score function: counts all N*L probabilities, over norm N.
 
     Its value at ``t`` is the average predicted-set size of the thresholding
     rule at cutoff ``t`` on the calibration samples.
     """
     _require_nonempty(scores)
-    N = scores.n
-    return EmpiricalStepFunction(
-        scores.probs.ravel(), np.full(scores.n * scores.L, 1.0 / N)
-    )
+    return _knots(Kind.AVERAGE_SIZE, scores.probs, None)
 
 
 def empirical_h(scores: ScoreSet) -> EmpiricalStepFunction:
-    """True-class-score function: one knot per labeled sample, weight 1/n'.
+    """True-class-score function: one knot per labeled sample, over norm n.
 
     Its value at ``t`` is the fraction of calibration samples whose
     true-class probability reaches ``t`` -- i.e. one minus the empirical
@@ -185,21 +257,15 @@ def empirical_h(scores: ScoreSet) -> EmpiricalStepFunction:
     """
     _require_nonempty(scores)
     labels = scores.require_labels("empirical_h")
-    true_scores = scores.probs[np.arange(scores.n), labels - 1]
-    return EmpiricalStepFunction(
-        true_scores, np.full(scores.n, 1.0 / scores.n)
-    )
+    return _knots(Kind.AVERAGE_ERROR, scores.probs, labels)
 
 
 def empirical_g_k(scores: ScoreSet, k: int) -> EmpiricalStepFunction:
-    """Pooled top-``k`` order-statistic scores, weight 1/N each."""
+    """Pooled top-``k`` order-statistic scores, counted over norm N."""
     _require_nonempty(scores)
     if not 1 <= k <= scores.L:
         raise KOutOfRange(f"k={k!r} outside [1, {scores.L}]")
-    topk = np.sort(scores.probs, axis=1)[:, -k:]
-    return EmpiricalStepFunction(
-        topk.ravel(), np.full(topk.size, 1.0 / scores.n)
-    )
+    return _knots(Kind.HYBRID_SIZE, scores.probs, None, k=k)
 
 
 def empirical_h_eps(scores: ScoreSet, eps: float) -> EmpiricalStepFunction:
@@ -210,9 +276,7 @@ def empirical_h_eps(scores: ScoreSet, eps: float) -> EmpiricalStepFunction:
     is therefore at most one.
     """
     _require_nonempty(scores)
-    member = pointwise_error_mask(scores.probs, eps, 0.0)
-    knot_scores = scores.probs[member]
-    return EmpiricalStepFunction(knot_scores, knot_scores / scores.n)
+    return _knots(Kind.HYBRID_ERROR, scores.probs, None, eps=eps).mass()
 
 
 def _require_nonempty(scores: ScoreSet) -> None:
@@ -290,36 +354,42 @@ class CalibratedClassifier:
         return self.predict_mask(self.scores_for(scores))
 
 
-def _provenance(n: int, seed: int | None, **extra) -> dict:
+def _provenance(n: int, seed: int | None) -> dict:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     stamp = float(epoch) if epoch is not None else time.time()
     fitted_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(stamp))
-    out = {"calibration_set_size": n, "seed": seed, "fitted_at": fitted_at}
-    out.update(extra)
-    return out
+    return {"calibration_set_size": n, "seed": seed, "fitted_at": fitted_at}
 
 
 # --- threshold fits -----------------------------------------------------------
+
+
+def _fitted(
+    spec: FormulationSpec, scores: ScoreSet, seed: int | None
+) -> CalibratedClassifier:
+    """Classifier at the cutoff of ``spec`` on unit-count knots of ``scores``."""
+    spec.check_class_count(scores.L)
+    if spec.kind is Kind.AVERAGE_ERROR:
+        scores.require_labels("fit_average_error")
+    knots = _knots(spec.kind, scores.probs, scores.labels, spec.k, spec.eps)
+    theta = _cutoff(spec, knots)
+    return CalibratedClassifier(
+        spec=spec, theta=theta, provenance=_provenance(scores.n, seed)
+    )
 
 
 def fit_average_size(
     scores: ScoreSet, kbar: float, seed: int | None = None
 ) -> CalibratedClassifier:
     """Fit the average-size rule: threshold = generalized inverse of the
-    pooled-score function at the size budget ``kbar``.
+    pooled-score function at the size budget ``kbar`` in ``(0, L]``.
 
-    Labels are ignored.  ``kbar`` must lie in ``(0, L]``; at ``kbar = L``
-    the threshold is 0 and every prediction is the full label set.
+    The pooled scores carry integer counts compared against ``kbar * N``,
+    so the cutoff is tight whenever that budget is an integer.
     """
     _require_nonempty(scores)
     spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=float(kbar))
-    spec.check_class_count(scores.L)
-    theta = generalized_inverse(empirical_g(scores), kbar)
-    return CalibratedClassifier(
-        spec=spec,
-        theta=theta,
-        provenance=_provenance(scores.n, seed),
-    )
+    return _fitted(spec, scores, seed)
 
 
 def fit_average_error(
@@ -328,41 +398,25 @@ def fit_average_error(
     """Fit the average-error rule from labeled calibration data.
 
     The threshold is the ``ceil(n' * (1 - ebar))``-th largest true-class
-    score.  By construction at least that many calibration samples have
-    their true class at or above the threshold, so the empirical error on
-    the calibration set is at most ``ebar``.
+    score, so the empirical error on the calibration set is at most
+    ``ebar``: the largest knot of the counted true-class-score function
+    that still reaches ``1 - ebar``.
     """
     _require_nonempty(scores)
     spec = FormulationSpec(Kind.AVERAGE_ERROR, ebar=float(ebar))
-    labels = scores.require_labels("fit_average_error")
-    true_scores = scores.probs[np.arange(scores.n), labels - 1]
-    m = math.ceil(scores.n * (1.0 - ebar))
-    theta = float(np.sort(true_scores, kind="stable")[scores.n - m])
-    return CalibratedClassifier(
-        spec=spec,
-        theta=theta,
-        provenance=_provenance(scores.n, seed),
-    )
+    return _fitted(spec, scores, seed)
 
 
 def fit_hybrid_size(
     scores: ScoreSet, kbar: float, k: int, seed: int | None = None
 ) -> CalibratedClassifier:
-    """Fit the hybrid size rule (average budget ``kbar``, point-wise cap ``k``).
-
-    The threshold is the generalized inverse, at ``kbar``, of the pooled
-    top-``k`` order-statistic function.  With ``k = L`` this reduces exactly
-    to :func:`fit_average_size`.
+    """Fit the hybrid size rule (average budget ``kbar``, point-wise cap ``k``):
+    the generalized inverse, at ``kbar``, of the pooled top-``k`` scores.
+    With ``k = L`` this is exactly :func:`fit_average_size`.
     """
     _require_nonempty(scores)
     spec = FormulationSpec(Kind.HYBRID_SIZE, kbar=float(kbar), k=k)
-    spec.check_class_count(scores.L)
-    theta = generalized_inverse(empirical_g_k(scores, k), kbar)
-    return CalibratedClassifier(
-        spec=spec,
-        theta=theta,
-        provenance=_provenance(scores.n, seed),
-    )
+    return _fitted(spec, scores, seed)
 
 
 def fit_hybrid_error(
@@ -374,79 +428,40 @@ def fit_hybrid_error(
 ) -> CalibratedClassifier:
     """Fit the hybrid error rule (average budget ``ebar``, point-wise ``eps``).
 
-    Builds the mass-weighted step function of the per-sample point-wise
-    error sets and picks the largest cutoff at which it still reaches
-    ``1 - ebar``.  Raises :class:`InfeasiblePair` when that level is
-    unattainable, which the underlying theory shows can genuinely happen.
+    Picks the largest cutoff at which the mass-weighted step function of
+    the per-sample point-wise error sets still reaches ``1 - ebar``, or
+    raises :class:`InfeasiblePair` when that level is unattainable, which
+    the underlying theory shows can genuinely happen.
     """
     _require_nonempty(scores)
     if not 0.0 <= ebar < eps <= 1.0:
         raise ParameterOrderViolation(
             f"need 0 <= ebar < eps <= 1, got ebar={ebar!r}, eps={eps!r}"
         )
-    h_eps = empirical_h_eps(scores, eps)
-    theta = largest_level_knot(h_eps, 1.0 - ebar)
-    return CalibratedClassifier(
-        spec=FormulationSpec(
-            Kind.HYBRID_ERROR, ebar=float(ebar), eps=float(eps), mode=mode
-        ),
-        theta=theta,
-        provenance=_provenance(scores.n, seed),
+    spec = FormulationSpec(
+        Kind.HYBRID_ERROR, ebar=float(ebar), eps=float(eps), mode=mode
     )
+    return _fitted(spec, scores, seed)
 
 
-def fscore_objective_derivative(
-    probs: np.ndarray, beta: float, theta
-) -> np.ndarray | float:
+def fscore_objective_derivative(probs: np.ndarray, beta: float, theta) -> float:
     """The strictly increasing function whose unique root is the F-score cutoff.
 
     ``phi(theta) = beta^2 * theta - mean_i sum_l (p_il - theta)_+``.
     ``phi(0) = -1`` for any valid probability matrix and ``phi(1) = beta^2``.
     """
     probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    theta = np.asarray(theta, dtype=np.float64)
-    flat = theta.reshape(-1)
-    hinge = np.clip(probs[None, :, :] - flat[:, None, None], 0.0, None)
-    phi = beta * beta * flat - hinge.sum(axis=2).mean(axis=1)
-    return float(phi[0]) if theta.ndim == 0 else phi.reshape(theta.shape)
+    hinge = np.clip(probs - float(theta), 0.0, None).sum(axis=1).mean()
+    return beta * beta * float(theta) - float(hinge)
 
 
 def fit_fscore(
-    scores: ScoreSet,
-    beta: float,
-    tol: float = 1e-12,
-    max_iters: int = 200,
-    seed: int | None = None,
+    scores: ScoreSet, beta: float, seed: int | None = None
 ) -> CalibratedClassifier:
-    """Fit the F-score rule: bisection root of the threshold condition.
-
-    The root is bracketed by ``phi(0) = -1 < 0 < beta^2 = phi(1)`` and
-    ``phi`` is strictly increasing, so plain bisection converges; it stops
-    once ``|phi(theta)| <= tol`` and raises :class:`NonConvergence` if
-    ``max_iters`` halvings were not enough.
-    """
+    """Fit the F-score rule at the exact root of its threshold condition,
+    :func:`fscore_root` (``fscore_objective_derivative`` is zero there)."""
     _require_nonempty(scores)
-    spec = FormulationSpec(Kind.F_SCORE, beta=float(beta))
-    probs = scores.probs
-    lo, hi = 0.0, 1.0
-    theta = 0.5
-    residual = fscore_objective_derivative(probs, beta, theta)
-    for _ in range(max_iters):
-        if abs(residual) <= tol:
-            break
-        if residual > 0:
-            hi = theta
-        else:
-            lo = theta
-        theta = 0.5 * (lo + hi)
-        residual = fscore_objective_derivative(probs, beta, theta)
-    else:
-        raise NonConvergence(max_iters, residual)
-    return CalibratedClassifier(
-        spec=spec,
-        theta=float(theta),
-        provenance=_provenance(scores.n, seed),
-    )
+    return _fitted(FormulationSpec(Kind.F_SCORE, beta=float(beta)), scores, seed)
 
 
 # --- point-wise offset and temperature ---------------------------------------
@@ -548,7 +563,6 @@ def calibrate(
     temperature: float | str = 1.0,
     offset: float | str | None = None,
     seed: int | None = None,
-    fscore_tol: float = 1e-12,
 ) -> CalibratedClassifier:
     """Fit whatever ``spec`` needs on ``scores`` and return the classifier.
 
@@ -572,40 +586,17 @@ def calibrate(
         T = float(temperature)
         if T <= 0:
             raise ValueError(f"temperature={T!r} must be > 0")
-    if T != scores.temperature:
-        if scores.logits is None:
-            raise MissingLogits(
-                "cannot rescale to a new temperature without logits"
-            )
-        scores = ScoreSet(
-            ids=scores.ids,
-            probs=softmax(scores.logits / T),
-            labels=scores.labels,
-            logits=scores.logits,
-            temperature=T,
-            meta=dict(scores.meta),
-        )
+    scores = rescaled(scores, T)
 
-    kind = spec.kind
-    if kind is Kind.AVERAGE_SIZE:
-        clf = fit_average_size(scores, spec.kbar, seed=seed)
-    elif kind is Kind.AVERAGE_ERROR:
-        clf = fit_average_error(scores, spec.ebar, seed=seed)
-    elif kind is Kind.HYBRID_SIZE:
-        clf = fit_hybrid_size(scores, spec.kbar, spec.k, seed=seed)
-    elif kind is Kind.HYBRID_ERROR:
-        clf = fit_hybrid_error(
-            scores, spec.ebar, spec.eps, mode=spec.mode, seed=seed
-        )
-    elif kind is Kind.F_SCORE:
-        clf = fit_fscore(scores, spec.beta, tol=fscore_tol, seed=seed)
+    if spec.needs_fit:
+        clf = _fitted(spec, scores, seed)
     else:
         clf = CalibratedClassifier(
             spec=spec, provenance=_provenance(scores.n, seed)
         )
 
     resolved_offset = clf.offset
-    if kind is Kind.POINTWISE_ERROR:
+    if spec.kind is Kind.POINTWISE_ERROR:
         if offset == "auto":
             resolved_offset = pointwise_offset(scores.n, scores.L)
             resolved_offset = min(resolved_offset, spec.eps)
@@ -618,9 +609,25 @@ def calibrate(
                 f"offset={resolved_offset!r} outside [0, {spec.eps!r}]"
             )
 
-    clf.spec = spec
     clf.temperature = T
     clf.offset = resolved_offset
     clf.provenance.update(extra)
     clf.provenance["L"] = scores.L
     return clf
+
+
+def rescaled(scores: ScoreSet, T: float) -> ScoreSet:
+    """``scores`` at temperature ``T``: itself when it already is, else its
+    logits rescaled (raising :class:`MissingLogits` without them)."""
+    if T == scores.temperature:
+        return scores
+    if scores.logits is None:
+        raise MissingLogits("cannot rescale to a new temperature without logits")
+    return ScoreSet(
+        ids=scores.ids,
+        probs=softmax(scores.logits / T),
+        labels=scores.labels,
+        logits=scores.logits,
+        temperature=T,
+        meta=dict(scores.meta),
+    )

@@ -186,7 +186,6 @@ def cmd_sweep(args) -> int:
         test,
         seeds=args.repeats,
         base_seed=args.seed or 0,
-        beta=args.report_beta,
         temperature=_temperature_arg(args.temperature),
         offset=_offset_arg(args.offset),
     )
@@ -347,12 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--report-beta",
-        type=float,
-        default=1.0,
-        help="beta used for the reported F-score metric",
-    )
     p.add_argument("--offset", default=None)
     p.add_argument("--temperature", default="1.0")
     p.set_defaults(func=cmd_sweep)

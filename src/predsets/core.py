@@ -219,10 +219,16 @@ class ScoreSet:
     def fully_labeled(self) -> bool:
         return bool(np.all(self.labels != UNLABELED))
 
-    def require_labels(self, what: str) -> np.ndarray:
-        """Return the label array, raising if any sample is unlabeled."""
-        if not self.fully_labeled:
-            n_missing = int(np.sum(self.labels == UNLABELED))
+    def require_labels(self, what: str, counts=None) -> np.ndarray:
+        """Return the label array, raising if any sample is unlabeled.
+
+        Given per-sample ``counts`` (a bootstrap draw), a sample is counted
+        as often as it was drawn: the check the resampled rows would make.
+        """
+        unlabeled = self.labels == UNLABELED
+        missing = unlabeled if counts is None else counts[unlabeled]
+        n_missing = int(np.sum(missing))
+        if n_missing:
             raise MissingLabels(
                 f"{what} needs labels; {n_missing} of {self.n} samples "
                 "are unlabeled"
@@ -245,6 +251,7 @@ class ScoreSet:
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with the usual max-shift for stability."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)  # in place: one array, not three, per call
+    e /= e.sum(axis=-1, keepdims=True)
+    return e

@@ -110,18 +110,6 @@ class InfeasiblePair(PredsetsError, RuntimeError):
     """Hybrid error budgets (ebar, eps) unattainable on the data."""
 
 
-class NonConvergence(PredsetsError, RuntimeError):
-    """Root search failed to reach the requested residual."""
-
-    def __init__(self, max_iters: int, residual: float):
-        self.max_iters = int(max_iters)
-        self.residual = float(residual)
-        super().__init__(
-            f"no convergence after {max_iters} iterations "
-            f"(residual {residual!r})"
-        )
-
-
 # --- evaluation and oracle ------------------------------------------------
 
 

@@ -2,7 +2,9 @@
 
 Error and size can each be measured on average or per input; since the true
 conditional error at a single input is unidentifiable from one label, the
-per-class error rate serves as its observable proxy throughout.
+per-class error rate serves as its observable proxy throughout.  A sweep
+refits on bootstrap resamples by reweighting calibration knots sorted once
+and counting sorted test scores at each refit cutoff.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibratedClassifier, calibrate
-from .core import ScoreSet
+from .calibration import CalibratedClassifier, calibrate, fit_temperature
+from .calibration import _cutoff, _knots, _require_nonempty, rescaled
+from .core import ScoreSet, topk_mask
 from .errors import EmptyBins, KOutOfRange, PredsetsError
-from .formulations import FormulationSpec, Kind
+from .formulations import FormulationSpec, Kind, MODE_UNION_POINTWISE
+from .formulations import pointwise_error_mask
 
 PERCENTILES = (10, 25, 50, 75, 90)
 
@@ -182,7 +186,6 @@ def sweep(
     test: ScoreSet,
     seeds: int = 10,
     base_seed: int = 0,
-    beta: float = 1.0,
     temperature: float | str = 1.0,
     offset: float | str | None = None,
 ) -> SweepCurve:
@@ -194,6 +197,13 @@ def sweep(
     standard deviation of error and size.  Kinds that need no fitting are
     evaluated once with zero deviation.  A grid value whose fit fails is
     recorded as a failed point instead of aborting the sweep.
+
+    A resample is a count vector over the calibration rows: a fitted
+    kind's knots, sorted once, are reweighted by each draw's counts, and
+    the test error and size at its cutoff are counts of sorted test scores.
+    Each point equals refitting ``calibrate`` on ``calib.subset(draw)`` and
+    running :func:`evaluate`.  Under ``temperature="fit"`` each draw refits
+    the temperature, so its scores are sorted again.
     """
     grid = [float(v) for v in param_grid]
     if not grid:
@@ -204,37 +214,29 @@ def sweep(
         raise ValueError("seeds must be >= 1")
 
     curve = SweepCurve(kind=template.kind.value)
+    fixed: dict = {}  # temperature -> [calibration knots, test metrics]
     for point_idx, value in enumerate(grid):
         try:
             spec = spec_with_param(template, value)
             if spec.needs_fit:
-                reports = []
-                for rep in range(seeds):
-                    rng = np.random.default_rng(
-                        [base_seed, point_idx, rep]
-                    )
-                    idx = rng.integers(0, calib.n, size=calib.n)
-                    clf = calibrate(
-                        spec,
-                        calib.subset(idx),
-                        temperature=temperature,
-                        offset=offset,
-                        seed=base_seed,
-                    )
-                    reports.append(evaluate(clf, test, beta=beta))
+                errors, sizes, clf = _bootstrap(
+                    spec, calib, test, seeds, [base_seed, point_idx],
+                    temperature, fixed,
+                )
+                report = evaluate(clf, test) if spec.eps is not None else None
             else:
                 clf = calibrate(
                     spec, calib, temperature=temperature, offset=offset,
                     seed=base_seed,
                 )
-                reports = [evaluate(clf, test, beta=beta)] * seeds
-            errors = [m.avg_error for m in reports]
-            sizes = [m.avg_size for m in reports]
+                report = evaluate(clf, test)
+                errors = [report.avg_error] * seeds
+                sizes = [report.avg_size] * seeds
 
             quantiles = None
             if spec.eps is not None:
                 quantiles = PerClassViolation.from_rates(
-                    reports[0].per_class_error, spec.eps
+                    report.per_class_error, spec.eps
                 ).quantiles
             curve.points.append(
                 SweepPoint(
@@ -258,6 +260,75 @@ def sweep(
                 )
             )
     return curve
+
+
+def _bootstrap(spec, calib, test, seeds, stream, temperature, fixed):
+    """Test errors and sizes of ``spec`` refit on ``seeds`` bootstrap draws
+    of ``calib``, and the first draw's classifier.  Raises what
+    ``calibrate`` on the resampled rows, then :func:`evaluate`, would."""
+    _require_nonempty(calib)
+    spec.check_class_count(calib.L)
+    if temperature != "fit" and float(temperature) <= 0:
+        raise ValueError(f"temperature={float(temperature)!r} must be > 0")
+    errors, sizes, first = [], [], None
+    for rep in range(seeds):
+        rng = np.random.default_rng([*stream, rep])
+        idx = rng.integers(0, calib.n, size=calib.n)
+        counts = np.bincount(idx, minlength=calib.n)
+        if temperature == "fit":
+            # each draw's own temperature: no knots to share across draws
+            T, fixed = fit_temperature(calib.subset(idx)), {}
+        else:
+            T = float(temperature)
+        if T not in fixed:
+            at = rescaled(calib, T)
+            knots = _knots(spec.kind, at.probs, at.labels, spec.k, spec.eps)
+            fixed[T] = [knots, None]
+        knots, metrics = fixed[T]
+        if spec.kind is Kind.AVERAGE_ERROR:
+            calib.require_labels("fit_average_error", counts)
+        theta = _cutoff(spec, knots.reweight(counts))
+        clf = CalibratedClassifier(spec=spec, theta=theta, temperature=T)
+        if metrics is None:
+            metrics = fixed[T][1] = _metrics_at(clf, test)
+        error, size = metrics(theta)
+        errors.append(error)
+        sizes.append(size)
+        first = clf if first is None else first
+    return errors, sizes, first
+
+
+def _metrics_at(clf: CalibratedClassifier, test: ScoreSet):
+    """``theta -> (avg_error, avg_size)`` of ``clf``'s rule on ``test``.
+
+    Each total is a base count (entries every cutoff keeps) plus the
+    sorted test scores at or above ``theta``: all entries for the
+    threshold kinds, the top-``k`` entries for hybrid-size, the entries
+    outside the point-wise set in union mode.  Raises what
+    :func:`evaluate` raises.
+    """
+    spec = clf.spec
+    labels = test.require_labels("evaluate")
+    P = clf.scores_for(test)
+    spec.check_class_count(P.shape[1])
+    always = np.zeros(P.shape, dtype=bool)
+    pool = np.ones(P.shape, dtype=bool)
+    if spec.kind is Kind.HYBRID_SIZE:
+        pool = topk_mask(P, spec.k)
+    elif spec.kind is Kind.HYBRID_ERROR and spec.mode == MODE_UNION_POINTWISE:
+        always = pointwise_error_mask(P, spec.eps, 0.0)
+        pool = ~always
+    n = test.n
+    true = (np.arange(n), labels - 1)
+    size_base, sized = int(always.sum()), np.sort(P[pool])
+    cover_base, covered = int(always[true].sum()), np.sort(P[true][pool[true]])
+
+    def at(theta: float) -> tuple[float, float]:
+        size = size_base + sized.size - np.searchsorted(sized, theta)
+        cover = cover_base + covered.size - np.searchsorted(covered, theta)
+        return 1.0 - float(cover) / n, float(size) / n
+
+    return at
 
 
 @dataclass

@@ -41,14 +41,16 @@ def fmt(x: float) -> str:
 def _write_table(path, header, leading, values: np.ndarray) -> None:
     """Write ``header``, then one line per row of ``values``: that row's
     csv-quoted ``leading`` fields, then its floats.  Lines are streamed."""
-    # writerow returns what the file's write returns: here the quoted line;
-    # the trailing empty field keeps csv from quoting a lone empty field
-    join = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    # writerow returns what the file's write returns: here the quoted line.
+    # csv quotes a field holding a character of the line terminator, so
+    # "\r\n" (cut off again) makes it quote "\r" as well as "\n"; the
+    # trailing empty field keeps csv from quoting a lone empty field
+    join = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(join(header))
+        fh.write(f"{join(header)[:-2]}\n")
         for fields, row in zip(leading, values):
             floats = ",".join(map(repr, row.tolist()))
-            fh.write(f"{join([*fields, ''])[:-1]}{floats}\n")
+            fh.write(f"{join([*fields, ''])[:-2]}{floats}\n")
 
 
 def _read_table(path, check_header, converters):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .calibration import (
     EmpiricalStepFunction,
+    fscore_root,
     generalized_inverse,
     largest_level_knot,
 )
@@ -26,7 +27,7 @@ from .core import (
     topk_mask,
     validate_probability_vector,
 )
-from .errors import NonConvergence, TooLargeForBruteForce
+from .errors import TooLargeForBruteForce
 from .formulations import (
     FormulationSpec,
     Kind,
@@ -174,7 +175,7 @@ def exact_threshold_functions(
 
 
 def population_threshold(
-    dist: DiscreteDistribution, spec: FormulationSpec, tol: float = 1e-13
+    dist: DiscreteDistribution, spec: FormulationSpec
 ) -> float | None:
     """The exact distribution-level cutoff for threshold-style formulations.
 
@@ -183,6 +184,8 @@ def population_threshold(
     kind = spec.kind
     if kind in (Kind.TOP_K, Kind.POINTWISE_ERROR, Kind.PENALIZED):
         return None
+    if kind is Kind.F_SCORE:
+        return population_fscore_root(dist, spec.beta)
     fns = exact_threshold_functions(
         dist, eps=spec.eps if kind is Kind.HYBRID_ERROR else None
     )
@@ -194,36 +197,14 @@ def population_threshold(
         return generalized_inverse(fns.G_k[spec.k], spec.kbar)
     if kind is Kind.HYBRID_ERROR:
         return largest_level_knot(fns.H_eps, 1.0 - spec.ebar)
-    if kind is Kind.F_SCORE:
-        return population_fscore_root(dist, spec.beta, tol=tol)
     raise ValueError(f"unhandled kind {kind!r}")  # pragma: no cover
 
 
-def population_fscore_root(
-    dist: DiscreteDistribution,
-    beta: float,
-    tol: float = 1e-13,
-    max_iters: int = 200,
-) -> float:
-    """Bisection root of the exact (marginal-weighted) F-score condition."""
-
-    def phi(theta: float) -> float:
-        hinge = np.clip(dist.cond - theta, 0.0, None).sum(axis=1)
-        return beta * beta * theta - float(dist.marginal @ hinge)
-
-    lo, hi = 0.0, 1.0
-    theta = 0.5
-    residual = phi(theta)
-    for _ in range(max_iters):
-        if abs(residual) <= tol:
-            return theta
-        if residual > 0:
-            hi = theta
-        else:
-            lo = theta
-        theta = 0.5 * (lo + hi)
-        residual = phi(theta)
-    raise NonConvergence(max_iters, residual)
+def population_fscore_root(dist: DiscreteDistribution, beta: float) -> float:
+    """Exact root of the marginal-weighted F-score condition: the same
+    closed form as the empirical fit, over knots weighted by the marginal."""
+    G = EmpiricalStepFunction(dist.cond.ravel(), np.repeat(dist.marginal, dist.L))
+    return fscore_root(G, beta)
 
 
 def closed_form_assignment(
@@ -271,18 +252,6 @@ def _subset_stats(p: np.ndarray, subsets) -> tuple[np.ndarray, np.ndarray]:
     return mass, size
 
 
-def _per_point_minimum(candidates, contribution):
-    """Index of the strict minimum, first occurrence winning ties."""
-    best = None
-    best_val = np.inf
-    for j, c in enumerate(candidates):
-        v = contribution[j]
-        if v < best_val:
-            best_val = v
-            best = c
-    return best, best_val
-
-
 def _joint_enumerate(per_point_values):
     """Sum per-point contribution vectors over the assignment product.
 
@@ -326,75 +295,48 @@ def brute_force_optimal(
         for x, w, p in zip(dist.x_ids, dist.marginal, dist.cond):
             mass, size = _subset_stats(p, subsets)
             if kind is Kind.TOP_K:
-                keep = [
-                    (s, w * (1.0 - mass[j]))
-                    for j, s in enumerate(subsets)
-                    if len(s) <= spec.k
-                ]
+                allowed, value = size <= spec.k, w * (1.0 - mass)
             elif kind is Kind.POINTWISE_ERROR:
-                keep = [
-                    (s, w * size[j])
-                    for j, s in enumerate(subsets)
-                    if mass[j] >= 1.0 - spec.eps
-                ]
+                allowed, value = mass >= 1.0 - spec.eps, w * size
             else:
-                keep = [
-                    (s, w * (1.0 - mass[j]) + spec.lam * w * size[j])
-                    for j, s in enumerate(subsets)
-                ]
-            best, best_val = _per_point_minimum(
-                [s for s, _ in keep], [v for _, v in keep]
-            )
+                allowed = np.ones(len(subsets), dtype=bool)
+                value = w * (1.0 - mass) + spec.lam * w * size
+            # the first subset attaining the minimum (none if none allowed)
+            best, best_val = None, np.inf
+            if allowed.any():
+                j = np.flatnonzero(allowed)[np.argmin(value[allowed])]
+                best, best_val = subsets[j], value[j]
             assignment[x] = best
             objective += best_val
         return BruteForceResult(
             AssignmentClassifier(assignment), objective
         )
 
-    _guard_joint(dist)
-
-    candidates: list[list[tuple[int, ...]]] = []
-    err_parts, siz_parts = [], []
-    for w, p in zip(dist.marginal, dist.cond):
-        mass, size = _subset_stats(p, subsets)
+    def allowed(mass, size):
         if kind is Kind.HYBRID_SIZE:
-            keep = [j for j, s in enumerate(subsets) if len(s) <= spec.k]
-        elif kind is Kind.HYBRID_ERROR:
-            keep = [j for j in range(len(subsets)) if mass[j] >= 1.0 - spec.eps]
-        else:
-            keep = list(range(len(subsets)))
-        candidates.append([subsets[j] for j in keep])
-        err_parts.append(w * (1.0 - mass[keep]))
-        siz_parts.append(w * size[keep])
+            return size <= spec.k
+        if kind is Kind.HYBRID_ERROR:
+            return mass >= 1.0 - spec.eps
+        return np.ones(size.size, dtype=bool)
 
-    err = _joint_enumerate(err_parts)
-    siz = _joint_enumerate(siz_parts)
-
-    if kind is Kind.AVERAGE_SIZE:
-        feasible = siz <= spec.kbar
-        objective_arr = err
-    elif kind is Kind.AVERAGE_ERROR:
-        feasible = err <= spec.ebar
-        objective_arr = siz
-    elif kind is Kind.HYBRID_SIZE:
-        feasible = siz <= spec.kbar
-        objective_arr = err
-    elif kind is Kind.HYBRID_ERROR:
-        feasible = err <= spec.ebar
-        objective_arr = siz
-    elif kind is Kind.F_SCORE:
+    candidates, err, siz = _joint_stats(dist, allowed)
+    if kind is Kind.F_SCORE:
         beta = spec.beta
         fscores = (1.0 + beta**2) * (1.0 - err) / (beta**2 + siz)
         idx = int(np.argmax(fscores))
         return BruteForceResult(
             _unflatten(dist, candidates, idx), float(fscores[idx])
         )
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled kind {kind!r}")
+    if kind in (Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
+        return _best_feasible(dist, candidates, siz <= spec.kbar, err)
+    return _best_feasible(dist, candidates, err <= spec.ebar, siz)
 
+
+def _best_feasible(dist, candidates, feasible, objective) -> BruteForceResult:
+    """The first feasible joint assignment minimizing ``objective``."""
     if not np.any(feasible):
         return BruteForceResult(None, float("nan"), feasible=False)
-    masked = np.where(feasible, objective_arr, np.inf)
+    masked = np.where(feasible, objective, np.inf)
     idx = int(np.argmin(masked))
     return BruteForceResult(
         _unflatten(dist, candidates, idx), float(masked[idx])
@@ -412,24 +354,23 @@ def brute_force_avg_error_with_size_cap(
     ``ebar`` below that is unattainable and the result carries
     ``feasible=False``.
     """
+    candidates, err, siz = _joint_stats(dist, lambda mass, size: size <= k)
+    return _best_feasible(dist, candidates, err <= ebar, siz)
+
+
+def _joint_stats(dist: DiscreteDistribution, allowed):
+    """Each point's candidate subsets, those ``allowed(mass, size)`` keeps,
+    and the exact error and size of every joint assignment of them."""
     _guard_joint(dist)
-    subsets = [s for s in _all_subsets(dist.L) if len(s) <= k]
-    candidates = [subsets] * dist.n_points
-    err_parts, siz_parts = [], []
+    subsets = _all_subsets(dist.L)
+    candidates, err_parts, siz_parts = [], [], []
     for w, p in zip(dist.marginal, dist.cond):
         mass, size = _subset_stats(p, subsets)
-        err_parts.append(w * (1.0 - mass))
-        siz_parts.append(w * size)
-    err = _joint_enumerate(err_parts)
-    siz = _joint_enumerate(siz_parts)
-    feasible = err <= ebar
-    if not np.any(feasible):
-        return BruteForceResult(None, float("nan"), feasible=False)
-    masked = np.where(feasible, siz, np.inf)
-    idx = int(np.argmin(masked))
-    return BruteForceResult(
-        _unflatten(dist, candidates, idx), float(masked[idx])
-    )
+        keep = np.flatnonzero(allowed(mass, size))
+        candidates.append([subsets[j] for j in keep])
+        err_parts.append(w * (1.0 - mass[keep]))
+        siz_parts.append(w * size[keep])
+    return candidates, _joint_enumerate(err_parts), _joint_enumerate(siz_parts)
 
 
 def _unflatten(dist, candidates, flat_idx) -> AssignmentClassifier:
@@ -821,32 +762,21 @@ def infeasibility_records(
     """
     k = int(rng.integers(1, dist.L))
     eps_k = exact_top_k_error(dist, k)
-    records = []
+    cases = [("above", min(eps_k + 0.1, 1.0), True)]
     if eps_k > 1e-6:
-        below = brute_force_avg_error_with_size_cap(dist, 0.5 * eps_k, k)
+        cases.insert(0, ("below", 0.5 * eps_k, False))
+    records = []
+    for side, ebar, want in cases:
+        ok = brute_force_avg_error_with_size_cap(dist, ebar, k).feasible == want
         records.append(
             EquivalenceRecord(
                 dist_label=dist_label,
-                formulation=f"infeasibility[k={k},below]",
-                params=f"ebar={0.5 * eps_k:.6g},eps_k={eps_k:.6g}",
+                formulation=f"infeasibility[k={k},{side}]",
+                params=f"ebar={ebar:.6g},eps_k={eps_k:.6g}",
                 closed_objective=0.0,
-                brute_objective=0.0 if not below.feasible else 1.0,
-                constraint_ok=not below.feasible,
+                brute_objective=0.0 if ok else 1.0,
+                constraint_ok=ok,
                 judged=True,
             )
         )
-    above = brute_force_avg_error_with_size_cap(
-        dist, min(eps_k + 0.1, 1.0), k
-    )
-    records.append(
-        EquivalenceRecord(
-            dist_label=dist_label,
-            formulation=f"infeasibility[k={k},above]",
-            params=f"ebar={min(eps_k + 0.1, 1.0):.6g},eps_k={eps_k:.6g}",
-            closed_objective=0.0,
-            brute_objective=0.0 if above.feasible else 1.0,
-            constraint_ok=above.feasible,
-            judged=True,
-        )
-    )
     return records

@@ -231,7 +231,7 @@ def test_criterion_6_fscore_root():
     ]
     for template, seed, beta in cases:
         dist = make_distribution(template, 6, seed, support=16)
-        theta_star = population_fscore_root(dist, beta, tol=1e-13)
+        theta_star = population_fscore_root(dist, beta)
         hinge = np.clip(dist.cond - theta_star, 0.0, None).sum(axis=1)
         residual = abs(
             beta * beta * theta_star - float(dist.marginal @ hinge)

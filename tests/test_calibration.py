@@ -68,7 +68,31 @@ class TestEmpiricalStepFunction:
         assert np.all(np.diff(values) <= 0)
 
 
+    def test_reweight_matches_repeated_rows(self):
+        # a bootstrap draw as counts over the knots sorted once equals the
+        # function built from the drawn rows themselves
+        rng = np.random.default_rng(4)
+        probs = rng.dirichlet(np.ones(3), size=40)
+        idx = rng.integers(0, 40, size=40)
+        drawn = empirical_g(ScoreSet(ids=[""] * 40, probs=probs[idx]))
+        full = empirical_g(ScoreSet(ids=[""] * 40, probs=probs))
+        counted = full.reweight(np.bincount(idx, minlength=40))
+        heavy = counted.weight > 0
+        assert np.array_equal(counted.scores[heavy], drawn.scores)
+        assert np.array_equal(counted.tail[heavy], drawn.tail)
+        assert counted.total == drawn.total == 3.0
+
+
 class TestGeneralizedInverse:
+    def test_skips_knots_without_weight(self):
+        # f(0.3) = f(0.5) = 1, but no sample sits at 0.3
+        f = EmpiricalStepFunction([0.2, 0.3, 0.5], [1, 0, 1])
+        assert generalized_inverse(f, 1) == 0.5
+        with pytest.raises(Saturated) as exc:
+            generalized_inverse(EmpiricalStepFunction([0.2, 0.7], [1, 0]), 0.5)
+        assert exc.value.value == 0.2
+
+
     def test_interior_knot(self):
         f = EmpiricalStepFunction([0.5, 0.3, 0.2], [1, 1, 1])
         # f(0.3) = 2 <= 2 while f(0.2) = 3 > 2
@@ -93,6 +117,14 @@ class TestGeneralizedInverse:
 
 
 class TestFitAverageSize:
+    def test_integer_budget_cutoff_is_tight(self):
+        # kbar * N = 9 exactly: summed 1/N weights overshot 9 and skipped
+        # the knot where the size reaches exactly 9/9; counts do not
+        P = np.random.default_rng(9).dirichlet(np.ones(4), size=9)
+        s = ScoreSet(ids=[str(i) for i in range(9)], probs=P)
+        theta = fit_average_size(s, 1.0).theta
+        assert np.count_nonzero(P >= theta) == 9
+
     def test_one_sample(self):
         clf = fit_average_size(one_sample([0.5, 0.3, 0.2]), 2.0)
         assert clf.theta == 0.3
@@ -275,7 +307,7 @@ class TestFitFscore:
         rng = np.random.default_rng(10)
         probs = rng.dirichlet(np.ones(5), size=200)
         s = ScoreSet(ids=[str(i) for i in range(200)], probs=probs)
-        clf = fit_fscore(s, 1.3, tol=1e-12)
+        clf = fit_fscore(s, 1.3)
         assert abs(fscore_objective_derivative(probs, 1.3, clf.theta)) <= 1e-12
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from predsets.calibration import CalibratedClassifier, calibrate
 from predsets.core import ScoreSet
-from predsets.errors import EmptyBins, MissingLabels
+from predsets.errors import EmptyBins, MissingLabels, PredsetsError
 from predsets.evaluation import (
+    PerClassViolation,
     evaluate,
     per_class_violation,
     size_error_histogram,
@@ -14,7 +15,7 @@ from predsets.evaluation import (
     sweep,
 )
 from predsets.formulations import FormulationSpec, Kind
-from predsets.oracle import make_distribution, sample_scores
+from predsets.oracle import make_distribution, sample_scores, synth_generate
 
 
 def labeled_set(seed=0, L=4, n=300):
@@ -238,6 +239,108 @@ class TestSweep:
             pt.violation_quantiles is not None for pt in curve.points
         )
         assert set(curve.points[0].violation_quantiles) == {10, 25, 50, 75, 90}
+
+
+def refit_loop(template, grid, calib, test, seeds, temperature=1.0):
+    """What sweep computes, the slow way: each bootstrap draw a resampled
+    ScoreSet, a calibrate and an evaluate, from the same RNG streams."""
+    points = []
+    for point_idx, value in enumerate(grid):
+        spec = spec_with_param(template, value)
+        reports = []
+        try:
+            for rep in range(seeds):
+                rng = np.random.default_rng([0, point_idx, rep])
+                idx = rng.integers(0, calib.n, size=calib.n)
+                clf = calibrate(spec, calib.subset(idx), temperature=temperature)
+                reports.append(evaluate(clf, test))
+        except PredsetsError as exc:
+            points.append(f"failed: {type(exc).__name__}: {exc}")
+            continue
+        errors = [m.avg_error for m in reports]
+        sizes = [m.avg_size for m in reports]
+        quantiles = None
+        if spec.eps is not None:
+            quantiles = PerClassViolation.from_rates(
+                reports[0].per_class_error, spec.eps
+            ).quantiles
+        points.append((
+            float(np.mean(errors)), float(np.mean(sizes)),
+            float(np.std(errors)), float(np.std(sizes)), quantiles,
+        ))
+    return points
+
+
+def swept(curve):
+    return [
+        (pt.avg_error, pt.avg_size, pt.std_error, pt.std_size,
+         pt.violation_quantiles) if pt.status == "ok" else pt.status
+        for pt in curve.points
+    ]
+
+
+class TestSweepMatchesRefitLoop:
+    """The sweep reweights knots sorted once by each draw's counts; every
+    point must equal the refit loop exactly, failures included."""
+
+    CASES = [
+        # kbar 1e-9: even the largest drawn score saturates the inverse
+        (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), [1e-9, 0.7, 1.3, 2.1]),
+        (FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.1), [0.03, 0.1, 0.25]),
+        (FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=2), [0.4, 1.1, 1.7]),
+        # ebar 0.01: 1 - ebar lies above H_eps(0), an infeasible pair
+        (FormulationSpec(Kind.HYBRID_ERROR, ebar=0.1, eps=0.3),
+         [0.01, 0.2, 0.27]),
+        (FormulationSpec(Kind.HYBRID_ERROR, ebar=0.1, eps=0.3,
+                         mode="union-with-pointwise"), [0.01, 0.2, 0.27]),
+        (FormulationSpec(Kind.F_SCORE, beta=1.0), [0.5, 1.0, 2.0]),
+    ]
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("template, grid", CASES)
+    def test_fitted_kinds(self, template, grid, noise):
+        # noise 0 draws rows from a 12-point support: heavy score ties
+        data = synth_generate("two-regime", 4, 157 + 200, 5, noise=noise,
+                              support=12)
+        calib = data.subset(np.arange(157))
+        test = data.subset(np.arange(157, 357))
+        want = refit_loop(template, grid, calib, test, seeds=6)
+        got = swept(sweep(template, grid, calib, test, seeds=6))
+        assert got == want
+
+    def test_saturated_and_infeasible_points_present(self):
+        data = synth_generate("two-regime", 4, 357, 5, noise=0.3, support=12)
+        calib = data.subset(np.arange(157))
+        test = data.subset(np.arange(157, 357))
+        for template, grid in (self.CASES[0], self.CASES[3]):
+            status = sweep(template, grid, calib, test, seeds=6).points[0].status
+            assert status.startswith(
+                ("failed: Saturated", "failed: InfeasiblePair")
+            ), status
+
+    @pytest.mark.parametrize("template, grid", [CASES[0], CASES[4]])
+    def test_temperature_fit(self, template, grid):
+        data = synth_generate("dirichlet-like", 4, 300, 8, noise=0.5)
+        calib = data.subset(np.arange(120))
+        test = data.subset(np.arange(120, 300))
+        want = refit_loop(template, grid, calib, test, 4, temperature="fit")
+        got = swept(
+            sweep(template, grid, calib, test, seeds=4, temperature="fit")
+        )
+        assert got == want
+
+    def test_unlabeled_draws_fail_like_the_loop(self):
+        data = synth_generate("two-regime", 4, 200, 3, noise=0.3)
+        labels = data.labels.copy()
+        labels[:3] = 0
+        calib = ScoreSet(ids=data.ids[:100], probs=data.probs[:100],
+                         labels=labels[:100])
+        test = data.subset(np.arange(100, 200))
+        template = FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.1)
+        want = refit_loop(template, [0.1, 0.2], calib, test, seeds=3)
+        got = swept(sweep(template, [0.1, 0.2], calib, test, seeds=3))
+        assert got == want
+        assert got[0].startswith("failed: MissingLabels")
 
 
 class TestSizeErrorHistogram:

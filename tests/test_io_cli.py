@@ -113,6 +113,20 @@ class TestScoreFiles:
         assert np.array_equal(a.probs, b.probs)
         assert np.array_equal(a.labels, b.labels)
 
+    def test_carriage_return_id_is_quoted(self, tmp_path):
+        s = ScoreSet(
+            ids=["a\rb", "c"], probs=[[0.5, 0.5], [0.25, 0.75]], labels=[1, 2]
+        )
+        path = tmp_path / "cr.csv"
+        io.write_scores(path, s)
+        assert path.read_bytes() == (
+            b'id,label,p_1,p_2\n"a\rb",1,0.5,0.5\nc,2,0.25,0.75\n'
+        )
+        loaded = io.read_scores(path)
+        assert loaded.ids == s.ids
+        assert np.array_equal(loaded.probs, s.probs)
+        assert np.array_equal(loaded.labels, s.labels)
+
     @settings(
         max_examples=80,
         deadline=None,
@@ -123,7 +137,7 @@ class TestScoreFiles:
         L = data.draw(st.integers(2, 5), label="L")
         n = data.draw(st.integers(1, 6), label="n")
         ids = data.draw(
-            st.lists(st.text(alphabet='aZ0 ,";\n\u00e9', max_size=6),
+            st.lists(st.text(alphabet='aZ0 ,";\n\r\u00e9', max_size=6),
                      min_size=n, max_size=n),
             label="ids",
         )
