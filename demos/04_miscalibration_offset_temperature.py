@@ -50,7 +50,7 @@ overconf = ScoreSet(
     labels=clean.labels,
     logits=sharp_logits,
 )
-T = fit_temperature(overconf, tol=1e-5)
+T = fit_temperature(overconf)
 print(f"  fitted temperature T = {T:.3f} (sharpening factor was 2.5)")
 clf_t = calibrate(spec, overconf, temperature=T)
 v_raw = per_class_violation(calibrate(spec, overconf), overconf, eps)

@@ -4,7 +4,8 @@ The average-size, average-error, hybrid and F-score rules all threshold the
 probability vector at a cutoff that depends on the unknown distribution.
 This module estimates those cutoffs from data: empirical step functions
 over pooled scores, their generalized inverses, the point-wise offset, the
-F-score root, temperature scaling, and the feasibility check for the
+F-score root, temperature scaling (a safeguarded Newton iteration on
+``1/T``, where the likelihood is convex), and the feasibility check for the
 average-error-with-size-cap problem.
 
 Every fitted cutoff is read off one representation, the sorted knots of
@@ -82,9 +83,11 @@ class EmpiricalStepFunction:
         self._set(weights)
 
     def _set(self, weight):
-        # weight[j] = weight of knot j; tail[j] = weight at or above it
+        # weight[j] = weight of knot j; tail[j] = weight at or above it,
+        # a view of the non-decreasing _up, which the inverses search
         self.weight = weight
-        self.tail = np.cumsum(weight[::-1])[::-1]
+        self._up = np.cumsum(weight[::-1])
+        self.tail = self._up[::-1]
 
     def reweight(self, counts) -> "EmpiricalStepFunction":
         """The same knots, each entry's weight times its sample's count.
@@ -152,13 +155,17 @@ def generalized_inverse(f: EmpiricalStepFunction, u: float) -> float:
     level = u * f.norm
     if f.scores.size == 0 or f.tail[0] <= level:
         return 0.0
-    # tail is non-increasing over ascending scores; find the first knot
-    # with tail <= level, then the first knot from there that has weight
-    idx = int(np.searchsorted(-f.tail, -level, side="left"))
-    heavy = np.flatnonzero(f.weight[idx:])
-    if heavy.size == 0:  # report the largest knot that carries weight
-        raise Saturated(u, float(f.scores[np.flatnonzero(f.weight)[-1]]))
-    return float(f.scores[idx + heavy[0]])
+    # _up[i] is the tail of knot m - 1 - i.  The first knot with tail
+    # <= level is knot m - 1 - i for the last i with _up[i] <= level.  A
+    # knot without weight has its successor's tail, so the first knot from
+    # there that has weight is the last one sharing its tail: the first i
+    # holding that value.  None has weight when the tail is 0.
+    up, top = f._up, f.scores.size - 1
+    i = int(np.searchsorted(up, level, side="right")) - 1
+    if i < 0 or up[i] == 0:  # report the largest knot that carries weight
+        heavy = top - np.searchsorted(up, 0.0, side="right")
+        raise Saturated(u, float(f.scores[heavy]))
+    return float(f.scores[top - np.searchsorted(up, up[i], side="left")])
 
 
 def largest_level_knot(f: EmpiricalStepFunction, level: float) -> float:
@@ -174,9 +181,9 @@ def largest_level_knot(f: EmpiricalStepFunction, level: float) -> float:
             f"step function never reaches level {level!r} "
             f"(maximum attainable {f.total!r})"
         )
-    # last knot with tail >= level
-    idx = int(np.searchsorted(-f.tail, -level * f.norm, side="right")) - 1
-    return float(f.scores[idx])
+    # last knot with tail >= level: the first i with _up[i] >= level
+    i = np.searchsorted(f._up, level * f.norm, side="left")
+    return float(f.scores[f.scores.size - 1 - i])
 
 
 def fscore_root(g: EmpiricalStepFunction, beta: float) -> float:
@@ -215,7 +222,8 @@ def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None):
     if kind is Kind.AVERAGE_ERROR:
         values = P[np.arange(n), labels - 1][:, None]
     elif kind is Kind.HYBRID_SIZE:
-        values = np.sort(P, axis=1)[:, -k:]
+        L = P.shape[1]
+        values = np.partition(P, L - k, axis=1)[:, L - k:]
     elif kind is Kind.HYBRID_ERROR:
         rows, cols = np.nonzero(pointwise_error_mask(P, eps, 0.0))
         values = P[rows, cols]
@@ -487,41 +495,54 @@ def pointwise_offset(n: int, L: int) -> float:
 TEMPERATURE_BOUNDS = (0.05, 20.0)
 
 
-def fit_temperature(scores: ScoreSet, tol: float = 1e-6) -> float:
+def fit_temperature(scores: ScoreSet) -> float:
     """Temperature minimizing the negative log-likelihood of rescaled logits.
 
-    Golden-section search over ``TEMPERATURE_BOUNDS``; the objective is
-    convex in ``1/T`` hence unimodal in ``T``.  Callers should treat a
-    result at an interval endpoint as a degenerate fit.
+    The NLL is convex in ``beta = 1/T``: its slope is the mean of
+    ``E_p[z] - z_y`` and its curvature the mean of ``Var_p[z] >= 0``, with
+    ``p = softmax(beta z)``.  A safeguarded Newton iteration finds the zero
+    of the slope inside the ``beta``-image of ``TEMPERATURE_BOUNDS``,
+    bisecting whenever a step would leave the bracket.  When the optimum
+    lies at or beyond a bound that bound is returned exactly; callers
+    should treat such a result as a degenerate fit.
     """
     _require_nonempty(scores)
     if scores.logits is None:
         raise MissingLogits("temperature fitting needs logits")
     labels = scores.require_labels("fit_temperature")
-    z = scores.logits
+    # logits less their row maximum: beta * z then needs no max-shift
+    z = scores.logits - scores.logits.max(axis=1, keepdims=True)
     z_true = z[np.arange(scores.n), labels - 1]
+    e = np.empty_like(z)  # exp(beta z), reused by every evaluation
 
-    def nll(T: float) -> float:
-        shifted = z / T
-        m = shifted.max(axis=1)
-        lse = m + np.log(np.exp(shifted - m[:, None]).sum(axis=1))
-        return float(np.mean(lse - z_true / T))
+    def slope(beta: float) -> tuple[float, float]:
+        np.exp(np.multiply(z, beta, out=e), out=e)
+        total = e.sum(axis=1)
+        mean = np.einsum("ij,ij->i", e, z) / total
+        var = np.einsum("ij,ij,ij->i", e, z, z) / total - mean * mean
+        return float(np.mean(mean - z_true)), float(np.mean(var))
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = TEMPERATURE_BOUNDS
-    a = hi - invphi * (hi - lo)
-    b = lo + invphi * (hi - lo)
-    fa, fb = nll(a), nll(b)
-    while hi - lo > tol:
-        if fa < fb:
-            hi, b, fb = b, a, fa
-            a = hi - invphi * (hi - lo)
-            fa = nll(a)
+    t_lo, t_hi = TEMPERATURE_BOUNDS
+    lo, hi = 1.0 / t_hi, 1.0 / t_lo  # the bracket on beta
+    if slope(lo)[0] >= 0.0:  # the optimum is at or beyond a bound
+        return t_hi
+    if slope(hi)[0] <= 0.0:
+        return t_lo
+    beta = min(max(1.0, lo), hi)
+    for _ in range(200):
+        g, h = slope(beta)
+        if g == 0.0:
+            break
+        if g < 0.0:
+            lo = beta
         else:
-            lo, a, fa = a, b, fb
-            b = lo + invphi * (hi - lo)
-            fb = nll(b)
-    return 0.5 * (lo + hi)
+            hi = beta
+        # the Newton step; NaN (no curvature) fails both tests and bisects
+        step = beta - g / h if h > 0.0 else math.nan
+        if abs(step - beta) <= 1e-13 * beta:
+            break
+        beta = step if lo < step < hi else 0.5 * (lo + hi)
+    return 1.0 / beta
 
 
 # --- feasibility ---------------------------------------------------------------
@@ -580,8 +601,7 @@ def calibrate(
     extra = {}
     if temperature == "fit":
         T = fit_temperature(scores)
-        lo, hi = TEMPERATURE_BOUNDS
-        extra["temperature_at_bound"] = bool(T - lo < 1e-4 or hi - T < 1e-4)
+        extra["temperature_at_bound"] = T in TEMPERATURE_BOUNDS
     else:
         T = float(temperature)
         if T <= 0:

@@ -4,9 +4,12 @@ Every prediction rule in this library is built from two operations on rows
 of conditional class probabilities: ``topk_mask(P, k)`` keeps the ``k``
 largest entries of each row and ``threshold_mask(P, theta)`` keeps the
 entries ``>= theta``; ``top_indices`` and ``threshold_set`` are their
-one-row views.  Labels are 1-based integers in ``{1, ..., L}``; label sets
-are ascending ``numpy`` integer arrays.  All functions here are pure: they
-never mutate their inputs and identical inputs give identical outputs.
+one-row views.  Equal probabilities go to the smaller label: a top set is
+read off each row's cut value by :func:`cut_mask`, which fills the ties at
+the cut in ascending label order, so no row is ever fully sorted.  Labels
+are 1-based integers in ``{1, ..., L}``; label sets are ascending
+``numpy`` integer arrays.  All functions here are pure: they never mutate
+their inputs and identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -94,19 +97,39 @@ def check_probability_rows(P: np.ndarray, tol: float = DEFAULT_SUM_TOL):
 def topk_mask(P: np.ndarray, k: int) -> np.ndarray:
     """Boolean membership mask of the top-``k`` rule over rows of ``P``.
 
-    Ties between equal probabilities go to the smaller label index: the
-    stable argsort keeps equal entries in ascending label order, which
+    Ties between equal probabilities go to the smaller label index, which
     makes every rule deterministic even on score files with exact ties.
+    Each row's cut value is its ``k``-th largest entry, found by
+    ``np.partition``; see :func:`cut_mask` for the tie fill.
     """
     P = np.asarray(P, dtype=np.float64)
     n, L = P.shape
     if not (isinstance(k, (int, np.integer)) and 0 <= k <= L):
         raise KOutOfRange(f"k={k!r} outside [0, {L}]")
-    order = np.argsort(-P, axis=1, kind="stable")
-    mask = np.zeros((n, L), dtype=bool)
-    if k > 0:
-        rows = np.arange(n)[:, None]
-        mask[rows, order[:, :k]] = True
+    if k == 0:
+        return np.zeros((n, L), dtype=bool)
+    cut = np.partition(P, L - k, axis=1)[:, L - k]
+    return cut_mask(P, cut, k)
+
+
+def cut_mask(P: np.ndarray, cut: np.ndarray, need) -> np.ndarray:
+    """Each row's ``need`` largest entries, given its ``need``-th largest
+    value ``cut``: every entry above ``cut``, then the entries equal to it
+    in ascending label order until the row holds ``need``.
+
+    ``need`` is a scalar or one count per row, at least one.  Only rows
+    whose ties straddle the cut pay for a running count of their ties.
+    """
+    cut = cut[:, None]
+    mask = P > cut
+    tie = P == cut
+    short = need - np.count_nonzero(mask, axis=1)
+    split = np.flatnonzero(np.count_nonzero(tie, axis=1) > short)
+    if split.size:
+        ties = tie[split]
+        ties &= np.cumsum(ties, axis=1) <= short[split, None]
+        tie[split] = ties
+    mask |= tie
     return mask
 
 

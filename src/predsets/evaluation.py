@@ -2,7 +2,8 @@
 
 Error and size can each be measured on average or per input; since the true
 conditional error at a single input is unidentifiable from one label, the
-per-class error rate serves as its observable proxy throughout.  A sweep
+per-class error rate serves as its observable proxy throughout; per-class
+rates are integer counts per label, each divided once.  A sweep
 refits on bootstrap resamples by reweighting calibration knots sorted once
 and counting sorted test scores at each refit cutoff.
 """
@@ -71,12 +72,15 @@ def evaluate(
     )
     f_beta = (1.0 + beta**2) * recall / (beta**2 + avg_size)
 
-    per_class_error: dict[int, float] = {}
-    per_class_avg_size: dict[int, float] = {}
-    for c in np.unique(labels):
-        rows = labels == c
-        per_class_error[int(c)] = 1.0 - float(np.mean(covered[rows]))
-        per_class_avg_size[int(c)] = float(np.mean(sizes[rows]))
+    # per-class rates from exact integer counts, each divided once
+    count = np.bincount(labels)
+    present = np.flatnonzero(count)
+    count = count[present]
+    hits = np.bincount(labels, weights=covered)[present]
+    held = np.bincount(labels, weights=sizes)[present]
+    classes = present.tolist()
+    per_class_error = dict(zip(classes, (1.0 - hits / count).tolist()))
+    per_class_avg_size = dict(zip(classes, (held / count).tolist()))
 
     return MetricsReport(
         avg_error=avg_error,

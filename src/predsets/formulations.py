@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import threshold_mask, topk_mask
+from .core import cut_mask, threshold_mask, topk_mask
 from .errors import (
     InvalidBeta,
     InvalidEpsilon,
@@ -200,6 +200,11 @@ def pointwise_error_mask(
     not positive (``eps = 1`` with no offset); when floating-point
     shortfall leaves even the full sum below a target ``<= 1`` the full
     set is kept.
+
+    The running sum of each row's values sorted in descending order gives
+    the set size ``khat`` and the cut value, the ``khat``-th largest entry;
+    :func:`~predsets.core.cut_mask` keeps the ``khat`` largest entries,
+    equal ones in ascending label order like every rule.
     """
     _check_eps(eps)
     if not 0.0 <= offset <= eps:
@@ -207,17 +212,15 @@ def pointwise_error_mask(
     P = np.asarray(P, dtype=np.float64)
     n, L = P.shape
     target = 1.0 - eps + offset
-    mask = np.zeros((n, L), dtype=bool)
     if target <= 0.0:
-        return mask
-    order = np.argsort(-P, axis=1, kind="stable")
-    rows = np.arange(n)[:, None]
-    csum = np.cumsum(P[rows, order], axis=1)
+        return np.zeros((n, L), dtype=bool)
+    desc = np.sort(P, axis=1)[:, ::-1]
     # cutoff = 1 + number of strict prefixes below the target, capped at L
     # (the cap absorbs float shortfall when the full sum should reach it)
-    khat = np.minimum((csum < target).sum(axis=1) + 1, L)
-    mask[rows, order] = np.arange(L)[None, :] < khat[:, None]
-    return mask
+    khat = np.minimum(
+        np.count_nonzero(np.cumsum(desc, axis=1) < target, axis=1) + 1, L
+    )
+    return cut_mask(P, desc[np.arange(n), khat - 1], khat)
 
 
 def rule_mask(spec: FormulationSpec, P: np.ndarray, theta: float | None,

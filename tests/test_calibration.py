@@ -37,7 +37,7 @@ from predsets.errors import (
     TooFewClasses,
 )
 from predsets.formulations import FormulationSpec, Kind
-from predsets.oracle import make_distribution, sample_scores
+from predsets.oracle import make_distribution, sample_scores, synth_generate
 
 
 def one_sample(probs):
@@ -92,6 +92,32 @@ class TestGeneralizedInverse:
             generalized_inverse(EmpiricalStepFunction([0.2, 0.7], [1, 0]), 0.5)
         assert exc.value.value == 0.2
 
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reweighted_runs_of_zero_counts(self, seed):
+        # counts with long zero runs leave runs of knots without weight; the
+        # inverse must land on the first knot from its level that has one
+        rng = np.random.default_rng(seed)
+        n = 30
+        scores = rng.integers(0, 12, size=(n, 2)) / 12.0
+        rows = np.repeat(np.arange(n)[:, None], 2, axis=1)
+        f = EmpiricalStepFunction(scores, 1, rows, norm=n)
+        counts = rng.integers(0, 3, size=n) * (rng.random(n) < 0.3)
+        g = f.reweight(counts)
+        assert np.any(g.weight == 0)
+        heavy = np.flatnonzero(g.weight)
+        for u in np.linspace(0.0, g.total + 0.1, 41):
+            if g.tail[0] <= u * n:
+                expect = 0.0
+            else:
+                ok = heavy[g.tail[heavy] <= u * n]
+                if ok.size == 0:
+                    with pytest.raises(Saturated) as exc:
+                        generalized_inverse(g, u)
+                    assert exc.value.value == g.scores[heavy[-1]]
+                    continue
+                expect = g.scores[ok[0]]
+            assert generalized_inverse(g, u) == expect
 
     def test_interior_knot(self):
         f = EmpiricalStepFunction([0.5, 0.3, 0.2], [1, 1, 1])
@@ -347,12 +373,12 @@ def exact_frequency_population(seed=3, L=4, reps=100):
 class TestFitTemperature:
     def test_exactly_calibrated_population(self):
         s = exact_frequency_population()
-        assert fit_temperature(s, tol=1e-6) == pytest.approx(1.0, abs=1e-5)
+        assert fit_temperature(s) == pytest.approx(1.0, abs=1e-5)
 
     def test_scale_recovery(self):
         s = exact_frequency_population()
         tol = 1e-5
-        t0 = fit_temperature(s, tol=tol)
+        t0 = fit_temperature(s)
         for c in (2.0, 3.5):
             scaled = ScoreSet(
                 ids=s.ids,
@@ -360,7 +386,7 @@ class TestFitTemperature:
                 labels=s.labels,
                 logits=c * s.logits,
             )
-            tc = fit_temperature(scaled, tol=tol)
+            tc = fit_temperature(scaled)
             assert abs(tc - c * t0) <= tol * 10 * c
 
     def test_degenerate_single_sample_hits_endpoint(self):
@@ -368,8 +394,43 @@ class TestFitTemperature:
         # temperature flattens the softmax, pushing the fit to the upper end
         z = np.array([[2.0, 0.0]])
         s = ScoreSet(ids=["a"], probs=softmax(z), labels=[2], logits=z)
-        T = fit_temperature(s, tol=1e-6)
+        T = fit_temperature(s)
         assert TEMPERATURE_BOUNDS[1] - T < 1e-4
+
+    def test_degenerate_single_sample_hits_lower_endpoint(self):
+        # true class carries the largest logit: likelihood improves as the
+        # temperature sharpens the softmax, pushing the fit to the lower end
+        z = np.array([[2.0, 0.0]])
+        s = ScoreSet(ids=["a"], probs=softmax(z), labels=[1], logits=z)
+        assert fit_temperature(s) == TEMPERATURE_BOUNDS[0]
+        spec = FormulationSpec(Kind.TOP_K, k=1)
+        clf = calibrate(spec, s, temperature="fit")
+        assert clf.temperature == TEMPERATURE_BOUNDS[0]
+        assert clf.provenance["temperature_at_bound"] is True
+
+    @pytest.mark.parametrize("L, n, scale", [(10, 500, 2.5), (200, 300, 0.4)])
+    def test_fit_is_a_stationary_nll_minimum(self, L, n, scale):
+        data = synth_generate("dirichlet-like", L, n, seed=L, noise=0.3)
+        z = scale * data.logits
+        s = ScoreSet(ids=data.ids, probs=softmax(z), labels=data.labels,
+                     logits=z)
+        true = z[np.arange(n), s.labels - 1]
+
+        def nll(T):
+            shifted = z / T
+            m = shifted.max(axis=1)
+            lse = m + np.log(np.exp(shifted - m[:, None]).sum(axis=1))
+            return float(np.mean(lse - true / T))
+
+        T = fit_temperature(s)
+        p = softmax(z / T)
+        slope = np.mean((p * z).sum(axis=1) - true)  # dNLL / d(1/T)
+        assert abs(slope) <= 1e-9 * np.abs(z).max()
+        assert nll(T) <= nll(T - 1e-6)
+        assert nll(T) <= nll(T + 1e-6)
+        assert calibrate(FormulationSpec(Kind.TOP_K, k=1), s,
+                         temperature="fit").provenance[
+                             "temperature_at_bound"] is False
 
     def test_missing_inputs(self):
         s = ScoreSet(ids=["a"], probs=[[0.6, 0.4]], labels=[1])

@@ -90,6 +90,26 @@ class TestEvaluate:
         with pytest.raises(MissingLabels):
             evaluate(topk_clf(1), s)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_class_dicts_equal_class_loop(self, seed):
+        # the per-class loop the counts replaced, bit for bit and in order,
+        # with class 5 absent
+        s = labeled_set(seed=seed, L=40, n=150)
+        s.labels[s.labels == 5] = 6
+        for clf in (topk_clf(3), threshold_clf(0.03)):
+            mask = clf.predict_set_mask(s)
+            covered = mask[np.arange(s.n), s.labels - 1]
+            sizes = mask.sum(axis=1)
+            error, size = {}, {}
+            for c in np.unique(s.labels):
+                rows = s.labels == c
+                error[int(c)] = 1.0 - float(np.mean(covered[rows]))
+                size[int(c)] = float(np.mean(sizes[rows]))
+            m = evaluate(clf, s)
+            assert list(m.per_class_error.items()) == list(error.items())
+            assert list(m.per_class_avg_size.items()) == list(size.items())
+            assert 5 not in error
+
 
 class TestPerClassViolation:
     def test_perfect_coverage(self):

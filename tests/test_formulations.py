@@ -18,7 +18,9 @@ from predsets.formulations import (
     MODE_LEMMA_THRESHOLD,
     MODE_UNION_POINTWISE,
     pointwise_error_mask,
+    rule_mask,
 )
+from predsets.core import topk_mask
 
 from test_core import prob_vectors
 
@@ -275,3 +277,87 @@ class TestVectorizedAgreement:
         for i in range(P.shape[0]):
             expect = pointwise_reference(P[i], eps)
             assert (np.flatnonzero(mask[i]) + 1).tolist() == expect
+
+
+# --- the masks against the stable-argsort rule they replaced -----------------
+
+
+def argsort_topk(P, k):
+    """Top-k by a stable argsort of -P: equal entries in label order."""
+    order = np.argsort(-P, axis=1, kind="stable")
+    mask = np.zeros(P.shape, dtype=bool)
+    mask[np.arange(P.shape[0])[:, None], order[:, :k]] = True
+    return mask
+
+
+def argsort_pointwise(P, eps, offset=0.0):
+    """Point-wise rule by a stable argsort of -P and a running sum."""
+    n, L = P.shape
+    target = 1.0 - eps + offset
+    mask = np.zeros((n, L), dtype=bool)
+    if target <= 0.0:
+        return mask
+    order = np.argsort(-P, axis=1, kind="stable")
+    rows = np.arange(n)[:, None]
+    csum = np.cumsum(P[rows, order], axis=1)
+    khat = np.minimum((csum < target).sum(axis=1) + 1, L)
+    mask[rows, order] = np.arange(L)[None, :] < khat[:, None]
+    return mask
+
+
+@st.composite
+def tied_rows(draw):
+    """Rows of small integers (zeros included), normalised: heavy ties."""
+    L = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 6))
+    top = draw(st.integers(1, 4))
+    ints = np.array(
+        draw(st.lists(st.integers(0, top), min_size=n * L, max_size=n * L)),
+        dtype=np.float64,
+    ).reshape(n, L)
+    ints[ints.sum(axis=1) == 0, 0] = 1.0
+    return ints / ints.sum(axis=1, keepdims=True)
+
+
+EPS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+class TestMasksMatchArgsortRule:
+    @given(tied_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_topk_every_k(self, P):
+        for k in range(P.shape[1] + 1):
+            assert np.array_equal(topk_mask(P, k), argsort_topk(P, k))
+
+    @given(tied_rows(), EPS, st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_pointwise(self, P, eps, share):
+        offset = share * eps
+        assert np.array_equal(
+            pointwise_error_mask(P, eps, offset),
+            argsort_pointwise(P, eps, offset),
+        )
+
+    @given(tied_rows(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_hybrid_size(self, P, data):
+        L = P.shape[1]
+        k = data.draw(st.integers(1, L))
+        theta = data.draw(st.sampled_from(sorted(set(P.ravel()))))
+        spec = FormulationSpec(HYBRID_SIZE, kbar=0.5, k=k)
+        assert np.array_equal(
+            rule_mask(spec, P, theta), (P >= theta) & argsort_topk(P, k)
+        )
+
+    @given(tied_rows(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_hybrid_error_union(self, P, data):
+        eps = data.draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+        theta = data.draw(st.sampled_from(sorted(set(P.ravel()))))
+        spec = FormulationSpec(
+            HYBRID_ERROR, ebar=0.0, eps=eps, mode=MODE_UNION_POINTWISE
+        )
+        assert np.array_equal(
+            rule_mask(spec, P, theta),
+            (P >= theta) | argsort_pointwise(P, eps),
+        )
