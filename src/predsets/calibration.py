@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ScoreSet, mask_to_labels, softmax, topk_mask
-from .core import validate_probability_vector
+from .core import ScoreSet, check_probability_rows, mask_to_labels, softmax
+from .core import topk_mask, validate_probability_vector
 from .errors import EmptyScoreSet, InfeasiblePair, InvalidOffset, KOutOfRange
-from .errors import MissingLogits, NegativeU, ParameterOrderViolation
-from .errors import Saturated, TooFewClasses
+from .errors import InvalidTemperature, MissingLogits, NegativeU
+from .errors import ParameterOrderViolation, Saturated, ThetaMismatch
+from .errors import TooFewClasses
 from .formulations import FormulationSpec, Kind, pointwise_error_mask, rule_mask
 
 
@@ -313,15 +314,15 @@ class CalibratedClassifier:
 
     def __post_init__(self):
         if self.spec.needs_fit and self.theta is None:
-            raise ValueError(
+            raise ThetaMismatch(
                 f"{self.spec.kind.value} needs a fitted threshold"
             )
         if not self.spec.needs_fit and self.theta is not None:
-            raise ValueError(
+            raise ThetaMismatch(
                 f"{self.spec.kind.value} takes no fitted threshold"
             )
         if self.temperature <= 0:
-            raise ValueError(f"temperature={self.temperature!r} must be > 0")
+            raise InvalidTemperature(f"temperature={self.temperature!r} must be > 0")
         if self.offset < 0:
             raise InvalidOffset(f"offset={self.offset!r} < 0")
         # the classifier-level offset is the resolved one; adopt the
@@ -510,39 +511,73 @@ def fit_temperature(scores: ScoreSet) -> float:
     if scores.logits is None:
         raise MissingLogits("temperature fitting needs logits")
     labels = scores.require_labels("fit_temperature")
-    # logits less their row maximum: beta * z then needs no max-shift
-    z = scores.logits - scores.logits.max(axis=1, keepdims=True)
-    z_true = z[np.arange(scores.n), labels - 1]
-    e = np.empty_like(z)  # exp(beta z), reused by every evaluation
+    return _temperature_fit(scores.logits, labels)()
 
-    def slope(beta: float) -> tuple[float, float]:
+
+def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
+    """:func:`fit_temperature` on a checked logit matrix and its labels, as
+    a function of the rows to fit on: ``distinct[order]``, all rows once
+    by default, or a bootstrap draw given as its distinct rows and each
+    drawn row's position among them.
+
+    Each row adds its own terms to the slope and the curvature, so a draw
+    computes them once per distinct row and gathers them in draw order:
+    the means are those of the resampled rows, bit for bit.  The terms at
+    the bracket ends and at the start, which every fit evaluates, are kept
+    for all rows.
+    """
+    # logits less their row maximum: beta * z then needs no max-shift
+    z_all = logits - logits.max(axis=1, keepdims=True)
+    z_true_all = z_all[np.arange(z_all.shape[0]), labels - 1]
+    e_all = np.empty_like(z_all)  # exp(beta z), reused by every evaluation
+    t_lo, t_hi = TEMPERATURE_BOUNDS
+    bracket = (1.0 / t_hi, 1.0 / t_lo)  # on beta
+    start = min(max(1.0, bracket[0]), bracket[1])
+    kept = {}
+
+    def terms(z, z_true, beta):
+        # each row's E_p[z] - z_y and Var_p[z]
+        e = e_all[: z.shape[0]]
         np.exp(np.multiply(z, beta, out=e), out=e)
         total = e.sum(axis=1)
         mean = np.einsum("ij,ij->i", e, z) / total
         var = np.einsum("ij,ij,ij->i", e, z, z) / total - mean * mean
-        return float(np.mean(mean - z_true)), float(np.mean(var))
+        return mean - z_true, var
 
-    t_lo, t_hi = TEMPERATURE_BOUNDS
-    lo, hi = 1.0 / t_hi, 1.0 / t_lo  # the bracket on beta
-    if slope(lo)[0] >= 0.0:  # the optimum is at or beyond a bound
-        return t_hi
-    if slope(hi)[0] <= 0.0:
-        return t_lo
-    beta = min(max(1.0, lo), hi)
-    for _ in range(200):
-        g, h = slope(beta)
-        if g == 0.0:
-            break
-        if g < 0.0:
-            lo = beta
-        else:
-            hi = beta
-        # the Newton step; NaN (no curvature) fails both tests and bisects
-        step = beta - g / h if h > 0.0 else math.nan
-        if abs(step - beta) <= 1e-13 * beta:
-            break
-        beta = step if lo < step < hi else 0.5 * (lo + hi)
-    return 1.0 / beta
+    def fit(distinct=slice(None), order=slice(None)) -> float:
+        z, z_true = z_all[distinct], z_true_all[distinct]
+
+        def slope(beta: float) -> tuple[float, float]:
+            if beta in (*bracket, start):
+                if beta not in kept:
+                    kept[beta] = terms(z_all, z_true_all, beta)
+                d, v = (t[distinct] for t in kept[beta])
+            else:
+                d, v = terms(z, z_true, beta)
+            return float(np.mean(d[order])), float(np.mean(v[order]))
+
+        lo, hi = bracket
+        if slope(lo)[0] >= 0.0:  # the optimum is at or beyond a bound
+            return t_hi
+        if slope(hi)[0] <= 0.0:
+            return t_lo
+        beta = start
+        for _ in range(200):
+            g, h = slope(beta)
+            if g == 0.0:
+                break
+            if g < 0.0:
+                lo = beta
+            else:
+                hi = beta
+            # the Newton step; NaN (no curvature) fails both tests and bisects
+            step = beta - g / h if h > 0.0 else math.nan
+            if abs(step - beta) <= 1e-13 * beta:
+                break
+            beta = step if lo < step < hi else 0.5 * (lo + hi)
+        return 1.0 / beta
+
+    return fit
 
 
 # --- feasibility ---------------------------------------------------------------
@@ -605,7 +640,7 @@ def calibrate(
     else:
         T = float(temperature)
         if T <= 0:
-            raise ValueError(f"temperature={T!r} must be > 0")
+            raise InvalidTemperature(f"temperature={T!r} must be > 0")
     scores = rescaled(scores, T)
 
     if spec.needs_fit:
@@ -638,14 +673,17 @@ def calibrate(
 
 def rescaled(scores: ScoreSet, T: float) -> ScoreSet:
     """``scores`` at temperature ``T``: itself when it already is, else its
-    logits rescaled (raising :class:`MissingLogits` without them)."""
+    logits rescaled (raising :class:`MissingLogits` without them).  The
+    one softmax is checked, so a ``T`` that overflows it raises."""
     if T == scores.temperature:
         return scores
     if scores.logits is None:
         raise MissingLogits("cannot rescale to a new temperature without logits")
-    return ScoreSet(
+    probs = softmax(scores.logits / T)
+    check_probability_rows(probs)
+    return ScoreSet._trusted(
         ids=scores.ids,
-        probs=softmax(scores.logits / T),
+        probs=probs,
         labels=scores.labels,
         logits=scores.logits,
         temperature=T,

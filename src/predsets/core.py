@@ -21,9 +21,12 @@ import numpy as np
 from .errors import (
     ClassCountMismatch,
     KOutOfRange,
+    LabelOutOfRange,
+    LogitsMismatch,
     MissingLabels,
     NegativeEntry,
     NonFiniteEntry,
+    RowCountMismatch,
     SumOutOfTolerance,
     TooFewClasses,
 )
@@ -199,19 +202,19 @@ class ScoreSet:
             )
         n, L = self.probs.shape
         if len(self.ids) != n:
-            raise ValueError(f"{len(self.ids)} ids for {n} rows")
+            raise RowCountMismatch(f"{len(self.ids)} ids for {n} rows")
         check_probability_rows(self.probs)
         if self.labels is None:
             self.labels = np.zeros(n, dtype=np.int64)
         else:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (n,):
-                raise ValueError("labels must be one integer per sample")
+                raise RowCountMismatch("labels must be one integer per sample")
             bad = (self.labels < 0) | (self.labels > L)
             if np.any(bad):
                 i = int(np.argmax(bad))
-                raise ValueError(
-                    f"label {self.labels[i]} at row {i} outside [1, {L}]"
+                raise LabelOutOfRange(
+                    f"label {self.labels[i]} outside [1, {L}]", i
                 )
         if self.logits is not None:
             self.logits = np.asarray(self.logits, dtype=np.float64)
@@ -220,11 +223,20 @@ class ScoreSet:
                     f"logits shape {self.logits.shape} != probs {self.probs.shape}"
                 )
             expected = softmax(self.logits / float(self.temperature))
-            if not np.allclose(expected, self.probs, atol=1e-6):
-                raise ValueError(
+            close = np.isclose(expected, self.probs, atol=1e-6).all(axis=1)
+            if not close.all():
+                raise LogitsMismatch(
                     "probs are not softmax(logits / temperature) "
-                    f"at T={self.temperature!r}"
+                    f"at T={self.temperature!r}", int(np.argmin(close))
                 )
+
+    @classmethod
+    def _trusted(cls, **fields) -> "ScoreSet":
+        """A set built, without the checks above, from every field as stored:
+        rows of a checked set, or probabilities just computed and checked."""
+        out = cls.__new__(cls)
+        vars(out).update(fields)
+        return out
 
     @property
     def n(self) -> int:
@@ -261,11 +273,11 @@ class ScoreSet:
     def subset(self, index: np.ndarray) -> "ScoreSet":
         """New ScoreSet holding the requested rows (copy, same metadata)."""
         index = np.asarray(index, dtype=np.int64)
-        return ScoreSet(
-            ids=[self.ids[i] for i in index],
-            probs=self.probs[index].copy(),
-            labels=self.labels[index].copy(),
-            logits=None if self.logits is None else self.logits[index].copy(),
+        return ScoreSet._trusted(
+            ids=[self.ids[i] for i in index.tolist()],
+            probs=self.probs[index],
+            labels=self.labels[index],
+            logits=None if self.logits is None else self.logits[index],
             temperature=self.temperature,
             meta=dict(self.meta),
         )

@@ -36,6 +36,26 @@ class TooFewClasses(PredsetsError, ValueError):
     """Fewer than two classes in a probability vector."""
 
 
+class RowCountMismatch(PredsetsError, ValueError):
+    """A score set's ids or labels are not one per probability row."""
+
+
+class RowError(PredsetsError, ValueError):
+    """A score-set row fails a check; ``row`` is its 0-based index."""
+
+    def __init__(self, message: str, row: int):
+        self.row = int(row)
+        super().__init__(f"row {self.row}: {message}")
+
+
+class LabelOutOfRange(RowError):
+    """A label outside ``{1, ..., L}`` (or 0, which marks unlabeled)."""
+
+
+class LogitsMismatch(RowError):
+    """Probabilities that are not ``softmax(logits / temperature)``."""
+
+
 # --- rule parameters ------------------------------------------------------
 
 
@@ -104,6 +124,14 @@ class MissingLabels(PredsetsError, ValueError):
 
 class MissingLogits(PredsetsError, ValueError):
     """Operation needs raw logits but the score set carries none."""
+
+
+class InvalidTemperature(PredsetsError, ValueError):
+    """Temperature not strictly positive."""
+
+
+class ThetaMismatch(PredsetsError, ValueError):
+    """A fitted threshold missing where the kind needs one, or given where not."""
 
 
 class InfeasiblePair(PredsetsError, RuntimeError):

@@ -5,7 +5,8 @@ conditional error at a single input is unidentifiable from one label, the
 per-class error rate serves as its observable proxy throughout; per-class
 rates are integer counts per label, each divided once.  A sweep
 refits on bootstrap resamples by reweighting calibration knots sorted once
-and counting sorted test scores at each refit cutoff.
+(at a fitted temperature, knots of each draw's own rows) and counting
+sorted test scores at each refit cutoff.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibratedClassifier, calibrate, fit_temperature
-from .calibration import _cutoff, _knots, _require_nonempty, rescaled
-from .core import ScoreSet, topk_mask
-from .errors import EmptyBins, KOutOfRange, PredsetsError
+from .calibration import CalibratedClassifier, calibrate, rescaled
+from .calibration import _cutoff, _knots, _require_nonempty, _temperature_fit
+from .core import ScoreSet, check_probability_rows, softmax, topk_mask
+from .errors import EmptyBins, InvalidTemperature, KOutOfRange, MissingLogits
+from .errors import PredsetsError
 from .formulations import FormulationSpec, Kind, MODE_UNION_POINTWISE
 from .formulations import pointwise_error_mask
 
@@ -206,8 +208,10 @@ def sweep(
     kind's knots, sorted once, are reweighted by each draw's counts, and
     the test error and size at its cutoff are counts of sorted test scores.
     Each point equals refitting ``calibrate`` on ``calib.subset(draw)`` and
-    running :func:`evaluate`.  Under ``temperature="fit"`` each draw refits
-    the temperature, so its scores are sorted again.
+    running :func:`evaluate`.  Under ``temperature="fit"`` each draw fits
+    its temperature on its gathered logit and label rows and builds
+    unit-count knots from those rows at that temperature; no ScoreSet is
+    built per draw.
     """
     grid = [float(v) for v in param_grid]
     if not grid:
@@ -272,30 +276,44 @@ def _bootstrap(spec, calib, test, seeds, stream, temperature, fixed):
     ``calibrate`` on the resampled rows, then :func:`evaluate`, would."""
     _require_nonempty(calib)
     spec.check_class_count(calib.L)
-    if temperature != "fit" and float(temperature) <= 0:
-        raise ValueError(f"temperature={float(temperature)!r} must be > 0")
+    fit = temperature == "fit"
+    if fit:
+        if calib.logits is None:
+            raise MissingLogits("temperature fitting needs logits")
+        fit_rows = _temperature_fit(calib.logits, calib.labels)
+    elif float(temperature) <= 0:
+        raise InvalidTemperature(f"temperature={float(temperature)!r} must be > 0")
     errors, sizes, first = [], [], None
     for rep in range(seeds):
         rng = np.random.default_rng([*stream, rep])
         idx = rng.integers(0, calib.n, size=calib.n)
         counts = np.bincount(idx, minlength=calib.n)
-        if temperature == "fit":
-            # each draw's own temperature: no knots to share across draws
-            T, fixed = fit_temperature(calib.subset(idx)), {}
+        if fit:
+            # the draw's own temperature, and unit-count knots of its own
+            # rows at it: no knots or test scores to share across draws.
+            # Row-wise work is done once per distinct row, then gathered.
+            labels = calib.require_labels("fit_temperature", counts)[idx]
+            distinct = np.flatnonzero(counts)
+            order = (np.cumsum(counts > 0) - 1)[idx]
+            T = fit_rows(distinct, order)
+            P = softmax(calib.logits[distinct] / T)[order]
+            check_probability_rows(P)  # as rescaled checks it
+            knots = _knots(spec.kind, P, labels, spec.k, spec.eps)
+            fixed = {T: [knots, None]}
         else:
             T = float(temperature)
-        if T not in fixed:
-            at = rescaled(calib, T)
-            knots = _knots(spec.kind, at.probs, at.labels, spec.k, spec.eps)
-            fixed[T] = [knots, None]
-        knots, metrics = fixed[T]
+            if T not in fixed:
+                at = rescaled(calib, T)
+                knots = _knots(spec.kind, at.probs, at.labels, spec.k, spec.eps)
+                fixed[T] = [knots, None]
+            knots = fixed[T][0].reweight(counts)
         if spec.kind is Kind.AVERAGE_ERROR:
             calib.require_labels("fit_average_error", counts)
-        theta = _cutoff(spec, knots.reweight(counts))
+        theta = _cutoff(spec, knots)
         clf = CalibratedClassifier(spec=spec, theta=theta, temperature=T)
-        if metrics is None:
-            metrics = fixed[T][1] = _metrics_at(clf, test)
-        error, size = metrics(theta)
+        if fixed[T][1] is None:
+            fixed[T][1] = _metrics_at(clf, test)
+        error, size = fixed[T][1](theta)
         errors.append(error)
         sizes.append(size)
         first = clf if first is None else first

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calibration import CalibratedClassifier
 from .core import ScoreSet
-from .errors import ParseError
+from .errors import LogitsMismatch, ParseError
 from .evaluation import MetricsReport, SweepCurve, PERCENTILES
 from .formulations import FormulationSpec, Kind
 from .oracle import DiscreteDistribution
@@ -155,22 +155,26 @@ def read_scores(path) -> ScoreSet:
     # an empty label means unlabeled; a written label must lie in [1, L]
     labelled = np.array([v is not None for v in labels])
     labels = np.array([v or 0 for v in labels], dtype=np.int64)
-    non_finite = ~np.isfinite(values[:, :L]).all(axis=1)
+    non_finite = ~np.isfinite(values).all(axis=1)
     bad = non_finite | (labelled & ((labels < 1) | (labels > L)))
     if bad.any():
         row = int(np.argmax(bad))
+        kind = "logit" if np.isfinite(values[row, :L]).all() else "probability"
         problem = (
-            "non-finite probability"
+            f"non-finite {kind}"
             if non_finite[row]
             else f"label {labels[row]} outside [1, {L}]"
         )
         raise ParseError(f"{path}: {problem} in {ids[row]!r}", line=row + 2)
-    return ScoreSet(
-        ids=ids,
-        probs=values[:, :L],
-        labels=labels,
-        logits=values[:, L:] if values.shape[1] > L else None,
-    )
+    try:
+        return ScoreSet(
+            ids=ids,
+            probs=values[:, :L],
+            labels=labels,
+            logits=values[:, L:] if values.shape[1] > L else None,
+        )
+    except LogitsMismatch as exc:
+        raise ParseError(f"{path}: {exc}", line=exc.row + 2) from None
 
 
 def write_predictions(path, ids, mask: np.ndarray) -> None:

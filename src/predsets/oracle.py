@@ -478,12 +478,13 @@ def sample_scores(
         probs = probs / probs.sum(axis=1, keepdims=True)
     else:
         probs = true_p.copy()
-    logits = np.log(probs)
-    return ScoreSet(
+    check_probability_rows(probs)
+    # labels lie in [1, L] and softmax(log p) = p by construction
+    return ScoreSet._trusted(
         ids=[f"{id_prefix}{i:07d}" for i in range(n)],
         probs=probs,
         labels=labels,
-        logits=logits,
+        logits=np.log(probs),
         temperature=1.0,
         meta={
             "truth": dist,

@@ -1,8 +1,11 @@
 """Threshold fitting, step functions, temperature, offset, feasibility."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from predsets import calibration, core
 from predsets.calibration import (
     TEMPERATURE_BOUNDS,
     CalibratedClassifier,
@@ -22,6 +25,7 @@ from predsets.calibration import (
     fscore_objective_derivative,
     generalized_inverse,
     pointwise_offset,
+    rescaled,
 )
 from predsets.core import ScoreSet, softmax
 from predsets.errors import (
@@ -29,11 +33,15 @@ from predsets.errors import (
     EmptyScoreSet,
     InfeasiblePair,
     KbarOutOfRange,
+    InvalidTemperature,
     MissingLabels,
     MissingLogits,
     NegativeU,
+    NonFiniteEntry,
     ParameterOrderViolation,
+    PredsetsError,
     Saturated,
+    ThetaMismatch,
     TooFewClasses,
 )
 from predsets.formulations import FormulationSpec, Kind
@@ -432,6 +440,24 @@ class TestFitTemperature:
                          temperature="fit").provenance[
                              "temperature_at_bound"] is False
 
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 3.0, 400.0])
+    def test_draw_fits_equal_subset_fits(self, scale):
+        # a bootstrap draw gathers the kept per-row terms: bit for bit the
+        # fit on the resampled rows, bound results included
+        data = synth_generate("two-regime", 6, 400, 3, noise=0.4)
+        z = scale * data.logits
+        s = ScoreSet(ids=data.ids, probs=softmax(z), labels=data.labels,
+                     logits=z)
+        fit_rows = calibration._temperature_fit(z, s.labels)
+        rng = np.random.default_rng(1)
+        for _ in range(12):
+            idx = rng.integers(0, s.n, size=s.n)
+            want = fit_temperature(s.subset(idx))
+            distinct, order = np.unique(idx, return_inverse=True)
+            assert fit_rows(distinct, order) == want
+            assert fit_rows(idx) == want
+        assert fit_rows() == fit_temperature(s)
+
     def test_missing_inputs(self):
         s = ScoreSet(ids=["a"], probs=[[0.6, 0.4]], labels=[1])
         with pytest.raises(MissingLogits):
@@ -440,6 +466,64 @@ class TestFitTemperature:
         s2 = ScoreSet(ids=["a"], probs=[[0.6, 0.4]], logits=z)
         with pytest.raises(MissingLabels):
             fit_temperature(s2)
+
+
+class TestDerivedScoreSets:
+    """``subset``, ``rescaled`` and ``sample_scores`` build from checked
+    arrays without checking them again; what they build must still pass
+    the public constructor, field for field."""
+
+    def test_rebuilt_through_the_constructor(self):
+        data = synth_generate("dirichlet-like", 6, 300, 4, noise=0.4)
+        draw = np.random.default_rng(0).integers(0, data.n, size=500)
+        derived = [
+            data,
+            data.subset(draw),
+            data.subset(np.arange(0)),
+            rescaled(data, 0.3),
+            rescaled(data.subset(draw), 7.0),
+        ]
+        for s in derived:
+            fields = {f.name: getattr(s, f.name)
+                      for f in dataclasses.fields(ScoreSet)}
+            again = ScoreSet(**fields)
+            for name in ("probs", "labels", "logits"):
+                got, want = getattr(s, name), getattr(again, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+            assert again.ids == s.ids and again.meta == s.meta
+            assert again.temperature == s.temperature
+
+    def test_subset_is_a_copy(self):
+        data = synth_generate("dirichlet-like", 4, 50, 2)
+        part = data.subset(np.arange(10))
+        part.probs[0] = 0.25
+        part.labels[0] = 0
+        part.ids[0] = "x"
+        assert data.probs[0, 0] != 0.25 and data.labels[0] != 0
+        assert data.ids[0] != "x"
+
+    def test_overflowing_temperature_still_raises(self):
+        data = synth_generate("dirichlet-like", 4, 50, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteEntry):
+                rescaled(data, 1e-320)
+            with pytest.raises(NonFiniteEntry):
+                calibrate(FormulationSpec(Kind.TOP_K, k=1), data,
+                          temperature=1e-320)
+
+    def test_rescale_runs_one_softmax(self, monkeypatch):
+        data = synth_generate("dirichlet-like", 4, 50, 2)
+        calls = []
+
+        def counted(z):
+            calls.append(z.shape)
+            return softmax(z)
+
+        monkeypatch.setattr(core, "softmax", counted)
+        monkeypatch.setattr(calibration, "softmax", counted)
+        rescaled(data, 0.5)
+        assert calls == [(50, 4)]
 
 
 class TestFeasibilityCheck:
@@ -543,6 +627,23 @@ class TestCalibrateDispatch:
             CalibratedClassifier(
                 spec=FormulationSpec(Kind.TOP_K, k=1), theta=0.5
             )
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            (dict(spec=FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)),
+             ThetaMismatch),
+            (dict(spec=FormulationSpec(Kind.TOP_K, k=1), theta=0.5),
+             ThetaMismatch),
+            (dict(spec=FormulationSpec(Kind.TOP_K, k=1), temperature=0.0),
+             InvalidTemperature),
+        ],
+    )
+    def test_classifier_errors_are_typed(self, fields, error):
+        with pytest.raises(error) as exc:
+            CalibratedClassifier(**fields)
+        assert isinstance(exc.value, PredsetsError)
+        assert isinstance(exc.value, ValueError)
 
     def test_direct_construction_adopts_spec_offset(self):
         clf = CalibratedClassifier(

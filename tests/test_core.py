@@ -12,9 +12,14 @@ from predsets.core import (
     validate_probability_vector,
 )
 from predsets.errors import (
+    ClassCountMismatch,
     KOutOfRange,
+    LabelOutOfRange,
+    LogitsMismatch,
     NegativeEntry,
     NonFiniteEntry,
+    PredsetsError,
+    RowCountMismatch,
     SumOutOfTolerance,
     TooFewClasses,
 )
@@ -173,6 +178,30 @@ class TestScoreSet:
     def test_row_sum_checked(self):
         with pytest.raises(SumOutOfTolerance):
             ScoreSet(ids=["a"], probs=[[0.7, 0.7]])
+
+    @pytest.mark.parametrize(
+        "fields, error, row",
+        [
+            (dict(ids=["a"]), RowCountMismatch, None),
+            (dict(labels=[1, 2, 1]), RowCountMismatch, None),
+            (dict(labels=[[1, 2]]), RowCountMismatch, None),
+            (dict(labels=[1, 3]), LabelOutOfRange, 1),
+            (dict(labels=[-1, 1]), LabelOutOfRange, 0),
+            (dict(logits=[[0.0, 0.0, 0.0]]), ClassCountMismatch, None),
+            (dict(logits=[[0.0, 0.0], [5.0, 0.0]]), LogitsMismatch, 1),
+            (dict(logits=[[0.0, 0.0], [0.0, 0.0]], temperature=2.0),
+             LogitsMismatch, 1),
+        ],
+    )
+    def test_typed_errors_carry_the_row(self, fields, error, row):
+        base = dict(ids=["a", "b"], probs=[[0.5, 0.5], [0.9, 0.1]])
+        with pytest.raises(error) as exc:
+            ScoreSet(**{**base, **fields})
+        assert isinstance(exc.value, PredsetsError)
+        assert isinstance(exc.value, ValueError)
+        assert getattr(exc.value, "row", None) == row
+        if row is not None:
+            assert str(exc.value).startswith(f"row {row}: ")
 
 
 class TestNonFiniteRejected:

@@ -363,6 +363,78 @@ class TestSweepMatchesRefitLoop:
         assert got[0].startswith("failed: MissingLabels")
 
 
+class TestTemperatureFitSweep:
+    """Under ``temperature="fit"`` each draw fits its temperature and its
+    knots on arrays of the drawn rows, building no ScoreSet."""
+
+    @staticmethod
+    def split(n_calib=120, n=300):
+        data = synth_generate("dirichlet-like", 4, n, 8, noise=0.5)
+        return data.subset(np.arange(n_calib)), data.subset(
+            np.arange(n_calib, n))
+
+    def test_builds_no_score_set(self, monkeypatch):
+        calib, test = self.split()
+        built = []
+        checked, trusted = ScoreSet.__post_init__, ScoreSet._trusted.__func__
+
+        def counted_checked(self):
+            built.append(ScoreSet)
+            checked(self)
+
+        def counted_trusted(cls, **fields):
+            built.append(cls)
+            return trusted(cls, **fields)
+
+        monkeypatch.setattr(ScoreSet, "__post_init__", counted_checked)
+        monkeypatch.setattr(ScoreSet, "_trusted", classmethod(counted_trusted))
+        for template in (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0),
+                         FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.1)):
+            curve = sweep(template, [0.1, 0.2, 1.3], calib, test, seeds=5,
+                          temperature="fit")
+            assert any(pt.status == "ok" for pt in curve.points)
+        assert built == []
+        calib.subset(np.arange(3))  # the counter sees trusted builds
+        assert built == [ScoreSet]
+
+    @pytest.mark.parametrize("kind, grid", [
+        (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), [0.9, 1.6]),
+        (FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.1), [0.1, 0.2]),
+    ])
+    def test_unlabeled_draws_fail_like_the_loop(self, kind, grid):
+        calib, test = self.split()
+        labels = calib.labels.copy()
+        labels[[5, 60]] = 0
+        calib = ScoreSet(ids=calib.ids, probs=calib.probs, labels=labels,
+                         logits=calib.logits)
+        want = refit_loop(kind, grid, calib, test, 3, temperature="fit")
+        got = swept(sweep(kind, grid, calib, test, seeds=3,
+                          temperature="fit"))
+        assert got == want
+        assert got[0].startswith("failed: MissingLabels: fit_temperature")
+
+    def test_missing_logits_fail_like_the_loop(self):
+        calib, test = self.split()
+        calib = ScoreSet(ids=calib.ids, probs=calib.probs, labels=calib.labels)
+        template = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
+        want = refit_loop(template, [1.0], calib, test, 2, temperature="fit")
+        got = swept(sweep(template, [1.0], calib, test, seeds=2,
+                          temperature="fit"))
+        assert got == want
+        assert got[0].startswith("failed: MissingLogits")
+
+    @pytest.mark.parametrize("template", [
+        FormulationSpec(Kind.TOP_K, k=1),
+        FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0),
+    ])
+    def test_bad_temperature_is_a_failed_point(self, template):
+        calib, test = self.split()
+        curve = sweep(template, [1, 2], calib, test, seeds=2,
+                      temperature=-1.0)
+        assert [pt.status.split(":")[:2] for pt in curve.points] == [
+            ["failed", " InvalidTemperature"]] * 2
+
+
 class TestSizeErrorHistogram:
     def test_topk_mass_in_single_size_bucket(self):
         s = labeled_set(L=4, n=400)

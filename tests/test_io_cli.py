@@ -1,5 +1,6 @@
 """File formats and the command-line pipeline."""
 
+import hashlib
 
 import numpy as np
 import pytest
@@ -81,6 +82,29 @@ class TestScoreFiles:
         with pytest.raises(ParseError) as exc:
             io.read_scores(path)
         assert exc.value.line == 4
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_logit_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "id,label,p_1,p_2,z_1,z_2\nr1,1,0.5,0.5,0.0,0.0\n"
+            f"r2,2,0.5,0.5,{bad},0.0\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            io.read_scores(path)
+        assert exc.value.line == 3
+        assert "non-finite logit in 'r2'" in str(exc.value)
+
+    def test_logits_mismatch_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "id,label,p_1,p_2,z_1,z_2\nr1,1,0.5,0.5,0.0,0.0\n"
+            "r2,2,0.5,0.5,0.0,0.0\nr3,,0.5,0.5,1.0,0.0\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            io.read_scores(path)
+        assert exc.value.line == 4
+        assert "not softmax(logits" in str(exc.value)
 
     @pytest.mark.parametrize(
         "rows, line",
@@ -538,6 +562,33 @@ class TestCliSweep:
             curves[k] = open(out).read()
         assert curves[2] != curves[3]
         assert ",ok," in curves[2] and ",failed" not in curves[2]
+
+    def test_temperature_fit_outputs_pinned(self, tmp_path, monkeypatch):
+        # synth -> calibrate -> sweep, all at a fitted temperature; the
+        # digests were taken before sweep draws fit on arrays of their rows
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        prefix, model, curve = tmp_path / "d", tmp_path / "m", tmp_path / "c"
+        assert run_cli(
+            "synth", "--template", "dirichlet-like", "--classes", 5,
+            "--n", 600, "--seed", 4, "--noise", 0.5, "--out-prefix", prefix,
+        ) == 0
+        assert run_cli(
+            "calibrate", "--formulation", "average-size", "--kbar", 1.5,
+            "--scores", f"{prefix}_calib.csv", "--model", model,
+            "--temperature", "fit", "--seed", 4,
+        ) == 0
+        assert run_cli(
+            "sweep", "--formulation", "average-size", "--grid", "1.0,1.5,2.5",
+            "--calib", f"{prefix}_calib.csv", "--test", f"{prefix}_test.csv",
+            "--out", curve, "--repeats", 4, "--seed", 2,
+            "--temperature", "fit",
+        ) == 0
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (model, curve)]
+        assert digests == [
+            "834a391837f460f9108ffde05ce5709e3b9b4b559ec3b07ad56b1b19d512cd83",
+            "726916f4411bef594ddfd80044773f53331b2725af65b2c34bf65bcd8e329af0",
+        ]
 
     def test_empty_grid_usage_error(self, tmp_path, synth_files):
         code = run_cli(
