@@ -9,11 +9,11 @@ samples that the constraints actually hold, then shows the F-score root.
 import numpy as np
 
 from predsets import (
+    CalibratedClassifier,
+    FormulationSpec,
+    Kind,
+    calibrate,
     evaluate,
-    fit_average_error,
-    fit_average_size,
-    fit_fscore,
-    synth_generate,
 )
 from predsets.calibration import fscore_objective_derivative
 from predsets.oracle import make_distribution, sample_scores
@@ -27,14 +27,12 @@ print(f"synthetic task: L={L}, {dist.n_points} support points, "
       f"{calib.n} calibration / {held_out.n} held-out samples\n")
 
 print("average-size control: ask for 2 labels per sample *on average*")
-clf = fit_average_size(calib, kbar=2.0)
+clf = calibrate(FormulationSpec(Kind.AVERAGE_SIZE, kbar=2.0), calib)
 m = evaluate(clf, held_out)
 print(f"  fitted cutoff        {clf.theta:.4f}")
 print(f"  held-out avg size    {m.avg_size:.3f}  (budget 2.0)")
 print(f"  held-out avg error   {m.avg_error:.3f}  "
       "(compare top-2 below)\n")
-
-from predsets import CalibratedClassifier, FormulationSpec, Kind
 
 top2 = CalibratedClassifier(spec=FormulationSpec(Kind.TOP_K, k=2))
 m_top = evaluate(top2, held_out)
@@ -42,14 +40,14 @@ print(f"  fixed top-2 error    {m_top.avg_error:.3f}  "
       "(the adaptive rule can only improve on this)\n")
 
 print("average-error control: at most 5% of samples may miss their class")
-clf = fit_average_error(calib, ebar=0.05)
+clf = calibrate(FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.05), calib)
 m = evaluate(clf, held_out)
 print(f"  fitted cutoff        {clf.theta:.4f}")
 print(f"  held-out avg error   {m.avg_error:.4f}  (budget 0.05)")
 print(f"  held-out avg size    {m.avg_size:.3f}\n")
 
 print("F-score rule: the cutoff is the root of a scalar equation")
-clf = fit_fscore(calib, beta=1.0)
+clf = calibrate(FormulationSpec(Kind.F_SCORE, beta=1.0), calib)
 residual = fscore_objective_derivative(calib.probs, 1.0, clf.theta)
 m = evaluate(clf, held_out)
 print(f"  fitted cutoff        {clf.theta:.6f}")

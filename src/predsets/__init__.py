@@ -27,14 +27,10 @@ from .calibration import (
     FeasibilityReport,
     calibrate,
     feasibility_check,
-    fit_average_error,
-    fit_average_size,
-    fit_fscore,
-    fit_hybrid_error,
-    fit_hybrid_size,
     fit_temperature,
     generalized_inverse,
     pointwise_offset,
+    step_function,
 )
 from .evaluation import (
     MetricsReport,

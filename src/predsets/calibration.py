@@ -8,11 +8,13 @@ F-score root, temperature scaling (a safeguarded Newton iteration on
 ``1/T``, where the likelihood is convex), and the feasibility check for the
 average-error-with-size-cap problem.
 
-Every fitted cutoff is read off one representation, the sorted knots of
-:class:`EmpiricalStepFunction`: a generalized inverse of G, G_k or H, the
-largest knot reaching a level of H_eps, or the exact F-score root.  The
-knots carry per-sample counts, so a bootstrap replicate is the same knots
-reweighted (see ``evaluation.sweep``).
+:func:`calibrate` is the one fitting entry point: for every kind it
+resolves the temperature and offset, and for the fitted kinds it reads the
+cutoff off one representation, the sorted knots of
+:class:`EmpiricalStepFunction` that :func:`step_function` returns: a
+generalized inverse of G, G_k or H, the largest knot reaching a level of
+H_eps, or the exact F-score root.  The knots carry per-sample counts, so a
+bootstrap replicate is the same knots reweighted (see ``evaluation.sweep``).
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ import numpy as np
 from .core import ScoreSet, check_probability_rows, mask_to_labels, softmax
 from .core import topk_mask, validate_probability_vector
 from .errors import EmptyScoreSet, InfeasiblePair, InvalidOffset, KOutOfRange
-from .errors import InvalidTemperature, MissingLogits, NegativeU
-from .errors import ParameterOrderViolation, Saturated, ThetaMismatch
-from .errors import TooFewClasses
+from .errors import InvalidTemperature, MissingLogits, NegativeU, NonFiniteEntry
+from .errors import Saturated, ThetaMismatch, TooFewClasses
 from .formulations import FormulationSpec, Kind, pointwise_error_mask, rule_mask
 
 
@@ -210,6 +211,17 @@ def fscore_root(g: EmpiricalStepFunction, beta: float) -> float:
     return float(mass[lo] / (b2 + g.tail[lo] / g.norm))
 
 
+def fscore_objective_derivative(probs: np.ndarray, beta: float, theta) -> float:
+    """The strictly increasing function whose unique root is the F-score cutoff.
+
+    ``phi(theta) = beta^2 * theta - mean_i sum_l (p_il - theta)_+``.
+    ``phi(0) = -1`` for any valid probability matrix and ``phi(1) = beta^2``.
+    """
+    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    hinge = np.clip(probs - float(theta), 0.0, None).sum(axis=1).mean()
+    return beta * beta * float(theta) - float(hinge)
+
+
 # --- empirical step-function builders ---------------------------------------
 
 
@@ -247,45 +259,19 @@ def _cutoff(spec: FormulationSpec, f: EmpiricalStepFunction) -> float:
     return fscore_root(f, spec.beta)
 
 
-def empirical_g(scores: ScoreSet) -> EmpiricalStepFunction:
-    """Pooled-score function: counts all N*L probabilities, over norm N.
-
-    Its value at ``t`` is the average predicted-set size of the thresholding
-    rule at cutoff ``t`` on the calibration samples.
+def step_function(spec: FormulationSpec, scores: ScoreSet) -> EmpiricalStepFunction:
+    """The unit-count knots, over norm n, that :func:`calibrate` reads the
+    cutoff of ``spec`` off: G (average-size, f-score), H (average-error),
+    G_k (hybrid-size) or, for hybrid-error, the member counts of the
+    point-wise error sets, whose :meth:`~EmpiricalStepFunction.mass` is
+    H_eps.  Raises what the fit would: :class:`EmptyScoreSet`, the spec's
+    class-count errors and, for average-error, :class:`MissingLabels`.
     """
     _require_nonempty(scores)
-    return _knots(Kind.AVERAGE_SIZE, scores.probs, None)
-
-
-def empirical_h(scores: ScoreSet) -> EmpiricalStepFunction:
-    """True-class-score function: one knot per labeled sample, over norm n.
-
-    Its value at ``t`` is the fraction of calibration samples whose
-    true-class probability reaches ``t`` -- i.e. one minus the empirical
-    error of the thresholding rule at cutoff ``t``.
-    """
-    _require_nonempty(scores)
-    labels = scores.require_labels("empirical_h")
-    return _knots(Kind.AVERAGE_ERROR, scores.probs, labels)
-
-
-def empirical_g_k(scores: ScoreSet, k: int) -> EmpiricalStepFunction:
-    """Pooled top-``k`` order-statistic scores, counted over norm N."""
-    _require_nonempty(scores)
-    if not 1 <= k <= scores.L:
-        raise KOutOfRange(f"k={k!r} outside [1, {scores.L}]")
-    return _knots(Kind.HYBRID_SIZE, scores.probs, None, k=k)
-
-
-def empirical_h_eps(scores: ScoreSet, eps: float) -> EmpiricalStepFunction:
-    """Mass-weighted knots of each sample's point-wise error set at ``eps``.
-
-    For each sample the minimal top set reaching mass ``1 - eps`` is found;
-    each of its scores ``p`` contributes a knot ``(p, p / N)``.  The total
-    is therefore at most one.
-    """
-    _require_nonempty(scores)
-    return _knots(Kind.HYBRID_ERROR, scores.probs, None, eps=eps).mass()
+    spec.check_class_count(scores.L)
+    if spec.kind is Kind.AVERAGE_ERROR:
+        scores.require_labels(spec.kind.value)
+    return _knots(spec.kind, scores.probs, scores.labels, spec.k, spec.eps)
 
 
 def _require_nonempty(scores: ScoreSet) -> None:
@@ -346,7 +332,8 @@ class CalibratedClassifier:
 
         When the temperatures already agree the stored probabilities are
         used as-is; otherwise the logits are rescaled (raising
-        :class:`MissingLogits` when unavailable).
+        :class:`MissingLogits` when unavailable) and checked, as in
+        :func:`rescaled`.
         """
         if self.temperature == scores.temperature:
             return scores.probs
@@ -356,7 +343,9 @@ class CalibratedClassifier:
                 f"score set was produced at {scores.temperature!r} and "
                 "carries no logits to rescale"
             )
-        return softmax(scores.logits / self.temperature)
+        probs = softmax(scores.logits / self.temperature)
+        check_probability_rows(probs)  # a tiny T overflows to NaN rows
+        return probs
 
     def predict_set_mask(self, scores: ScoreSet) -> np.ndarray:
         """Membership mask for a whole ScoreSet, honoring the temperature."""
@@ -368,109 +357,6 @@ def _provenance(n: int, seed: int | None) -> dict:
     stamp = float(epoch) if epoch is not None else time.time()
     fitted_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(stamp))
     return {"calibration_set_size": n, "seed": seed, "fitted_at": fitted_at}
-
-
-# --- threshold fits -----------------------------------------------------------
-
-
-def _fitted(
-    spec: FormulationSpec, scores: ScoreSet, seed: int | None
-) -> CalibratedClassifier:
-    """Classifier at the cutoff of ``spec`` on unit-count knots of ``scores``."""
-    spec.check_class_count(scores.L)
-    if spec.kind is Kind.AVERAGE_ERROR:
-        scores.require_labels("fit_average_error")
-    knots = _knots(spec.kind, scores.probs, scores.labels, spec.k, spec.eps)
-    theta = _cutoff(spec, knots)
-    return CalibratedClassifier(
-        spec=spec, theta=theta, provenance=_provenance(scores.n, seed)
-    )
-
-
-def fit_average_size(
-    scores: ScoreSet, kbar: float, seed: int | None = None
-) -> CalibratedClassifier:
-    """Fit the average-size rule: threshold = generalized inverse of the
-    pooled-score function at the size budget ``kbar`` in ``(0, L]``.
-
-    The pooled scores carry integer counts compared against ``kbar * N``,
-    so the cutoff is tight whenever that budget is an integer.
-    """
-    _require_nonempty(scores)
-    spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=float(kbar))
-    return _fitted(spec, scores, seed)
-
-
-def fit_average_error(
-    scores: ScoreSet, ebar: float, seed: int | None = None
-) -> CalibratedClassifier:
-    """Fit the average-error rule from labeled calibration data.
-
-    The threshold is the ``ceil(n' * (1 - ebar))``-th largest true-class
-    score, so the empirical error on the calibration set is at most
-    ``ebar``: the largest knot of the counted true-class-score function
-    that still reaches ``1 - ebar``.
-    """
-    _require_nonempty(scores)
-    spec = FormulationSpec(Kind.AVERAGE_ERROR, ebar=float(ebar))
-    return _fitted(spec, scores, seed)
-
-
-def fit_hybrid_size(
-    scores: ScoreSet, kbar: float, k: int, seed: int | None = None
-) -> CalibratedClassifier:
-    """Fit the hybrid size rule (average budget ``kbar``, point-wise cap ``k``):
-    the generalized inverse, at ``kbar``, of the pooled top-``k`` scores.
-    With ``k = L`` this is exactly :func:`fit_average_size`.
-    """
-    _require_nonempty(scores)
-    spec = FormulationSpec(Kind.HYBRID_SIZE, kbar=float(kbar), k=k)
-    return _fitted(spec, scores, seed)
-
-
-def fit_hybrid_error(
-    scores: ScoreSet,
-    ebar: float,
-    eps: float,
-    mode: str = "lemma-threshold",
-    seed: int | None = None,
-) -> CalibratedClassifier:
-    """Fit the hybrid error rule (average budget ``ebar``, point-wise ``eps``).
-
-    Picks the largest cutoff at which the mass-weighted step function of
-    the per-sample point-wise error sets still reaches ``1 - ebar``, or
-    raises :class:`InfeasiblePair` when that level is unattainable, which
-    the underlying theory shows can genuinely happen.
-    """
-    _require_nonempty(scores)
-    if not 0.0 <= ebar < eps <= 1.0:
-        raise ParameterOrderViolation(
-            f"need 0 <= ebar < eps <= 1, got ebar={ebar!r}, eps={eps!r}"
-        )
-    spec = FormulationSpec(
-        Kind.HYBRID_ERROR, ebar=float(ebar), eps=float(eps), mode=mode
-    )
-    return _fitted(spec, scores, seed)
-
-
-def fscore_objective_derivative(probs: np.ndarray, beta: float, theta) -> float:
-    """The strictly increasing function whose unique root is the F-score cutoff.
-
-    ``phi(theta) = beta^2 * theta - mean_i sum_l (p_il - theta)_+``.
-    ``phi(0) = -1`` for any valid probability matrix and ``phi(1) = beta^2``.
-    """
-    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    hinge = np.clip(probs - float(theta), 0.0, None).sum(axis=1).mean()
-    return beta * beta * float(theta) - float(hinge)
-
-
-def fit_fscore(
-    scores: ScoreSet, beta: float, seed: int | None = None
-) -> CalibratedClassifier:
-    """Fit the F-score rule at the exact root of its threshold condition,
-    :func:`fscore_root` (``fscore_objective_derivative`` is zero there)."""
-    _require_nonempty(scores)
-    return _fitted(FormulationSpec(Kind.F_SCORE, beta=float(beta)), scores, seed)
 
 
 # --- point-wise offset and temperature ---------------------------------------
@@ -505,7 +391,8 @@ def fit_temperature(scores: ScoreSet) -> float:
     of the slope inside the ``beta``-image of ``TEMPERATURE_BOUNDS``,
     bisecting whenever a step would leave the bracket.  When the optimum
     lies at or beyond a bound that bound is returned exactly; callers
-    should treat such a result as a degenerate fit.
+    should treat such a result as a degenerate fit.  A non-finite logit
+    raises :class:`NonFiniteEntry`.
     """
     _require_nonempty(scores)
     if scores.logits is None:
@@ -515,7 +402,7 @@ def fit_temperature(scores: ScoreSet) -> float:
 
 
 def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
-    """:func:`fit_temperature` on a checked logit matrix and its labels, as
+    """:func:`fit_temperature` on a logit matrix and its labels, as
     a function of the rows to fit on: ``distinct[order]``, all rows once
     by default, or a bootstrap draw given as its distinct rows and each
     drawn row's position among them.
@@ -524,8 +411,13 @@ def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
     computes them once per distinct row and gathers them in draw order:
     the means are those of the resampled rows, bit for bit.  The terms at
     the bracket ends and at the start, which every fit evaluates, are kept
-    for all rows.
+    for all rows.  Non-finite logits raise :class:`NonFiniteEntry` here,
+    before any slope is evaluated: ``0 * -inf`` would make every slope NaN.
     """
+    finite = np.isfinite(logits)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NonFiniteEntry(f"logit {float(logits[i, j])!r} is not finite", i, j)
     # logits less their row maximum: beta * z then needs no max-shift
     z_all = logits - logits.max(axis=1, keepdims=True)
     z_true_all = z_all[np.arange(z_all.shape[0]), labels - 1]
@@ -633,24 +525,21 @@ def calibrate(
     """
     _require_nonempty(scores)
     spec.check_class_count(scores.L)
-    extra = {}
+    provenance = _provenance(scores.n, seed)
     if temperature == "fit":
         T = fit_temperature(scores)
-        extra["temperature_at_bound"] = T in TEMPERATURE_BOUNDS
+        provenance["temperature_at_bound"] = T in TEMPERATURE_BOUNDS
     else:
         T = float(temperature)
         if T <= 0:
             raise InvalidTemperature(f"temperature={T!r} must be > 0")
     scores = rescaled(scores, T)
+    provenance["L"] = scores.L
 
+    theta = None
     if spec.needs_fit:
-        clf = _fitted(spec, scores, seed)
-    else:
-        clf = CalibratedClassifier(
-            spec=spec, provenance=_provenance(scores.n, seed)
-        )
-
-    resolved_offset = clf.offset
+        theta = _cutoff(spec, step_function(spec, scores))
+    resolved_offset = 0.0
     if spec.kind is Kind.POINTWISE_ERROR:
         if offset == "auto":
             resolved_offset = pointwise_offset(scores.n, scores.L)
@@ -663,11 +552,10 @@ def calibrate(
             raise InvalidOffset(
                 f"offset={resolved_offset!r} outside [0, {spec.eps!r}]"
             )
-
-    clf.temperature = T
-    clf.offset = resolved_offset
-    clf.provenance.update(extra)
-    clf.provenance["L"] = scores.L
+    clf = CalibratedClassifier(
+        spec=spec, theta=theta, temperature=T, provenance=provenance
+    )
+    clf.offset = resolved_offset  # as resolved: a 0 stays 0 under a spec offset
     return clf
 
 

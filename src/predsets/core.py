@@ -76,20 +76,21 @@ def check_probability_rows(P: np.ndarray, tol: float = DEFAULT_SUM_TOL):
     """Raise unless every row of the 2-D ``P`` is a probability vector.
 
     The finiteness check comes first: ``NaN < 0`` and ``|NaN - 1| > tol``
-    are both False, so the sign and sum checks alone would pass NaN.
+    are both False, so the sign and sum checks alone would pass NaN.  Each
+    error is a :class:`~predsets.errors.RowError` carrying the ``row``.
     """
     finite = np.isfinite(P)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
-        raise NonFiniteEntry(f"row {i}, entry {j} is {P[i, j]!r}")
+        raise NonFiniteEntry(f"probability {float(P[i, j])!r} is not finite", i, j)
     if np.any(P < 0.0):
         i, j = np.argwhere(P < 0.0)[0]
-        raise NegativeEntry(f"row {i}, entry {j} is {P[i, j]!r} < 0")
+        raise NegativeEntry(f"probability {float(P[i, j])!r} < 0", i, j)
     sums = P.sum(axis=1)
     off = np.abs(sums - 1.0)
     if np.any(off > tol):
         i = int(np.argmax(off))
-        raise SumOutOfTolerance(float(sums[i]), tol)
+        raise SumOutOfTolerance(float(sums[i]), tol, i)
 
 
 # --- the two primitive rules -------------------------------------------------

@@ -13,22 +13,37 @@ class PredsetsError(Exception):
 # --- probability-vector validation ---------------------------------------
 
 
-class NegativeEntry(PredsetsError, ValueError):
+class RowError(PredsetsError, ValueError):
+    """A score-set row fails a check; ``row`` is its 0-based index, and
+    ``entry`` the 0-based column when one entry is at fault."""
+
+    def __init__(self, message: str, row: int, entry: int | None = None):
+        self.row = int(row)
+        self.entry = None if entry is None else int(entry)
+        where = f"row {self.row}"
+        if self.entry is not None:
+            where += f", entry {self.entry}"
+        super().__init__(f"{where}: {message}")
+
+
+class NegativeEntry(RowError):
     """A probability vector contains an entry below zero."""
 
 
-class NonFiniteEntry(PredsetsError, ValueError):
-    """A probability vector contains NaN or an infinite entry."""
+class NonFiniteEntry(RowError):
+    """A probability vector (or logit row) contains NaN or an infinity."""
 
 
-class SumOutOfTolerance(PredsetsError, ValueError):
+class SumOutOfTolerance(RowError):
     """Probability entries do not sum to one within the allowed tolerance."""
 
-    def __init__(self, actual_sum: float, tol: float):
+    def __init__(self, actual_sum: float, tol: float, row: int):
         self.actual_sum = float(actual_sum)
         self.tol = float(tol)
         super().__init__(
-            f"probabilities sum to {actual_sum!r}, outside 1 +/- {tol!r}"
+            f"probabilities sum to {self.actual_sum!r}, "
+            f"outside 1 +/- {self.tol!r}",
+            row,
         )
 
 
@@ -38,14 +53,6 @@ class TooFewClasses(PredsetsError, ValueError):
 
 class RowCountMismatch(PredsetsError, ValueError):
     """A score set's ids or labels are not one per probability row."""
-
-
-class RowError(PredsetsError, ValueError):
-    """A score-set row fails a check; ``row`` is its 0-based index."""
-
-    def __init__(self, message: str, row: int):
-        self.row = int(row)
-        super().__init__(f"row {self.row}: {message}")
 
 
 class LabelOutOfRange(RowError):

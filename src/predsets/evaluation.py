@@ -273,7 +273,9 @@ def sweep(
 def _bootstrap(spec, calib, test, seeds, stream, temperature, fixed):
     """Test errors and sizes of ``spec`` refit on ``seeds`` bootstrap draws
     of ``calib``, and the first draw's classifier.  Raises what
-    ``calibrate`` on the resampled rows, then :func:`evaluate`, would."""
+    ``calibrate`` on the resampled rows, then :func:`evaluate`, would;
+    under ``temperature="fit"`` a non-finite logit in any row of ``calib``
+    fails every draw."""
     _require_nonempty(calib)
     spec.check_class_count(calib.L)
     fit = temperature == "fit"
@@ -308,7 +310,7 @@ def _bootstrap(spec, calib, test, seeds, stream, temperature, fixed):
                 fixed[T] = [knots, None]
             knots = fixed[T][0].reweight(counts)
         if spec.kind is Kind.AVERAGE_ERROR:
-            calib.require_labels("fit_average_error", counts)
+            calib.require_labels(spec.kind.value, counts)
         theta = _cutoff(spec, knots)
         clf = CalibratedClassifier(spec=spec, theta=theta, temperature=T)
         if fixed[T][1] is None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calibration import CalibratedClassifier
 from .core import ScoreSet
-from .errors import LogitsMismatch, ParseError
+from .errors import ParseError, RowError
 from .evaluation import MetricsReport, SweepCurve, PERCENTILES
 from .formulations import FormulationSpec, Kind
 from .oracle import DiscreteDistribution
@@ -173,7 +173,7 @@ def read_scores(path) -> ScoreSet:
             labels=labels,
             logits=values[:, L:] if values.shape[1] > L else None,
         )
-    except LogitsMismatch as exc:
+    except RowError as exc:
         raise ParseError(f"{path}: {exc}", line=exc.row + 2) from None
 
 

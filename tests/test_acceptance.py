@@ -14,13 +14,9 @@ from predsets import io
 from predsets.calibration import (
     CalibratedClassifier,
     calibrate,
-    empirical_g,
-    empirical_h,
-    fit_average_error,
-    fit_average_size,
-    fit_hybrid_size,
     feasibility_check,
     pointwise_offset,
+    step_function,
 )
 from predsets.cli import main
 from predsets.core import ScoreSet, threshold_mask, topk_mask
@@ -130,12 +126,13 @@ def test_criterion_3_average_size_consistency():
     roughly five standard deviations.
     """
     kbar, L, N = 2.0, 10, 10_000
+    spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=kbar)
     sizes = []
     for seed in range(10):
         dist = make_distribution("two-regime", L, seed)
         calib = sample_scores(dist, N, seed)
         held_out = sample_scores(dist, N, seed + 1000)
-        clf = fit_average_size(calib, kbar)
+        clf = calibrate(spec, calib)
         sizes.append(evaluate(clf, held_out).avg_size)
     sizes = np.array(sizes)
     ok = bool(np.all(np.abs(sizes - kbar) <= 0.1))
@@ -151,12 +148,14 @@ def test_criterion_4_average_error_consistency():
     """Held-out error within ebar +/- 0.02; and with only 100 calibration
     samples the error fit is relatively noisier than the size fit."""
     ebar, kbar, L, N = 0.05, 2.0, 10, 10_000
+    error_spec = FormulationSpec(Kind.AVERAGE_ERROR, ebar=ebar)
+    size_spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=kbar)
     errors = []
     for seed in range(10):
         dist = make_distribution("two-regime", L, seed)
         calib = sample_scores(dist, N, seed)
         held_out = sample_scores(dist, N, seed + 1000)
-        clf = fit_average_error(calib, ebar)
+        clf = calibrate(error_spec, calib)
         errors.append(evaluate(clf, held_out).avg_error)
     errors = np.array(errors)
     within = bool(np.all(np.abs(errors - ebar) <= 0.02))
@@ -167,10 +166,10 @@ def test_criterion_4_average_error_consistency():
         calib = sample_scores(dist, 100, seed)
         held_out = sample_scores(dist, N, seed + 1000)
         err_small.append(
-            evaluate(fit_average_error(calib, ebar), held_out).avg_error
+            evaluate(calibrate(error_spec, calib), held_out).avg_error
         )
         size_small.append(
-            evaluate(fit_average_size(calib, kbar), held_out).avg_size
+            evaluate(calibrate(size_spec, calib), held_out).avg_size
         )
     # deviations relative to the constraint each fit targets
     ratio = (np.std(err_small) / ebar) / (np.std(size_small) / kbar)
@@ -286,7 +285,8 @@ def test_criterion_7_equivalences():
     probs = rng.dirichlet(np.ones(6), size=500)
     s = ScoreSet(ids=[str(i) for i in range(500)], probs=probs)
     hybrid_equal = all(
-        fit_hybrid_size(s, kbar, 6).theta == fit_average_size(s, kbar).theta
+        calibrate(FormulationSpec(Kind.HYBRID_SIZE, kbar=kbar, k=6), s).theta
+        == calibrate(FormulationSpec(Kind.AVERAGE_SIZE, kbar=kbar), s).theta
         for kbar in (0.5, 1.0, 2.7, 4.9)
     )
 
@@ -295,8 +295,10 @@ def test_criterion_7_equivalences():
     fns = exact_threshold_functions(dist)
     cal = sample_scores(dist, N, 7)
     probes = np.linspace(0.02, 0.95, 20)
-    g_err = np.abs(empirical_g(cal).value(probes) - fns.G.value(probes))
-    h_err = np.abs(empirical_h(cal).value(probes) - fns.H.value(probes))
+    g = step_function(FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), cal)
+    h = step_function(FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.5), cal)
+    g_err = np.abs(g.value(probes) - fns.G.value(probes))
+    h_err = np.abs(h.value(probes) - fns.H.value(probes))
     bound = 2.0 / math.sqrt(N)
     converged = bool(g_err.max() <= bound and h_err.max() <= bound)
 

@@ -11,21 +11,13 @@ from predsets.calibration import (
     CalibratedClassifier,
     EmpiricalStepFunction,
     calibrate,
-    empirical_g,
-    empirical_g_k,
-    empirical_h,
-    empirical_h_eps,
     feasibility_check,
-    fit_average_error,
-    fit_average_size,
-    fit_fscore,
-    fit_hybrid_error,
-    fit_hybrid_size,
     fit_temperature,
     fscore_objective_derivative,
     generalized_inverse,
     pointwise_offset,
     rescaled,
+    step_function,
 )
 from predsets.core import ScoreSet, softmax
 from predsets.errors import (
@@ -33,6 +25,7 @@ from predsets.errors import (
     EmptyScoreSet,
     InfeasiblePair,
     KbarOutOfRange,
+    KOutOfRange,
     InvalidTemperature,
     MissingLabels,
     MissingLogits,
@@ -50,6 +43,24 @@ from predsets.oracle import make_distribution, sample_scores, synth_generate
 
 def one_sample(probs):
     return ScoreSet(ids=["a"], probs=[probs])
+
+
+def fit(scores, kind, **params):
+    """``calibrate`` at T = 1 for the fitted ``kind``."""
+    return calibrate(FormulationSpec(kind, **params), scores)
+
+
+#: Specs whose step functions are G, H, G_k and the member counts of H_eps.
+G = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
+H = FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.5)
+
+
+def G_k(k):
+    return FormulationSpec(Kind.HYBRID_SIZE, kbar=0.5, k=k)
+
+
+def H_eps(eps):
+    return FormulationSpec(Kind.HYBRID_ERROR, ebar=0.0, eps=eps)
 
 
 class TestEmpiricalStepFunction:
@@ -82,8 +93,8 @@ class TestEmpiricalStepFunction:
         rng = np.random.default_rng(4)
         probs = rng.dirichlet(np.ones(3), size=40)
         idx = rng.integers(0, 40, size=40)
-        drawn = empirical_g(ScoreSet(ids=[""] * 40, probs=probs[idx]))
-        full = empirical_g(ScoreSet(ids=[""] * 40, probs=probs))
+        drawn = step_function(G, ScoreSet(ids=[""] * 40, probs=probs[idx]))
+        full = step_function(G, ScoreSet(ids=[""] * 40, probs=probs))
         counted = full.reweight(np.bincount(idx, minlength=40))
         heavy = counted.weight > 0
         assert np.array_equal(counted.scores[heavy], drawn.scores)
@@ -156,30 +167,30 @@ class TestFitAverageSize:
         # the knot where the size reaches exactly 9/9; counts do not
         P = np.random.default_rng(9).dirichlet(np.ones(4), size=9)
         s = ScoreSet(ids=[str(i) for i in range(9)], probs=P)
-        theta = fit_average_size(s, 1.0).theta
+        theta = fit(s, Kind.AVERAGE_SIZE, kbar=1.0).theta
         assert np.count_nonzero(P >= theta) == 9
 
     def test_one_sample(self):
-        clf = fit_average_size(one_sample([0.5, 0.3, 0.2]), 2.0)
+        clf = fit(one_sample([0.5, 0.3, 0.2]), Kind.AVERAGE_SIZE, kbar=2.0)
         assert clf.theta == 0.3
 
     def test_two_samples_pooled(self):
         s = ScoreSet(ids=["a", "b"], probs=[[0.6, 0.4], [0.8, 0.2]])
-        assert fit_average_size(s, 1.0).theta == 0.6
+        assert fit(s, Kind.AVERAGE_SIZE, kbar=1.0).theta == 0.6
 
     def test_kbar_equals_L_gives_zero(self):
         s = ScoreSet(ids=["a", "b"], probs=[[0.6, 0.4], [0.8, 0.2]])
-        assert fit_average_size(s, 2.0).theta == 0.0
+        assert fit(s, Kind.AVERAGE_SIZE, kbar=2.0).theta == 0.0
 
     def test_parameter_and_empty_errors(self):
         s = one_sample([0.5, 0.5])
         with pytest.raises(KbarOutOfRange):
-            fit_average_size(s, 0.0)
+            fit(s, Kind.AVERAGE_SIZE, kbar=0.0)
         with pytest.raises(KbarOutOfRange):
-            fit_average_size(s, 2.5)
+            fit(s, Kind.AVERAGE_SIZE, kbar=2.5)
         with pytest.raises(EmptyScoreSet):
             empty = ScoreSet(ids=["a"], probs=[[0.5, 0.5]]).subset([])
-            fit_average_size(empty, 1.0)
+            fit(empty, Kind.AVERAGE_SIZE, kbar=1.0)
 
     def test_calibration_set_consistency(self):
         # mean predicted size on the calibration data is within (kbar - L/N, kbar]
@@ -187,7 +198,7 @@ class TestFitAverageSize:
         probs = rng.dirichlet(np.ones(6), size=400)
         s = ScoreSet(ids=[str(i) for i in range(400)], probs=probs)
         for kbar in (1.0, 2.5, 4.0):
-            clf = fit_average_size(s, kbar)
+            clf = fit(s, Kind.AVERAGE_SIZE, kbar=kbar)
             mean_size = clf.predict_mask(s.probs).sum(axis=1).mean()
             assert kbar - 6 / 400 < mean_size <= kbar
 
@@ -199,33 +210,33 @@ class TestFitAverageError:
             probs=[[0.9, 0.1], [0.7, 0.3], [0.5, 0.5], [0.1, 0.9]],
             labels=[1, 1, 1, 1],
         )
-        assert fit_average_error(s, 0.25).theta == 0.5
+        assert fit(s, Kind.AVERAGE_ERROR, ebar=0.25).theta == 0.5
 
     def test_perfect_scores(self):
         s = ScoreSet(
             ids=["a", "b"], probs=[[1.0, 0.0], [1.0, 0.0]], labels=[1, 1]
         )
-        assert fit_average_error(s, 0.3).theta == 1.0
+        assert fit(s, Kind.AVERAGE_ERROR, ebar=0.3).theta == 1.0
 
     def test_small_sample_ceiling(self):
         s = ScoreSet(
             ids=["a", "b"], probs=[[0.9, 0.1], [0.7, 0.3]], labels=[1, 1]
         )
-        assert fit_average_error(s, 0.6).theta == 0.9
+        assert fit(s, Kind.AVERAGE_ERROR, ebar=0.6).theta == 0.9
 
     def test_missing_labels_and_range(self):
         s = ScoreSet(ids=["a"], probs=[[0.9, 0.1]], labels=[0])
         with pytest.raises(MissingLabels):
-            fit_average_error(s, 0.3)
+            fit(s, Kind.AVERAGE_ERROR, ebar=0.3)
         labeled = ScoreSet(ids=["a"], probs=[[0.9, 0.1]], labels=[1])
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(EbarOutOfRange):
-                fit_average_error(labeled, bad)
+                fit(labeled, Kind.AVERAGE_ERROR, ebar=bad)
 
     def test_order_statistic_agrees_with_step_function(self):
         # the fitted cutoff is exactly the largest knot at which the
         # true-class-score function still reaches 1 - ebar
-        from predsets.calibration import empirical_h, largest_level_knot
+        from predsets.calibration import largest_level_knot
 
         rng = np.random.default_rng(17)
         probs = rng.dirichlet(np.ones(6), size=321)
@@ -233,11 +244,10 @@ class TestFitAverageError:
         s = ScoreSet(
             ids=[str(i) for i in range(321)], probs=probs, labels=labels
         )
-        h = empirical_h(s)
+        h = step_function(H, s)
         for ebar in (0.03, 0.17, 0.4, 0.77):
-            assert fit_average_error(s, ebar).theta == largest_level_knot(
-                h, 1.0 - ebar
-            )
+            theta = fit(s, Kind.AVERAGE_ERROR, ebar=ebar).theta
+            assert theta == largest_level_knot(h, 1.0 - ebar)
 
     def test_calibration_error_at_most_ebar(self):
         rng = np.random.default_rng(11)
@@ -251,7 +261,7 @@ class TestFitAverageError:
         import math
 
         for ebar in (0.05, 0.2, 0.5):
-            clf = fit_average_error(s, ebar)
+            clf = fit(s, Kind.AVERAGE_ERROR, ebar=ebar)
             mask = clf.predict_mask(s.probs)
             covered = int(mask[np.arange(500), labels - 1].sum())
             # the guarantee is count-based: at least ceil(n*(1-ebar))
@@ -261,13 +271,13 @@ class TestFitAverageError:
 
 class TestFitHybridSize:
     def test_single_sample(self):
-        clf = fit_hybrid_size(one_sample([0.5, 0.3, 0.2]), 1.0, 2)
+        clf = fit(one_sample([0.5, 0.3, 0.2]), Kind.HYBRID_SIZE, kbar=1.0, k=2)
         assert clf.theta == 0.5
 
     def test_generalized_inverse_boundary(self):
         # the pooled top-2 function has value 2 at 0.3, above 1.5, so the
         # inverse lands one knot higher
-        clf = fit_hybrid_size(one_sample([0.5, 0.3, 0.2]), 1.5, 2)
+        clf = fit(one_sample([0.5, 0.3, 0.2]), Kind.HYBRID_SIZE, kbar=1.5, k=2)
         assert clf.theta == 0.5
 
     def test_kbar_close_to_k_limit(self):
@@ -278,13 +288,13 @@ class TestFitHybridSize:
         probs = rng.dirichlet(np.ones(5), size=200)
         s = ScoreSet(ids=[str(i) for i in range(200)], probs=probs)
         pooled = np.sort(np.sort(probs, axis=1)[:, -2:].ravel())
-        clf = fit_hybrid_size(s, 2.0 - 1e-9, 2)
+        clf = fit(s, Kind.HYBRID_SIZE, kbar=2.0 - 1e-9, k=2)
         assert clf.theta == pooled[1]
         assert clf.theta <= np.quantile(pooled, 0.02)
 
     def test_parameter_order(self):
         with pytest.raises(ParameterOrderViolation):
-            fit_hybrid_size(one_sample([0.5, 0.3, 0.2]), 2.0, 2)
+            fit(one_sample([0.5, 0.3, 0.2]), Kind.HYBRID_SIZE, kbar=2.0, k=2)
 
     def test_k_equals_L_reduces_to_average_size(self):
         rng = np.random.default_rng(3)
@@ -292,38 +302,39 @@ class TestFitHybridSize:
         s = ScoreSet(ids=[str(i) for i in range(100)], probs=probs)
         for kbar in (0.5, 1.7, 3.2):
             assert (
-                fit_hybrid_size(s, kbar, 4).theta
-                == fit_average_size(s, kbar).theta
+                fit(s, Kind.HYBRID_SIZE, kbar=kbar, k=4).theta
+                == fit(s, Kind.AVERAGE_SIZE, kbar=kbar).theta
             )
 
 
 class TestFitHybridError:
     def test_single_knot_examples(self):
         s = one_sample([0.6, 0.4])
-        assert fit_hybrid_error(s, 0.45, 0.5).theta == 0.6
+        assert fit(s, Kind.HYBRID_ERROR, ebar=0.45, eps=0.5).theta == 0.6
         # level just below the knot mass still lands on the knot
-        assert fit_hybrid_error(s, 0.4001, 0.5).theta == 0.6
+        assert fit(s, Kind.HYBRID_ERROR, ebar=0.4001, eps=0.5).theta == 0.6
 
     def test_infeasible_pair(self):
         s = one_sample([0.6, 0.4])
         with pytest.raises(InfeasiblePair):
-            fit_hybrid_error(s, 0.3, 0.5)
+            fit(s, Kind.HYBRID_ERROR, ebar=0.3, eps=0.5)
 
     def test_parameter_order(self):
         s = one_sample([0.6, 0.4])
         with pytest.raises(ParameterOrderViolation):
-            fit_hybrid_error(s, 0.5, 0.5)
-        with pytest.raises(ParameterOrderViolation):
-            fit_hybrid_error(s, -0.1, 0.5)
+            fit(s, Kind.HYBRID_ERROR, ebar=0.5, eps=0.5)
+        # a negative budget fails the spec's own range check first
+        with pytest.raises(EbarOutOfRange):
+            fit(s, Kind.HYBRID_ERROR, ebar=-0.1, eps=0.5)
 
 
 class TestFitFscore:
     def test_degenerate_vector(self):
-        clf = fit_fscore(one_sample([1.0, 0.0]), 1.0)
+        clf = fit(one_sample([1.0, 0.0]), Kind.F_SCORE, beta=1.0)
         assert abs(clf.theta - 0.5) < 1e-12
 
     def test_uniform_two_class(self):
-        clf = fit_fscore(one_sample([0.5, 0.5]), 1.0)
+        clf = fit(one_sample([0.5, 0.5]), Kind.F_SCORE, beta=1.0)
         assert abs(clf.theta - 1.0 / 3.0) < 1e-11
 
     def test_phi_at_zero_is_minus_one(self):
@@ -341,7 +352,7 @@ class TestFitFscore:
         rng = np.random.default_rng(10)
         probs = rng.dirichlet(np.ones(5), size=200)
         s = ScoreSet(ids=[str(i) for i in range(200)], probs=probs)
-        clf = fit_fscore(s, 1.3)
+        clf = fit(s, Kind.F_SCORE, beta=1.3)
         assert abs(fscore_objective_derivative(probs, 1.3, clf.theta)) <= 1e-12
 
 
@@ -458,6 +469,19 @@ class TestFitTemperature:
             assert fit_rows(idx) == want
         assert fit_rows() == fit_temperature(s)
 
+    def test_infinite_logits_raise_before_the_fit(self):
+        # 0 * -inf made every slope NaN, and the fit returned the upper
+        # bound 20.0 as if the optimum lay beyond it
+        p = np.array([[0.9, 0.1, 0.0], [0.2, 0.3, 0.5], [0.6, 0.4, 0.0]])
+        with np.errstate(divide="ignore"):
+            s = ScoreSet(ids=list("abc"), probs=p, labels=[1, 3, 2],
+                         logits=np.log(p))
+        with pytest.raises(NonFiniteEntry) as exc:
+            fit_temperature(s)
+        assert (exc.value.row, exc.value.entry) == (0, 2)
+        with pytest.raises(NonFiniteEntry):
+            calibrate(FormulationSpec(Kind.TOP_K, k=1), s, temperature="fit")
+
     def test_missing_inputs(self):
         s = ScoreSet(ids=["a"], probs=[[0.6, 0.4]], labels=[1])
         with pytest.raises(MissingLogits):
@@ -562,21 +586,59 @@ class TestStepFunctionInvariants:
         s = ScoreSet(
             ids=[str(i) for i in range(80)], probs=probs, labels=labels
         )
-        assert empirical_g(s).total == pytest.approx(6.0, abs=1e-9)
-        assert empirical_h(s).total == pytest.approx(1.0, abs=1e-12)
+        assert step_function(G, s).total == pytest.approx(6.0, abs=1e-9)
+        assert step_function(H, s).total == pytest.approx(1.0, abs=1e-12)
         for k in (1, 3, 6):
-            assert empirical_g_k(s, k).total == pytest.approx(k, abs=1e-9)
-        h_eps = empirical_h_eps(s, 0.25)
+            assert step_function(G_k(k), s).total == pytest.approx(k, abs=1e-9)
+        h_eps = step_function(H_eps(0.25), s).mass()
         assert h_eps.total <= 1.0 + 1e-12
 
     def test_g_L_equals_g(self):
         rng = np.random.default_rng(22)
         probs = rng.dirichlet(np.ones(5), size=60)
         s = ScoreSet(ids=[str(i) for i in range(60)], probs=probs)
-        g = empirical_g(s)
-        g_L = empirical_g_k(s, 5)
+        g = step_function(G, s)
+        g_L = step_function(G_k(5), s)
         assert np.array_equal(g.scores, g_L.scores)
         assert np.allclose(g.tail, g_L.tail, atol=1e-12)
+
+
+FITTED_SPECS = [
+    FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.5),
+    FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.15),
+    FormulationSpec(Kind.HYBRID_SIZE, kbar=1.2, k=3),
+    FormulationSpec(Kind.HYBRID_ERROR, ebar=0.2, eps=0.3),
+    FormulationSpec(Kind.F_SCORE, beta=1.0),
+]
+
+
+class TestStepFunction:
+    """``calibrate`` reads every fitted cutoff off ``step_function``."""
+
+    @pytest.mark.parametrize("spec", FITTED_SPECS, ids=lambda sp: sp.kind.value)
+    def test_cutoff_of_step_function_is_the_fit(self, spec):
+        s = synth_generate("two-regime", 5, 300, 4, noise=0.3)
+        knots = step_function(spec, s)
+        assert calibration._cutoff(spec, knots) == calibrate(spec, s).theta
+
+    @pytest.mark.parametrize("spec", FITTED_SPECS, ids=lambda sp: sp.kind.value)
+    def test_errors_of_the_fit(self, spec):
+        s = synth_generate("two-regime", 5, 30, 4)
+        with pytest.raises(EmptyScoreSet):
+            step_function(spec, s.subset([]))
+        unlabeled = ScoreSet(ids=s.ids, probs=s.probs)
+        if spec.kind is Kind.AVERAGE_ERROR:
+            with pytest.raises(MissingLabels):
+                step_function(spec, unlabeled)
+        else:
+            step_function(spec, unlabeled)
+
+    def test_hybrid_size_k_above_L(self):
+        spec = FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=4)
+        with pytest.raises(KOutOfRange):
+            step_function(spec, one_sample([0.5, 0.3, 0.2]))
+        with pytest.raises(KOutOfRange):
+            calibrate(spec, one_sample([0.5, 0.3, 0.2]))
 
 
 class TestCalibrateDispatch:

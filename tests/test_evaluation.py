@@ -423,6 +423,22 @@ class TestTemperatureFitSweep:
         assert got == want
         assert got[0].startswith("failed: MissingLogits")
 
+    def test_infinite_logits_fail_every_point(self):
+        # a zero probability has logit -inf, which the constructor accepts;
+        # the fit refuses it instead of returning a bound from NaN slopes
+        calib, test = self.split()
+        probs = calib.probs.copy()
+        probs[7] = [0.5, 0.5, 0.0, 0.0]
+        with np.errstate(divide="ignore"):
+            calib = ScoreSet(ids=calib.ids, probs=probs, labels=calib.labels,
+                             logits=np.log(probs))
+        template = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
+        curve = sweep(template, [1.0, 1.5], calib, test, seeds=2,
+                      temperature="fit")
+        assert [pt.status for pt in curve.points] == [
+            "failed: NonFiniteEntry: row 7, entry 2: logit -inf is not finite"
+        ] * 2
+
     @pytest.mark.parametrize("template", [
         FormulationSpec(Kind.TOP_K, k=1),
         FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0),

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from predsets import calibration, io
-from predsets.calibration import calibrate, fit_average_size
+from predsets.calibration import calibrate, step_function
 from predsets.cli import main
 from predsets.core import ScoreSet, softmax
-from predsets.errors import ParseError
+from predsets.errors import NonFiniteEntry, ParseError
 from predsets.evaluation import evaluate
 from predsets.formulations import FormulationSpec, Kind
 from predsets.oracle import make_distribution
@@ -105,6 +105,18 @@ class TestScoreFiles:
             io.read_scores(path)
         assert exc.value.line == 4
         assert "not softmax(logits" in str(exc.value)
+
+    @pytest.mark.parametrize("row, shown", [
+        ("r2,2,0.7,0.7", "row 1: probabilities sum to 1.4, outside 1"),
+        ("r2,2,-0.5,1.5", "row 1, entry 0: probability -0.5 < 0"),
+    ])
+    def test_bad_probability_row_names_its_line(self, tmp_path, row, shown):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,label,p_1,p_2\nr1,1,0.5,0.5\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            io.read_scores(path)
+        assert exc.value.line == 3
+        assert shown in str(exc.value)
 
     @pytest.mark.parametrize(
         "rows, line",
@@ -208,9 +220,8 @@ class TestModelFiles:
         s = ScoreSet(
             ids=[str(i) for i in range(60)], probs=probs, labels=labels
         )
-        from predsets.calibration import empirical_h_eps
-
-        attainable = empirical_h_eps(s, 0.4).total
+        members = FormulationSpec(Kind.HYBRID_ERROR, ebar=0.0, eps=0.4)
+        attainable = step_function(members, s).mass().total
         ebar = round(1.0 - attainable + 0.02, 6)
         specs = [
             FormulationSpec(Kind.TOP_K, k=2),
@@ -265,6 +276,20 @@ class TestModelFiles:
             with pytest.raises(ParseError) as exc:
                 io.read_model(path)
             assert exc.value.line == 4
+
+    def test_tiny_temperature_fails_to_predict(self, tmp_path):
+        # read_model accepts any T > 0, but logits / 1e-320 overflow and
+        # the softmax gives NaN rows: prediction must raise, not go empty
+        path = tmp_path / "m.model"
+        path.write_text(
+            "format_version: 1\nkind: top-k\nk: 1\ntemperature: 1e-320\n"
+        )
+        clf = io.read_model(path)
+        z = np.array([[2.0, 1.0, 0.0], [0.0, 0.5, 0.0]])
+        s = ScoreSet(ids=["a", "b"], probs=softmax(z), logits=z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteEntry):
+                clf.predict_set_mask(s)
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "m.model"
@@ -394,7 +419,8 @@ class TestCliCalibratePredictEvaluate:
         )
         # pooled scores sorted: .6 .5 .4 .35 .3 .3 .25 .2 .1, weight 1/3;
         # the pooled-size function reaches 2 at 0.3
-        assert io.read_model(model).theta == fit_average_size(s, 2.0).theta
+        spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=2.0)
+        assert io.read_model(model).theta == calibrate(spec, s).theta
 
     def test_topk_model_has_no_theta(self, tmp_path, synth_files):
         model = tmp_path / "m.model"
