@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ScoreSet, check_probability_rows, mask_to_labels, softmax
-from .core import topk_mask, validate_probability_vector
+from .core import row_blocks, topk_mask, validate_probability_vector
 from .errors import EmptyScoreSet, InfeasiblePair, InvalidOffset, KOutOfRange
 from .errors import InvalidTemperature, MissingLogits, NegativeU, NonFiniteEntry
 from .errors import Saturated, ThetaMismatch, TooFewClasses
@@ -421,19 +421,21 @@ def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
     # logits less their row maximum: beta * z then needs no max-shift
     z_all = logits - logits.max(axis=1, keepdims=True)
     z_true_all = z_all[np.arange(z_all.shape[0]), labels - 1]
-    e_all = np.empty_like(z_all)  # exp(beta z), reused by every evaluation
+    e_block = np.empty_like(z_all[row_blocks(*z_all.shape)[0]])  # exp(beta z)
     t_lo, t_hi = TEMPERATURE_BOUNDS
     bracket = (1.0 / t_hi, 1.0 / t_lo)  # on beta
     start = min(max(1.0, bracket[0]), bracket[1])
     kept = {}
 
     def terms(z, z_true, beta):
-        # each row's E_p[z] - z_y and Var_p[z]
-        e = e_all[: z.shape[0]]
-        np.exp(np.multiply(z, beta, out=e), out=e)
-        total = e.sum(axis=1)
-        mean = np.einsum("ij,ij->i", e, z) / total
-        var = np.einsum("ij,ij,ij->i", e, z, z) / total - mean * mean
+        # each row's E_p[z] - z_y and Var_p[z], a row block at a time
+        mean, var = np.empty(z.shape[0]), np.empty(z.shape[0])
+        for rows in row_blocks(*z.shape):
+            zb, e = z[rows], e_block[: rows.stop - rows.start]
+            np.exp(np.multiply(zb, beta, out=e), out=e)
+            total = e.sum(axis=1)
+            m = mean[rows] = np.einsum("ij,ij->i", e, zb) / total
+            var[rows] = np.einsum("ij,ij,ij->i", e, zb, zb) / total - m * m
         return mean - z_true, var
 
     def fit(distinct=slice(None), order=slice(None)) -> float:

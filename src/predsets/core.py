@@ -10,6 +10,15 @@ the cut in ascending label order, so no row is ever fully sorted.  Labels
 are 1-based integers in ``{1, ..., L}``; label sets are ascending
 ``numpy`` integer arrays.  All functions here are pure: they never mutate
 their inputs and identical inputs give identical outputs.
+
+The wide-row kernels (``topk_mask``, the point-wise error mask and the
+temperature fit's row terms) make several passes over each row: a sort or
+partition, a running sum, tie masks, ``exp``.  At many classes one pass
+over the whole n x L matrix no longer fits in cache, so they work through
+:func:`row_blocks`: 512 KiB of float64 rows (one row when a row is wider),
+whose two or three float temporaries still fit a 2 MiB L2 cache between
+passes.  Every step is per row, so each row sees the same operations in the
+same order: results are identical to one pass over the whole matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +41,14 @@ from .errors import (
 )
 
 DEFAULT_SUM_TOL = 1e-6
+
+_BLOCK_BYTES = 1 << 19  # float64 bytes per row block: 512 KiB
+
+
+def row_blocks(n: int, L: int) -> list[slice]:
+    """Slices of ``max(1, _BLOCK_BYTES // (8 L))`` rows covering ``range(n)``."""
+    step = max(1, _BLOCK_BYTES // (8 * L))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def validate_probability_vector(
@@ -110,10 +127,13 @@ def topk_mask(P: np.ndarray, k: int) -> np.ndarray:
     n, L = P.shape
     if not (isinstance(k, (int, np.integer)) and 0 <= k <= L):
         raise KOutOfRange(f"k={k!r} outside [0, {L}]")
+    mask = np.zeros((n, L), dtype=bool)
     if k == 0:
-        return np.zeros((n, L), dtype=bool)
-    cut = np.partition(P, L - k, axis=1)[:, L - k]
-    return cut_mask(P, cut, k)
+        return mask
+    for rows in row_blocks(n, L):
+        cut = np.partition(P[rows], L - k, axis=1)[:, L - k]
+        mask[rows] = cut_mask(P[rows], cut, k)
+    return mask
 
 
 def cut_mask(P: np.ndarray, cut: np.ndarray, need) -> np.ndarray:

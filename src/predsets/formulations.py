@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cut_mask, threshold_mask, topk_mask
+from .core import cut_mask, row_blocks, threshold_mask, topk_mask
 from .errors import (
     InvalidBeta,
     InvalidEpsilon,
@@ -212,15 +212,19 @@ def pointwise_error_mask(
     P = np.asarray(P, dtype=np.float64)
     n, L = P.shape
     target = 1.0 - eps + offset
+    mask = np.zeros((n, L), dtype=bool)
     if target <= 0.0:
-        return np.zeros((n, L), dtype=bool)
-    desc = np.sort(P, axis=1)[:, ::-1]
-    # cutoff = 1 + number of strict prefixes below the target, capped at L
-    # (the cap absorbs float shortfall when the full sum should reach it)
-    khat = np.minimum(
-        np.count_nonzero(np.cumsum(desc, axis=1) < target, axis=1) + 1, L
-    )
-    return cut_mask(P, desc[np.arange(n), khat - 1], khat)
+        return mask
+    for rows in row_blocks(n, L):
+        block = P[rows]
+        desc = np.sort(block, axis=1)[:, ::-1]
+        # cutoff = 1 + number of strict prefixes below the target, capped at
+        # L (the cap absorbs float shortfall when the full sum should reach it)
+        khat = np.minimum(
+            np.count_nonzero(np.cumsum(desc, axis=1) < target, axis=1) + 1, L
+        )
+        mask[rows] = cut_mask(block, desc[np.arange(len(block)), khat - 1], khat)
+    return mask
 
 
 def rule_mask(spec: FormulationSpec, P: np.ndarray, theta: float | None,

@@ -21,11 +21,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .calibration import CalibratedClassifier
-from .core import ScoreSet
+from .core import ScoreSet, check_probability_rows
 from .errors import ParseError, RowError
 from .evaluation import MetricsReport, SweepCurve, PERCENTILES
 from .formulations import FormulationSpec, Kind
-from .oracle import DiscreteDistribution
+from .oracle import MARGINAL_TOL, DiscreteDistribution
 
 MODEL_FORMAT_VERSION = 1
 
@@ -201,12 +201,16 @@ def _distribution_header(path, header) -> None:
 
 
 def read_distribution(path) -> DiscreteDistribution:
-    _, (x_ids,), values = _read_table(
-        Path(path), _distribution_header, (str,)
-    )
-    return DiscreteDistribution(
-        x_ids=x_ids, marginal=values[:, 0], cond=values[:, 1:]
-    )
+    _, (x_ids,), values = _read_table(Path(path), _distribution_header, (str,))
+    try:  # entry j of the marginal is support point j; a bad sum is no line's
+        check_probability_rows(values[:, :1].T, tol=MARGINAL_TOL)
+    except RowError as exc:
+        line = None if exc.entry is None else exc.entry + 2
+        raise ParseError(f"{path}: marginal {exc}", line=line) from None
+    try:
+        return DiscreteDistribution(x_ids, values[:, 0], values[:, 1:])
+    except RowError as exc:
+        raise ParseError(f"{path}: {exc}", line=exc.row + 2) from None
 
 
 # --- model files -------------------------------------------------------------

@@ -25,9 +25,8 @@ from .core import (
     check_probability_rows,
     mask_to_labels,
     topk_mask,
-    validate_probability_vector,
 )
-from .errors import TooLargeForBruteForce
+from .errors import TooFewClasses, TooLargeForBruteForce
 from .formulations import (
     FormulationSpec,
     Kind,
@@ -39,6 +38,9 @@ from .formulations import (
 
 #: Refuse joint enumeration beyond this many assignments.
 BRUTE_FORCE_BUDGET = 10**7
+
+#: Tolerance on the sum of a distribution's marginal.
+MARGINAL_TOL = 1e-12
 
 
 @dataclass
@@ -56,11 +58,12 @@ class DiscreteDistribution:
         m = len(self.x_ids)
         if self.marginal.shape != (m,):
             raise ValueError("one marginal probability per support point")
-        check_probability_rows(self.marginal[None, :], tol=1e-12)
+        check_probability_rows(self.marginal[None, :], tol=MARGINAL_TOL)
         if self.cond.ndim != 2 or self.cond.shape[0] != m:
             raise ValueError("cond must be (|support|, L)")
-        for row in self.cond:
-            validate_probability_vector(row)
+        if self.cond.shape[1] < 2:
+            raise TooFewClasses(f"need at least 2 classes, got {self.cond.shape}")
+        check_probability_rows(self.cond)  # errors carry the support point
 
     @property
     def n_points(self) -> int:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from predsets.calibration import CalibratedClassifier
+from predsets import core
+from predsets.calibration import CalibratedClassifier, _temperature_fit
+from predsets.calibration import fit_temperature
 from predsets.errors import (
     InvalidEpsilon,
     InvalidOffset,
@@ -21,6 +23,7 @@ from predsets.formulations import (
     rule_mask,
 )
 from predsets.core import topk_mask
+from predsets.oracle import synth_generate
 
 from test_core import prob_vectors
 
@@ -361,3 +364,77 @@ class TestMasksMatchArgsortRule:
             rule_mask(spec, P, theta),
             (P >= theta) | argsort_pointwise(P, eps),
         )
+
+
+# --- row blocks ---------------------------------------------------------------
+
+
+def tied_matrix(n, L, seed):
+    """``n`` rows of small integers (zeros included), normalised: heavy ties."""
+    ints = np.random.default_rng(seed).integers(0, 4, size=(n, L)).astype(float)
+    ints[ints.sum(axis=1) == 0, 0] = 1.0
+    return ints / ints.sum(axis=1, keepdims=True)
+
+
+def block_sizes(L):
+    """Block byte counts giving 1-row, 3-row and the default blocks at L."""
+    return [8 * L, 8 * L * 3, core._BLOCK_BYTES]
+
+
+class TestRowBlocks:
+    """The row-blocked kernels equal the stable-argsort rules whatever the
+    block size and wherever a block boundary falls."""
+
+    L = 9
+
+    @pytest.mark.parametrize("block_bytes", block_sizes(L))
+    def test_masks_at_every_boundary(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
+        L = self.L
+        step = max(1, block_bytes // (8 * L))
+        for n in sorted({0, 1, step - 1, step, step + 1, 3 * step + 2}):
+            blocks = core.row_blocks(n, L)
+            assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+            assert all(len(range(n)[b]) <= step for b in blocks)
+            P = tied_matrix(n, L, seed=n)
+            for k in range(L + 1):
+                assert np.array_equal(topk_mask(P, k), argsort_topk(P, k))
+            for eps in (0.0, 0.1, 0.5, 1.0):
+                for offset in (0.0, eps / 2):
+                    assert np.array_equal(
+                        pointwise_error_mask(P, eps, offset),
+                        argsort_pointwise(P, eps, offset),
+                    )
+            theta = 0.1
+            spec = FormulationSpec(HYBRID_SIZE, kbar=0.5, k=3)
+            assert np.array_equal(
+                rule_mask(spec, P, theta), (P >= theta) & argsort_topk(P, 3)
+            )
+            spec = FormulationSpec(
+                HYBRID_ERROR, ebar=0.0, eps=0.3, mode=MODE_UNION_POINTWISE
+            )
+            assert np.array_equal(
+                rule_mask(spec, P, theta),
+                (P >= theta) | argsort_pointwise(P, 0.3),
+            )
+        # eps = 1 with no offset keeps nothing; ties straddle top-3 cuts
+        assert not pointwise_error_mask(P, 1.0).any()
+        cut = -np.sort(-P, axis=1)[:, 2:3]
+        assert np.any(((P > cut).sum(axis=1) < 3) & ((P >= cut).sum(axis=1) > 3))
+
+    def test_temperature_fits_are_bit_identical(self, monkeypatch):
+        data = synth_generate("dirichlet-like", self.L, 50, 4, noise=0.5)
+        draws = []
+        for rep in range(4):
+            idx = np.random.default_rng([0, 0, rep]).integers(0, 50, size=50)
+            counts = np.bincount(idx, minlength=50)
+            draws.append((np.flatnonzero(counts),
+                          (np.cumsum(counts > 0) - 1)[idx]))
+        fits = []
+        for block_bytes in block_sizes(self.L):
+            monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
+            fit = _temperature_fit(data.logits, data.labels)
+            fits.append([fit_temperature(data)]
+                        + [fit(distinct, order) for distinct, order in draws])
+        assert fits[0] == fits[1] == fits[2]
+        assert len(set(fits[0])) == len(fits[0])  # the draws differ

@@ -317,6 +317,23 @@ class TestDistributionFixture:
         io.write_distribution(p2, io.read_distribution(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("rows, line, problem", [
+        # a conditional row of support point j, and marginal entry j, are
+        # line j + 2; the marginal's sum belongs to no one line
+        (["x0,0.5,0.5,0.5", "x1,0.5,0.7,0.7"], 3, "row 1: probabilities sum"),
+        (["x0,0.5,0.5,0.5", "x1,0.5,nan,0.5"], 3, "row 1, entry 0"),
+        (["x0,0.5,0.5,0.5", "x1,-0.5,0.3,0.7"], 3, "marginal row 0, entry 1"),
+        (["x0,nan,0.5,0.5", "x1,0.5,0.3,0.7"], 2, "marginal row 0, entry 0"),
+        (["x0,0.6,0.5,0.5", "x1,0.5,0.3,0.7"], None, "marginal row 0: probab"),
+    ])
+    def test_bad_rows_name_their_line(self, tmp_path, rows, line, problem):
+        path = tmp_path / "dist.csv"
+        path.write_text("\n".join(["x_id,marginal,p_1,p_2", *rows]) + "\n")
+        with pytest.raises(ParseError) as exc:
+            io.read_distribution(path)
+        assert exc.value.line == line
+        assert problem in str(exc.value)
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
