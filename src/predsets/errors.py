@@ -14,16 +14,21 @@ class PredsetsError(Exception):
 
 
 class RowError(PredsetsError, ValueError):
-    """A score-set row fails a check; ``row`` is its 0-based index, and
-    ``entry`` the 0-based column when one entry is at fault."""
+    """A score-set row fails a check; ``row`` is its 0-based index (None
+    when no one row is at fault), and ``entry`` the 0-based column when one
+    entry is at fault.  The message names whatever they hold when shown."""
 
-    def __init__(self, message: str, row: int, entry: int | None = None):
-        self.row = int(row)
+    def __init__(self, message: str, row: int | None, entry: int | None = None):
+        super().__init__(message)
+        self.problem = message
+        self.row = None if row is None else int(row)
         self.entry = None if entry is None else int(entry)
-        where = f"row {self.row}"
+
+    def __str__(self) -> str:
+        where = "" if self.row is None else f"row {self.row}"
         if self.entry is not None:
             where += f", entry {self.entry}"
-        super().__init__(f"{where}: {message}")
+        return f"{where}: {self.problem}" if where else self.problem
 
 
 class NegativeEntry(RowError):
@@ -37,7 +42,7 @@ class NonFiniteEntry(RowError):
 class SumOutOfTolerance(RowError):
     """Probability entries do not sum to one within the allowed tolerance."""
 
-    def __init__(self, actual_sum: float, tol: float, row: int):
+    def __init__(self, actual_sum: float, tol: float, row: int | None):
         self.actual_sum = float(actual_sum)
         self.tol = float(tol)
         super().__init__(

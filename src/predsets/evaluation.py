@@ -6,7 +6,7 @@ per-class error rate serves as its observable proxy throughout; per-class
 rates are integer counts per label, each divided once.  A sweep
 refits on bootstrap resamples by reweighting calibration knots sorted once
 (at a fitted temperature, knots of each draw's own rows) and counting
-test scores at each refit cutoff, sorted once where draws share them.
+sorted test scores at each refit cutoff.
 """
 
 from __future__ import annotations
@@ -210,8 +210,8 @@ def sweep(
     Each point equals refitting ``calibrate`` on ``calib.subset(draw)`` and
     running :func:`evaluate`.  Under ``temperature="fit"`` each draw fits
     its temperature on its gathered logit and label rows and builds
-    unit-count knots from those rows at that temperature, and counts its
-    test scores unsorted; no ScoreSet is built per draw.
+    unit-count knots from those rows at that temperature; no ScoreSet is
+    built per draw.
     """
     grid = [float(v) for v in param_grid]
     if not grid:
@@ -313,8 +313,8 @@ def _bootstrap(spec, calib, test, seeds, stream, temperature, fixed):
             calib.require_labels(spec.kind.value, counts)
         theta = _cutoff(spec, knots)
         clf = CalibratedClassifier(spec=spec, theta=theta, temperature=T)
-        if fixed[T][1] is None:  # a fitted T answers this one cutoff
-            fixed[T][1] = _metrics_at(clf, test, sort=not fit)
+        if fixed[T][1] is None:
+            fixed[T][1] = _metrics_at(clf, test)
         error, size = fixed[T][1](theta)
         errors.append(error)
         sizes.append(size)
@@ -322,15 +322,14 @@ def _bootstrap(spec, calib, test, seeds, stream, temperature, fixed):
     return errors, sizes, first
 
 
-def _metrics_at(clf: CalibratedClassifier, test: ScoreSet, sort=True):
+def _metrics_at(clf: CalibratedClassifier, test: ScoreSet):
     """``theta -> (avg_error, avg_size)`` of ``clf``'s rule on ``test``.
 
     Each total is a base count (entries every cutoff keeps) plus the
-    pooled test scores at or above ``theta``: all entries for the
+    sorted test scores at or above ``theta``: all entries for the
     threshold kinds, the top-``k`` entries for hybrid-size, the entries
-    outside the point-wise set in union mode.  The pools are sorted, for
-    binary searches at many cutoffs, unless ``sort`` is False: then each
-    call counts them.  Raises what :func:`evaluate` raises.
+    outside the point-wise set in union mode.  Raises what
+    :func:`evaluate` raises.
     """
     spec = clf.spec
     labels = test.require_labels("evaluate")
@@ -345,17 +344,13 @@ def _metrics_at(clf: CalibratedClassifier, test: ScoreSet, sort=True):
         pool = ~always
     n = test.n
     true = (np.arange(n), labels - 1)
-    size_base, cover_base = int(always.sum()), int(always[true].sum())
-    pools = (P[pool], P[true][pool[true]])
-    if sort:
-        pools = tuple(map(np.sort, pools))
+    size_base, sized = int(always.sum()), np.sort(P[pool])
+    cover_base, covered = int(always[true].sum()), np.sort(P[true][pool[true]])
 
     def at(theta: float) -> tuple[float, float]:
-        if sort:
-            size, cover = (v.size - np.searchsorted(v, theta) for v in pools)
-        else:
-            size, cover = (np.count_nonzero(v >= theta) for v in pools)
-        return 1.0 - float(cover_base + cover) / n, float(size_base + size) / n
+        size = size_base + sized.size - np.searchsorted(sized, theta)
+        cover = cover_base + covered.size - np.searchsorted(covered, theta)
+        return 1.0 - float(cover) / n, float(size) / n
 
     return at
 

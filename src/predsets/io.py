@@ -21,11 +21,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .calibration import CalibratedClassifier
-from .core import ScoreSet, check_probability_rows
+from .core import ScoreSet
 from .errors import ParseError, RowError
 from .evaluation import MetricsReport, SweepCurve, PERCENTILES
 from .formulations import FormulationSpec, Kind
-from .oracle import MARGINAL_TOL, DiscreteDistribution
+from .oracle import DiscreteDistribution
 
 MODEL_FORMAT_VERSION = 1
 
@@ -201,16 +201,14 @@ def _distribution_header(path, header) -> None:
 
 
 def read_distribution(path) -> DiscreteDistribution:
-    _, (x_ids,), values = _read_table(Path(path), _distribution_header, (str,))
-    try:  # entry j of the marginal is support point j; a bad sum is no line's
-        check_probability_rows(values[:, :1].T, tol=MARGINAL_TOL)
-    except RowError as exc:
-        line = None if exc.entry is None else exc.entry + 2
-        raise ParseError(f"{path}: marginal {exc}", line=line) from None
+    _, (x_ids,), values = _read_table(
+        Path(path), _distribution_header, (str,)
+    )
     try:
         return DiscreteDistribution(x_ids, values[:, 0], values[:, 1:])
-    except RowError as exc:
-        raise ParseError(f"{path}: {exc}", line=exc.row + 2) from None
+    except RowError as exc:  # support point j is line j + 2; a sum is no line's
+        line = None if exc.row is None else exc.row + 2
+        raise ParseError(f"{path}: {exc}", line=line) from None
 
 
 # --- model files -------------------------------------------------------------

@@ -26,7 +26,7 @@ from .core import (
     mask_to_labels,
     topk_mask,
 )
-from .errors import TooFewClasses, TooLargeForBruteForce
+from .errors import RowError, TooFewClasses, TooLargeForBruteForce
 from .formulations import (
     FormulationSpec,
     Kind,
@@ -38,9 +38,6 @@ from .formulations import (
 
 #: Refuse joint enumeration beyond this many assignments.
 BRUTE_FORCE_BUDGET = 10**7
-
-#: Tolerance on the sum of a distribution's marginal.
-MARGINAL_TOL = 1e-12
 
 
 @dataclass
@@ -58,7 +55,12 @@ class DiscreteDistribution:
         m = len(self.x_ids)
         if self.marginal.shape != (m,):
             raise ValueError("one marginal probability per support point")
-        check_probability_rows(self.marginal[None, :], tol=MARGINAL_TOL)
+        try:
+            check_probability_rows(self.marginal[None, :], tol=1e-12)
+        except RowError as exc:  # marginal entry j is support point j's
+            exc.problem = f"marginal {exc.problem}"
+            exc.row, exc.entry = exc.entry, None
+            raise
         if self.cond.ndim != 2 or self.cond.shape[0] != m:
             raise ValueError("cond must be (|support|, L)")
         if self.cond.shape[1] < 2:

@@ -322,9 +322,9 @@ class TestDistributionFixture:
         # line j + 2; the marginal's sum belongs to no one line
         (["x0,0.5,0.5,0.5", "x1,0.5,0.7,0.7"], 3, "row 1: probabilities sum"),
         (["x0,0.5,0.5,0.5", "x1,0.5,nan,0.5"], 3, "row 1, entry 0"),
-        (["x0,0.5,0.5,0.5", "x1,-0.5,0.3,0.7"], 3, "marginal row 0, entry 1"),
-        (["x0,nan,0.5,0.5", "x1,0.5,0.3,0.7"], 2, "marginal row 0, entry 0"),
-        (["x0,0.6,0.5,0.5", "x1,0.5,0.3,0.7"], None, "marginal row 0: probab"),
+        (["x0,0.5,0.5,0.5", "x1,-0.5,0.3,0.7"], 3, "row 1: marginal probab"),
+        (["x0,nan,0.5,0.5", "x1,0.5,0.3,0.7"], 2, "row 0: marginal probab"),
+        (["x0,0.6,0.5,0.5", "x1,0.5,0.3,0.7"], None, ": marginal probab"),
     ])
     def test_bad_rows_name_their_line(self, tmp_path, rows, line, problem):
         path = tmp_path / "dist.csv"
