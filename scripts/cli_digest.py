@@ -4,8 +4,14 @@ Runs ``synth``, ``calibrate`` (every kind, both hybrid-error modes, a
 fitted temperature and the automatic offset), ``predict``, ``evaluate
 --per-class``, ``sweep`` at T=1 and T=fit, and ``oracle-check`` in a
 temporary directory with ``SOURCE_DATE_EPOCH=0``, at L=100 and at L=1000.
-Prints one ``sha256  name`` line per output file and per command's stdout
-and exit code.  Two trees that behave alike print identical text:
+A two-regime set at L=1000, whose point-wise sets hold 1 to about 840
+labels, also runs calibrate, predict and evaluate for the point-wise and
+hybrid-error union models.  Its rows are put in descending order of their
+largest probability, so blocks of one-label sets come first and the
+point-wise mask's short-prefix blocks and its full-row fallback both
+leave a fingerprint.  Prints one ``sha256  name`` line per output file
+and per command's stdout and exit code.  Two trees that behave alike
+print identical text:
 
     PYTHONPATH=src python scripts/cli_digest.py > new.txt
     PYTHONPATH=../old/src python scripts/cli_digest.py > old.txt
@@ -22,7 +28,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from predsets.cli import main
+from predsets.io import read_scores, write_scores
 
 #: name, calibrate flags; each model is also predicted and evaluated
 MODELS = (
@@ -44,6 +53,13 @@ MODELS = (
     ("hybrid-error-union", ["--formulation", "hybrid-error", "--ebar", "0.4999",
                             "--eps", "0.5", "--mode", "union-with-pointwise"]),
     ("f-score", ["--formulation", "f-score", "--beta", "1"]),
+)
+
+#: the models also run on the two-regime set
+TWO_REGIME_MODELS = tuple(
+    (name, flags) for name, flags in MODELS
+    if name in ("pointwise", "pointwise-fit", "pointwise-auto",
+                "hybrid-error-union")
 )
 
 #: name, sweep flags; each runs at T=1 and at T=fit
@@ -75,14 +91,25 @@ def run(name: str, argv: list[str]) -> None:
     print(f"{digest(out.getvalue().encode())}  stdout:{name} exit={code}")
 
 
-def chain(L: int) -> None:
-    data = f"L{L}"
+def peaked_first(path: str) -> None:
+    """Rewrite a score file with its rows in descending order of their
+    largest probability."""
+    scores = read_scores(path)
+    order = np.argsort(-scores.probs.max(axis=1), kind="stable")
+    write_scores(path, scores.subset(order))
+
+
+def chain(data: str, template: str, L: int, models=MODELS,
+          sweeps=SWEEPS, reorder=False) -> None:
     run(f"synth-{data}", [
-        "synth", "--template", "dirichlet-like", "--classes", str(L),
+        "synth", "--template", template, "--classes", str(L),
         "--n", "1500", "--seed", "7", "--noise", "0.3", "--out-prefix", data,
     ])
     calib, test = f"{data}_calib.csv", f"{data}_test.csv"
-    for name, flags in MODELS:
+    if reorder:
+        peaked_first(calib)
+        peaked_first(test)
+    for name, flags in models:
         tag = f"{data}-{name}"
         run(f"calibrate-{tag}", ["calibrate", *flags, "--scores", calib,
                                  "--model", f"{tag}.model", "--seed", "3"])
@@ -92,7 +119,7 @@ def chain(L: int) -> None:
             "evaluate", "--model", f"{tag}.model", "--test", test,
             "--out", f"{tag}.metrics.txt", "--per-class", f"{tag}.class.csv",
         ])
-    for name, flags in SWEEPS:
+    for name, flags in sweeps:
         for temperature in ("1.0", "fit"):
             tag = f"{data}-{name}-T{temperature}"
             run(f"sweep-{tag}", [
@@ -109,7 +136,9 @@ def digest_all() -> int:
         os.chdir(tmp)  # relative paths: stdout names no temporary path
         try:
             for L in (100, 1000):
-                chain(L)
+                chain(f"L{L}", "dirichlet-like", L)
+            chain("two-regime-L1000", "two-regime", 1000,
+                  TWO_REGIME_MODELS, sweeps=(), reorder=True)
             run("oracle-check", ["oracle-check", "--count", "3", "--seed", "1"])
             for path in sorted(Path(tmp).iterdir()):
                 print(f"{digest(path.read_bytes())}  {path.name}")

@@ -238,8 +238,9 @@ def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None):
         L = P.shape[1]
         values = np.partition(P, L - k, axis=1)[:, L - k:]
     elif kind is Kind.HYBRID_ERROR:
-        rows, cols = np.nonzero(pointwise_error_mask(P, eps, 0.0))
-        values = P[rows, cols]
+        member = pointwise_error_mask(P, eps, 0.0)
+        values = P[member]  # row-major, as np.nonzero orders them
+        rows = np.repeat(np.arange(n), np.count_nonzero(member, axis=1))
     else:
         values = P
     if rows is None:
@@ -343,7 +344,7 @@ class CalibratedClassifier:
                 f"score set was produced at {scores.temperature!r} and "
                 "carries no logits to rescale"
             )
-        probs = softmax(scores.logits / self.temperature)
+        probs = softmax(scores.logits, self.temperature)
         check_probability_rows(probs)  # a tiny T overflows to NaN rows
         return probs
 
@@ -569,7 +570,7 @@ def rescaled(scores: ScoreSet, T: float) -> ScoreSet:
         return scores
     if scores.logits is None:
         raise MissingLogits("cannot rescale to a new temperature without logits")
-    probs = softmax(scores.logits / T)
+    probs = softmax(scores.logits, T)
     check_probability_rows(probs)
     return ScoreSet._trusted(
         ids=scores.ids,

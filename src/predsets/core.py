@@ -11,14 +11,16 @@ are 1-based integers in ``{1, ..., L}``; label sets are ascending
 ``numpy`` integer arrays.  All functions here are pure: they never mutate
 their inputs and identical inputs give identical outputs.
 
-The wide-row kernels (``topk_mask``, the point-wise error mask and the
-temperature fit's row terms) make several passes over each row: a sort or
-partition, a running sum, tie masks, ``exp``.  At many classes one pass
-over the whole n x L matrix no longer fits in cache, so they work through
-:func:`row_blocks`: 512 KiB of float64 rows (one row when a row is wider),
-whose two or three float temporaries still fit a 2 MiB L2 cache between
-passes.  Every step is per row, so each row sees the same operations in the
-same order: results are identical to one pass over the whole matrix.
+The wide-row kernels (``topk_mask``, :func:`softmax`, the point-wise error
+mask and the temperature fit's row terms) make several passes over each
+row: a sort or partition, a running sum, a comparison with the cut,
+``exp``.  At many classes one pass over the whole n x L matrix no longer
+fits in cache, so they work through :func:`row_blocks`: 512 KiB of float64
+rows (one row when a row is wider), whose two or three float temporaries
+still fit a 2 MiB L2 cache between passes.  Every step is per row, so each
+row sees the same operations in the same order: results are identical to
+one pass over the whole matrix.  :func:`cut_mask` compares each entry with
+its row's cut once; only rows whose ties straddle the cut compare again.
 """
 
 from __future__ import annotations
@@ -141,19 +143,21 @@ def cut_mask(P: np.ndarray, cut: np.ndarray, need) -> np.ndarray:
     value ``cut``: every entry above ``cut``, then the entries equal to it
     in ascending label order until the row holds ``need``.
 
-    ``need`` is a scalar or one count per row, at least one.  Only rows
-    whose ties straddle the cut pay for a running count of their ties.
+    ``need`` is a scalar or one count per row, at least one.  Most rows
+    hold exactly ``need`` entries ``>= cut``; only rows whose ties straddle
+    the cut compare again and pay for a running count of their ties.
     """
     cut = cut[:, None]
-    mask = P > cut
-    tie = P == cut
-    short = need - np.count_nonzero(mask, axis=1)
-    split = np.flatnonzero(np.count_nonzero(tie, axis=1) > short)
+    mask = P >= cut
+    split = np.flatnonzero(np.count_nonzero(mask, axis=1) > need)
     if split.size:
-        ties = tie[split]
-        ties &= np.cumsum(ties, axis=1) <= short[split, None]
-        tie[split] = ties
-    mask |= tie
+        rows, at = P[split], cut[split]
+        above = rows > at
+        tie = rows == at
+        short = np.broadcast_to(need, len(mask))[split]
+        short = short - np.count_nonzero(above, axis=1)
+        tie &= np.cumsum(tie, axis=1) <= short[:, None]
+        mask[split] = above | tie
     return mask
 
 
@@ -243,7 +247,7 @@ class ScoreSet:
                 raise ClassCountMismatch(
                     f"logits shape {self.logits.shape} != probs {self.probs.shape}"
                 )
-            expected = softmax(self.logits / float(self.temperature))
+            expected = softmax(self.logits, float(self.temperature))
             close = np.isclose(expected, self.probs, atol=1e-6).all(axis=1)
             if not close.all():
                 raise LogitsMismatch(
@@ -304,10 +308,19 @@ class ScoreSet:
         )
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with the usual max-shift for stability."""
+def softmax(z: np.ndarray, T: float = 1.0) -> np.ndarray:
+    """Softmax of ``z / T`` over the last axis, with the usual max-shift.
+
+    Each :func:`row_blocks` block is divided by ``T`` (not multiplied by
+    ``1 / T``), shifted, exponentiated and normalised in place in the
+    output: bit for bit the same steps as on the whole of ``z / T``.
+    """
     z = np.asarray(z, dtype=np.float64)
-    e = z - z.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)  # in place: one array, not three, per call
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    out = np.empty(z.shape)
+    rows_in, rows_out = z.reshape(-1, z.shape[-1]), out.reshape(-1, z.shape[-1])
+    for rows in row_blocks(*rows_in.shape):
+        e = np.divide(rows_in[rows], T, out=rows_out[rows])
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=1, keepdims=True)
+    return out

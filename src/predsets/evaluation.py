@@ -298,7 +298,7 @@ def _bootstrap(spec, calib, test, seeds, stream, temperature, fixed):
             distinct = np.flatnonzero(counts)
             order = (np.cumsum(counts > 0) - 1)[idx]
             T = fit_rows(distinct, order)
-            P = softmax(calib.logits[distinct] / T)[order]
+            P = softmax(calib.logits[distinct], T)[order]
             check_probability_rows(P)  # as rescaled checks it
             knots = _knots(spec.kind, P, labels, spec.k, spec.eps)
             fixed = {T: [knots, None]}

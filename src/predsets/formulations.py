@@ -204,7 +204,10 @@ def pointwise_error_mask(
     The running sum of each row's values sorted in descending order gives
     the set size ``khat`` and the cut value, the ``khat``-th largest entry;
     :func:`~predsets.core.cut_mask` keeps the ``khat`` largest entries,
-    equal ones in ascending label order like every rule.
+    equal ones in ascending label order like every rule.  The running sum
+    covers the previous row block's largest ``khat`` plus slack (every
+    column in the first block); a row still short of the target there sums
+    its full row.  A prefix sums in the same order, so ``khat`` is the same.
     """
     _check_eps(eps)
     if not 0.0 <= offset <= eps:
@@ -215,15 +218,27 @@ def pointwise_error_mask(
     mask = np.zeros((n, L), dtype=bool)
     if target <= 0.0:
         return mask
-    for rows in row_blocks(n, L):
+    blocks = row_blocks(n, L)
+    ascending = np.empty((blocks[0].stop if blocks else 0, L))
+    sums = np.empty_like(ascending)
+    m = L
+    for rows in blocks:
         block = P[rows]
-        desc = np.sort(block, axis=1)[:, ::-1]
+        b = len(block)
+        np.copyto(ascending[:b], block)
+        ascending[:b].sort(axis=1)
+        desc = ascending[:b, ::-1]
         # cutoff = 1 + number of strict prefixes below the target, capped at
         # L (the cap absorbs float shortfall when the full sum should reach it)
-        khat = np.minimum(
-            np.count_nonzero(np.cumsum(desc, axis=1) < target, axis=1) + 1, L
-        )
-        mask[rows] = cut_mask(block, desc[np.arange(len(block)), khat - 1], khat)
+        head = np.cumsum(desc[:, :m], axis=1, out=sums[:b, :m])
+        khat = np.count_nonzero(head < target, axis=1) + 1
+        if m < L:
+            long = np.flatnonzero(khat > m)
+            full = np.cumsum(desc[long], axis=1)
+            khat[long] = np.count_nonzero(full < target, axis=1) + 1
+        np.minimum(khat, L, out=khat)
+        mask[rows] = cut_mask(block, desc[np.arange(b), khat - 1], khat)
+        m = min(L, int(khat.max()) + 1 + L // 16)
     return mask
 
 

@@ -438,3 +438,56 @@ class TestRowBlocks:
                         + [fit(distinct, order) for distinct, order in draws])
         assert fits[0] == fits[1] == fits[2]
         assert len(set(fits[0])) == len(fits[0])  # the draws differ
+
+    @pytest.mark.parametrize("block_bytes", block_sizes(40))
+    def test_pointwise_prefix_falls_back_to_full_rows(self, monkeypatch,
+                                                      block_bytes):
+        # peaked rows first, then flat ones: a later block needs a longer
+        # prefix than the earlier blocks' largest set size suggests
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
+        n, L = 30, 40
+        rng = np.random.default_rng(9)
+        ints = np.vstack([rng.integers(0, 2, size=(10, L)),
+                          rng.integers(2, 4, size=(n - 10, L))]).astype(float)
+        ints[:10, 0] = 60.0
+        P = ints / ints.sum(axis=1, keepdims=True)
+        grows = 0
+        for eps in (0.1, 0.5, 1 - 1e-12):
+            for offset in (0.0, eps / 2):
+                expect = argsort_pointwise(P, eps, offset)
+                assert np.array_equal(pointwise_error_mask(P, eps, offset),
+                                      expect)
+                khat = expect.sum(axis=1)
+                largest = [khat[b].max() for b in core.row_blocks(n, L)]
+                grows += any(later > first + 1 + L // 16
+                             for first, later in zip(largest, largest[1:]))
+        assert grows or len(core.row_blocks(n, L)) == 1
+
+    def test_cut_mask_fills_straddling_ties(self):
+        P = tied_matrix(40, self.L, seed=3)
+        desc = -np.sort(-P, axis=1)
+        need = np.random.default_rng(4).integers(1, self.L + 1, size=40)
+        for k in (3, need):
+            ks = np.broadcast_to(k, (40,))
+            cut = desc[np.arange(40), ks - 1]
+            assert np.any(((P > cut[:, None]).sum(axis=1) < ks)
+                          & ((P >= cut[:, None]).sum(axis=1) > ks))
+            expect = np.vstack([argsort_topk(P[i:i + 1], ks[i])
+                                for i in range(40)])
+            assert np.array_equal(core.cut_mask(P, cut, k), expect)
+
+    @pytest.mark.parametrize("block_bytes", block_sizes(L))
+    def test_softmax_matches_whole_matrix(self, monkeypatch, block_bytes):
+        def whole(z):  # one pass over the whole matrix, max-shifted
+            e = z - z.max(axis=-1, keepdims=True)
+            np.exp(e, out=e)
+            e /= e.sum(axis=-1, keepdims=True)
+            return e
+
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
+        z = np.random.default_rng(5).normal(scale=4.0, size=(23, self.L))
+        for T in (0.05, 1.0, 3.7):
+            assert np.array_equal(core.softmax(z, T), whole(z / T))
+            assert np.array_equal(core.softmax(z[0], T), whole(z[0] / T))
+            assert core.softmax(z[0], T).shape == (self.L,)
+        assert np.array_equal(core.softmax(z), whole(z))
