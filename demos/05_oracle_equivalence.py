@@ -1,10 +1,13 @@
 """Checking the closed forms against exhaustive enumeration.
 
 On a small finite distribution every constrained optimum can be found by
-brute force.  This script builds one, prints its exact threshold
-functions, and confirms each closed-form rule attains the brute-force
-objective.  The hybrid error rule is special: its two readings are
-reported side by side without picking a winner.
+brute force.  This script builds one, prints its exact pooled-score
+function G, and confirms each closed-form rule attains the brute-force
+objective.  The population cutoffs come from the calibrator's own code:
+the distribution is a calibration set whose rows weigh their marginal
+probability, so the oracle checks the cutoff ``calibrate`` computes.  The
+hybrid error rule is special: its two readings are reported side by side
+without picking a winner.
 """
 
 import numpy as np
@@ -13,10 +16,10 @@ from predsets import FormulationSpec, Kind, brute_force_optimal
 from predsets.oracle import (
     closed_form_assignment,
     equivalence_suite,
-    exact_threshold_functions,
     exact_top_k_error,
     infeasibility_records,
     objective_value,
+    population_step_function,
     population_threshold,
     random_test_distribution,
 )
@@ -27,14 +30,14 @@ print(f"distribution: {dist.n_points} support points, L={dist.L}")
 for x, w, p in zip(dist.x_ids, dist.marginal, dist.cond):
     print(f"  {x}: weight {w:.3f}, probs {np.round(p, 3)}")
 
-fns = exact_threshold_functions(dist)
+spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=2.0)
+G = population_step_function(dist, spec)
 print("\nexact pooled-score function G at a few cutoffs:")
 for t in (0.1, 0.3, 0.5):
-    print(f"  G({t}) = {fns.G.value(t):.3f}")
+    print(f"  G({t}) = {G.value(t):.3f}")
 print(f"top-1 error of this distribution: {exact_top_k_error(dist, 1):.4f}")
 
 print("\none worked example: average-size budget 2.0")
-spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=2.0)
 theta = population_threshold(dist, spec)
 closed = closed_form_assignment(dist, spec, theta)
 brute = brute_force_optimal(dist, spec)

@@ -4,6 +4,9 @@ Runs ``synth``, ``calibrate`` (every kind, both hybrid-error modes, a
 fitted temperature and the automatic offset), ``predict``, ``evaluate
 --per-class``, ``sweep`` at T=1 and T=fit, and ``oracle-check`` in a
 temporary directory with ``SOURCE_DATE_EPOCH=0``, at L=100 and at L=1000.
+``oracle-check`` runs on 20 random distributions and on a desk-scale
+``synth`` truth file (4 classes, 3 support points) read back with
+``--fixture``, so the population cutoffs are fingerprinted both ways.
 A two-regime set at L=1000, whose point-wise sets hold 1 to about 840
 labels, also runs calibrate, predict and evaluate for the point-wise and
 hybrid-error union models.  Its rows are put in descending order of their
@@ -139,7 +142,15 @@ def digest_all() -> int:
                 chain(f"L{L}", "dirichlet-like", L)
             chain("two-regime-L1000", "two-regime", 1000,
                   TWO_REGIME_MODELS, sweeps=(), reorder=True)
-            run("oracle-check", ["oracle-check", "--count", "3", "--seed", "1"])
+            run("synth-fixture", [
+                "synth", "--template", "dirichlet-like", "--classes", "4",
+                "--support", "3", "--n", "30", "--seed", "5",
+                "--out-prefix", "fixture",
+            ])
+            run("oracle-check-fixture", [
+                "oracle-check", "--fixture", "fixture_truth.csv", "--seed", "1",
+            ])
+            run("oracle-check", ["oracle-check", "--count", "20", "--seed", "1"])
             for path in sorted(Path(tmp).iterdir()):
                 print(f"{digest(path.read_bytes())}  {path.name}")
         finally:

@@ -51,8 +51,8 @@ from .oracle import (
     brute_force_optimal,
     exact_error,
     exact_size,
-    exact_threshold_functions,
     make_distribution,
+    population_step_function,
     sample_scores,
     synth_generate,
 )

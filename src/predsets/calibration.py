@@ -23,13 +23,13 @@ import copy
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import ScoreSet, check_probability_rows, mask_to_labels, softmax
 from .core import row_blocks, topk_mask, validate_probability_vector
-from .errors import EmptyScoreSet, InfeasiblePair, InvalidOffset, KOutOfRange
+from .errors import EmptyScoreSet, InfeasiblePair, KOutOfRange
 from .errors import InvalidTemperature, MissingLogits, NegativeU, NonFiniteEntry
 from .errors import Saturated, ThetaMismatch, TooFewClasses
 from .formulations import FormulationSpec, Kind, pointwise_error_mask, rule_mask
@@ -41,9 +41,11 @@ class EmpiricalStepFunction:
     Entries with equal score merge into one knot carrying their summed
     weight; ``weights`` may be one scalar for every entry.  ``f(0)`` equals
     the total weight over ``norm`` and ``f(t) = 0`` for ``t`` above the
-    largest knot.  This is the one representation of the empirical (and
-    exact, in the oracle) pooled-score function G, the true-class-score
-    function H, and their hybrid variants G_k and H_eps.
+    largest knot.  This is the one representation of the pooled-score
+    function G, the true-class-score function H, and their hybrid variants
+    G_k and H_eps, both empirical and, in the oracle, exact: a population
+    is the same knots with each entry weighing its support point's
+    probability (see :func:`_knots`).
 
     The entries are sorted once.  Given ``rows``, the sample each entry
     belongs to, :meth:`reweight` evaluates ``f`` for per-sample counts
@@ -225,11 +227,13 @@ def fscore_objective_derivative(probs: np.ndarray, beta: float, theta) -> float:
 # --- empirical step-function builders ---------------------------------------
 
 
-def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None):
+def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None, weights=None):
     """Unit-count knots, over rows of ``P``, of the step function the
     cutoff of ``kind`` inverts: G (average-size, f-score), H
     (average-error), G_k (hybrid-size) or the member counts of H_eps
-    (hybrid-error)."""
+    (hybrid-error).  Given per-row ``weights``, each entry weighs its
+    row's weight and the norm is 1: a population whose support points
+    are the rows and whose marginal is ``weights``."""
     n = P.shape[0]
     rows = None
     if kind is Kind.AVERAGE_ERROR:
@@ -245,7 +249,9 @@ def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None):
         values = P
     if rows is None:
         rows = np.broadcast_to(np.arange(n)[:, None], values.shape)
-    return EmpiricalStepFunction(values, 1, rows, norm=n)
+    if weights is None:
+        return EmpiricalStepFunction(values, 1, rows, norm=n)
+    return EmpiricalStepFunction(values, weights[rows], rows)
 
 
 def _cutoff(spec: FormulationSpec, f: EmpiricalStepFunction) -> float:
@@ -289,14 +295,13 @@ class CalibratedClassifier:
 
     ``theta`` is present exactly for the threshold-fitted kinds
     (average-size, average-error, hybrid-size, hybrid-error, f-score);
-    ``offset`` applies to the point-wise error rule; ``temperature``
-    rescales logits before prediction when it differs from the score set's.
+    ``temperature`` rescales logits before prediction when it differs from
+    the score set's.
     """
 
     spec: FormulationSpec
     theta: float | None = None
     temperature: float = 1.0
-    offset: float = 0.0
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -308,20 +313,19 @@ class CalibratedClassifier:
             raise ThetaMismatch(
                 f"{self.spec.kind.value} takes no fitted threshold"
             )
-        if self.temperature <= 0:
-            raise InvalidTemperature(f"temperature={self.temperature!r} must be > 0")
-        if self.offset < 0:
-            raise InvalidOffset(f"offset={self.offset!r} < 0")
-        # the classifier-level offset is the resolved one; adopt the
-        # requested value from the spec when none was resolved explicitly
-        if self.spec.kind is Kind.POINTWISE_ERROR and self.offset == 0.0:
-            self.offset = self.spec.offset
+        _check_temperature(self.temperature)
+
+    @property
+    def offset(self) -> float:
+        """The point-wise offset the rule applies: the spec's (0 for every
+        other kind)."""
+        return self.spec.offset
 
     def predict_mask(self, P: np.ndarray) -> np.ndarray:
         """Boolean membership mask over rows of a probability matrix."""
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
         self.spec.check_class_count(P.shape[1])
-        return rule_mask(self.spec, P, self.theta, offset=self.offset)
+        return rule_mask(self.spec, P, self.theta)
 
     def predict(self, p: np.ndarray) -> np.ndarray:
         """Ascending labels of one validated vector: a row of predict_mask."""
@@ -329,24 +333,9 @@ class CalibratedClassifier:
         return mask_to_labels(self.predict_mask(row)[0])
 
     def scores_for(self, scores: ScoreSet) -> np.ndarray:
-        """Probability matrix of ``scores`` at this classifier's temperature.
-
-        When the temperatures already agree the stored probabilities are
-        used as-is; otherwise the logits are rescaled (raising
-        :class:`MissingLogits` when unavailable) and checked, as in
-        :func:`rescaled`.
-        """
-        if self.temperature == scores.temperature:
-            return scores.probs
-        if scores.logits is None:
-            raise MissingLogits(
-                f"classifier expects temperature {self.temperature!r} but the "
-                f"score set was produced at {scores.temperature!r} and "
-                "carries no logits to rescale"
-            )
-        probs = softmax(scores.logits, self.temperature)
-        check_probability_rows(probs)  # a tiny T overflows to NaN rows
-        return probs
+        """Probability matrix of ``scores`` at this classifier's temperature,
+        the one :func:`rescaled` holds (without building a score set)."""
+        return _probs_at(scores, self.temperature)
 
     def predict_set_mask(self, scores: ScoreSet) -> np.ndarray:
         """Membership mask for a whole ScoreSet, honoring the temperature."""
@@ -361,6 +350,15 @@ def _provenance(n: int, seed: int | None) -> dict:
 
 
 # --- point-wise offset and temperature ---------------------------------------
+
+
+def _check_temperature(T) -> float:
+    """``T`` as a float; :class:`InvalidTemperature` unless ``0 < T < inf``
+    (NaN included)."""
+    T = float(T)
+    if not 0.0 < T < math.inf:
+        raise InvalidTemperature(f"temperature={T!r} must be finite and > 0")
+    return T
 
 
 def pointwise_offset(n: int, L: int) -> float:
@@ -524,7 +522,8 @@ def calibrate(
         ``"fit"`` learns it by likelihood on the calibration set.
     offset : float, "auto", or None
         Point-wise offset for the point-wise error rule.  ``"auto"`` uses
-        ``sqrt(L / n)``; ``None`` keeps the spec's value.
+        ``sqrt(L / n)``; ``None`` keeps the spec's value.  The returned
+        classifier's spec holds the resolved offset.
     """
     _require_nonempty(scores)
     spec.check_class_count(scores.L)
@@ -533,45 +532,30 @@ def calibrate(
         T = fit_temperature(scores)
         provenance["temperature_at_bound"] = T in TEMPERATURE_BOUNDS
     else:
-        T = float(temperature)
-        if T <= 0:
-            raise InvalidTemperature(f"temperature={T!r} must be > 0")
+        T = _check_temperature(temperature)
     scores = rescaled(scores, T)
     provenance["L"] = scores.L
 
     theta = None
     if spec.needs_fit:
         theta = _cutoff(spec, step_function(spec, scores))
-    resolved_offset = 0.0
-    if spec.kind is Kind.POINTWISE_ERROR:
+    if spec.kind is Kind.POINTWISE_ERROR and offset is not None:
         if offset == "auto":
-            resolved_offset = pointwise_offset(scores.n, scores.L)
-            resolved_offset = min(resolved_offset, spec.eps)
-        elif offset is None:
-            resolved_offset = spec.offset
-        else:
-            resolved_offset = float(offset)
-        if not 0.0 <= resolved_offset <= spec.eps:
-            raise InvalidOffset(
-                f"offset={resolved_offset!r} outside [0, {spec.eps!r}]"
-            )
-    clf = CalibratedClassifier(
+            offset = min(pointwise_offset(scores.n, scores.L), spec.eps)
+        # the spec checks the resolved offset lies in [0, eps]
+        spec = replace(spec, offset=float(offset))
+    return CalibratedClassifier(
         spec=spec, theta=theta, temperature=T, provenance=provenance
     )
-    clf.offset = resolved_offset  # as resolved: a 0 stays 0 under a spec offset
-    return clf
 
 
 def rescaled(scores: ScoreSet, T: float) -> ScoreSet:
     """``scores`` at temperature ``T``: itself when it already is, else its
     logits rescaled (raising :class:`MissingLogits` without them).  The
     one softmax is checked, so a ``T`` that overflows it raises."""
-    if T == scores.temperature:
+    probs = _probs_at(scores, T)
+    if probs is scores.probs:
         return scores
-    if scores.logits is None:
-        raise MissingLogits("cannot rescale to a new temperature without logits")
-    probs = softmax(scores.logits, T)
-    check_probability_rows(probs)
     return ScoreSet._trusted(
         ids=scores.ids,
         probs=probs,
@@ -580,3 +564,18 @@ def rescaled(scores: ScoreSet, T: float) -> ScoreSet:
         temperature=T,
         meta=dict(scores.meta),
     )
+
+
+def _probs_at(scores: ScoreSet, T: float) -> np.ndarray:
+    """The probability matrix of :func:`rescaled`: the stored one when the
+    temperatures agree, else the checked softmax of the logits at ``T``."""
+    if T == scores.temperature:
+        return scores.probs
+    if scores.logits is None:
+        raise MissingLogits(
+            f"cannot rescale scores at temperature {scores.temperature!r} "
+            f"to {T!r} without logits"
+        )
+    probs = softmax(scores.logits, T)
+    check_probability_rows(probs)
+    return probs

@@ -12,14 +12,16 @@ sorted test scores at each refit cutoff.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibration import CalibratedClassifier, calibrate, rescaled
-from .calibration import _cutoff, _knots, _require_nonempty, _temperature_fit
+from .calibration import _check_temperature, _cutoff, _knots, _require_nonempty
+from .calibration import _temperature_fit
 from .core import ScoreSet, check_probability_rows, softmax, topk_mask
-from .errors import EmptyBins, InvalidTemperature, KOutOfRange, MissingLogits
+from .errors import EmptyBins, InvalidBeta, KOutOfRange, MissingLogits
 from .errors import PredsetsError
 from .formulations import FormulationSpec, Kind, MODE_UNION_POINTWISE
 from .formulations import pointwise_error_mask
@@ -55,8 +57,11 @@ def evaluate(
     """Compute every aggregate and per-class metric on a labeled test set.
 
     The test set must be disjoint from the calibration data for the
-    numbers to be honest; that is the caller's responsibility.
+    numbers to be honest; that is the caller's responsibility.  ``beta``
+    must be finite and > 0 (:class:`InvalidBeta`).
     """
+    if not 0.0 < beta < math.inf:
+        raise InvalidBeta(f"beta={beta!r} must be finite and > 0")
     labels = test.require_labels("evaluate")
     mask = classifier.predict_set_mask(test)
     n = test.n
@@ -283,8 +288,8 @@ def _bootstrap(spec, calib, test, seeds, stream, temperature, fixed):
         if calib.logits is None:
             raise MissingLogits("temperature fitting needs logits")
         fit_rows = _temperature_fit(calib.logits, calib.labels)
-    elif float(temperature) <= 0:
-        raise InvalidTemperature(f"temperature={float(temperature)!r} must be > 0")
+    else:
+        T = _check_temperature(temperature)
     errors, sizes, first = [], [], None
     for rep in range(seeds):
         rng = np.random.default_rng([*stream, rep])
@@ -303,7 +308,6 @@ def _bootstrap(spec, calib, test, seeds, stream, temperature, fixed):
             knots = _knots(spec.kind, P, labels, spec.k, spec.eps)
             fixed = {T: [knots, None]}
         else:
-            T = float(temperature)
             if T not in fixed:
                 at = rescaled(calib, T)
                 knots = _knots(spec.kind, at.probs, at.labels, spec.k, spec.eps)

@@ -242,12 +242,12 @@ def pointwise_error_mask(
     return mask
 
 
-def rule_mask(spec: FormulationSpec, P: np.ndarray, theta: float | None,
-              offset: float | None = None) -> np.ndarray:
+def rule_mask(spec: FormulationSpec, P: np.ndarray,
+              theta: float | None) -> np.ndarray:
     """Membership mask of any formulation over rows of ``P``.
 
-    ``theta`` is the fitted threshold for the kinds that use one;
-    ``offset`` overrides the spec's point-wise offset when given.
+    ``theta`` is the fitted threshold for the kinds that use one; the
+    point-wise rule reads its offset from the spec.
 
     The hybrid error rule has two combine modes.  ``lemma-threshold``
     applies the stated closed form: thresholding at the calibrated cutoff.
@@ -261,8 +261,7 @@ def rule_mask(spec: FormulationSpec, P: np.ndarray, theta: float | None,
     if kind is Kind.TOP_K:
         return topk_mask(P, spec.k)
     if kind is Kind.POINTWISE_ERROR:
-        off = spec.offset if offset is None else offset
-        return pointwise_error_mask(P, spec.eps, off)
+        return pointwise_error_mask(P, spec.eps, spec.offset)
     if kind is Kind.PENALIZED:
         return threshold_mask(P, spec.lam)
     if kind in (Kind.AVERAGE_SIZE, Kind.AVERAGE_ERROR, Kind.F_SCORE):

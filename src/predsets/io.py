@@ -213,8 +213,7 @@ def read_distribution(path) -> DiscreteDistribution:
 
 # --- model files -------------------------------------------------------------
 
-# the classifier-level offset line is authoritative, so the spec's own
-# offset field is not serialized separately
+# the spec's offset has its own line, next to the temperature
 _SPEC_FIELDS = ("k", "eps", "lam", "kbar", "ebar", "beta", "mode")
 
 #: Provenance keys a model file carries, in file order, with their parsers.
@@ -313,7 +312,6 @@ def read_model(path) -> CalibratedClassifier:
         spec=spec,
         theta=theta,
         temperature=temperature,
-        offset=offset,
         provenance=provenance,
     )
 

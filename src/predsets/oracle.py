@@ -4,7 +4,9 @@ Synthetic finite distributions expose the exact conditional probabilities,
 so every population quantity (error, size, threshold functions) can be
 computed in closed form and every formulation's constrained optimum can be
 found by exhaustive enumeration.  The closed-form rules are then checked
-against those optima instead of against themselves.
+against those optima instead of against themselves.  A population cutoff
+is the fitted one: the calibrator's knots and cutoff, run on the
+distribution as a calibration set weighted by its marginal.
 """
 
 from __future__ import annotations
@@ -14,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import (
-    EmpiricalStepFunction,
-    fscore_root,
-    generalized_inverse,
-    largest_level_knot,
-)
+from .calibration import EmpiricalStepFunction, _cutoff, _knots
 from .core import (
     ScoreSet,
     check_probability_rows,
@@ -32,7 +29,6 @@ from .formulations import (
     Kind,
     MODE_LEMMA_THRESHOLD,
     MODE_UNION_POINTWISE,
-    pointwise_error_mask,
     rule_mask,
 )
 
@@ -133,50 +129,30 @@ def _mask_assignment(
     )
 
 
-# --- exact threshold functions ------------------------------------------------
+# --- population cutoffs ------------------------------------------------------
 
 
-@dataclass
-class ExactThresholdFunctions:
-    """Population versions of the calibration step functions."""
+def population_step_function(
+    dist: DiscreteDistribution, spec: FormulationSpec
+) -> EmpiricalStepFunction:
+    """The population twin of :func:`~predsets.calibration.step_function`.
 
-    G: EmpiricalStepFunction
-    H: EmpiricalStepFunction
-    G_k: dict[int, EmpiricalStepFunction]
-    H_eps: EmpiricalStepFunction | None
-    eps: float | None
-
-
-def exact_threshold_functions(
-    dist: DiscreteDistribution, eps: float | None = None
-) -> ExactThresholdFunctions:
-    """Exact G, H, all G_k, and (when ``eps`` is given) H_eps.
-
-    Knot weights are the marginal probabilities; for H and H_eps each knot
-    additionally carries its own probability mass, matching the population
-    definitions the empirical fits estimate.
+    The distribution is a weighted calibration set: its support points are
+    the rows and its marginal their weights, with norm 1.  The knots are
+    those the fit builds, so G (average-size, f-score), G_k (hybrid-size)
+    and the point-wise member knots (hybrid-error, whose
+    :meth:`~EmpiricalStepFunction.mass` is H_eps) are the population
+    functions.  A population has no sampled labels, so its H
+    (average-error) is the mass of G: each knot carries its own
+    probability.
     """
-    m, L = dist.n_points, dist.L
-    w = np.repeat(dist.marginal, L)
-    flat = dist.cond.ravel()
-    G = EmpiricalStepFunction(flat, w)
-    H = EmpiricalStepFunction(flat, w * flat)
-
-    desc = np.sort(dist.cond, axis=1)[:, ::-1]
-    G_k = {
-        k: EmpiricalStepFunction(
-            desc[:, :k].ravel(), np.repeat(dist.marginal, k)
-        )
-        for k in range(1, L + 1)
-    }
-
-    H_eps = None
-    if eps is not None:
-        member = pointwise_error_mask(dist.cond, eps, 0.0)
-        knots = dist.cond[member]
-        point_weight = np.broadcast_to(dist.marginal[:, None], dist.cond.shape)
-        H_eps = EmpiricalStepFunction(knots, point_weight[member] * knots)
-    return ExactThresholdFunctions(G=G, H=H, G_k=G_k, H_eps=H_eps, eps=eps)
+    if spec.kind is Kind.AVERAGE_ERROR:
+        return _knots(
+            Kind.AVERAGE_SIZE, dist.cond, None, weights=dist.marginal
+        ).mass()
+    return _knots(
+        spec.kind, dist.cond, None, spec.k, spec.eps, weights=dist.marginal
+    )
 
 
 def population_threshold(
@@ -184,32 +160,14 @@ def population_threshold(
 ) -> float | None:
     """The exact distribution-level cutoff for threshold-style formulations.
 
-    Returns None for kinds whose rule needs no fitted threshold.
+    It is the fitted cutoff, :func:`~predsets.calibration._cutoff`, read
+    off :func:`population_step_function`: the code ``calibrate`` and the
+    sweep run.  Returns None for kinds whose rule needs no fitted
+    threshold.
     """
-    kind = spec.kind
-    if kind in (Kind.TOP_K, Kind.POINTWISE_ERROR, Kind.PENALIZED):
+    if not spec.needs_fit:
         return None
-    if kind is Kind.F_SCORE:
-        return population_fscore_root(dist, spec.beta)
-    fns = exact_threshold_functions(
-        dist, eps=spec.eps if kind is Kind.HYBRID_ERROR else None
-    )
-    if kind is Kind.AVERAGE_SIZE:
-        return generalized_inverse(fns.G, spec.kbar)
-    if kind is Kind.AVERAGE_ERROR:
-        return largest_level_knot(fns.H, 1.0 - spec.ebar)
-    if kind is Kind.HYBRID_SIZE:
-        return generalized_inverse(fns.G_k[spec.k], spec.kbar)
-    if kind is Kind.HYBRID_ERROR:
-        return largest_level_knot(fns.H_eps, 1.0 - spec.ebar)
-    raise ValueError(f"unhandled kind {kind!r}")  # pragma: no cover
-
-
-def population_fscore_root(dist: DiscreteDistribution, beta: float) -> float:
-    """Exact root of the marginal-weighted F-score condition: the same
-    closed form as the empirical fit, over knots weighted by the marginal."""
-    G = EmpiricalStepFunction(dist.cond.ravel(), np.repeat(dist.marginal, dist.L))
-    return fscore_root(G, beta)
+    return _cutoff(spec, population_step_function(dist, spec))
 
 
 def closed_form_assignment(
@@ -565,7 +523,8 @@ def sample_binding_spec(
     """Random parameters for ``kind`` whose constraint binds on ``dist``.
 
     Average-type budgets are sampled from the attainable values of the
-    exact threshold functions (plus ``BINDING_MARGIN``): on a finite
+    population step functions (plus ``BINDING_MARGIN``), built under a
+    placeholder budget, which does not change the knots: on a finite
     support, the closed-form rule matches the deterministic optimum
     exactly when the budget sits on that grid, mirroring the continuity
     assumption the closed forms are derived under.
@@ -585,32 +544,31 @@ def sample_binding_spec(
         return FormulationSpec(
             Kind.F_SCORE, beta=float(rng.uniform(0.5, 2.0))
         )
-    fns = exact_threshold_functions(dist)
     if kind is Kind.AVERAGE_SIZE:
-        j = int(rng.integers(1, fns.G.scores.size))
-        return FormulationSpec(
-            Kind.AVERAGE_SIZE,
-            kbar=float(fns.G.tail[j]) + BINDING_MARGIN,
-        )
+        g = population_step_function(dist, FormulationSpec(kind, kbar=1.0))
+        j = int(rng.integers(1, g.scores.size))
+        return FormulationSpec(kind, kbar=float(g.tail[j]) + BINDING_MARGIN)
     if kind is Kind.AVERAGE_ERROR:
-        j = int(rng.integers(1, fns.H.scores.size))
+        h = population_step_function(dist, FormulationSpec(kind, ebar=0.5))
+        j = int(rng.integers(1, h.scores.size))
         return FormulationSpec(
-            Kind.AVERAGE_ERROR,
-            ebar=1.0 - float(fns.H.tail[j]) + BINDING_MARGIN,
+            kind, ebar=1.0 - float(h.tail[j]) + BINDING_MARGIN
         )
     if kind is Kind.HYBRID_SIZE:
         k = int(rng.integers(2, L + 1)) if L > 2 else 2
-        g_k = fns.G_k[k]
+        g_k = population_step_function(
+            dist, FormulationSpec(kind, kbar=1.0, k=k)
+        )
         j = int(rng.integers(1, g_k.scores.size))
         return FormulationSpec(
-            Kind.HYBRID_SIZE,
-            kbar=float(g_k.tail[j]) + BINDING_MARGIN,
-            k=k,
+            kind, kbar=float(g_k.tail[j]) + BINDING_MARGIN, k=k
         )
     if kind is Kind.HYBRID_ERROR:
         for _ in range(32):
             eps = float(rng.uniform(0.1, 0.5))
-            h_eps = exact_threshold_functions(dist, eps=eps).H_eps
+            h_eps = population_step_function(
+                dist, FormulationSpec(kind, ebar=0.0, eps=eps)
+            ).mass()
             # knots whose level keeps ebar in [0, eps)
             ok = [
                 j
@@ -620,7 +578,7 @@ def sample_binding_spec(
             if ok:
                 j = ok[int(rng.integers(len(ok)))]
                 return FormulationSpec(
-                    Kind.HYBRID_ERROR,
+                    kind,
                     ebar=max(
                         1.0 - float(h_eps.tail[j]) + BINDING_MARGIN, 0.0
                     ),

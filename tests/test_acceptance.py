@@ -31,11 +31,11 @@ from predsets.oracle import (
     DiscreteDistribution,
     brute_force_avg_error_with_size_cap,
     equivalence_suite,
-    exact_threshold_functions,
     exact_top_k_error,
     infeasibility_records,
     make_distribution,
-    population_fscore_root,
+    population_step_function,
+    population_threshold,
     random_test_distribution,
     sample_scores,
 )
@@ -230,7 +230,9 @@ def test_criterion_6_fscore_root():
     ]
     for template, seed, beta in cases:
         dist = make_distribution(template, 6, seed, support=16)
-        theta_star = population_fscore_root(dist, beta)
+        theta_star = population_threshold(
+            dist, FormulationSpec(Kind.F_SCORE, beta=beta)
+        )
         hinge = np.clip(dist.cond - theta_star, 0.0, None).sum(axis=1)
         residual = abs(
             beta * beta * theta_star - float(dist.marginal @ hinge)
@@ -292,13 +294,14 @@ def test_criterion_7_equivalences():
 
     N = 100_000
     dist = make_distribution("dirichlet-like", 4, 7)
-    fns = exact_threshold_functions(dist)
     cal = sample_scores(dist, N, 7)
     probes = np.linspace(0.02, 0.95, 20)
-    g = step_function(FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), cal)
-    h = step_function(FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.5), cal)
-    g_err = np.abs(g.value(probes) - fns.G.value(probes))
-    h_err = np.abs(h.value(probes) - fns.H.value(probes))
+    size = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
+    error = FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.5)
+    g, h = step_function(size, cal), step_function(error, cal)
+    G, H = (population_step_function(dist, spec) for spec in (size, error))
+    g_err = np.abs(g.value(probes) - G.value(probes))
+    h_err = np.abs(h.value(probes) - H.value(probes))
     bound = 2.0 / math.sqrt(N)
     converged = bool(g_err.max() <= bound and h_err.max() <= bound)
 

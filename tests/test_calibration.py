@@ -699,6 +699,10 @@ class TestCalibrateDispatch:
              ThetaMismatch),
             (dict(spec=FormulationSpec(Kind.TOP_K, k=1), temperature=0.0),
              InvalidTemperature),
+            (dict(spec=FormulationSpec(Kind.TOP_K, k=1),
+                  temperature=float("inf")), InvalidTemperature),
+            (dict(spec=FormulationSpec(Kind.TOP_K, k=1),
+                  temperature=float("nan")), InvalidTemperature),
         ],
     )
     def test_classifier_errors_are_typed(self, fields, error):
@@ -706,6 +710,22 @@ class TestCalibrateDispatch:
             CalibratedClassifier(**fields)
         assert isinstance(exc.value, PredsetsError)
         assert isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, float("inf"), float("nan")])
+    def test_calibrate_rejects_bad_temperature(self, T):
+        s = one_sample([0.5, 0.3, 0.2])
+        with pytest.raises(InvalidTemperature):
+            calibrate(FormulationSpec(Kind.TOP_K, k=1), s, temperature=T)
+
+    def test_resolved_offset_lives_in_the_spec(self):
+        s = one_sample([0.5, 0.3, 0.2])
+        spec = FormulationSpec(Kind.POINTWISE_ERROR, eps=0.25, offset=0.05)
+        assert calibrate(spec, s).spec.offset == 0.05
+        clf = calibrate(spec, s, offset=0.0)  # a 0 stays 0 under a spec offset
+        assert clf.spec.offset == clf.offset == 0.0
+        assert clf.predict(np.array([0.5, 0.3, 0.2])).tolist() == [1, 2]
+        with pytest.raises(AttributeError):
+            clf.offset = 0.1  # read-only: the spec is its one home
 
     def test_direct_construction_adopts_spec_offset(self):
         clf = CalibratedClassifier(

@@ -1,11 +1,13 @@
 """Metrics, per-class violation proxies, sweeps, histograms."""
 
+import math
+
 import numpy as np
 import pytest
 
 from predsets.calibration import CalibratedClassifier, calibrate
 from predsets.core import ScoreSet
-from predsets.errors import EmptyBins, MissingLabels, PredsetsError
+from predsets.errors import EmptyBins, InvalidBeta, MissingLabels, PredsetsError
 from predsets.evaluation import (
     PerClassViolation,
     evaluate,
@@ -89,6 +91,12 @@ class TestEvaluate:
         s = ScoreSet(ids=["a"], probs=[[0.6, 0.4]])
         with pytest.raises(MissingLabels):
             evaluate(topk_clf(1), s)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+    def test_beta_must_be_finite_and_positive(self, beta):
+        # at beta = 0 every set empty would make F_beta 0 / 0
+        with pytest.raises(InvalidBeta):
+            evaluate(threshold_clf(1.01), labeled_set(), beta=beta)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_per_class_dicts_equal_class_loop(self, seed):
@@ -445,10 +453,11 @@ class TestTemperatureFitSweep:
     ])
     def test_bad_temperature_is_a_failed_point(self, template):
         calib, test = self.split()
-        curve = sweep(template, [1, 2], calib, test, seeds=2,
-                      temperature=-1.0)
-        assert [pt.status.split(":")[:2] for pt in curve.points] == [
-            ["failed", " InvalidTemperature"]] * 2
+        for temperature in (-1.0, math.inf, math.nan):
+            curve = sweep(template, [1, 2], calib, test, seeds=2,
+                          temperature=temperature)
+            assert [pt.status.split(":")[:2] for pt in curve.points] == [
+                ["failed", " InvalidTemperature"]] * 2
 
 
 class TestSizeErrorHistogram:

@@ -460,6 +460,46 @@ class TestCliCalibratePredictEvaluate:
         )
         assert code == 1
 
+    def test_infinite_temperature_rejected(self, tmp_path, synth_files,
+                                           capsys):
+        model = tmp_path / "m.model"
+        code = run_cli(
+            "calibrate", "--formulation", "top-k", "--k", 2,
+            "--temperature", "inf",
+            "--scores", synth_files["calib"], "--model", model,
+        )
+        assert code == 1
+        assert "error: InvalidTemperature: " in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_evaluate_rejects_zero_beta(self, tmp_path, synth_files,
+                                        capsys):
+        # a penalized model at lambda 2 predicts only empty sets, where
+        # F_beta at beta = 0 would divide 0 by 0
+        model, out = tmp_path / "m.model", tmp_path / "metrics.txt"
+        run_cli(
+            "calibrate", "--formulation", "penalized", "--lambda", 2,
+            "--scores", synth_files["calib"], "--model", model,
+        )
+        code = run_cli(
+            "evaluate", "--model", model, "--test", synth_files["test"],
+            "--out", out, "--beta", 0,
+        )
+        assert code == 1
+        assert "error: InvalidBeta: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_input_file_reported(self, tmp_path, synth_files,
+                                         capsys):
+        code = run_cli(
+            "predict", "--model", tmp_path / "missing.txt",
+            "--scores", synth_files["test"], "--out", tmp_path / "p.csv",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ")
+        assert "missing.txt" in err
+
     def test_predict_rows(self, tmp_path):
         scores = tmp_path / "s.csv"
         io.write_scores(

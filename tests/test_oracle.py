@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import predsets.calibration as calibration
+import predsets.oracle as oracle
 from predsets.errors import TooLargeForBruteForce
 from predsets.formulations import FormulationSpec, Kind
 from predsets.oracle import (
@@ -15,10 +17,10 @@ from predsets.oracle import (
     exact_error,
     exact_fscore,
     exact_size,
-    exact_threshold_functions,
     exact_top_k_error,
     infeasibility_records,
     make_distribution,
+    population_step_function,
     population_threshold,
     random_test_distribution,
     sample_scores,
@@ -28,6 +30,11 @@ from predsets.oracle import (
 ONE_POINT = DiscreteDistribution(
     x_ids=["x"], marginal=[1.0], cond=[[0.5, 0.3, 0.2]]
 )
+
+#: placeholder budgets: the knots of a population step function do not
+#: depend on them
+SIZE = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
+ERROR = FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.5)
 
 
 class TestExactErrorAndSize:
@@ -72,21 +79,70 @@ class TestExactErrorAndSize:
 
 class TestExactThresholdFunctions:
     def test_one_point_values(self):
-        fns = exact_threshold_functions(ONE_POINT, eps=0.4)
-        assert fns.G.value(0.4) == 1.0
-        assert fns.H.value(0.4) == 0.5
-        assert fns.G.value(0.0) == 3.0
+        G = population_step_function(ONE_POINT, SIZE)
+        H = population_step_function(ONE_POINT, ERROR)
+        H_eps = population_step_function(
+            ONE_POINT, FormulationSpec(Kind.HYBRID_ERROR, ebar=0.0, eps=0.4)
+        ).mass()
+        assert G.value(0.4) == 1.0
+        assert H.value(0.4) == 0.5
+        assert G.value(0.0) == 3.0
         # at eps=0.4 the point-wise set is {1} with mass 0.6... cumulative
         # 0.5 < 0.6 so the cut is 2: knots 0.5 and 0.3 with their own mass
-        assert fns.H_eps.total == pytest.approx(0.8)
+        assert H_eps.total == pytest.approx(0.8)
 
     def test_g_k_totals(self):
         rng = np.random.default_rng(1)
         d = random_test_distribution(rng, L=5, n_points=3)
-        fns = exact_threshold_functions(d)
         for k in range(1, 6):
-            assert fns.G_k[k].value(0.0) == pytest.approx(k, abs=1e-12)
-        assert fns.H.total == pytest.approx(1.0, abs=1e-12)
+            G_k = population_step_function(
+                d, FormulationSpec(Kind.HYBRID_SIZE, kbar=0.5, k=k)
+            )
+            assert G_k.value(0.0) == pytest.approx(k, abs=1e-12)
+        H = population_step_function(d, ERROR)
+        assert H.total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSharedCutoffPath:
+    """population_threshold runs the calibrator's knots and cutoff, so a
+    change to either changes every fitted kind's population cutoff."""
+
+    DIST = random_test_distribution(
+        np.random.default_rng(12), L=4, n_points=3
+    )
+    SPECS = (
+        FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.5),
+        FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.2),
+        FormulationSpec(Kind.HYBRID_SIZE, kbar=1.5, k=3),
+        FormulationSpec(Kind.HYBRID_ERROR, ebar=0.3, eps=0.4),
+        FormulationSpec(Kind.F_SCORE, beta=1.0),
+    )
+
+    def thresholds(self):
+        return [population_threshold(self.DIST, spec) for spec in self.SPECS]
+
+    def test_wrapped_cutoff_changes_every_kind(self, monkeypatch):
+        before = self.thresholds()
+        seen = []
+
+        def shifted(spec, f):
+            seen.append(spec.kind)
+            return calibration._cutoff(spec, f) + 0.01
+
+        monkeypatch.setattr(oracle, "_cutoff", shifted)
+        assert self.thresholds() == [theta + 0.01 for theta in before]
+        assert seen == [spec.kind for spec in self.SPECS]
+
+    def test_mutated_knots_change_every_kind(self, monkeypatch):
+        before = self.thresholds()
+
+        def doubled(kind, P, labels, k=None, eps=None, weights=None):
+            # every support point counted twice
+            return calibration._knots(kind, P, labels, k, eps, 2 * weights)
+
+        monkeypatch.setattr(oracle, "_knots", doubled)
+        after = self.thresholds()
+        assert all(a != b for a, b in zip(after, before)), (before, after)
 
 
 class TestBruteForce:
@@ -127,9 +183,9 @@ class TestBruteForce:
         # with thresholding at the population quantile of the binding level
         rng = np.random.default_rng(4)
         d = random_test_distribution(rng, L=3, n_points=2)
-        fns = exact_threshold_functions(d)
+        H = population_step_function(d, ERROR)
         j = 3
-        ebar = 1.0 - float(fns.H.tail[j]) + 1e-9
+        ebar = 1.0 - float(H.tail[j]) + 1e-9
         spec = FormulationSpec(Kind.AVERAGE_ERROR, ebar=ebar)
         res = brute_force_optimal(d, spec)
         closed = closed_form_assignment(d, spec)
