@@ -12,9 +12,11 @@ labels, also runs calibrate, predict and evaluate for the point-wise and
 hybrid-error union models.  Its rows are put in descending order of their
 largest probability, so blocks of one-label sets come first and the
 point-wise mask's short-prefix blocks and its full-row fallback both
-leave a fingerprint.  Prints one ``sha256  name`` line per output file
-and per command's stdout and exit code.  Two trees that behave alike
-print identical text:
+leave a fingerprint.  A noiseless ``synth`` set at L=1000 runs calibrate,
+predict and evaluate for the top-k and point-wise models, so the
+sampler's noiseless logits at many classes leave one too.  Prints one
+``sha256  name`` line per output file and per command's stdout and exit
+code.  Two trees that behave alike print identical text:
 
     PYTHONPATH=src python scripts/cli_digest.py > new.txt
     PYTHONPATH=../old/src python scripts/cli_digest.py > old.txt
@@ -65,6 +67,11 @@ TWO_REGIME_MODELS = tuple(
                 "hybrid-error-union")
 )
 
+#: the models also run on the noiseless set
+NOISELESS_MODELS = tuple(
+    (name, flags) for name, flags in MODELS if name in ("top-k", "pointwise")
+)
+
 #: name, sweep flags; each runs at T=1 and at T=fit
 SWEEPS = (
     ("top-k", ["--formulation", "top-k", "--grid", "1,5,20"]),
@@ -103,10 +110,10 @@ def peaked_first(path: str) -> None:
 
 
 def chain(data: str, template: str, L: int, models=MODELS,
-          sweeps=SWEEPS, reorder=False) -> None:
+          sweeps=SWEEPS, reorder=False, noise="0.3") -> None:
     run(f"synth-{data}", [
         "synth", "--template", template, "--classes", str(L),
-        "--n", "1500", "--seed", "7", "--noise", "0.3", "--out-prefix", data,
+        "--n", "1500", "--seed", "7", "--noise", noise, "--out-prefix", data,
     ])
     calib, test = f"{data}_calib.csv", f"{data}_test.csv"
     if reorder:
@@ -142,6 +149,8 @@ def digest_all() -> int:
                 chain(f"L{L}", "dirichlet-like", L)
             chain("two-regime-L1000", "two-regime", 1000,
                   TWO_REGIME_MODELS, sweeps=(), reorder=True)
+            chain("noiseless-L1000", "dirichlet-like", 1000,
+                  NOISELESS_MODELS, sweeps=(), noise="0")
             run("synth-fixture", [
                 "synth", "--template", "dirichlet-like", "--classes", "4",
                 "--support", "3", "--n", "30", "--seed", "5",

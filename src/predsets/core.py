@@ -94,10 +94,15 @@ def validate_probability_vector(
 def check_probability_rows(P: np.ndarray, tol: float = DEFAULT_SUM_TOL):
     """Raise unless every row of the 2-D ``P`` is a probability vector.
 
-    The finiteness check comes first: ``NaN < 0`` and ``|NaN - 1| > tol``
-    are both False, so the sign and sum checks alone would pass NaN.  Each
+    A valid ``P`` is accepted in two reductions: a minimum ``>= 0``, which
+    NaN and -inf fail, and row sums within ``tol`` of one, which +inf and
+    overflowing sums fail.  Anything else runs the ordered checks that name
+    the fault, finiteness first: ``NaN < 0`` and ``|NaN - 1| > tol`` are
+    both False, so the sign and sum checks alone would pass NaN.  Each
     error is a :class:`~predsets.errors.RowError` carrying the ``row``.
     """
+    if P.min(initial=0.0) >= 0.0 and np.all(abs(P.sum(axis=1) - 1.0) <= tol):
+        return
     finite = np.isfinite(P)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]

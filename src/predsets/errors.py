@@ -84,7 +84,7 @@ class InvalidOffset(PredsetsError, ValueError):
 
 
 class NegativeLambda(PredsetsError, ValueError):
-    """Penalty weight below zero."""
+    """Penalty weight below zero or not finite."""
 
 
 class KbarOutOfRange(PredsetsError, ValueError):
@@ -100,7 +100,7 @@ class ParameterOrderViolation(PredsetsError, ValueError):
 
 
 class InvalidBeta(PredsetsError, ValueError):
-    """F-score weight beta not strictly positive."""
+    """F-score weight beta not finite and > 0."""
 
 
 # --- calibration ----------------------------------------------------------

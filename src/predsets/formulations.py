@@ -67,12 +67,12 @@ class FormulationSpec:
     ==================  =============================================
     top-k               k in [0, L]
     pointwise-error     eps in [0, 1], offset in [0, eps]
-    penalized           lam >= 0
+    penalized           lam in [0, inf)
     average-size        kbar in (0, L]
     average-error       ebar in (0, 1)
     hybrid-size         0 < kbar < k <= L
     hybrid-error        0 <= ebar < eps <= 1, mode
-    f-score             beta > 0
+    f-score             beta in (0, inf)
     ==================  =============================================
 
     Bounds involving L are checked at fit/predict time, when L is known.
@@ -104,12 +104,12 @@ class FormulationSpec:
                 )
         elif kind is Kind.PENALIZED:
             self._need("lam")
-            if not self.lam >= 0:
-                raise NegativeLambda(f"lambda={self.lam!r} < 0")
+            if not 0 <= self.lam < np.inf:
+                raise NegativeLambda(f"lambda={self.lam!r} must be finite and >= 0")
         elif kind is Kind.AVERAGE_SIZE:
             self._need("kbar")
-            if not self.kbar > 0:
-                raise KbarOutOfRange(f"kbar={self.kbar!r} must be > 0")
+            if not 0 < self.kbar < np.inf:
+                raise KbarOutOfRange(f"kbar={self.kbar!r} must be finite and > 0")
         elif kind is Kind.AVERAGE_ERROR:
             self._need("ebar")
             if not 0.0 < self.ebar < 1.0:
@@ -118,8 +118,8 @@ class FormulationSpec:
             self._need("kbar", "k")
             if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
                 raise KOutOfRange(f"k={self.k!r} must be an integer >= 1")
-            if not 0.0 < self.kbar:
-                raise KbarOutOfRange(f"kbar={self.kbar!r} must be > 0")
+            if not 0.0 < self.kbar < np.inf:
+                raise KbarOutOfRange(f"kbar={self.kbar!r} must be finite and > 0")
             if not self.kbar < self.k:
                 raise ParameterOrderViolation(
                     f"need kbar < k, got kbar={self.kbar!r}, k={self.k!r}"
@@ -137,8 +137,8 @@ class FormulationSpec:
                 raise ValueError(f"unknown combine mode {self.mode!r}")
         elif kind is Kind.F_SCORE:
             self._need("beta")
-            if not self.beta > 0:
-                raise InvalidBeta(f"beta={self.beta!r} must be > 0")
+            if not 0 < self.beta < np.inf:
+                raise InvalidBeta(f"beta={self.beta!r} must be finite and > 0")
         self._reject_stray_fields()
 
     _RELEVANT = {

@@ -21,6 +21,7 @@ from .core import (
     ScoreSet,
     check_probability_rows,
     mask_to_labels,
+    row_blocks,
     topk_mask,
 )
 from .errors import RowError, TooFewClasses, TooLargeForBruteForce
@@ -426,28 +427,37 @@ def sample_scores(
     point as its scores (oracle-calibrated); ``noise > 0`` multiplies them
     by log-normal factors and renormalizes, emulating a miscalibrated
     model while labels still follow the truth.
+
+    The label CDF, and at noise 0 the logits, are computed once per support
+    point and gathered per row, which gives each row the same numbers as its
+    own cumulative sum and ``log``; labels are drawn in row blocks.
     """
     if n < 1:
         raise ValueError(f"n={n!r} must be >= 1")
     rng = np.random.default_rng([17, seed])
     x_idx = rng.choice(dist.n_points, size=n, p=dist.marginal)
-    true_p = dist.cond[x_idx]
+    cdf = np.cumsum(dist.cond, axis=1)
     u = rng.random(n)
-    labels = (np.cumsum(true_p, axis=1) < u[:, None]).sum(axis=1) + 1
+    labels = np.empty(n, dtype=np.int64)
+    for rows in row_blocks(n, dist.L):  # no n x L temporary
+        labels[rows] = (cdf[x_idx[rows]] < u[rows, None]).sum(axis=1) + 1
     labels = np.minimum(labels, dist.L)
 
     if noise > 0.0:
+        true_p = dist.cond[x_idx]
         probs = true_p * np.exp(noise * rng.standard_normal(true_p.shape))
         probs = probs / probs.sum(axis=1, keepdims=True)
+        logits = np.log(probs)
     else:
-        probs = true_p.copy()
+        probs = dist.cond[x_idx]
+        logits = np.log(dist.cond)[x_idx]
     check_probability_rows(probs)
     # labels lie in [1, L] and softmax(log p) = p by construction
     return ScoreSet._trusted(
         ids=[f"{id_prefix}{i:07d}" for i in range(n)],
         probs=probs,
         labels=labels,
-        logits=np.log(probs),
+        logits=logits,
         temperature=1.0,
         meta={
             "truth": dist,

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from predsets.calibration import CalibratedClassifier
 from predsets.core import (
+    DEFAULT_SUM_TOL,
     ScoreSet,
+    check_probability_rows,
     threshold_set,
     top_indices,
     validate_probability_vector,
@@ -20,6 +22,7 @@ from predsets.errors import (
     NonFiniteEntry,
     PredsetsError,
     RowCountMismatch,
+    RowError,
     SumOutOfTolerance,
     TooFewClasses,
 )
@@ -238,3 +241,87 @@ class TestNonFiniteRejected:
                 x_ids=["x", "y"], marginal=[bad, 1.0],
                 cond=[[0.5, 0.5], [0.5, 0.5]],
             )
+
+
+def ordered_row_checks(P, tol=DEFAULT_SUM_TOL):
+    """The row check's ordered checks alone: finiteness, sign, then sum."""
+    finite = np.isfinite(P)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NonFiniteEntry(f"probability {float(P[i, j])!r} is not finite", i, j)
+    if np.any(P < 0.0):
+        i, j = np.argwhere(P < 0.0)[0]
+        raise NegativeEntry(f"probability {float(P[i, j])!r} < 0", i, j)
+    sums = P.sum(axis=1)
+    off = np.abs(sums - 1.0)
+    if np.any(off > tol):
+        i = int(np.argmax(off))
+        raise SumOutOfTolerance(float(sums[i]), tol, i)
+
+
+def faulty_rows(*faults):
+    """Four valid rows of three entries, with ``(row, entries)`` put in."""
+    P = np.full((4, 3), 0.25)
+    P[:, 0] = 0.5
+    for row, entries in faults:
+        P[row] = entries
+    return P
+
+
+class TestRowCheckErrors:
+    """A valid matrix is accepted in two reductions; every fault still
+    raises what the ordered checks raise, with the same row, entry and
+    message."""
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            faulty_rows((2, [0.5, np.nan, 0.5])),
+            faulty_rows((1, [np.inf, 0.0, 0.0])),
+            faulty_rows((3, [0.5, 0.5, -np.inf])),
+            faulty_rows((0, [np.inf, -np.inf, 1.0])),
+            faulty_rows((2, [0.6, -0.1, 0.5])),
+            faulty_rows((1, [0.5, 0.25, 0.26]), (3, [0.5, 0.25, 0.2501])),
+            faulty_rows((2, [1e308, 1e308, 0.0])),
+            faulty_rows((3, [np.nan, 0.5, 0.5]), (1, [1.5, -0.5, 0.0])),
+        ],
+        ids=["nan", "inf", "-inf", "inf-and-minus-inf", "negative",
+             "sum-off", "sum-overflows", "later-nan-earlier-negative"],
+    )
+    def test_same_error_as_the_ordered_checks(self, P):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RowError) as want:
+                ordered_row_checks(P)
+            with pytest.raises(RowError) as got:
+                check_probability_rows(P)
+        assert type(got.value) is type(want.value)
+        assert (got.value.row, got.value.entry) == (
+            want.value.row, want.value.entry
+        )
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "P",
+        [np.zeros((0, 3)), np.array([[-0.0, 1.0], [0.5, 0.5]]), faulty_rows()],
+        ids=["no-rows", "minus-zero", "valid"],
+    )
+    def test_valid_matrices_pass(self, P):
+        check_probability_rows(P)
+        ordered_row_checks(P)
+
+    @pytest.mark.parametrize(
+        "marginal, error, text",
+        [
+            ([0.5, 0.5 + 1e-10], SumOutOfTolerance,
+             "marginal probabilities sum to 1.0000000001, outside 1 +/- 1e-12"),
+            ([1.5, -0.5], NegativeEntry, "row 1: marginal probability -0.5 < 0"),
+        ],
+    )
+    def test_distribution_marginal_errors(self, marginal, error, text):
+        with pytest.raises(error) as exc:
+            DiscreteDistribution(
+                x_ids=["x", "y"], marginal=marginal,
+                cond=[[0.5, 0.5], [0.5, 0.5]],
+            )
+        assert str(exc.value) == text
+        assert exc.value.entry is None

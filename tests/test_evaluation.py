@@ -252,6 +252,20 @@ class TestSweep:
         assert statuses[0] == "ok" and statuses[2] == "ok"
         assert statuses[1].startswith("failed: KOutOfRange")
 
+    def test_infinite_beta_grid_point_marked_failed(self):
+        dist = make_distribution("dirichlet-like", 3, 2)
+        calib = sample_scores(dist, 100, 2)
+        test = sample_scores(dist, 100, 3)
+        curve = sweep(
+            FormulationSpec(Kind.F_SCORE, beta=1.0), [1.0, math.inf],
+            calib, test, seeds=1,
+        )
+        statuses = [pt.status for pt in curve.points]
+        assert statuses[0] == "ok"
+        assert statuses[1] == (
+            "failed: InvalidBeta: beta=inf must be finite and > 0"
+        )
+
     def test_violation_quantiles_attached_for_error_kinds(self):
         dist = make_distribution("dirichlet-like", 3, 2)
         calib = sample_scores(dist, 200, 2)

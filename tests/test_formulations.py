@@ -8,8 +8,10 @@ from predsets import core
 from predsets.calibration import CalibratedClassifier, _temperature_fit
 from predsets.calibration import fit_temperature
 from predsets.errors import (
+    InvalidBeta,
     InvalidEpsilon,
     InvalidOffset,
+    KbarOutOfRange,
     KOutOfRange,
     NegativeLambda,
     ParameterOrderViolation,
@@ -247,6 +249,22 @@ class TestFormulationSpec:
     def test_nan_parameters_rejected(self, kind, params):
         params = {k: float("nan") if v == "x" else v for k, v in params.items()}
         with pytest.raises(ValueError):
+            FormulationSpec(kind, **params)
+
+    @pytest.mark.parametrize(
+        "kind, params, error",
+        [
+            (Kind.PENALIZED, {"lam": "x"}, NegativeLambda),
+            (Kind.AVERAGE_SIZE, {"kbar": "x"}, KbarOutOfRange),
+            (Kind.HYBRID_SIZE, {"kbar": "x", "k": 2}, KbarOutOfRange),
+            (Kind.F_SCORE, {"beta": "x"}, InvalidBeta),
+        ],
+    )
+    def test_infinite_parameters_rejected(self, kind, params, error):
+        # inf passed the sign checks and reached model files that predict
+        # refuses; kbar = inf was caught only at fit time, by kbar <= L
+        params = {k: float("inf") if v == "x" else v for k, v in params.items()}
+        with pytest.raises(error, match="must be finite"):
             FormulationSpec(kind, **params)
 
     def test_L_dependent_checks(self):

@@ -472,6 +472,28 @@ class TestCliCalibratePredictEvaluate:
         assert "error: InvalidTemperature: " in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["f-score", "--beta"], "InvalidBeta"),
+            (["penalized", "--lambda"], "NegativeLambda"),
+            (["average-size", "--kbar"], "KbarOutOfRange"),
+        ],
+    )
+    def test_infinite_parameter_rejected(self, tmp_path, synth_files,
+                                         capsys, flags, error):
+        # each wrote inf into a model file that predict then refused
+        model = tmp_path / "m.model"
+        code = run_cli(
+            "calibrate", "--formulation", *flags, "inf",
+            "--scores", synth_files["calib"], "--model", model,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ")
+        assert "=inf must be finite" in err
+        assert not model.exists()
+
     def test_evaluate_rejects_zero_beta(self, tmp_path, synth_files,
                                         capsys):
         # a penalized model at lambda 2 predicts only empty sets, where

@@ -376,3 +376,82 @@ class TestSynthGenerate:
             d, FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.5)
         )
         assert 0.0 <= theta <= 1.0
+
+
+def per_row_sample_scores(dist, n, seed, noise=0.0, id_prefix="s"):
+    """The sampler as an n x L formulation: each row's label CDF and logits
+    are computed on its own gathered row of ``dist.cond``."""
+    rng = np.random.default_rng([17, seed])
+    x_idx = rng.choice(dist.n_points, size=n, p=dist.marginal)
+    true_p = dist.cond[x_idx]
+    u = rng.random(n)
+    labels = (np.cumsum(true_p, axis=1) < u[:, None]).sum(axis=1) + 1
+    labels = np.minimum(labels, dist.L)
+    if noise > 0.0:
+        probs = true_p * np.exp(noise * rng.standard_normal(true_p.shape))
+        probs = probs / probs.sum(axis=1, keepdims=True)
+    else:
+        probs = true_p.copy()
+    return {
+        "ids": [f"{id_prefix}{i:07d}" for i in range(n)],
+        "probs": probs,
+        "labels": labels,
+        "logits": np.log(probs),
+        "x_ids": [dist.x_ids[i] for i in x_idx],
+    }
+
+
+#: a zero probability (logit -inf) and a support point that is never drawn
+HAND_BUILT = DiscreteDistribution(
+    x_ids=["a", "b", "never"],
+    marginal=[0.6, 0.4, 0.0],
+    cond=[[0.7, 0.0, 0.3], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]],
+)
+
+
+class TestSamplerBitForBit:
+    """The sampler gathers each support point's label CDF and noiseless
+    logits; every output equals the per-row formulation bit for bit."""
+
+    @staticmethod
+    def assert_same(dist, n, seed, noise):
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            got = sample_scores(dist, n, seed, noise=noise)
+            want = per_row_sample_scores(dist, n, seed, noise=noise)
+        assert got.ids == want["ids"]
+        assert got.meta["x_ids"] == want["x_ids"]
+        for name in ("probs", "labels", "logits"):
+            assert np.array_equal(getattr(got, name), want[name]), name
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("L", [2, 3, 7, 10, 100, 1001])
+    @pytest.mark.parametrize("template", oracle.TEMPLATES)
+    def test_templates(self, template, L, noise):
+        self.assert_same(make_distribution(template, L, 4), 300, 8, noise)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "template, support, n",
+        [
+            ("dirichlet-like", 1, 50),
+            ("near-deterministic", 1, 1),
+            ("dirichlet-like", 64, 5),  # most points are never drawn
+            ("two-regime", 2, 1),
+        ],
+    )
+    def test_small_support_and_n(self, template, support, n, noise):
+        dist = make_distribution(template, 7, 2, support=support)
+        self.assert_same(dist, n, 3, noise)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_zero_probability_and_undrawn_point(self, noise):
+        self.assert_same(HAND_BUILT, 200, 1, noise)
+        with np.errstate(divide="ignore"):
+            s = sample_scores(HAND_BUILT, 200, 1, noise=noise)
+        assert "never" not in s.meta["x_ids"]
+        assert np.isneginf(s.logits[np.array(s.meta["x_ids"]) == "a", 1]).all()
+
+    def test_fortran_ordered_cond(self):
+        dist = make_distribution("dirichlet-like", 10, 5)
+        dist.cond = np.asfortranarray(dist.cond)
+        self.assert_same(dist, 100, 2, 0.0)
