@@ -3,19 +3,15 @@
 Every rule maps class probabilities to a *set* of candidate labels.  Run
 this script to see how each formulation trades the size of that set
 against the chance of missing the true class.  All eight are built from
-two primitives, ``top_indices`` and ``threshold_set``; a classifier's
+two primitives, ``topk_mask`` and ``threshold_mask``, which keep the top
+``k`` entries or the entries ``>= theta`` of each row; a classifier's
 ``predict`` applies a whole formulation to one vector.
 """
 
 import numpy as np
 
-from predsets import (
-    CalibratedClassifier,
-    FormulationSpec,
-    Kind,
-    threshold_set,
-    top_indices,
-)
+from predsets import CalibratedClassifier, FormulationSpec, Kind
+from predsets.core import mask_to_labels, threshold_mask, topk_mask
 
 
 def predict(spec, p, theta=None):
@@ -28,7 +24,7 @@ print("conditional probabilities:", p, "\n")
 
 print("fixed-size rules")
 for k in (1, 2, 3):
-    labels = top_indices(p, k)
+    labels = mask_to_labels(topk_mask(p[None, :], k)[0])
     assert labels.tolist() == predict(FormulationSpec(Kind.TOP_K, k=k), p)
     print(f"  top-{k}:                 {labels.tolist()}")
 
@@ -45,7 +41,7 @@ print("\nthresholding rules (penalized / calibrated cutoffs)")
 for theta in (0.05, 0.12, 0.3):
     penalized = predict(FormulationSpec(Kind.PENALIZED, lam=theta), p)
     print(f"  cutoff {theta:<5} -> {penalized}")
-assert threshold_set(p, 0.12).tolist() == predict(
+assert mask_to_labels(threshold_mask(p, 0.12)).tolist() == predict(
     FormulationSpec(Kind.PENALIZED, lam=0.12), p
 )
 

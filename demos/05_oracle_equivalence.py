@@ -5,14 +5,16 @@ brute force.  This script builds one, prints its exact pooled-score
 function G, and confirms each closed-form rule attains the brute-force
 objective.  The population cutoffs come from the calibrator's own code:
 the distribution is a calibration set whose rows weigh their marginal
-probability, so the oracle checks the cutoff ``calibrate`` computes.  The
-hybrid error rule is special: its two readings are reported side by side
-without picking a winner.
+probability, so the oracle checks the cutoff ``calibrate`` computes.  Its
+sets are the classifier's membership masks, one row per support point,
+printed here as label tuples.  The hybrid error rule is special: its two
+readings are reported side by side without picking a winner.
 """
 
 import numpy as np
 
 from predsets import FormulationSpec, Kind, brute_force_optimal
+from predsets.core import mask_to_labels
 from predsets.oracle import (
     closed_form_assignment,
     equivalence_suite,
@@ -23,6 +25,15 @@ from predsets.oracle import (
     population_threshold,
     random_test_distribution,
 )
+
+
+def label_sets(dist, mask):
+    """Each support point's labels, read off its row of the mask."""
+    return {
+        x: tuple(mask_to_labels(row).tolist())
+        for x, row in zip(dist.x_ids, mask)
+    }
+
 
 rng = np.random.default_rng(42)
 dist = random_test_distribution(rng, L=4, n_points=3)
@@ -42,8 +53,8 @@ theta = population_threshold(dist, spec)
 closed = closed_form_assignment(dist, spec, theta)
 brute = brute_force_optimal(dist, spec)
 print(f"  population cutoff {theta:.4f}")
-print(f"  closed-form sets  {closed.assignment}")
-print(f"  brute-force sets  {brute.assignment.assignment}")
+print(f"  closed-form sets  {label_sets(dist, closed)}")
+print(f"  brute-force sets  {label_sets(dist, brute.mask)}")
 print(f"  objectives        {objective_value(dist, spec, closed):.6f} "
       f"vs {brute.objective:.6f}")
 

@@ -4,9 +4,12 @@ Runs ``synth``, ``calibrate`` (every kind, both hybrid-error modes, a
 fitted temperature and the automatic offset), ``predict``, ``evaluate
 --per-class``, ``sweep`` at T=1 and T=fit, and ``oracle-check`` in a
 temporary directory with ``SOURCE_DATE_EPOCH=0``, at L=100 and at L=1000.
-``oracle-check`` runs on 20 random distributions and on a desk-scale
-``synth`` truth file (4 classes, 3 support points) read back with
-``--fixture``, so the population cutoffs are fingerprinted both ways.
+``oracle-check`` runs on 20 random distributions and on two desk-scale
+``synth`` truth files read back with ``--fixture``, so the population
+cutoffs are fingerprinted both ways.  One has 4 classes and 3 support
+points.  The other has 9 classes and 2 support points: numpy sums rows
+of 8 or more entries pairwise, so the oracle's exact metrics and brute
+force leave a fingerprint there too.
 A two-regime set at L=1000, whose point-wise sets hold 1 to about 840
 labels, also runs calibrate, predict and evaluate for the point-wise and
 hybrid-error union models.  Its rows are put in descending order of their
@@ -158,6 +161,15 @@ def digest_all() -> int:
             ])
             run("oracle-check-fixture", [
                 "oracle-check", "--fixture", "fixture_truth.csv", "--seed", "1",
+            ])
+            run("synth-fixture9", [
+                "synth", "--template", "dirichlet-like", "--classes", "9",
+                "--support", "2", "--n", "30", "--seed", "5",
+                "--out-prefix", "fixture9",
+            ])
+            run("oracle-check-fixture9", [
+                "oracle-check", "--fixture", "fixture9_truth.csv",
+                "--seed", "1",
             ])
             run("oracle-check", ["oracle-check", "--count", "20", "--seed", "1"])
             for path in sorted(Path(tmp).iterdir()):

@@ -11,8 +11,6 @@ an evaluation harness for error/size trade-off curves.
 from .core import (
     ScoreSet,
     softmax,
-    threshold_set,
-    top_indices,
     validate_probability_vector,
 )
 from .formulations import (
@@ -35,16 +33,13 @@ from .calibration import (
 from .evaluation import (
     MetricsReport,
     PerClassViolation,
-    SizeErrorHistogram,
     SweepCurve,
     SweepPoint,
     evaluate,
     per_class_violation,
-    size_error_histogram,
     sweep,
 )
 from .oracle import (
-    AssignmentClassifier,
     BruteForceResult,
     DiscreteDistribution,
     brute_force_avg_error_with_size_cap,

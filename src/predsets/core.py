@@ -3,11 +3,10 @@
 Every prediction rule in this library is built from two operations on rows
 of conditional class probabilities: ``topk_mask(P, k)`` keeps the ``k``
 largest entries of each row and ``threshold_mask(P, theta)`` keeps the
-entries ``>= theta``; ``top_indices`` and ``threshold_set`` are their
-one-row views.  Equal probabilities go to the smaller label: a top set is
-read off each row's cut value by :func:`cut_mask`, which fills the ties at
-the cut in ascending label order, so no row is ever fully sorted.  Labels
-are 1-based integers in ``{1, ..., L}``; label sets are ascending
+entries ``>= theta``.  Equal probabilities go to the smaller label: a top
+set is read off each row's cut value by :func:`cut_mask`, which fills the
+ties at the cut in ascending label order, so no row is ever fully sorted.
+Labels are 1-based integers in ``{1, ..., L}``; label sets are ascending
 ``numpy`` integer arrays.  All functions here are pure: they never mutate
 their inputs and identical inputs give identical outputs.
 
@@ -179,17 +178,6 @@ def threshold_mask(P: np.ndarray, theta: float) -> np.ndarray:
 def mask_to_labels(mask_row: np.ndarray) -> np.ndarray:
     """Convert one boolean membership row to ascending 1-based labels."""
     return np.flatnonzero(mask_row) + 1
-
-
-def top_indices(p: np.ndarray, k: int) -> np.ndarray:
-    """The ``k`` most probable labels: one row of topk_mask."""
-    row = np.asarray(p, dtype=np.float64)[None, :]
-    return mask_to_labels(topk_mask(row, k)[0])
-
-
-def threshold_set(p: np.ndarray, theta: float) -> np.ndarray:
-    """Labels with probability ``>= theta``: one row of threshold_mask."""
-    return mask_to_labels(threshold_mask(p, theta))
 
 
 # --- score sets -------------------------------------------------------------

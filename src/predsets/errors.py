@@ -153,10 +153,6 @@ class InfeasiblePair(PredsetsError, RuntimeError):
 # --- evaluation and oracle ------------------------------------------------
 
 
-class EmptyBins(PredsetsError, ValueError):
-    """Histogram requested with fewer than two bin edges."""
-
-
 class TooLargeForBruteForce(PredsetsError, ValueError):
     """Joint enumeration would exceed the safety budget."""
 

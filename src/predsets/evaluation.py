@@ -21,7 +21,7 @@ from .calibration import CalibratedClassifier, calibrate, rescaled
 from .calibration import _check_temperature, _cutoff, _knots, _require_nonempty
 from .calibration import _temperature_fit
 from .core import ScoreSet, check_probability_rows, softmax, topk_mask
-from .errors import EmptyBins, InvalidBeta, KOutOfRange, MissingLogits
+from .errors import InvalidBeta, KOutOfRange, MissingLogits
 from .errors import PredsetsError
 from .formulations import FormulationSpec, Kind, MODE_UNION_POINTWISE
 from .formulations import pointwise_error_mask
@@ -357,51 +357,3 @@ def _metrics_at(clf: CalibratedClassifier, test: ScoreSet):
         return 1.0 - float(cover) / n, float(size) / n
 
     return at
-
-
-@dataclass
-class SizeErrorHistogram:
-    """2-D counts of per-class (mean size, error rate) pairs."""
-
-    size_edges: np.ndarray
-    error_edges: np.ndarray
-    counts: np.ndarray
-    per_class_size: dict[int, float]
-    per_class_error: dict[int, float]
-
-
-def size_error_histogram(
-    classifier: CalibratedClassifier,
-    test: ScoreSet,
-    size_bins,
-    error_bins,
-) -> SizeErrorHistogram:
-    """Bucket per-class mean size against per-class error rate.
-
-    Values outside the given edges are clipped into the outermost buckets
-    so the counts always sum to the number of classes present.
-    """
-    size_edges = np.asarray(size_bins, dtype=np.float64)
-    error_edges = np.asarray(error_bins, dtype=np.float64)
-    if size_edges.size < 2 or error_edges.size < 2:
-        raise EmptyBins("need at least two edges per axis")
-    m = evaluate(classifier, test)
-    classes = sorted(m.per_class_error)
-    s = np.clip(
-        [m.per_class_avg_size[c] for c in classes],
-        size_edges[0],
-        size_edges[-1],
-    )
-    e = np.clip(
-        [m.per_class_error[c] for c in classes],
-        error_edges[0],
-        error_edges[-1],
-    )
-    counts, _, _ = np.histogram2d(s, e, bins=[size_edges, error_edges])
-    return SizeErrorHistogram(
-        size_edges=size_edges,
-        error_edges=error_edges,
-        counts=counts.astype(np.int64),
-        per_class_size={c: float(v) for c, v in zip(classes, s)},
-        per_class_error={c: float(v) for c, v in zip(classes, e)},
-    )

@@ -4,26 +4,21 @@ Synthetic finite distributions expose the exact conditional probabilities,
 so every population quantity (error, size, threshold functions) can be
 computed in closed form and every formulation's constrained optimum can be
 found by exhaustive enumeration.  The closed-form rules are then checked
-against those optima instead of against themselves.  A population cutoff
-is the fitted one: the calibrator's knots and cutoff, run on the
-distribution as a calibration set weighted by its marginal.
+against those optima instead of against themselves.  A population
+assignment is the classifier's own (n_points x L) membership mask over
+the distribution's rows, and a population cutoff is the fitted one: the
+calibrator's knots and cutoff, run on the distribution as a calibration
+set weighted by its marginal.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import EmpiricalStepFunction, _cutoff, _knots
-from .core import (
-    ScoreSet,
-    check_probability_rows,
-    mask_to_labels,
-    row_blocks,
-    topk_mask,
-)
+from .core import ScoreSet, check_probability_rows, row_blocks, topk_mask
 from .errors import RowError, TooFewClasses, TooLargeForBruteForce
 from .formulations import (
     FormulationSpec,
@@ -73,61 +68,39 @@ class DiscreteDistribution:
         return self.cond.shape[1]
 
 
-@dataclass
-class AssignmentClassifier:
-    """An explicit label-set assignment on the support of a distribution."""
-
-    assignment: dict[str, tuple[int, ...]]
-
-    def sets_for(self, dist: DiscreteDistribution) -> list[tuple[int, ...]]:
-        try:
-            return [self.assignment[x] for x in dist.x_ids]
-        except KeyError as missing:
-            raise ValueError(f"no assignment for point {missing}") from None
-
-
-def exact_error(dist: DiscreteDistribution, g: AssignmentClassifier) -> float:
-    """Exact average error: mass of the true label falling outside the set."""
-    total = 0.0
-    for w, p, labels in zip(dist.marginal, dist.cond, g.sets_for(dist)):
-        inside = sum(p[ell - 1] for ell in labels)
-        total += w * (1.0 - inside)
-    return total
-
-
-def exact_size(dist: DiscreteDistribution, g: AssignmentClassifier) -> float:
-    """Exact average set size."""
-    return float(
-        sum(
-            w * len(labels)
-            for w, labels in zip(dist.marginal, g.sets_for(dist))
+def _checked(dist: DiscreteDistribution, mask: np.ndarray) -> np.ndarray:
+    """``mask`` itself, if it holds one row of L labels per support point."""
+    if np.shape(mask) != dist.cond.shape:
+        raise ValueError(
+            f"mask of shape {np.shape(mask)} does not match the "
+            f"distribution's {dist.cond.shape}"
         )
-    )
+    return mask
+
+
+def exact_error(dist: DiscreteDistribution, mask: np.ndarray) -> float:
+    """Exact average error: the true label's mass outside the mask."""
+    inside = np.sum(dist.cond * _checked(dist, mask), axis=1)
+    return float(np.sum(dist.marginal * (1.0 - inside)))
+
+
+def exact_size(dist: DiscreteDistribution, mask: np.ndarray) -> float:
+    """Exact average set size of a membership mask."""
+    sizes = np.count_nonzero(_checked(dist, mask), axis=1)
+    return float(np.sum(dist.marginal * sizes))
 
 
 def exact_fscore(
-    dist: DiscreteDistribution, g: AssignmentClassifier, beta: float
+    dist: DiscreteDistribution, mask: np.ndarray, beta: float
 ) -> float:
-    """Exact population F-beta of an assignment."""
-    rec = 1.0 - exact_error(dist, g)
-    return (1.0 + beta**2) * rec / (beta**2 + exact_size(dist, g))
+    """Exact population F-beta of a membership mask."""
+    rec = 1.0 - exact_error(dist, mask)
+    return (1.0 + beta**2) * rec / (beta**2 + exact_size(dist, mask))
 
 
 def exact_top_k_error(dist: DiscreteDistribution, k: int) -> float:
     """Exact probability that the true label falls outside the top-k set."""
-    return exact_error(dist, _mask_assignment(dist, topk_mask(dist.cond, k)))
-
-
-def _mask_assignment(
-    dist: DiscreteDistribution, mask: np.ndarray
-) -> AssignmentClassifier:
-    """The label sets of a membership mask over ``dist.cond``'s rows."""
-    return AssignmentClassifier(
-        {
-            x: tuple(int(v) for v in mask_to_labels(row))
-            for x, row in zip(dist.x_ids, mask)
-        }
-    )
+    return exact_error(dist, topk_mask(dist.cond, k))
 
 
 # --- population cutoffs ------------------------------------------------------
@@ -175,16 +148,17 @@ def closed_form_assignment(
     dist: DiscreteDistribution,
     spec: FormulationSpec,
     theta: float | None = None,
-) -> AssignmentClassifier:
+) -> np.ndarray:
     """Apply a formulation's closed-form rule at every support point.
 
-    The sets come from :func:`rule_mask`, the code the classifier runs.
-    ``theta`` defaults to the exact population threshold when the rule
-    needs one.
+    The population assignment is the classifier's own membership mask:
+    :func:`rule_mask`, the code the classifier runs, over ``dist.cond``'s
+    rows.  ``theta`` defaults to the exact population threshold when the
+    rule needs one.
     """
     if theta is None and spec.needs_fit:
         theta = population_threshold(dist, spec)
-    return _mask_assignment(dist, rule_mask(spec, dist.cond, theta))
+    return rule_mask(spec, dist.cond, theta)
 
 
 # --- brute force ---------------------------------------------------------------
@@ -192,28 +166,30 @@ def closed_form_assignment(
 
 @dataclass
 class BruteForceResult:
-    assignment: AssignmentClassifier | None
+    """An optimal membership mask over ``dist.cond``'s rows and its
+    objective; ``mask`` is None when no assignment is feasible."""
+
+    mask: np.ndarray | None
     objective: float
     feasible: bool = True
 
 
-def _all_subsets(L: int) -> list[tuple[int, ...]]:
-    """Every subset of {1..L} as a sorted tuple, in lexicographic order.
+def _all_subsets(L: int) -> np.ndarray:
+    """Every subset of {1..L} as a (2^L x L) membership mask, in the
+    lexicographic order of the subsets' sorted label tuples.
 
     The enumeration order defines the tie-break: the first assignment
     attaining the optimum is reported, which is the lexicographically
-    smallest one.
+    smallest one.  The subsets of labels j..L, in that order, are the
+    empty set, then j joined with each subset of j+1..L, then the
+    non-empty subsets of j+1..L.
     """
-    subsets = []
-    for r in range(L + 1):
-        subsets.extend(itertools.combinations(range(1, L + 1), r))
-    return sorted(subsets)
-
-
-def _subset_stats(p: np.ndarray, subsets) -> tuple[np.ndarray, np.ndarray]:
-    mass = np.array([sum(p[ell - 1] for ell in s) for s in subsets])
-    size = np.array([len(s) for s in subsets], dtype=np.float64)
-    return mass, size
+    S = np.zeros((1, 0), dtype=bool)
+    for _ in range(L):
+        head = np.zeros((2 * len(S), 1), dtype=bool)
+        head[1 : len(S) + 1] = True
+        S = np.hstack([head, np.vstack([S[:1], S, S[1:]])])
+    return S
 
 
 def _joint_enumerate(per_point_values):
@@ -248,40 +224,33 @@ def brute_force_optimal(
     ``BRUTE_FORCE_BUDGET``.  The objective reported matches the kind:
     error for size-constrained problems, size for error-constrained ones,
     the penalized sum for the penalized kind, and the F-score itself
-    (maximized) for the F-score kind.
+    (maximized) for the F-score kind.  A point-wise kind with a point
+    that no subset serves is infeasible.
     """
-    subsets = _all_subsets(dist.L)
     kind = spec.kind
 
-    if kind in (Kind.TOP_K, Kind.POINTWISE_ERROR, Kind.PENALIZED):
-        assignment = {}
-        objective = 0.0
-        for x, w, p in zip(dist.x_ids, dist.marginal, dist.cond):
-            mass, size = _subset_stats(p, subsets)
-            if kind is Kind.TOP_K:
-                allowed, value = size <= spec.k, w * (1.0 - mass)
-            elif kind is Kind.POINTWISE_ERROR:
-                allowed, value = mass >= 1.0 - spec.eps, w * size
-            else:
-                allowed = np.ones(len(subsets), dtype=bool)
-                value = w * (1.0 - mass) + spec.lam * w * size
-            # the first subset attaining the minimum (none if none allowed)
-            best, best_val = None, np.inf
-            if allowed.any():
-                j = np.flatnonzero(allowed)[np.argmin(value[allowed])]
-                best, best_val = subsets[j], value[j]
-            assignment[x] = best
-            objective += best_val
-        return BruteForceResult(
-            AssignmentClassifier(assignment), objective
-        )
-
     def allowed(mass, size):
-        if kind is Kind.HYBRID_SIZE:
+        if kind in (Kind.TOP_K, Kind.HYBRID_SIZE):
             return size <= spec.k
-        if kind is Kind.HYBRID_ERROR:
+        if kind in (Kind.POINTWISE_ERROR, Kind.HYBRID_ERROR):
             return mass >= 1.0 - spec.eps
         return np.ones(size.size, dtype=bool)
+
+    if kind in (Kind.TOP_K, Kind.POINTWISE_ERROR, Kind.PENALIZED):
+        rows, objective = [], 0.0
+        for w, subsets, mass, size in _candidates(dist, allowed):
+            if not len(subsets):
+                return BruteForceResult(None, float("nan"), feasible=False)
+            if kind is Kind.TOP_K:
+                value = w * (1.0 - mass)
+            elif kind is Kind.POINTWISE_ERROR:
+                value = w * size
+            else:
+                value = w * (1.0 - mass) + spec.lam * w * size
+            j = np.argmin(value)  # the first subset attaining the minimum
+            rows.append(subsets[j])
+            objective += value[j]
+        return BruteForceResult(np.array(rows), objective)
 
     candidates, err, siz = _joint_stats(dist, allowed)
     if kind is Kind.F_SCORE:
@@ -289,22 +258,20 @@ def brute_force_optimal(
         fscores = (1.0 + beta**2) * (1.0 - err) / (beta**2 + siz)
         idx = int(np.argmax(fscores))
         return BruteForceResult(
-            _unflatten(dist, candidates, idx), float(fscores[idx])
+            _unflatten(candidates, idx), float(fscores[idx])
         )
     if kind in (Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
-        return _best_feasible(dist, candidates, siz <= spec.kbar, err)
-    return _best_feasible(dist, candidates, err <= spec.ebar, siz)
+        return _best_feasible(candidates, siz <= spec.kbar, err)
+    return _best_feasible(candidates, err <= spec.ebar, siz)
 
 
-def _best_feasible(dist, candidates, feasible, objective) -> BruteForceResult:
+def _best_feasible(candidates, feasible, objective) -> BruteForceResult:
     """The first feasible joint assignment minimizing ``objective``."""
     if not np.any(feasible):
         return BruteForceResult(None, float("nan"), feasible=False)
     masked = np.where(feasible, objective, np.inf)
     idx = int(np.argmin(masked))
-    return BruteForceResult(
-        _unflatten(dist, candidates, idx), float(masked[idx])
-    )
+    return BruteForceResult(_unflatten(candidates, idx), float(masked[idx]))
 
 
 def brute_force_avg_error_with_size_cap(
@@ -319,33 +286,36 @@ def brute_force_avg_error_with_size_cap(
     ``feasible=False``.
     """
     candidates, err, siz = _joint_stats(dist, lambda mass, size: size <= k)
-    return _best_feasible(dist, candidates, err <= ebar, siz)
+    return _best_feasible(candidates, err <= ebar, siz)
+
+
+def _candidates(dist: DiscreteDistribution, allowed):
+    """Per support point: its weight, and the rows of the subset mask that
+    ``allowed(mass, size)`` keeps, with their masses and sizes."""
+    S = _all_subsets(dist.L)
+    size = np.count_nonzero(S, axis=1)
+    for w, p in zip(dist.marginal, dist.cond):
+        mass = np.sum(S * p, axis=1)
+        keep = np.flatnonzero(allowed(mass, size))
+        yield w, S[keep], mass[keep], size[keep]
 
 
 def _joint_stats(dist: DiscreteDistribution, allowed):
-    """Each point's candidate subsets, those ``allowed(mass, size)`` keeps,
-    and the exact error and size of every joint assignment of them."""
+    """Each point's candidate subsets and the exact error and size of
+    every joint assignment of them."""
     _guard_joint(dist)
-    subsets = _all_subsets(dist.L)
     candidates, err_parts, siz_parts = [], [], []
-    for w, p in zip(dist.marginal, dist.cond):
-        mass, size = _subset_stats(p, subsets)
-        keep = np.flatnonzero(allowed(mass, size))
-        candidates.append([subsets[j] for j in keep])
-        err_parts.append(w * (1.0 - mass[keep]))
-        siz_parts.append(w * size[keep])
+    for w, subsets, mass, size in _candidates(dist, allowed):
+        candidates.append(subsets)
+        err_parts.append(w * (1.0 - mass))
+        siz_parts.append(w * size)
     return candidates, _joint_enumerate(err_parts), _joint_enumerate(siz_parts)
 
 
-def _unflatten(dist, candidates, flat_idx) -> AssignmentClassifier:
-    shape = tuple(len(c) for c in candidates)
-    picks = np.unravel_index(flat_idx, shape)
-    return AssignmentClassifier(
-        {
-            x: candidates[i][picks[i]]
-            for i, x in enumerate(dist.x_ids)
-        }
-    )
+def _unflatten(candidates, flat_idx) -> np.ndarray:
+    """The mask of the joint assignment at ``flat_idx``."""
+    picks = np.unravel_index(flat_idx, tuple(len(c) for c in candidates))
+    return np.array([c[i] for c, i in zip(candidates, picks)])
 
 
 # --- synthetic data -------------------------------------------------------------
@@ -601,41 +571,40 @@ def sample_binding_spec(
 def objective_value(
     dist: DiscreteDistribution,
     spec: FormulationSpec,
-    g: AssignmentClassifier,
+    mask: np.ndarray,
 ) -> float:
-    """The formulation's own objective, evaluated exactly."""
+    """The formulation's own objective of a mask, evaluated exactly."""
     kind = spec.kind
     if kind in (Kind.TOP_K, Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
-        return exact_error(dist, g)
+        return exact_error(dist, mask)
     if kind in (Kind.POINTWISE_ERROR, Kind.AVERAGE_ERROR, Kind.HYBRID_ERROR):
-        return exact_size(dist, g)
+        return exact_size(dist, mask)
     if kind is Kind.PENALIZED:
-        return exact_error(dist, g) + spec.lam * exact_size(dist, g)
+        return exact_error(dist, mask) + spec.lam * exact_size(dist, mask)
     if kind is Kind.F_SCORE:
-        return exact_fscore(dist, g, spec.beta)
+        return exact_fscore(dist, mask, spec.beta)
     raise ValueError(f"unhandled kind {kind!r}")  # pragma: no cover
 
 
 def constraint_satisfied(
     dist: DiscreteDistribution,
     spec: FormulationSpec,
-    g: AssignmentClassifier,
+    mask: np.ndarray,
     tol: float = OBJECTIVE_TOL,
 ) -> bool:
     """Exact population-level check of every constraint of ``spec``."""
     kind = spec.kind
-    sets = g.sets_for(dist)
+    mask = _checked(dist, mask)
     ok = True
     if kind in (Kind.TOP_K, Kind.HYBRID_SIZE):
-        ok &= all(len(s) <= spec.k for s in sets)
+        ok &= np.all(np.count_nonzero(mask, axis=1) <= spec.k)
     if kind in (Kind.POINTWISE_ERROR, Kind.HYBRID_ERROR):
-        for p, s in zip(dist.cond, sets):
-            mass = sum(p[ell - 1] for ell in s)
-            ok &= mass >= 1.0 - spec.eps - tol
+        mass = np.sum(dist.cond * mask, axis=1)
+        ok &= np.all(mass >= 1.0 - spec.eps - tol)
     if kind in (Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
-        ok &= exact_size(dist, g) <= spec.kbar + tol
+        ok &= exact_size(dist, mask) <= spec.kbar + tol
     if kind in (Kind.AVERAGE_ERROR, Kind.HYBRID_ERROR):
-        ok &= exact_error(dist, g) <= spec.ebar + tol
+        ok &= exact_error(dist, mask) <= spec.ebar + tol
     return bool(ok)
 
 

@@ -9,8 +9,8 @@ from predsets.core import (
     DEFAULT_SUM_TOL,
     ScoreSet,
     check_probability_rows,
-    threshold_set,
-    top_indices,
+    threshold_mask,
+    topk_mask,
     validate_probability_vector,
 )
 from predsets.errors import (
@@ -77,29 +77,34 @@ class TestValidateProbabilityVector:
 
 
 class TestTopIndices:
+    """The top-k set of one probability vector: ``topk_mask`` on a one-row
+    matrix."""
+
     def test_distinct_order(self):
-        assert top_indices(np.array([0.5, 0.3, 0.2]), 2).tolist() == [1, 2]
+        mask = topk_mask(np.array([[0.5, 0.3, 0.2]]), 2)
+        assert np.array_equal(mask, [[True, True, False]])
 
     def test_full_tie_ascending_policy(self):
-        p = np.array([0.25, 0.25, 0.25, 0.25])
-        assert top_indices(p, 2).tolist() == [1, 2]
+        p = np.array([[0.25, 0.25, 0.25, 0.25]])
+        assert np.array_equal(topk_mask(p, 2), [[True, True, False, False]])
 
     def test_tie_at_top_smaller_index(self):
-        assert top_indices(np.array([0.1, 0.4, 0.4, 0.1]), 1).tolist() == [2]
+        mask = topk_mask(np.array([[0.1, 0.4, 0.4, 0.1]]), 1)
+        assert np.array_equal(mask, [[False, True, False, False]])
 
     def test_k_zero_and_k_L(self):
-        p = np.array([0.5, 0.3, 0.2])
-        assert top_indices(p, 0).tolist() == []
-        assert top_indices(p, 3).tolist() == [1, 2, 3]
+        p = np.array([[0.5, 0.3, 0.2]])
+        assert np.array_equal(topk_mask(p, 0), [[False, False, False]])
+        assert np.array_equal(topk_mask(p, 3), [[True, True, True]])
 
     def test_k_out_of_range(self):
-        p = np.array([0.5, 0.5])
+        p = np.array([[0.5, 0.5]])
         with pytest.raises(KOutOfRange):
-            top_indices(p, 3)
+            topk_mask(p, 3)
         with pytest.raises(KOutOfRange):
-            top_indices(p, -1)
+            topk_mask(p, -1)
         with pytest.raises(KOutOfRange):
-            top_indices(p, 1.0)
+            topk_mask(p, 1.0)
 
     @given(prob_vectors(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -107,41 +112,45 @@ class TestTopIndices:
         L = p.size
         k1 = data.draw(st.integers(0, L))
         k2 = data.draw(st.integers(k1, L))
-        small = set(top_indices(p, k1).tolist())
-        large = set(top_indices(p, k2).tolist())
-        assert small <= large
+        small = topk_mask(p[None, :], k1)
+        large = topk_mask(p[None, :], k2)
+        assert np.all(small <= large)
 
     @given(prob_vectors(), st.integers(0, 8))
     @settings(max_examples=200, deadline=None)
     def test_included_probs_dominate_excluded(self, p, k):
         k = min(k, p.size)
-        inside = top_indices(p, k)
-        outside = np.setdiff1d(np.arange(1, p.size + 1), inside)
-        if inside.size and outside.size:
-            assert p[inside - 1].min() >= p[outside - 1].max()
+        inside = topk_mask(p[None, :], k)[0]
+        if inside.any() and not inside.all():
+            assert p[inside].min() >= p[~inside].max()
 
 
 class TestThresholdSet:
+    """The threshold set of one probability vector: ``threshold_mask`` on a
+    one-row matrix."""
+
     def test_direct_comparison(self):
-        p = np.array([0.5, 0.3, 0.2])
-        assert threshold_set(p, 0.25).tolist() == [1, 2]
+        p = np.array([[0.5, 0.3, 0.2]])
+        assert np.array_equal(threshold_mask(p, 0.25), [[True, True, False]])
 
     def test_theta_zero_includes_all(self):
-        assert threshold_set(np.array([0.5, 0.3, 0.2]), 0.0).tolist() == [1, 2, 3]
+        mask = threshold_mask(np.array([[0.5, 0.3, 0.2]]), 0.0)
+        assert np.array_equal(mask, [[True, True, True]])
 
     def test_theta_above_one_excludes_all(self):
-        assert threshold_set(np.array([0.5, 0.3, 0.2]), 1.01).tolist() == []
+        mask = threshold_mask(np.array([[0.5, 0.3, 0.2]]), 1.01)
+        assert np.array_equal(mask, [[False, False, False]])
 
     def test_non_strict_at_one(self):
-        assert threshold_set(np.array([1.0, 0.0]), 1.0).tolist() == [1]
+        mask = threshold_mask(np.array([[1.0, 0.0]]), 1.0)
+        assert np.array_equal(mask, [[True, False]])
 
     @given(prob_vectors(), st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=200, deadline=None)
     def test_antitone_in_theta(self, p, t1, t2):
         lo, hi = min(t1, t2), max(t1, t2)
-        assert set(threshold_set(p, hi).tolist()) <= set(
-            threshold_set(p, lo).tolist()
-        )
+        P = p[None, :]
+        assert np.all(threshold_mask(P, hi) <= threshold_mask(P, lo))
 
     @given(prob_vectors())
     @settings(max_examples=200, deadline=None)
@@ -149,16 +158,17 @@ class TestThresholdSet:
         # distinct entries required for the identity
         if np.unique(p).size != p.size:
             return
+        P = p[None, :]
         for k in range(1, p.size + 1):
             theta = np.sort(p)[::-1][k - 1]
-            assert np.array_equal(threshold_set(p, theta), top_indices(p, k))
+            assert np.array_equal(threshold_mask(P, theta), topk_mask(P, k))
 
     def test_determinism(self):
-        p = np.array([0.4, 0.1, 0.4, 0.1])
-        runs = [threshold_set(p, 0.4).tolist() for _ in range(5)]
-        runs += [top_indices(p, 2).tolist() for _ in range(5)]
+        P = np.array([[0.4, 0.1, 0.4, 0.1]])
+        runs = [threshold_mask(P, 0.4).tolist() for _ in range(5)]
+        runs += [topk_mask(P, 2).tolist() for _ in range(5)]
         assert runs[:5] == [runs[0]] * 5
-        assert runs[5:] == [[1, 3]] * 5
+        assert runs[5:] == [[[True, False, True, False]]] * 5
 
 
 class TestScoreSet:

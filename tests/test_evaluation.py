@@ -1,4 +1,4 @@
-"""Metrics, per-class violation proxies, sweeps, histograms."""
+"""Metrics, per-class violation proxies and sweeps."""
 
 import math
 
@@ -7,12 +7,11 @@ import pytest
 
 from predsets.calibration import CalibratedClassifier, calibrate
 from predsets.core import ScoreSet
-from predsets.errors import EmptyBins, InvalidBeta, MissingLabels, PredsetsError
+from predsets.errors import InvalidBeta, MissingLabels, PredsetsError
 from predsets.evaluation import (
     PerClassViolation,
     evaluate,
     per_class_violation,
-    size_error_histogram,
     spec_with_param,
     sweep,
 )
@@ -117,6 +116,37 @@ class TestEvaluate:
             assert list(m.per_class_error.items()) == list(error.items())
             assert list(m.per_class_avg_size.items()) == list(size.items())
             assert 5 not in error
+
+    def test_two_regime_bimodal_sizes(self):
+        # a two-regime construction where the regimes use disjoint classes:
+        # easy points concentrate on classes 1-4, ambiguous ones split
+        # between classes 5 and 6.  Under average-error control the easy
+        # classes end with singleton sets and the ambiguous ones with pairs.
+        from predsets.oracle import DiscreteDistribution
+
+        rng = np.random.default_rng(4)
+        L, cond = 6, []
+        for dom in range(4):
+            row = np.full(L, 0.002) + rng.uniform(0, 1e-4, L)
+            row[dom] = 0.97
+            cond.append(row / row.sum())
+        for _ in range(4):
+            row = np.full(L, 0.002) + rng.uniform(0, 1e-4, L)
+            row[4] = 0.5 + rng.uniform(-0.02, 0.02)
+            row[5] = 0.5 - row[4] + 0.5
+            cond.append(row / row.sum())
+        dist = DiscreteDistribution(
+            x_ids=[f"x{i}" for i in range(8)],
+            marginal=np.full(8, 1 / 8),
+            cond=np.array(cond),
+        )
+        calib = sample_scores(dist, 4000, 4)
+        test = sample_scores(dist, 4000, 5)
+        clf = calibrate(FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.05), calib)
+        sizes = evaluate(clf, test).per_class_avg_size
+        assert sorted(sizes) == [1, 2, 3, 4, 5, 6]
+        assert all(sizes[c] < 1.5 for c in (1, 2, 3, 4))
+        assert all(sizes[c] >= 1.5 for c in (5, 6))
 
 
 class TestPerClassViolation:
@@ -472,58 +502,3 @@ class TestTemperatureFitSweep:
                           temperature=temperature)
             assert [pt.status.split(":")[:2] for pt in curve.points] == [
                 ["failed", " InvalidTemperature"]] * 2
-
-
-class TestSizeErrorHistogram:
-    def test_topk_mass_in_single_size_bucket(self):
-        s = labeled_set(L=4, n=400)
-        h = size_error_histogram(
-            topk_clf(2), s, size_bins=[0, 1.5, 2.5, 4], error_bins=[0, 0.5, 1]
-        )
-        assert h.counts.sum() == len(np.unique(s.labels))
-        assert h.counts[1].sum() == h.counts.sum()  # all in bucket [1.5, 2.5)
-
-    def test_full_set_classifier(self):
-        s = labeled_set(L=4, n=200)
-        h = size_error_histogram(
-            topk_clf(4), s, size_bins=[0, 2, 4], error_bins=[0, 0.5, 1]
-        )
-        assert h.counts[1, 0] == h.counts.sum()  # size L, error 0
-
-    def test_two_regime_bimodal_sizes(self):
-        # a two-regime construction where the regimes use disjoint classes:
-        # easy points concentrate on classes 1-4, ambiguous ones split
-        # between classes 5 and 6.  Under average-error control the easy
-        # classes end with singleton sets and the ambiguous ones with pairs.
-        from predsets.oracle import DiscreteDistribution
-
-        rng = np.random.default_rng(4)
-        L, cond = 6, []
-        for dom in range(4):
-            row = np.full(L, 0.002) + rng.uniform(0, 1e-4, L)
-            row[dom] = 0.97
-            cond.append(row / row.sum())
-        for _ in range(4):
-            row = np.full(L, 0.002) + rng.uniform(0, 1e-4, L)
-            row[4] = 0.5 + rng.uniform(-0.02, 0.02)
-            row[5] = 0.5 - row[4] + 0.5
-            cond.append(row / row.sum())
-        dist = DiscreteDistribution(
-            x_ids=[f"x{i}" for i in range(8)],
-            marginal=np.full(8, 1 / 8),
-            cond=np.array(cond),
-        )
-        calib = sample_scores(dist, 4000, 4)
-        test = sample_scores(dist, 4000, 5)
-        clf = calibrate(FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.05), calib)
-        h = size_error_histogram(
-            clf, test, size_bins=[0, 1.5, 6], error_bins=[0, 0.5, 1]
-        )
-        small, large = h.counts[0].sum(), h.counts[1].sum()
-        assert small > 0 and large > 0
-        assert h.counts.sum() == len(np.unique(test.labels))
-
-    def test_empty_bins(self):
-        s = labeled_set()
-        with pytest.raises(EmptyBins):
-            size_error_histogram(topk_clf(1), s, [1.0], [0, 1])

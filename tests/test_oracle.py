@@ -1,5 +1,7 @@
 """Exact population machinery and brute-force solvers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,11 @@ import predsets.oracle as oracle
 from predsets.errors import TooLargeForBruteForce
 from predsets.formulations import FormulationSpec, Kind
 from predsets.oracle import (
-    AssignmentClassifier,
     DiscreteDistribution,
     brute_force_avg_error_with_size_cap,
     brute_force_optimal,
     closed_form_assignment,
+    constraint_satisfied,
     equivalence_suite,
     exact_error,
     exact_fscore,
@@ -37,11 +39,40 @@ SIZE = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
 ERROR = FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.5)
 
 
+def mask_of(L, *sets):
+    """A membership mask with one row per label tuple."""
+    mask = np.zeros((len(sets), L), dtype=bool)
+    for row, labels in zip(mask, sets):
+        row[np.array(labels, dtype=int) - 1] = True
+    return mask
+
+
+def loop_reference(dist, mask, spec):
+    """Error, size and constraint verdict of a mask by loops over points
+    and labels, the way label-tuple sets were once scored."""
+    sets = [tuple(int(v) for v in np.flatnonzero(row) + 1) for row in mask]
+    error = 0.0
+    for w, p, labels in zip(dist.marginal, dist.cond, sets):
+        error += w * (1.0 - sum(p[ell - 1] for ell in labels))
+    size = float(sum(w * len(labels) for w, labels in zip(dist.marginal, sets)))
+    ok = True
+    if spec.kind in (Kind.TOP_K, Kind.HYBRID_SIZE):
+        ok &= all(len(labels) <= spec.k for labels in sets)
+    if spec.kind in (Kind.POINTWISE_ERROR, Kind.HYBRID_ERROR):
+        for p, labels in zip(dist.cond, sets):
+            ok &= sum(p[ell - 1] for ell in labels) >= 1.0 - spec.eps - 1e-12
+    if spec.kind in (Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
+        ok &= size <= spec.kbar + 1e-12
+    if spec.kind in (Kind.AVERAGE_ERROR, Kind.HYBRID_ERROR):
+        ok &= error <= spec.ebar + 1e-12
+    return error, size, bool(ok)
+
+
 class TestExactErrorAndSize:
     def test_full_empty_and_singleton(self):
-        full = AssignmentClassifier({"x": (1, 2, 3)})
-        empty = AssignmentClassifier({"x": ()})
-        one = AssignmentClassifier({"x": (1,)})
+        full = mask_of(3, (1, 2, 3))
+        empty = mask_of(3, ())
+        one = mask_of(3, (1,))
         assert exact_error(ONE_POINT, full) == 0.0
         assert exact_error(ONE_POINT, empty) == 1.0
         assert exact_error(ONE_POINT, one) == 0.5
@@ -54,7 +85,7 @@ class TestExactErrorAndSize:
             marginal=[0.5, 0.5],
             cond=[[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]],
         )
-        g = AssignmentClassifier({"a": (1,), "b": (1, 2, 3)})
+        g = mask_of(3, (1,), (1, 2, 3))
         assert exact_size(d, g) == 2.0
 
     def test_linearity_spot_check(self):
@@ -63,18 +94,54 @@ class TestExactErrorAndSize:
         # full-set values: coverage gains add to 1, sizes add to L
         rng = np.random.default_rng(0)
         d = random_test_distribution(rng, L=4, n_points=2)
-        base = {x: () for x in d.x_ids}
         coverage_gain = 0.0
         total_size = 0.0
-        for x in d.x_ids:
+        for i in range(d.n_points):
             for ell in range(1, 5):
-                g = AssignmentClassifier({**base, x: (ell,)})
+                g = np.zeros(d.cond.shape, dtype=bool)
+                g[i, ell - 1] = True
                 coverage_gain += 1.0 - exact_error(d, g)
                 total_size += exact_size(d, g)
-        g_full = AssignmentClassifier({x: (1, 2, 3, 4) for x in d.x_ids})
+        g_full = np.ones(d.cond.shape, dtype=bool)
         assert exact_error(d, g_full) == pytest.approx(0.0, abs=1e-12)
         assert coverage_gain == pytest.approx(1.0, abs=1e-12)
         assert total_size == pytest.approx(exact_size(d, g_full), abs=1e-12)
+
+    @pytest.mark.parametrize("L", [3, 8, 12])
+    def test_mask_metrics_match_the_loop_reference(self, L):
+        rng = np.random.default_rng(L)
+        d = random_test_distribution(rng, L=L, n_points=9)
+        specs = (
+            FormulationSpec(Kind.TOP_K, k=L // 2),
+            FormulationSpec(Kind.POINTWISE_ERROR, eps=0.3),
+            FormulationSpec(Kind.AVERAGE_SIZE, kbar=L / 2),
+            FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.4),
+            FormulationSpec(Kind.HYBRID_SIZE, kbar=L / 3, k=L - 1),
+            FormulationSpec(Kind.HYBRID_ERROR, ebar=0.3, eps=0.5),
+        )
+        masks = [
+            np.zeros(d.cond.shape, dtype=bool),
+            np.ones(d.cond.shape, dtype=bool),
+        ]
+        masks += [rng.random(d.cond.shape) < q for q in (0.2, 0.5, 0.8)]
+        for mask in masks:
+            for spec in specs:
+                error, size, ok = loop_reference(d, mask, spec)
+                assert abs(exact_error(d, mask) - error) <= 1e-14
+                assert abs(exact_size(d, mask) - size) <= 1e-14
+                assert constraint_satisfied(d, spec, mask) == ok
+
+    def test_wrong_shape_raises(self):
+        d = random_test_distribution(np.random.default_rng(9), L=3, n_points=2)
+        spec = FormulationSpec(Kind.TOP_K, k=1)
+        for shape in [(3,), (1, 3), (2, 4), (3, 2)]:
+            mask = np.ones(shape, dtype=bool)
+            with pytest.raises(ValueError, match="does not match"):
+                exact_error(d, mask)
+            with pytest.raises(ValueError, match="does not match"):
+                exact_size(d, mask)
+            with pytest.raises(ValueError, match="does not match"):
+                constraint_satisfied(d, spec, mask)
 
 
 class TestExactThresholdFunctions:
@@ -159,14 +226,37 @@ class TestBruteForce:
             closed = closed_form_assignment(
                 d, FormulationSpec(Kind.TOP_K, k=1)
             )
-            assert res.assignment.assignment == closed.assignment
+            assert np.array_equal(res.mask, closed)
 
     def test_pointwise_error_one_point_enumeration(self):
         res = brute_force_optimal(
             ONE_POINT, FormulationSpec(Kind.POINTWISE_ERROR, eps=0.25)
         )
-        assert res.assignment.assignment["x"] == (1, 2)
+        assert np.array_equal(res.mask, mask_of(3, (1, 2)))
         assert res.objective == 2.0
+
+    def test_pointwise_point_with_no_allowed_subset_is_infeasible(self):
+        # the row sums to 1 - 1e-10, inside the row check's tolerance, so
+        # even the full set misses eps = 0
+        d = DiscreteDistribution(["a"], [1.0], [[0.5, 0.5 - 1e-10]])
+        res = brute_force_optimal(
+            d, FormulationSpec(Kind.POINTWISE_ERROR, eps=0.0)
+        )
+        assert res.mask is None
+        assert np.isnan(res.objective)
+        assert not res.feasible
+
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_subsets_in_lexicographic_tuple_order(self, L):
+        tuples = sorted(
+            itertools.chain.from_iterable(
+                itertools.combinations(range(1, L + 1), r)
+                for r in range(L + 1)
+            )
+        )
+        S = oracle._all_subsets(L)
+        assert S.shape == (2**L, L) and S.dtype == bool
+        assert [tuple(np.flatnonzero(row) + 1) for row in S] == tuples
 
     def test_penalized_set_equality(self):
         rng = np.random.default_rng(3)
@@ -176,7 +266,7 @@ class TestBruteForce:
             spec = FormulationSpec(Kind.PENALIZED, lam=lam)
             res = brute_force_optimal(d, spec)
             closed = closed_form_assignment(d, spec)
-            assert res.assignment.assignment == closed.assignment
+            assert np.array_equal(res.mask, closed)
 
     def test_average_error_matches_threshold_rule(self):
         # two points, L=3: joint enumeration over 64 assignments agrees
@@ -315,8 +405,8 @@ class TestEquivalenceSuite:
         assert theta == 0.45
         g_t = closed_form_assignment(d, spec_t, theta)
         g_u = closed_form_assignment(d, spec_u, theta)
-        assert g_t.assignment["b"] == (1,)   # mass 0.45 < 1 - eps
-        assert g_u.assignment["b"] == (1, 2)
+        assert np.array_equal(g_t[1], [True, False, False])  # 0.45 < 1 - eps
+        assert np.array_equal(g_u[1], [True, True, False])
         assert not constraint_satisfied(d, spec_t, g_t)
         assert constraint_satisfied(d, spec_u, g_u)
 
