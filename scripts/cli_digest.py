@@ -17,7 +17,10 @@ largest probability, so blocks of one-label sets come first and the
 point-wise mask's short-prefix blocks and its full-row fallback both
 leave a fingerprint.  A noiseless ``synth`` set at L=1000 runs calibrate,
 predict and evaluate for the top-k and point-wise models, so the
-sampler's noiseless logits at many classes leave one too.  Prints one
+sampler's noiseless logits at many classes leave one too.  A chain at a
+fixed ``--temperature 0.7`` runs the average-size, point-wise and
+hybrid-error union models and every sweep at L=100 and at L=1000, so
+fitting and predicting on rescaled logits leave one as well.  Prints one
 ``sha256  name`` line per output file and per command's stdout and exit
 code.  Two trees that behave alike print identical text:
 
@@ -75,7 +78,14 @@ NOISELESS_MODELS = tuple(
     (name, flags) for name, flags in MODELS if name in ("top-k", "pointwise")
 )
 
-#: name, sweep flags; each runs at T=1 and at T=fit
+#: the models also run at a fixed temperature of 0.7
+FIXED_T_MODELS = tuple(
+    (name, [*flags, "--temperature", "0.7"]) for name, flags in MODELS
+    if name in ("pointwise", "average-size", "hybrid-error-union")
+)
+
+#: name, sweep flags; each runs at T=1 and at T=fit (at T=0.7 in the
+#: fixed-temperature chain)
 SWEEPS = (
     ("top-k", ["--formulation", "top-k", "--grid", "1,5,20"]),
     ("pointwise", ["--formulation", "pointwise-error", "--grid", "0.05,0.2"]),
@@ -113,7 +123,8 @@ def peaked_first(path: str) -> None:
 
 
 def chain(data: str, template: str, L: int, models=MODELS,
-          sweeps=SWEEPS, reorder=False, noise="0.3") -> None:
+          sweeps=SWEEPS, reorder=False, noise="0.3",
+          temperatures=("1.0", "fit")) -> None:
     run(f"synth-{data}", [
         "synth", "--template", template, "--classes", str(L),
         "--n", "1500", "--seed", "7", "--noise", noise, "--out-prefix", data,
@@ -133,7 +144,7 @@ def chain(data: str, template: str, L: int, models=MODELS,
             "--out", f"{tag}.metrics.txt", "--per-class", f"{tag}.class.csv",
         ])
     for name, flags in sweeps:
-        for temperature in ("1.0", "fit"):
+        for temperature in temperatures:
             tag = f"{data}-{name}-T{temperature}"
             run(f"sweep-{tag}", [
                 "sweep", *flags, "--calib", calib, "--test", test,
@@ -154,6 +165,9 @@ def digest_all() -> int:
                   TWO_REGIME_MODELS, sweeps=(), reorder=True)
             chain("noiseless-L1000", "dirichlet-like", 1000,
                   NOISELESS_MODELS, sweeps=(), noise="0")
+            for L in (100, 1000):
+                chain(f"T0.7-L{L}", "dirichlet-like", L, FIXED_T_MODELS,
+                      temperatures=("0.7",))
             run("synth-fixture", [
                 "synth", "--template", "dirichlet-like", "--classes", "4",
                 "--support", "3", "--n", "30", "--seed", "5",

@@ -267,12 +267,13 @@ def _cutoff(spec: FormulationSpec, f: EmpiricalStepFunction) -> float:
 
 
 def step_function(spec: FormulationSpec, scores: ScoreSet) -> EmpiricalStepFunction:
-    """The unit-count knots, over norm n, that :func:`calibrate` reads the
-    cutoff of ``spec`` off: G (average-size, f-score), H (average-error),
-    G_k (hybrid-size) or, for hybrid-error, the member counts of the
-    point-wise error sets, whose :meth:`~EmpiricalStepFunction.mass` is
-    H_eps.  Raises what the fit would: :class:`EmptyScoreSet`, the spec's
-    class-count errors and, for average-error, :class:`MissingLabels`.
+    """The unit-count knots, over norm n, that :func:`calibrate` at
+    temperature 1 reads the cutoff of ``spec`` off: G (average-size,
+    f-score), H (average-error), G_k (hybrid-size) or, for hybrid-error,
+    the member counts of the point-wise error sets, whose
+    :meth:`~EmpiricalStepFunction.mass` is H_eps.  Raises what the fit
+    would: :class:`EmptyScoreSet`, the spec's class-count errors and, for
+    average-error, :class:`MissingLabels`.
     """
     _require_nonempty(scores)
     spec.check_class_count(scores.L)
@@ -295,8 +296,7 @@ class CalibratedClassifier:
 
     ``theta`` is present exactly for the threshold-fitted kinds
     (average-size, average-error, hybrid-size, hybrid-error, f-score);
-    ``temperature`` rescales logits before prediction when it differs from
-    the score set's.
+    ``temperature`` rescales logits before prediction when it is not 1.
     """
 
     spec: FormulationSpec
@@ -332,14 +332,9 @@ class CalibratedClassifier:
         row = validate_probability_vector(p)[None, :]
         return mask_to_labels(self.predict_mask(row)[0])
 
-    def scores_for(self, scores: ScoreSet) -> np.ndarray:
-        """Probability matrix of ``scores`` at this classifier's temperature,
-        the one :func:`rescaled` holds (without building a score set)."""
-        return _probs_at(scores, self.temperature)
-
     def predict_set_mask(self, scores: ScoreSet) -> np.ndarray:
         """Membership mask for a whole ScoreSet, honoring the temperature."""
-        return self.predict_mask(self.scores_for(scores))
+        return self.predict_mask(_probs_at(scores, self.temperature))
 
 
 def _provenance(n: int, seed: int | None) -> dict:
@@ -533,12 +528,15 @@ def calibrate(
         provenance["temperature_at_bound"] = T in TEMPERATURE_BOUNDS
     else:
         T = _check_temperature(temperature)
-    scores = rescaled(scores, T)
+    P = _probs_at(scores, T)
     provenance["L"] = scores.L
 
     theta = None
     if spec.needs_fit:
-        theta = _cutoff(spec, step_function(spec, scores))
+        if spec.kind is Kind.AVERAGE_ERROR:
+            scores.require_labels(spec.kind.value)
+        knots = _knots(spec.kind, P, scores.labels, spec.k, spec.eps)
+        theta = _cutoff(spec, knots)
     if spec.kind is Kind.POINTWISE_ERROR and offset is not None:
         if offset == "auto":
             offset = min(pointwise_offset(scores.n, scores.L), spec.eps)
@@ -549,32 +547,16 @@ def calibrate(
     )
 
 
-def rescaled(scores: ScoreSet, T: float) -> ScoreSet:
-    """``scores`` at temperature ``T``: itself when it already is, else its
-    logits rescaled (raising :class:`MissingLogits` without them).  The
-    one softmax is checked, so a ``T`` that overflows it raises."""
-    probs = _probs_at(scores, T)
-    if probs is scores.probs:
-        return scores
-    return ScoreSet._trusted(
-        ids=scores.ids,
-        probs=probs,
-        labels=scores.labels,
-        logits=scores.logits,
-        temperature=T,
-        meta=dict(scores.meta),
-    )
-
-
 def _probs_at(scores: ScoreSet, T: float) -> np.ndarray:
-    """The probability matrix of :func:`rescaled`: the stored one when the
-    temperatures agree, else the checked softmax of the logits at ``T``."""
-    if T == scores.temperature:
+    """The probability matrix of ``scores`` at temperature ``T``, the one
+    way to rescale a score set: the stored one at ``T == 1``, else the
+    softmax of the logits at ``T`` (:class:`MissingLogits` without them),
+    checked, so a ``T`` that overflows it raises :class:`NonFiniteEntry`."""
+    if T == 1.0:
         return scores.probs
     if scores.logits is None:
         raise MissingLogits(
-            f"cannot rescale scores at temperature {scores.temperature!r} "
-            f"to {T!r} without logits"
+            f"cannot rescale scores to temperature {T!r} without logits"
         )
     probs = softmax(scores.logits, T)
     check_probability_rows(probs)

@@ -198,9 +198,9 @@ class ScoreSet:
     labels : (n,) int array
         True labels in ``{1, ..., L}``; ``0`` marks an unlabeled sample.
     logits : (n, L) float64 array or None
-        Raw scores such that ``probs = softmax(logits / temperature)``.
-    temperature : float
-        The temperature the probabilities were produced with (1 = raw).
+        Raw scores such that ``probs = softmax(logits)``: a score set is
+        always at temperature 1.  A classifier and its model file hold any
+        other temperature, and the classifier rescales the logits to it.
     meta : dict
         Free-form provenance (generator template, seed, embedded truth, ...).
     """
@@ -209,7 +209,6 @@ class ScoreSet:
     probs: np.ndarray
     labels: np.ndarray | None = None
     logits: np.ndarray | None = None
-    temperature: float = 1.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -240,12 +239,11 @@ class ScoreSet:
                 raise ClassCountMismatch(
                     f"logits shape {self.logits.shape} != probs {self.probs.shape}"
                 )
-            expected = softmax(self.logits, float(self.temperature))
+            expected = softmax(self.logits)
             close = np.isclose(expected, self.probs, atol=1e-6).all(axis=1)
             if not close.all():
                 raise LogitsMismatch(
-                    "probs are not softmax(logits / temperature) "
-                    f"at T={self.temperature!r}", int(np.argmin(close))
+                    "probs are not softmax(logits)", int(np.argmin(close))
                 )
 
     @classmethod
@@ -263,10 +261,6 @@ class ScoreSet:
     @property
     def L(self) -> int:
         return self.probs.shape[1]
-
-    @property
-    def labeled_mask(self) -> np.ndarray:
-        return self.labels != UNLABELED
 
     @property
     def fully_labeled(self) -> bool:
@@ -296,7 +290,6 @@ class ScoreSet:
             probs=self.probs[index],
             labels=self.labels[index],
             logits=None if self.logits is None else self.logits[index],
-            temperature=self.temperature,
             meta=dict(self.meta),
         )
 

@@ -6,7 +6,7 @@ per-class error rate serves as its observable proxy throughout; per-class
 rates are integer counts per label, each divided once.  A sweep
 refits on bootstrap resamples by reweighting calibration knots sorted once
 (at a fitted temperature, knots of each draw's own rows) and counting
-sorted test scores at each refit cutoff.
+the test scores at or above each refit cutoff.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibratedClassifier, calibrate, rescaled
+from .calibration import CalibratedClassifier, calibrate, _probs_at
 from .calibration import _check_temperature, _cutoff, _knots, _require_nonempty
 from .calibration import _temperature_fit
 from .core import ScoreSet, check_probability_rows, softmax, topk_mask
@@ -211,7 +211,7 @@ def sweep(
 
     A resample is a count vector over the calibration rows: a fitted
     kind's knots, sorted once, are reweighted by each draw's counts, and
-    the test error and size at its cutoff are counts of sorted test scores.
+    the test error and size at its cutoff are counts of test scores.
     Each point equals refitting ``calibrate`` on ``calib.subset(draw)`` and
     running :func:`evaluate`.  Under ``temperature="fit"`` each draw fits
     its temperature on its gathered logit and label rows and builds
@@ -304,13 +304,13 @@ def _bootstrap(spec, calib, test, seeds, stream, temperature, fixed):
             order = (np.cumsum(counts > 0) - 1)[idx]
             T = fit_rows(distinct, order)
             P = softmax(calib.logits[distinct], T)[order]
-            check_probability_rows(P)  # as rescaled checks it
+            check_probability_rows(P)  # as _probs_at checks it
             knots = _knots(spec.kind, P, labels, spec.k, spec.eps)
             fixed = {T: [knots, None]}
         else:
             if T not in fixed:
-                at = rescaled(calib, T)
-                knots = _knots(spec.kind, at.probs, at.labels, spec.k, spec.eps)
+                P = _probs_at(calib, T)
+                knots = _knots(spec.kind, P, calib.labels, spec.k, spec.eps)
                 fixed[T] = [knots, None]
             knots = fixed[T][0].reweight(counts)
         if spec.kind is Kind.AVERAGE_ERROR:
@@ -330,14 +330,14 @@ def _metrics_at(clf: CalibratedClassifier, test: ScoreSet):
     """``theta -> (avg_error, avg_size)`` of ``clf``'s rule on ``test``.
 
     Each total is a base count (entries every cutoff keeps) plus the
-    sorted test scores at or above ``theta``: all entries for the
+    count of pooled test scores at or above ``theta``: all entries for the
     threshold kinds, the top-``k`` entries for hybrid-size, the entries
     outside the point-wise set in union mode.  Raises what
     :func:`evaluate` raises.
     """
     spec = clf.spec
     labels = test.require_labels("evaluate")
-    P = clf.scores_for(test)
+    P = _probs_at(test, clf.temperature)
     spec.check_class_count(P.shape[1])
     always = np.zeros(P.shape, dtype=bool)
     pool = np.ones(P.shape, dtype=bool)
@@ -348,12 +348,12 @@ def _metrics_at(clf: CalibratedClassifier, test: ScoreSet):
         pool = ~always
     n = test.n
     true = (np.arange(n), labels - 1)
-    size_base, sized = int(always.sum()), np.sort(P[pool])
-    cover_base, covered = int(always[true].sum()), np.sort(P[true][pool[true]])
+    size_base, sized = int(always.sum()), P[pool]
+    cover_base, covered = int(always[true].sum()), P[true][pool[true]]
 
     def at(theta: float) -> tuple[float, float]:
-        size = size_base + sized.size - np.searchsorted(sized, theta)
-        cover = cover_base + covered.size - np.searchsorted(covered, theta)
+        size = size_base + np.count_nonzero(sized >= theta)
+        cover = cover_base + np.count_nonzero(covered >= theta)
         return 1.0 - float(cover) / n, float(size) / n
 
     return at

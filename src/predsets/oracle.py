@@ -69,11 +69,12 @@ class DiscreteDistribution:
 
 
 def _checked(dist: DiscreteDistribution, mask: np.ndarray) -> np.ndarray:
-    """``mask`` itself, if it holds one row of L labels per support point."""
-    if np.shape(mask) != dist.cond.shape:
+    """``mask`` as an array, if it is a bool mask of ``dist.cond``'s shape."""
+    mask = np.asarray(mask)
+    if mask.shape != dist.cond.shape or mask.dtype != bool:
         raise ValueError(
-            f"mask of shape {np.shape(mask)} does not match the "
-            f"distribution's {dist.cond.shape}"
+            f"{mask.dtype} mask of shape {mask.shape} does not match the "
+            f"distribution's bool {dist.cond.shape}"
         )
     return mask
 
@@ -291,7 +292,12 @@ def brute_force_avg_error_with_size_cap(
 
 def _candidates(dist: DiscreteDistribution, allowed):
     """Per support point: its weight, and the rows of the subset mask that
-    ``allowed(mass, size)`` keeps, with their masses and sizes."""
+    ``allowed(mass, size)`` keeps, with their masses and sizes.  Refuses
+    when one point's 2^L x L products exceed ``BRUTE_FORCE_BUDGET``."""
+    if 2**dist.L * dist.L > BRUTE_FORCE_BUDGET:
+        raise TooLargeForBruteForce(
+            f"2^{dist.L} subsets x {dist.L} labels exceed {BRUTE_FORCE_BUDGET}"
+        )
     S = _all_subsets(dist.L)
     size = np.count_nonzero(S, axis=1)
     for w, p in zip(dist.marginal, dist.cond):
@@ -389,7 +395,6 @@ def sample_scores(
     n: int,
     seed: int,
     noise: float = 0.0,
-    id_prefix: str = "s",
 ) -> ScoreSet:
     """Draw ``n`` labeled samples from ``dist``.
 
@@ -424,11 +429,10 @@ def sample_scores(
     check_probability_rows(probs)
     # labels lie in [1, L] and softmax(log p) = p by construction
     return ScoreSet._trusted(
-        ids=[f"{id_prefix}{i:07d}" for i in range(n)],
+        ids=[f"s{i:07d}" for i in range(n)],
         probs=probs,
         labels=labels,
         logits=logits,
-        temperature=1.0,
         meta={
             "truth": dist,
             "seed": seed,
@@ -590,7 +594,6 @@ def constraint_satisfied(
     dist: DiscreteDistribution,
     spec: FormulationSpec,
     mask: np.ndarray,
-    tol: float = OBJECTIVE_TOL,
 ) -> bool:
     """Exact population-level check of every constraint of ``spec``."""
     kind = spec.kind
@@ -600,11 +603,11 @@ def constraint_satisfied(
         ok &= np.all(np.count_nonzero(mask, axis=1) <= spec.k)
     if kind in (Kind.POINTWISE_ERROR, Kind.HYBRID_ERROR):
         mass = np.sum(dist.cond * mask, axis=1)
-        ok &= np.all(mass >= 1.0 - spec.eps - tol)
+        ok &= np.all(mass >= 1.0 - spec.eps - OBJECTIVE_TOL)
     if kind in (Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
-        ok &= exact_size(dist, mask) <= spec.kbar + tol
+        ok &= exact_size(dist, mask) <= spec.kbar + OBJECTIVE_TOL
     if kind in (Kind.AVERAGE_ERROR, Kind.HYBRID_ERROR):
-        ok &= exact_error(dist, mask) <= spec.ebar + tol
+        ok &= exact_error(dist, mask) <= spec.ebar + OBJECTIVE_TOL
     return bool(ok)
 
 
@@ -654,6 +657,7 @@ def equivalence_suite(
     verdict: on atomic distributions neither reading dominates, so the
     record only states each mode's objective and constraint status.
     """
+    _guard_joint(dist)  # the joint kinds' budget, checked before any work
     records = []
     for kind in JUDGED_KINDS:
         spec = sample_binding_spec(dist, kind, rng)

@@ -16,7 +16,6 @@ from predsets.calibration import (
     fscore_objective_derivative,
     generalized_inverse,
     pointwise_offset,
-    rescaled,
     step_function,
 )
 from predsets.core import ScoreSet, softmax
@@ -486,6 +485,8 @@ class TestFitTemperature:
         s = ScoreSet(ids=["a"], probs=[[0.6, 0.4]], labels=[1])
         with pytest.raises(MissingLogits):
             fit_temperature(s)
+        with pytest.raises(MissingLogits):  # an unfitted kind rescales too
+            calibrate(FormulationSpec(Kind.TOP_K, k=1), s, temperature=2.0)
         z = np.log(np.array([[0.6, 0.4]]))
         s2 = ScoreSet(ids=["a"], probs=[[0.6, 0.4]], logits=z)
         with pytest.raises(MissingLabels):
@@ -493,20 +494,15 @@ class TestFitTemperature:
 
 
 class TestDerivedScoreSets:
-    """``subset``, ``rescaled`` and ``sample_scores`` build from checked
-    arrays without checking them again; what they build must still pass
-    the public constructor, field for field."""
+    """``subset`` and ``sample_scores`` build from checked arrays without
+    checking them again; what they build must still pass the public
+    constructor, field for field.  A score set is always at temperature
+    1: ``calibrate`` rescales its logits without building another."""
 
     def test_rebuilt_through_the_constructor(self):
         data = synth_generate("dirichlet-like", 6, 300, 4, noise=0.4)
         draw = np.random.default_rng(0).integers(0, data.n, size=500)
-        derived = [
-            data,
-            data.subset(draw),
-            data.subset(np.arange(0)),
-            rescaled(data, 0.3),
-            rescaled(data.subset(draw), 7.0),
-        ]
+        derived = [data, data.subset(draw), data.subset(np.arange(0))]
         for s in derived:
             fields = {f.name: getattr(s, f.name)
                       for f in dataclasses.fields(ScoreSet)}
@@ -516,7 +512,6 @@ class TestDerivedScoreSets:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got, want)
             assert again.ids == s.ids and again.meta == s.meta
-            assert again.temperature == s.temperature
 
     def test_subset_is_a_copy(self):
         data = synth_generate("dirichlet-like", 4, 50, 2)
@@ -531,8 +526,6 @@ class TestDerivedScoreSets:
         data = synth_generate("dirichlet-like", 4, 50, 2)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteEntry):
-                rescaled(data, 1e-320)
-            with pytest.raises(NonFiniteEntry):
                 calibrate(FormulationSpec(Kind.TOP_K, k=1), data,
                           temperature=1e-320)
 
@@ -544,9 +537,14 @@ class TestDerivedScoreSets:
             calls.append(z.shape)
             return softmax(z, *args)
 
+        def refused(*args, **kwargs):
+            raise AssertionError("a score set was built")
+
         monkeypatch.setattr(core, "softmax", counted)
         monkeypatch.setattr(calibration, "softmax", counted)
-        rescaled(data, 0.5)
+        monkeypatch.setattr(ScoreSet, "__post_init__", refused)
+        monkeypatch.setattr(ScoreSet, "_trusted", refused)
+        calibrate(FormulationSpec(Kind.TOP_K, k=2), data, temperature=0.5)
         assert calls == [(50, 4)]
 
 
@@ -632,6 +630,13 @@ class TestStepFunction:
                 step_function(spec, unlabeled)
         else:
             step_function(spec, unlabeled)
+
+    @pytest.mark.parametrize("spec", FITTED_SPECS, ids=lambda sp: sp.kind.value)
+    def test_fit_at_a_temperature_is_the_fit_of_its_softmax(self, spec):
+        s = synth_generate("two-regime", 5, 300, 4, noise=0.3)
+        at = ScoreSet(ids=s.ids, probs=softmax(s.logits, 0.7), labels=s.labels)
+        want = calibrate(spec, at).theta
+        assert calibrate(spec, s, temperature=0.7).theta == want
 
     def test_hybrid_size_k_above_L(self):
         spec = FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=4)

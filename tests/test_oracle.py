@@ -134,14 +134,18 @@ class TestExactErrorAndSize:
     def test_wrong_shape_raises(self):
         d = random_test_distribution(np.random.default_rng(9), L=3, n_points=2)
         spec = FormulationSpec(Kind.TOP_K, k=1)
-        for shape in [(3,), (1, 3), (2, 4), (3, 2)]:
-            mask = np.ones(shape, dtype=bool)
+        cases = [(d, np.ones(shape, dtype=bool))
+                 for shape in [(3,), (1, 3), (2, 4), (3, 2)]]
+        # a float mask would weigh labels in exact_error (0.6) but count
+        # them in exact_size (2.0): one mask read two ways
+        cases.append((ONE_POINT, np.array([[0.5, 0.5, 0.0]])))
+        for dist, mask in cases:
             with pytest.raises(ValueError, match="does not match"):
-                exact_error(d, mask)
+                exact_error(dist, mask)
             with pytest.raises(ValueError, match="does not match"):
-                exact_size(d, mask)
+                exact_size(dist, mask)
             with pytest.raises(ValueError, match="does not match"):
-                constraint_satisfied(d, spec, mask)
+                constraint_satisfied(dist, spec, mask)
 
 
 class TestExactThresholdFunctions:
@@ -294,6 +298,21 @@ class TestBruteForce:
             brute_force_optimal(
                 big, FormulationSpec(Kind.AVERAGE_SIZE, kbar=2.0)
             )
+
+    def test_suite_refuses_before_it_enumerates(self, monkeypatch):
+        dist = make_distribution("dirichlet-like", 18, 0, support=2)
+
+        def unreachable(L):
+            raise AssertionError("subsets enumerated before the guard")
+
+        monkeypatch.setattr(oracle, "_all_subsets", unreachable)
+        with pytest.raises(TooLargeForBruteForce, match=r"\(2\^18\)\^2"):
+            equivalence_suite(dist, np.random.default_rng(0))
+
+    def test_per_point_subsets_are_budgeted(self):
+        one = DiscreteDistribution(["x"], [1.0], np.full((1, 20), 0.05))
+        with pytest.raises(TooLargeForBruteForce):
+            brute_force_optimal(one, FormulationSpec(Kind.TOP_K, k=1))
 
     def test_fscore_brute_matches_threshold_rule(self):
         rng = np.random.default_rng(6)
@@ -468,7 +487,7 @@ class TestSynthGenerate:
         assert 0.0 <= theta <= 1.0
 
 
-def per_row_sample_scores(dist, n, seed, noise=0.0, id_prefix="s"):
+def per_row_sample_scores(dist, n, seed, noise=0.0):
     """The sampler as an n x L formulation: each row's label CDF and logits
     are computed on its own gathered row of ``dist.cond``."""
     rng = np.random.default_rng([17, seed])
@@ -483,7 +502,7 @@ def per_row_sample_scores(dist, n, seed, noise=0.0, id_prefix="s"):
     else:
         probs = true_p.copy()
     return {
-        "ids": [f"{id_prefix}{i:07d}" for i in range(n)],
+        "ids": [f"s{i:07d}" for i in range(n)],
         "probs": probs,
         "labels": labels,
         "logits": np.log(probs),
