@@ -92,6 +92,7 @@ class EmpiricalStepFunction:
         self.weight = weight
         self._up = np.cumsum(weight[::-1])
         self.tail = self._up[::-1]
+        self._mass = None  # mass() of these weights, built on first use
 
     def reweight(self, counts) -> "EmpiricalStepFunction":
         """The same knots, each entry's weight times its sample's count.
@@ -116,13 +117,14 @@ class EmpiricalStepFunction:
     def mass(self) -> "EmpiricalStepFunction":
         """The same knots, each weighing its score times its weight / norm.
 
-        Computed per merged knot, so a knot's weight does not depend on the
-        order or multiplicity of the entries that make it up.
+        Computed once, per merged knot, so a knot's weight does not depend
+        on the order or multiplicity of the entries that make it up.
         """
-        out = copy.copy(self)
-        out.norm = 1
-        out._set(self.weight * (self.scores / self.norm))
-        return out
+        if self._mass is None:
+            self._mass = copy.copy(self)
+            self._mass.norm = 1
+            self._mass._set(self.weight * (self.scores / self.norm))
+        return self._mass
 
     @property
     def total(self) -> float:

@@ -3,10 +3,10 @@
 Error and size can each be measured on average or per input; since the true
 conditional error at a single input is unidentifiable from one label, the
 per-class error rate serves as its observable proxy throughout; per-class
-rates are integer counts per label, each divided once.  A sweep
-refits on bootstrap resamples by reweighting calibration knots sorted once
-(at a fitted temperature, knots of each draw's own rows) and counting
-the test scores at or above each refit cutoff.
+rates are integer counts per label, each divided once.  A sweep draws
+its bootstrap resamples once: each draw reweights calibration knots sorted
+once (at a fitted temperature, builds knots of its own rows), reads every
+grid value's cutoff off them and counts the test scores at or above it.
 """
 
 from __future__ import annotations
@@ -202,21 +202,23 @@ def sweep(
 ) -> SweepCurve:
     """Refit-and-evaluate curve over a sorted parameter grid.
 
-    At each grid value the formulation is refit on ``seeds`` bootstrap
-    resamples of the calibration set (with replacement, same size) and
-    evaluated on the held-out set; the point records mean and population
-    standard deviation of error and size.  Kinds that need no fitting are
-    evaluated once with zero deviation.  A grid value whose fit fails is
-    recorded as a failed point instead of aborting the sweep.
+    Every grid value is refit on the same ``seeds`` bootstrap resamples of
+    the calibration set (with replacement, same size) and evaluated on the
+    held-out set; the point records mean and population standard deviation
+    of error and size.  Kinds that need no fitting are evaluated once with
+    zero deviation.  A grid value whose fit fails is recorded as a failed
+    point instead of aborting the sweep.
 
     A resample is a count vector over the calibration rows: a fitted
     kind's knots, sorted once, are reweighted by each draw's counts, and
-    the test error and size at its cutoff are counts of test scores.
-    Each point equals refitting ``calibrate`` on ``calib.subset(draw)`` and
-    running :func:`evaluate`.  Under ``temperature="fit"`` each draw fits
-    its temperature on its gathered logit and label rows and builds
-    unit-count knots from those rows at that temperature; no ScoreSet is
-    built per draw.
+    every grid value's cutoff is read off them, so each draw's cutoffs,
+    and the curve, are monotone in the swept field.  The test error and
+    size at a cutoff are counts of test scores.  Each point equals
+    refitting ``calibrate`` on ``calib.subset(draw)`` and running
+    :func:`evaluate`.  Under ``temperature="fit"`` each draw fits its
+    temperature on its gathered logit and label rows and builds unit-count
+    knots from those rows at that temperature; no ScoreSet is built per
+    draw.
     """
     grid = [float(v) for v in param_grid]
     if not grid:
@@ -226,16 +228,27 @@ def sweep(
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
 
-    curve = SweepCurve(kind=template.kind.value)
-    fixed: dict = {}  # temperature -> [calibration knots, test metrics]
-    for point_idx, value in enumerate(grid):
+    specs, outcome = {}, {}  # grid index -> spec; fit or first error
+    for i, value in enumerate(grid):
         try:
             spec = spec_with_param(template, value)
+            _require_nonempty(calib)  # what calibrate checks first
+            spec.check_class_count(calib.L)
+            specs[i] = spec
+        except PredsetsError as exc:
+            outcome[i] = exc
+    if template.needs_fit:
+        outcome.update(_bootstrap(
+            template, specs, calib, test, seeds, base_seed, temperature))
+
+    curve = SweepCurve(kind=template.kind.value)
+    for i, value in enumerate(grid):
+        try:
+            if isinstance(outcome.get(i), PredsetsError):
+                raise outcome[i]
+            spec = specs[i]
             if spec.needs_fit:
-                errors, sizes, clf = _bootstrap(
-                    spec, calib, test, seeds, [base_seed, point_idx],
-                    temperature, fixed,
-                )
+                errors, sizes, clf = outcome[i]
                 report = evaluate(clf, test) if spec.eps is not None else None
             else:
                 clf = calibrate(
@@ -262,72 +275,76 @@ def sweep(
                 )
             )
         except PredsetsError as exc:
-            curve.points.append(
-                SweepPoint(
-                    param=value,
-                    avg_error=None,
-                    avg_size=None,
-                    std_error=None,
-                    std_size=None,
-                    status=f"failed: {type(exc).__name__}: {exc}",
-                )
-            )
+            curve.points.append(SweepPoint(
+                value, None, None, None, None,
+                status=f"failed: {type(exc).__name__}: {exc}",
+            ))
     return curve
 
 
-def _bootstrap(spec, calib, test, seeds, stream, temperature, fixed):
-    """Test errors and sizes of ``spec`` refit on ``seeds`` bootstrap draws
-    of ``calib``, and the first draw's classifier.  Raises what
-    ``calibrate`` on the resampled rows, then :func:`evaluate`, would;
-    under ``temperature="fit"`` a non-finite logit in any row of ``calib``
-    fails every draw."""
-    _require_nonempty(calib)
-    spec.check_class_count(calib.L)
-    fit = temperature == "fit"
-    if fit:
-        if calib.logits is None:
-            raise MissingLogits("temperature fitting needs logits")
-        fit_rows = _temperature_fit(calib.logits, calib.labels)
-    else:
-        T = _check_temperature(temperature)
-    errors, sizes, first = [], [], None
-    for rep in range(seeds):
-        rng = np.random.default_rng([*stream, rep])
-        idx = rng.integers(0, calib.n, size=calib.n)
-        counts = np.bincount(idx, minlength=calib.n)
+def _bootstrap(template, specs, calib, test, seeds, base_seed, temperature):
+    """Each of ``specs`` (grid index -> ``template`` at a grid value) refit
+    on the same ``seeds`` bootstrap draws of ``calib``: its test errors,
+    sizes and first draw's classifier, or the first error ``calibrate`` on
+    a draw's rows, then :func:`evaluate`, raises for it.  An error in
+    making a draw's knots fails every spec still alive; the test set's
+    checks run for each spec, so each fails with the error it meets first."""
+    out, alive = {}, dict(specs)
+    kind, k, eps = template.kind, template.k, template.eps
+    try:
+        fit = temperature == "fit"
         if fit:
-            # the draw's own temperature, and unit-count knots of its own
-            # rows at it: no knots or test scores to share across draws.
-            # Row-wise work is done once per distinct row, then gathered.
-            labels = calib.require_labels("fit_temperature", counts)[idx]
-            distinct = np.flatnonzero(counts)
-            order = (np.cumsum(counts > 0) - 1)[idx]
-            T = fit_rows(distinct, order)
-            P = softmax(calib.logits[distinct], T)[order]
-            check_probability_rows(P)  # as _probs_at checks it
-            knots = _knots(spec.kind, P, labels, spec.k, spec.eps)
-            fixed = {T: [knots, None]}
+            if calib.logits is None:
+                raise MissingLogits("temperature fitting needs logits")
+            fit_rows = _temperature_fit(calib.logits, calib.labels)
         else:
-            if T not in fixed:
-                P = _probs_at(calib, T)
-                knots = _knots(spec.kind, P, calib.labels, spec.k, spec.eps)
-                fixed[T] = [knots, None]
-            knots = fixed[T][0].reweight(counts)
-        if spec.kind is Kind.AVERAGE_ERROR:
-            calib.require_labels(spec.kind.value, counts)
-        theta = _cutoff(spec, knots)
-        clf = CalibratedClassifier(spec=spec, theta=theta, temperature=T)
-        if fixed[T][1] is None:
-            fixed[T][1] = _metrics_at(clf, test)
-        error, size = fixed[T][1](theta)
-        errors.append(error)
-        sizes.append(size)
-        first = clf if first is None else first
-    return errors, sizes, first
+            T, at = _check_temperature(temperature), None
+            base = _knots(kind, _probs_at(calib, T), calib.labels, k, eps)
+        for rep in range(seeds):
+            if not alive:
+                break
+            rng = np.random.default_rng([base_seed, rep])
+            idx = rng.integers(0, calib.n, size=calib.n)
+            counts = np.bincount(idx, minlength=calib.n)
+            if fit:
+                # the draw's own temperature and knots; row-wise work is
+                # done once per distinct row, then gathered
+                labels = calib.require_labels("fit_temperature", counts)[idx]
+                distinct = np.flatnonzero(counts)
+                order = (np.cumsum(counts > 0) - 1)[idx]
+                T, at = fit_rows(distinct, order), None
+                P = softmax(calib.logits[distinct], T)[order]
+                check_probability_rows(P)  # as _probs_at checks it
+                knots = _knots(kind, P, labels, k, eps)
+            else:
+                if kind is Kind.AVERAGE_ERROR:
+                    calib.require_labels(kind.value, counts)
+                knots = base.reweight(counts)
+            for i, spec in list(alive.items()):
+                try:
+                    theta = _cutoff(spec, knots)
+                    if at is None:
+                        at = _metrics_at(spec, T, test)
+                    spec.check_class_count(test.L)
+                    error, size = at(theta)
+                except PredsetsError as exc:
+                    out[i] = exc
+                    del alive[i]
+                    continue
+                if rep == 0:
+                    out[i] = [], [], CalibratedClassifier(spec, theta, T)
+                out[i][0].append(error)
+                out[i][1].append(size)
+            del knots  # and its mass, before the next draw's
+    except PredsetsError as exc:
+        for i in alive:
+            out[i] = exc
+    return out
 
 
-def _metrics_at(clf: CalibratedClassifier, test: ScoreSet):
-    """``theta -> (avg_error, avg_size)`` of ``clf``'s rule on ``test``.
+def _metrics_at(spec: FormulationSpec, T: float, test: ScoreSet):
+    """``theta -> (avg_error, avg_size)`` of ``spec``'s rule at temperature
+    ``T`` on ``test``.
 
     Each total is a base count (entries every cutoff keeps) plus the
     count of pooled test scores at or above ``theta``: all entries for the
@@ -335,9 +352,8 @@ def _metrics_at(clf: CalibratedClassifier, test: ScoreSet):
     outside the point-wise set in union mode.  Raises what
     :func:`evaluate` raises.
     """
-    spec = clf.spec
     labels = test.require_labels("evaluate")
-    P = _probs_at(test, clf.temperature)
+    P = _probs_at(test, T)
     spec.check_class_count(P.shape[1])
     always = np.zeros(P.shape, dtype=bool)
     pool = np.ones(P.shape, dtype=bool)

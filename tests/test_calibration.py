@@ -94,10 +94,12 @@ class TestEmpiricalStepFunction:
         idx = rng.integers(0, 40, size=40)
         drawn = step_function(G, ScoreSet(ids=[""] * 40, probs=probs[idx]))
         full = step_function(G, ScoreSet(ids=[""] * 40, probs=probs))
+        full.mass()  # kept by the full knots, not by their reweighting
         counted = full.reweight(np.bincount(idx, minlength=40))
         heavy = counted.weight > 0
         assert np.array_equal(counted.scores[heavy], drawn.scores)
         assert np.array_equal(counted.tail[heavy], drawn.tail)
+        assert np.array_equal(counted.mass().tail[heavy], drawn.mass().tail)
         assert counted.total == drawn.total == 3.0
 
 

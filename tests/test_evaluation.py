@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from predsets.calibration import CalibratedClassifier, calibrate
+from predsets import evaluation
+from predsets.calibration import CalibratedClassifier, EmpiricalStepFunction
+from predsets.calibration import calibrate
 from predsets.core import ScoreSet
 from predsets.errors import InvalidBeta, MissingLabels, PredsetsError
 from predsets.evaluation import (
@@ -315,14 +317,15 @@ class TestSweep:
 
 def refit_loop(template, grid, calib, test, seeds, temperature=1.0):
     """What sweep computes, the slow way: each bootstrap draw a resampled
-    ScoreSet, a calibrate and an evaluate, from the same RNG streams."""
+    ScoreSet, a calibrate and an evaluate, from the same RNG streams; every
+    grid value sees the same draws."""
     points = []
-    for point_idx, value in enumerate(grid):
+    for value in grid:
         spec = spec_with_param(template, value)
         reports = []
         try:
             for rep in range(seeds):
-                rng = np.random.default_rng([0, point_idx, rep])
+                rng = np.random.default_rng([0, rep])
                 idx = rng.integers(0, calib.n, size=calib.n)
                 clf = calibrate(spec, calib.subset(idx), temperature=temperature)
                 reports.append(evaluate(clf, test))
@@ -414,6 +417,30 @@ class TestSweepMatchesRefitLoop:
         assert got == want
         assert got[0].startswith("failed: MissingLabels")
 
+    def test_test_set_checks_fail_like_the_loop(self):
+        # the test set's checks run for each grid value: a class count
+        # fails its value alone, a missing label every value whose cutoff
+        # was found first
+        calib = synth_generate("two-regime", 5, 100, 1, noise=0.3)
+        test = synth_generate("two-regime", 4, 100, 2, noise=0.3)
+        unlabeled = ScoreSet(ids=test.ids, probs=test.probs)
+        size = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
+        kbar = "KbarOutOfRange"
+        for template, grid, test_set, temperature, status in (
+            (size, [1.0, 2.0, 4.5], test, 1.0, ["ok", "ok", kbar]),
+            (size, [1.0, 4.5, 5.5], test, "fit", ["ok", kbar, kbar]),
+            (FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=5), [1.0, 2.0],
+             test, 1.0, ["KOutOfRange"] * 2),
+            (size, [1e-9, 1.0], unlabeled, 1.0, ["Saturated", "MissingLabels"]),
+        ):
+            want = refit_loop(template, grid, calib, test_set, 3,
+                              temperature=temperature)
+            got = swept(sweep(template, grid, calib, test_set, seeds=3,
+                              temperature=temperature))
+            assert got == want
+            assert [pt.split(": ")[1] if isinstance(pt, str) else "ok"
+                    for pt in got] == status
+
 
 class TestTemperatureFitSweep:
     """Under ``temperature="fit"`` each draw fits its temperature and its
@@ -502,3 +529,74 @@ class TestTemperatureFitSweep:
                           temperature=temperature)
             assert [pt.status.split(":")[:2] for pt in curve.points] == [
                 ["failed", " InvalidTemperature"]] * 2
+
+
+class TestCommonDraws:
+    """Every grid value is read off the same bootstrap draws: one reweight,
+    or one temperature fit, per draw, and curves monotone in the swept
+    field."""
+
+    @pytest.mark.parametrize("template, grid", TestSweepMatchesRefitLoop.CASES)
+    def test_one_reweight_per_draw(self, template, grid, monkeypatch):
+        data = synth_generate("two-regime", 4, 357, 5, noise=0.3, support=12)
+        calib = data.subset(np.arange(157))
+        test = data.subset(np.arange(157, 357))
+        calls = []
+        reweight = EmpiricalStepFunction.reweight
+
+        def counted(self, counts):
+            calls.append(counts)
+            return reweight(self, counts)
+
+        monkeypatch.setattr(EmpiricalStepFunction, "reweight", counted)
+        curve = sweep(template, grid, calib, test, seeds=4)
+        assert sum(pt.status == "ok" for pt in curve.points) >= 2
+        assert len(calls) == 4
+
+    def test_one_temperature_fit_per_draw(self, monkeypatch):
+        data = synth_generate("dirichlet-like", 4, 300, 8, noise=0.5)
+        calib = data.subset(np.arange(120))
+        test = data.subset(np.arange(120, 300))
+        setups, fits = [], []
+        temperature_fit = evaluation._temperature_fit
+
+        def counted(logits, labels):
+            setups.append(logits)
+            fit = temperature_fit(logits, labels)
+
+            def counted_fit(*rows):
+                fits.append(rows)
+                return fit(*rows)
+
+            return counted_fit
+
+        monkeypatch.setattr(evaluation, "_temperature_fit", counted)
+        template = FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=2)
+        curve = sweep(template, [0.4, 1.1, 1.7], calib, test, seeds=5,
+                      temperature="fit")
+        assert [pt.status for pt in curve.points] == ["ok"] * 3
+        assert (len(setups), len(fits)) == (1, 5)
+
+    KBAR = [1.0, 1.02, 1.04, 1.06, 1.08, 1.1]
+
+    # with its own draws per grid value the average-size curve fell
+    # somewhere at seeds 1-6, 8 and 9, and the average-error one at 2, 3,
+    # 5, 6 and 8
+    @pytest.mark.parametrize("seed", range(10))
+    def test_curves_monotone_at_every_seed(self, seed):
+        data = synth_generate("two-regime", 6, 600, seed)
+        calib = data.subset(np.arange(300))
+        test = data.subset(np.arange(300, 600))
+        for template, grid, metric in (
+            (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), self.KBAR,
+             "avg_size"),
+            (FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=2), self.KBAR,
+             "avg_size"),
+            (FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.1),
+             [0.05, 0.07, 0.09, 0.11, 0.13, 0.15], "avg_error"),
+        ):
+            curve = sweep(template, grid, calib, test, seeds=3,
+                          base_seed=seed)
+            assert [pt.status for pt in curve.points] == ["ok"] * len(grid)
+            values = [getattr(pt, metric) for pt in curve.points]
+            assert values == sorted(values), (template.kind, values)
