@@ -20,7 +20,10 @@ predict and evaluate for the top-k and point-wise models, so the
 sampler's noiseless logits at many classes leave one too.  A chain at a
 fixed ``--temperature 0.7`` runs the average-size, point-wise and
 hybrid-error union models and every sweep at L=100 and at L=1000, so
-fitting and predicting on rescaled logits leave one as well.  Prints one
+fitting and predicting on rescaled logits leave one as well.  The L=100
+files with their logits scaled by 1e-3 and by 1e3 (probabilities
+recomputed) run the point-wise and average-size models at a fitted
+temperature, which lands on the lower and the upper bound.  Prints one
 ``sha256  name`` line per output file and per command's stdout and exit
 code.  Two trees that behave alike print identical text:
 
@@ -42,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from predsets.cli import main
+from predsets.core import ScoreSet, softmax
 from predsets.io import read_scores, write_scores
 
 #: name, calibrate flags; each model is also predicted and evaluated
@@ -84,6 +88,12 @@ FIXED_T_MODELS = tuple(
     if name in ("pointwise", "average-size", "hybrid-error-union")
 )
 
+#: the models also run on the L=100 files with scaled logits
+SCALED_MODELS = tuple(
+    (name, flags) for name, flags in MODELS
+    if name in ("pointwise-fit", "average-size-fit")
+)
+
 #: name, sweep flags; each runs at T=1 and at T=fit (at T=0.7 in the
 #: fixed-temperature chain)
 SWEEPS = (
@@ -122,6 +132,16 @@ def peaked_first(path: str) -> None:
     write_scores(path, scores.subset(order))
 
 
+def scaled(source: str, data: str, scale: float) -> None:
+    """Write the score files of ``source`` with their logits times
+    ``scale`` and the probabilities their softmax, as those of ``data``."""
+    for part in ("calib", "test"):
+        scores = read_scores(f"{source}_{part}.csv")
+        z = scale * scores.logits
+        write_scores(f"{data}_{part}.csv", ScoreSet(
+            ids=scores.ids, probs=softmax(z), labels=scores.labels, logits=z))
+
+
 def chain(data: str, template: str, L: int, models=MODELS,
           sweeps=SWEEPS, reorder=False, noise="0.3",
           temperatures=("1.0", "fit")) -> None:
@@ -133,16 +153,7 @@ def chain(data: str, template: str, L: int, models=MODELS,
     if reorder:
         peaked_first(calib)
         peaked_first(test)
-    for name, flags in models:
-        tag = f"{data}-{name}"
-        run(f"calibrate-{tag}", ["calibrate", *flags, "--scores", calib,
-                                 "--model", f"{tag}.model", "--seed", "3"])
-        run(f"predict-{tag}", ["predict", "--model", f"{tag}.model",
-                               "--scores", test, "--out", f"{tag}.pred.csv"])
-        run(f"evaluate-{tag}", [
-            "evaluate", "--model", f"{tag}.model", "--test", test,
-            "--out", f"{tag}.metrics.txt", "--per-class", f"{tag}.class.csv",
-        ])
+    fit_models(data, models)
     for name, flags in sweeps:
         for temperature in temperatures:
             tag = f"{data}-{name}-T{temperature}"
@@ -153,6 +164,21 @@ def chain(data: str, template: str, L: int, models=MODELS,
             ])
 
 
+def fit_models(data: str, models) -> None:
+    """Calibrate, predict and evaluate each model on ``data``'s files."""
+    calib, test = f"{data}_calib.csv", f"{data}_test.csv"
+    for name, flags in models:
+        tag = f"{data}-{name}"
+        run(f"calibrate-{tag}", ["calibrate", *flags, "--scores", calib,
+                                 "--model", f"{tag}.model", "--seed", "3"])
+        run(f"predict-{tag}", ["predict", "--model", f"{tag}.model",
+                               "--scores", test, "--out", f"{tag}.pred.csv"])
+        run(f"evaluate-{tag}", [
+            "evaluate", "--model", f"{tag}.model", "--test", test,
+            "--out", f"{tag}.metrics.txt", "--per-class", f"{tag}.class.csv",
+        ])
+
+
 def digest_all() -> int:
     os.environ["SOURCE_DATE_EPOCH"] = "0"  # model files' fitted_at
     home = os.getcwd()
@@ -161,6 +187,9 @@ def digest_all() -> int:
         try:
             for L in (100, 1000):
                 chain(f"L{L}", "dirichlet-like", L)
+            for scale in ("1e-3", "1e3"):
+                scaled("L100", f"scaled{scale}-L100", float(scale))
+                fit_models(f"scaled{scale}-L100", SCALED_MODELS)
             chain("two-regime-L1000", "two-regime", 1000,
                   TWO_REGIME_MODELS, sweeps=(), reorder=True)
             chain("noiseless-L1000", "dirichlet-like", 1000,

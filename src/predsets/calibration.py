@@ -245,7 +245,7 @@ def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None, weights=None):
         values = np.partition(P, L - k, axis=1)[:, L - k:]
     elif kind is Kind.HYBRID_ERROR:
         member = pointwise_error_mask(P, eps, 0.0)
-        values = P[member]  # row-major, as np.nonzero orders them
+        values = np.compress(member.ravel(), P)  # row-major, as P[member]
         rows = np.repeat(np.arange(n), np.count_nonzero(member, axis=1))
     else:
         values = P
@@ -385,10 +385,11 @@ def fit_temperature(scores: ScoreSet) -> float:
     ``E_p[z] - z_y`` and its curvature the mean of ``Var_p[z] >= 0``, with
     ``p = softmax(beta z)``.  A safeguarded Newton iteration finds the zero
     of the slope inside the ``beta``-image of ``TEMPERATURE_BOUNDS``,
-    bisecting whenever a step would leave the bracket.  When the optimum
-    lies at or beyond a bound that bound is returned exactly; callers
-    should treat such a result as a degenerate fit.  A non-finite logit
-    raises :class:`NonFiniteEntry`.
+    bisecting whenever a step would leave the bracket; an end's slope is
+    evaluated only while no iterate's slope has shown its sign.  When the
+    optimum lies at or beyond a bound that bound is returned exactly;
+    callers should treat such a result as a degenerate fit.  A non-finite
+    logit raises :class:`NonFiniteEntry`.
     """
     _require_nonempty(scores)
     if scores.logits is None:
@@ -406,8 +407,9 @@ def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
     Each row adds its own terms to the slope and the curvature, so a draw
     computes them once per distinct row and gathers them in draw order:
     the means are those of the resampled rows, bit for bit.  The terms at
-    the bracket ends and at the start, which every fit evaluates, are kept
-    for all rows.  Non-finite logits raise :class:`NonFiniteEntry` here,
+    the start, which every fit evaluates, and at a bracket end, once a fit
+    needs it, are kept for all rows.  Non-finite logits raise
+    :class:`NonFiniteEntry` here,
     before any slope is evaluated: ``0 * -inf`` would make every slope NaN.
     """
     finite = np.isfinite(logits)
@@ -446,11 +448,15 @@ def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
                 d, v = terms(z, z_true, beta)
             return float(np.mean(d[order])), float(np.mean(v[order]))
 
+        def beyond():  # the bound the optimum lies at or beyond, if any; an
+            # end an iterate has moved points inward (the slope rises with beta)
+            if lo == bracket[0] and slope(lo)[0] >= 0.0:
+                return t_hi
+            if hi == bracket[1] and slope(hi)[0] <= 0.0:
+                return t_lo
+            return None
+
         lo, hi = bracket
-        if slope(lo)[0] >= 0.0:  # the optimum is at or beyond a bound
-            return t_hi
-        if slope(hi)[0] <= 0.0:
-            return t_lo
         beta = start
         for _ in range(200):
             g, h = slope(beta)
@@ -464,8 +470,10 @@ def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
             step = beta - g / h if h > 0.0 else math.nan
             if abs(step - beta) <= 1e-13 * beta:
                 break
+            if (step <= bracket[0] or step >= bracket[1]) and (end := beyond()):
+                return end
             beta = step if lo < step < hi else 0.5 * (lo + hi)
-        return 1.0 / beta
+        return beyond() or 1.0 / beta
 
     return fit
 
@@ -516,7 +524,8 @@ def calibrate(
     ----------
     temperature : float or "fit"
         Temperature applied to the logits before fitting and prediction.
-        ``"fit"`` learns it by likelihood on the calibration set.
+        ``"fit"`` learns it by likelihood on the calibration set.  Kinds
+        without a fitted threshold only check the rescale (:func:`_rescalable`).
     offset : float, "auto", or None
         Point-wise offset for the point-wise error rule.  ``"auto"`` uses
         ``sqrt(L / n)``; ``None`` keeps the spec's value.  The returned
@@ -530,15 +539,17 @@ def calibrate(
         provenance["temperature_at_bound"] = T in TEMPERATURE_BOUNDS
     else:
         T = _check_temperature(temperature)
-    P = _probs_at(scores, T)
     provenance["L"] = scores.L
 
     theta = None
     if spec.needs_fit:
+        P = _probs_at(scores, T)
         if spec.kind is Kind.AVERAGE_ERROR:
             scores.require_labels(spec.kind.value)
         knots = _knots(spec.kind, P, scores.labels, spec.k, spec.eps)
         theta = _cutoff(spec, knots)
+    elif T != 1.0:
+        _rescalable(scores, T)  # checked, not computed: nothing is fitted
     if spec.kind is Kind.POINTWISE_ERROR and offset is not None:
         if offset == "auto":
             offset = min(pointwise_offset(scores.n, scores.L), spec.eps)
@@ -552,14 +563,24 @@ def calibrate(
 def _probs_at(scores: ScoreSet, T: float) -> np.ndarray:
     """The probability matrix of ``scores`` at temperature ``T``, the one
     way to rescale a score set: the stored one at ``T == 1``, else the
-    softmax of the logits at ``T`` (:class:`MissingLogits` without them),
-    checked, so a ``T`` that overflows it raises :class:`NonFiniteEntry`."""
+    softmax of the logits at ``T``, once :func:`_rescalable` has checked
+    them."""
     if T == 1.0:
         return scores.probs
+    return softmax(_rescalable(scores, T), T)
+
+
+def _rescalable(scores: ScoreSet, T: float) -> np.ndarray:
+    """The logits of ``scores``, checked to rescale to ``T``: raises
+    :class:`MissingLogits` without them, and :class:`NonFiniteEntry` when
+    some row's ``max(z) / T`` (that is, ``max(z / T)``) is not finite,
+    exactly when the softmax at ``T`` has a non-finite entry: else each is
+    ``exp(<= 0)`` over a sum ``>= 1``.  Only then is the softmax computed
+    and checked, so the error names the same row and entry."""
     if scores.logits is None:
         raise MissingLogits(
             f"cannot rescale scores to temperature {T!r} without logits"
         )
-    probs = softmax(scores.logits, T)
-    check_probability_rows(probs)
-    return probs
+    if not np.isfinite(scores.logits.max(axis=1) / T).all():
+        check_probability_rows(softmax(scores.logits, T))
+    return scores.logits

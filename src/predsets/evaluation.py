@@ -19,7 +19,7 @@ import numpy as np
 
 from .calibration import CalibratedClassifier, calibrate, _probs_at
 from .calibration import _check_temperature, _cutoff, _knots, _require_nonempty
-from .calibration import _temperature_fit
+from .calibration import _temperature_fit, fit_temperature
 from .core import ScoreSet, check_probability_rows, softmax, topk_mask
 from .errors import InvalidBeta, KOutOfRange, MissingLogits
 from .errors import PredsetsError
@@ -240,6 +240,11 @@ def sweep(
     if template.needs_fit:
         outcome.update(_bootstrap(
             template, specs, calib, test, seeds, base_seed, temperature))
+    elif temperature == "fit":  # one fit serves every grid value
+        try:
+            temperature = fit_temperature(calib)
+        except PredsetsError as exc:
+            outcome.update(dict.fromkeys(specs, exc))
 
     curve = SweepCurve(kind=template.kind.value)
     for i, value in enumerate(grid):
@@ -314,7 +319,7 @@ def _bootstrap(template, specs, calib, test, seeds, base_seed, temperature):
                 order = (np.cumsum(counts > 0) - 1)[idx]
                 T, at = fit_rows(distinct, order), None
                 P = softmax(calib.logits[distinct], T)[order]
-                check_probability_rows(P)  # as _probs_at checks it
+                check_probability_rows(P)  # raises what _rescalable would
                 knots = _knots(kind, P, labels, k, eps)
             else:
                 if kind is Kind.AVERAGE_ERROR:
@@ -347,10 +352,10 @@ def _metrics_at(spec: FormulationSpec, T: float, test: ScoreSet):
     ``T`` on ``test``.
 
     Each total is a base count (entries every cutoff keeps) plus the
-    count of pooled test scores at or above ``theta``: all entries for the
-    threshold kinds, the top-``k`` entries for hybrid-size, the entries
-    outside the point-wise set in union mode.  Raises what
-    :func:`evaluate` raises.
+    count of pooled test scores at or above ``theta``, a binary search of
+    the pool sorted once: all entries for the threshold kinds, the top-``k``
+    entries for hybrid-size, the entries outside the point-wise set in
+    union mode.  Raises what :func:`evaluate` raises.
     """
     labels = test.require_labels("evaluate")
     P = _probs_at(test, T)
@@ -364,12 +369,13 @@ def _metrics_at(spec: FormulationSpec, T: float, test: ScoreSet):
         pool = ~always
     n = test.n
     true = (np.arange(n), labels - 1)
-    size_base, sized = int(always.sum()), P[pool]
-    cover_base, covered = int(always[true].sum()), P[true][pool[true]]
+    sized, covered = np.sort(P[pool]), np.sort(P[true][pool[true]])
+    size_base = int(always.sum()) + sized.size
+    cover_base = int(always[true].sum()) + covered.size
 
     def at(theta: float) -> tuple[float, float]:
-        size = size_base + np.count_nonzero(sized >= theta)
-        cover = cover_base + np.count_nonzero(covered >= theta)
+        size = size_base - np.searchsorted(sized, theta)
+        cover = cover_base - np.searchsorted(covered, theta)
         return 1.0 - float(cover) / n, float(size) / n
 
     return at

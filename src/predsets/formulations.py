@@ -205,9 +205,11 @@ def pointwise_error_mask(
     the set size ``khat`` and the cut value, the ``khat``-th largest entry;
     :func:`~predsets.core.cut_mask` keeps the ``khat`` largest entries,
     equal ones in ascending label order like every rule.  The running sum
-    covers the previous row block's largest ``khat`` plus slack (every
-    column in the first block); a row still short of the target there sums
-    its full row.  A prefix sums in the same order, so ``khat`` is the same.
+    covers ``m`` columns, the previous row block's largest ``khat`` plus
+    slack (all L in the first block), sorted alone after ``np.partition``
+    when ``2 m <= L``; a row still short of the target there sorts and sums
+    its full row.  The top ``m`` values sort and sum the same either way,
+    so ``khat`` is the same.
     """
     _check_eps(eps)
     if not 0.0 <= offset <= eps:
@@ -226,7 +228,10 @@ def pointwise_error_mask(
         block = P[rows]
         b = len(block)
         np.copyto(ascending[:b], block)
-        ascending[:b].sort(axis=1)
+        partial = 2 * m <= L
+        if partial:  # split off the top m columns and sort only those
+            ascending[:b].partition(L - m, axis=1)
+        ascending[:b, L - m if partial else 0:].sort(axis=1)
         desc = ascending[:b, ::-1]
         # cutoff = 1 + number of strict prefixes below the target, capped at
         # L (the cap absorbs float shortfall when the full sum should reach it)
@@ -234,6 +239,8 @@ def pointwise_error_mask(
         khat = np.count_nonzero(head < target, axis=1) + 1
         if m < L:
             long = np.flatnonzero(khat > m)
+            if partial:
+                ascending[long] = np.sort(ascending[long], axis=1)
             full = np.cumsum(desc[long], axis=1)
             khat[long] = np.count_nonzero(full < target, axis=1) + 1
         np.minimum(khat, L, out=khat)

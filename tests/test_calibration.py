@@ -390,6 +390,46 @@ def exact_frequency_population(seed=3, L=4, reps=100):
     )
 
 
+def eager_temperature_fit(logits, labels):
+    """The temperature fit that evaluates the slope at both bracket ends
+    before iterating: its ``T`` and number of slope evaluations."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    z_true = z[np.arange(z.shape[0]), labels - 1]
+    evaluations = []
+
+    def slope(beta):
+        evaluations.append(beta)
+        mean, var = np.empty(z.shape[0]), np.empty(z.shape[0])
+        for rows in core.row_blocks(*z.shape):
+            zb = z[rows]
+            e = np.exp(np.multiply(zb, beta))
+            total = e.sum(axis=1)
+            m = mean[rows] = np.einsum("ij,ij->i", e, zb) / total
+            var[rows] = np.einsum("ij,ij,ij->i", e, zb, zb) / total - m * m
+        return float(np.mean(mean - z_true)), float(np.mean(var))
+
+    t_lo, t_hi = TEMPERATURE_BOUNDS
+    lo, hi = 1.0 / t_hi, 1.0 / t_lo
+    if slope(lo)[0] >= 0.0:
+        return t_hi, len(evaluations)
+    if slope(hi)[0] <= 0.0:
+        return t_lo, len(evaluations)
+    beta = 1.0
+    for _ in range(200):
+        g, h = slope(beta)
+        if g == 0.0:
+            break
+        if g < 0.0:
+            lo = beta
+        else:
+            hi = beta
+        step = beta - g / h if h > 0.0 else np.nan
+        if abs(step - beta) <= 1e-13 * beta:
+            break
+        beta = step if lo < step < hi else 0.5 * (lo + hi)
+    return 1.0 / beta, len(evaluations)
+
+
 class TestFitTemperature:
     def test_exactly_calibrated_population(self):
         s = exact_frequency_population()
@@ -470,6 +510,43 @@ class TestFitTemperature:
             assert fit_rows(idx) == want
         assert fit_rows() == fit_temperature(s)
 
+    @pytest.mark.parametrize("template", ["dirichlet-like", "two-regime"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bracket_ends_on_demand_equal_the_eager_fit(self, monkeypatch,
+                                                        template, seed):
+        # the fit evaluates a bracket end only when it needs its sign: the
+        # same T bits as evaluating both ends first, in fewer evaluations
+        # wherever the optimum is inside the bracket, and at most one more
+        # (the start) where it is at a bound
+        evaluations = [0]
+        blocks = core.row_blocks
+
+        def counted(*args):  # one call per slope evaluation, one per fit
+            evaluations[0] += 1
+            return blocks(*args)
+
+        monkeypatch.setattr(calibration, "row_blocks", counted)
+        results = set()
+        for L, n in ((10, 400), (100, 300)):
+            data = synth_generate(template, L, n, seed=seed, noise=0.3)
+            for scale in (1e-4, 0.01, 1.0, 50.0, 1e4):
+                z = scale * data.logits
+                want, eager = eager_temperature_fit(z, data.labels)
+                evaluations[0] = 0
+                got = calibration._temperature_fit(z, data.labels)()
+                assert got == want
+                used = evaluations[0] - 1
+                if want in TEMPERATURE_BOUNDS:
+                    assert used <= eager + 1
+                else:
+                    assert used < eager
+                results.add(want if want in TEMPERATURE_BOUNDS else "inside")
+        assert results == {*TEMPERATURE_BOUNDS, "inside"}
+        z = np.zeros((5, 4))  # no slope anywhere: the upper bound
+        labels = np.array([1, 2, 3, 4, 1])
+        assert calibration._temperature_fit(z, labels)() == 20.0
+        assert eager_temperature_fit(z, labels)[0] == 20.0
+
     def test_infinite_logits_raise_before_the_fit(self):
         # 0 * -inf made every slope NaN, and the fit returned the upper
         # bound 20.0 as if the optimum lay beyond it
@@ -532,6 +609,8 @@ class TestDerivedScoreSets:
                           temperature=1e-320)
 
     def test_rescale_runs_one_softmax(self, monkeypatch):
+        # at most one: an unfitted kind fits nothing on the rescaled rows,
+        # so it checks the rescale from the row maxima and runs none
         data = synth_generate("dirichlet-like", 4, 50, 2)
         calls = []
 
@@ -547,7 +626,77 @@ class TestDerivedScoreSets:
         monkeypatch.setattr(ScoreSet, "__post_init__", refused)
         monkeypatch.setattr(ScoreSet, "_trusted", refused)
         calibrate(FormulationSpec(Kind.TOP_K, k=2), data, temperature=0.5)
+        assert calls == []
+        calibrate(FormulationSpec(Kind.AVERAGE_SIZE, kbar=2.0), data,
+                  temperature=0.5)
         assert calls == [(50, 4)]
+
+
+def raised(f, *args):
+    """``(type, message, row, entry)`` of the error ``f(*args)`` raises, or
+    None when it returns."""
+    try:
+        f(*args)
+    except PredsetsError as exc:
+        return (type(exc), str(exc), getattr(exc, "row", None),
+                getattr(exc, "entry", None))
+    return None
+
+
+class TestRescaleCheck:
+    """A rescale is checked from the row maxima of the logits; the
+    decision and the error equal those of checking the whole softmax."""
+
+    @staticmethod
+    def sets():
+        data = synth_generate("dirichlet-like", 5, 40, 6, noise=0.4)
+        z = np.array([[1.0, 2.0, 0.0], [1e300, -1e300, 0.0],
+                      [-1e300, -1e300, -1e300], [0.0, -1.0, -2.0]])
+        huge = np.array([[0.0, 1e308], [1.0, 2.0]])
+        p = np.array([[0.9, 0.1, 0.0], [0.2, 0.3, 0.5], [0.0, 0.0, 1.0]])
+        with np.errstate(divide="ignore"):
+            api = ScoreSet(ids=list("abc"), probs=p, logits=np.log(p))
+        return {
+            "synth": data,
+            "extreme": ScoreSet(ids=list("abcd"), probs=softmax(z), logits=z),
+            "max-zero": ScoreSet(ids=["a"], probs=softmax(z[3:]),
+                                 logits=z[3:]),
+            "huge": ScoreSet(ids=["a", "b"], probs=softmax(huge), logits=huge),
+            "-inf": api,
+        }
+
+    @staticmethod
+    def whole(scores, T):  # the softmax at T, checked in full
+        core.check_probability_rows(softmax(scores.logits, T))
+
+    @pytest.mark.parametrize("T", [1e-320, 1e-300, 1e-3, 0.5, 3.0, 1e300])
+    def test_row_maxima_decide_as_the_softmax_check(self, T):
+        spec = FormulationSpec(Kind.TOP_K, k=1)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for scores in self.sets().values():
+                want = raised(self.whole, scores, T)
+                assert want is None or want[0] is NonFiniteEntry
+                assert raised(calibration._rescalable, scores, T) == want
+                assert raised(calibrate, spec, scores, T) == want
+                assert raised(calibration._probs_at, scores, T) == want
+                if want is None:
+                    assert np.array_equal(calibration._probs_at(scores, T),
+                                          softmax(scores.logits, T))
+
+    def test_both_outcomes_occur(self):
+        sets = self.sets()
+        failing = {  # (name, T) -> (row, entry); every other pair passes
+            ("synth", 1e-320): (0, 0), ("extreme", 1e-320): (0, 0),
+            ("huge", 1e-320): (0, 0), ("-inf", 1e-320): (0, 0),
+            ("extreme", 1e-300): (1, 0), ("huge", 1e-300): (0, 0),
+            ("huge", 0.5): (0, 0),
+        }
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for T in (1e-320, 1e-300, 0.5):
+                for name, scores in sets.items():
+                    got = raised(self.whole, scores, T)
+                    where = failing.get((name, T))
+                    assert (got and got[2:]) == where, (name, T)
 
 
 class TestFeasibilityCheck:

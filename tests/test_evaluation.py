@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from predsets import evaluation
+from predsets import calibration, evaluation
 from predsets.calibration import CalibratedClassifier, EmpiricalStepFunction
 from predsets.calibration import calibrate
 from predsets.core import ScoreSet
@@ -576,6 +576,51 @@ class TestCommonDraws:
                       temperature="fit")
         assert [pt.status for pt in curve.points] == ["ok"] * 3
         assert (len(setups), len(fits)) == (1, 5)
+
+    @pytest.mark.parametrize("template, grid", [
+        (FormulationSpec(Kind.TOP_K, k=1), [1, 2, 9]),  # k = 9 > L fails
+        (FormulationSpec(Kind.POINTWISE_ERROR, eps=0.1), [0.05, 0.2, 2.0]),
+        (FormulationSpec(Kind.PENALIZED, lam=0.0), [0.01, 0.2]),
+    ])
+    def test_one_temperature_fit_per_unfitted_sweep(self, template, grid,
+                                                    monkeypatch):
+        # every grid value of an unfitted kind shares one fitted T; the
+        # points, failed ones included, are those of a calibrate per value
+        data = synth_generate("dirichlet-like", 4, 300, 8, noise=0.5)
+        calib = data.subset(np.arange(120))
+        test = data.subset(np.arange(120, 300))
+        unlabeled = ScoreSet(ids=calib.ids, probs=calib.probs,
+                             labels=np.r_[0, calib.labels[1:]],
+                             logits=calib.logits)
+        bare = ScoreSet(ids=calib.ids, probs=calib.probs, labels=calib.labels)
+        for calib, ok in ((calib, True), (unlabeled, False), (bare, False)):
+            want = []
+            for value in grid:
+                try:
+                    clf = calibrate(spec_with_param(template, value), calib,
+                                    temperature="fit", seed=0)
+                    report = evaluate(clf, test)
+                    want.append(tuple(  # the mean of three equal draws
+                        float(np.mean([v] * 3))
+                        for v in (report.avg_error, report.avg_size)))
+                except PredsetsError as exc:
+                    want.append(f"failed: {type(exc).__name__}: {exc}")
+            fits = []
+            fit_temperature = evaluation.fit_temperature
+
+            def counted(scores):
+                fits.append(scores)
+                return fit_temperature(scores)
+
+            monkeypatch.setattr(evaluation, "fit_temperature", counted)
+            monkeypatch.setattr(calibration, "fit_temperature", counted)
+            curve = sweep(template, grid, calib, test, seeds=3,
+                          temperature="fit")
+            monkeypatch.undo()
+            assert len(fits) == 1
+            assert [(pt.avg_error, pt.avg_size) if pt.status == "ok"
+                    else pt.status for pt in curve.points] == want
+            assert ok == any(isinstance(w, tuple) for w in want)
 
     KBAR = [1.0, 1.02, 1.04, 1.06, 1.08, 1.1]
 

@@ -481,6 +481,33 @@ class TestRowBlocks:
                              for first, later in zip(largest, largest[1:]))
         assert grows or len(core.row_blocks(n, L)) == 1
 
+    @pytest.mark.parametrize("L", [3, 10, 1000])
+    def test_pointwise_partition_matches_full_sort(self, monkeypatch, L):
+        # peaked rows first, then flat ones: blocks after the peaked ones
+        # partition off a short top, and the first flat block's rows need
+        # more than that top, so they sort in full
+        if L < 1000:
+            monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * L * 4)
+        n = 24 if L < 1000 else 200
+        rng = np.random.default_rng(L)
+        ints = np.vstack([rng.integers(0, 2, size=(n // 2, L)),
+                          rng.integers(2, 40, size=(n - n // 2, L))])
+        ints = ints.astype(float)
+        ints[: n // 2, 0] = 20.0 * L
+        P = ints / ints.sum(axis=1, keepdims=True)
+        blocks = core.row_blocks(n, L)
+        fallbacks = 0
+        for eps in (0.05, 0.3, 0.5, 0.8, 1.0):
+            expect = np.vstack([argsort_pointwise(P[i:i + 1], eps)
+                                for i in range(n)])
+            assert np.array_equal(pointwise_error_mask(P, eps), expect)
+            khat = expect.sum(axis=1)
+            m = L
+            for rows in blocks:  # the prefix bound the mask keeps
+                fallbacks += 2 * m <= L and khat[rows].max() > m
+                m = min(L, int(khat[rows].max()) + 1 + L // 16)
+        assert fallbacks or L == 3  # at L = 3 no top is short enough
+
     def test_cut_mask_fills_straddling_ties(self):
         P = tied_matrix(40, self.L, seed=3)
         desc = -np.sort(-P, axis=1)
