@@ -23,7 +23,11 @@ hybrid-error union models and every sweep at L=100 and at L=1000, so
 fitting and predicting on rescaled logits leave one as well.  The L=100
 files with their logits scaled by 1e-3 and by 1e3 (probabilities
 recomputed) run the point-wise and average-size models at a fitted
-temperature, which lands on the lower and the upper bound.  Prints one
+temperature, which lands on the lower and the upper bound.  On a host
+with two or more usable CPUs the L=1000 ``synth`` files (500 rows of 2000
+floats) are written in pieces, each past the first by a forked child,
+while the L=100 ones (500 rows of 200 floats) are written in one, so a diff
+against another tree compares the bytes of both write paths.  Prints one
 ``sha256  name`` line per output file and per command's stdout and exit
 code.  Two trees that behave alike print identical text:
 

@@ -145,6 +145,12 @@ class EmpiricalStepFunction:
         )
 
 
+def _key(up: np.ndarray, level: float, rounding):
+    # for integer up (unit counts), the integer key that counts the same
+    # entries, so that numpy does not cast all of up to float64 to search
+    return rounding(level) if up.dtype.kind == "i" and level >= 0 else level
+
+
 def generalized_inverse(f: EmpiricalStepFunction, u: float) -> float:
     """Smallest cutoff at which the step function has dropped to ``u``.
 
@@ -167,9 +173,9 @@ def generalized_inverse(f: EmpiricalStepFunction, u: float) -> float:
     # there that has weight is the last one sharing its tail: the first i
     # holding that value.  None has weight when the tail is 0.
     up, top = f._up, f.scores.size - 1
-    i = int(np.searchsorted(up, level, side="right")) - 1
+    i = int(np.searchsorted(up, _key(up, level, math.floor), side="right")) - 1
     if i < 0 or up[i] == 0:  # report the largest knot that carries weight
-        heavy = top - np.searchsorted(up, 0.0, side="right")
+        heavy = top - np.searchsorted(up, 0, side="right")
         raise Saturated(u, float(f.scores[heavy]))
     return float(f.scores[top - np.searchsorted(up, up[i], side="left")])
 
@@ -188,7 +194,7 @@ def largest_level_knot(f: EmpiricalStepFunction, level: float) -> float:
             f"(maximum attainable {f.total!r})"
         )
     # last knot with tail >= level: the first i with _up[i] >= level
-    i = np.searchsorted(f._up, level * f.norm, side="left")
+    i = np.searchsorted(f._up, _key(f._up, level * f.norm, math.ceil), side="left")
     return float(f.scores[f.scores.size - 1 - i])
 
 

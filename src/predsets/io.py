@@ -4,16 +4,19 @@ Score files are UTF-8 CSV with header ``id,label,p_1,...,p_L`` and optional
 parallel logit columns ``z_1,...,z_L``; the label column is empty for
 unlabeled rows.  Floats are serialized with their shortest round-trip
 representation, so write -> read -> write is byte-identical.  Score files,
-distribution fixtures and per-class CSVs share one reader and one writer:
-a read parses all float columns in one ``np.loadtxt`` pass, and a write
-streams one joined line per row.  Model files are human-readable key-value
-text with a format-version field.
+distribution fixtures and per-class CSVs share one reader and one writer.
+A read parses all float columns in one serial ``np.loadtxt`` pass: two
+halves parsed at once each took twice as long.  A write cuts its rows
+into pieces of 2**17 floats or more, at most one per usable CPU, and forks
+a child to format each piece past the first; the bytes are a serial
+write's.  Model files are human-readable key-value text with a version.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from itertools import compress
 from pathlib import Path
 from types import SimpleNamespace
@@ -38,19 +41,60 @@ def fmt(x: float) -> str:
 # --- numeric CSVs: scores, distribution fixtures, per-class rates -----------
 
 
+def _pieces(floats: int) -> int:
+    """One piece per usable CPU, each of at least 2**17 floats (some 60
+    times as long to format as a fork); one where this process cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), floats >> 17))
+
+
 def _write_table(path, header, leading, values: np.ndarray) -> None:
     """Write ``header``, then one line per row of ``values``: that row's
-    csv-quoted ``leading`` fields, then its floats.  Lines are streamed."""
+    csv-quoted ``leading`` fields, then its floats.  Rows past the first
+    of :func:`_pieces` contiguous pieces are formatted by forked children."""
     # writerow returns what the file's write returns: here the quoted line.
     # csv quotes a field holding a character of the line terminator, so
     # "\r\n" (cut off again) makes it quote "\r" as well as "\n"; the
     # trailing empty field keeps csv from quoting a lone empty field
     join = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{join(header)[:-2]}\n")
-        for fields, row in zip(leading, values):
+    leading = list(leading)
+    p = _pieces(values.size)
+    cuts = [len(leading) * i // p for i in range(p + 1)]
+
+    def write_rows(fh, a, b):
+        for fields, row in zip(leading[a:b], values[a:b]):
             floats = ",".join(map(repr, row.tolist()))
             fh.write(f"{join([*fields, ''])[:-2]}{floats}\n")
+
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(f"{join(header)[:-2]}\n")
+        parts, pids = [], []
+        try:
+            for a, b in zip(cuts[1:-1], cuts[2:]):
+                import shutil, tempfile  # only a split write needs them
+                # newline="" keeps a quoted "\r" in an id as it is
+                part = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+                parts.append(part)
+                pids.append(os.fork())
+                if pids[-1] == 0:  # the child exits 0 only once flushed
+                    try:
+                        write_rows(part, a, b)
+                        part.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            write_rows(fh, 0, cuts[1])
+            for part in parts:
+                if os.waitpid(pids.pop(0), 0)[1]:
+                    raise OSError(f"{path}: a writer process failed")
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
+        finally:  # reap every child left, also when a piece failed
+            for pid in pids:
+                os.waitpid(pid, 0)
+            for part in parts:
+                part.close()
 
 
 def _read_table(path, check_header, converters):

@@ -1,5 +1,6 @@
 """Threshold fitting, step functions, temperature, offset, feasibility."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -15,6 +16,7 @@ from predsets.calibration import (
     fit_temperature,
     fscore_objective_derivative,
     generalized_inverse,
+    largest_level_knot,
     pointwise_offset,
     step_function,
 )
@@ -138,6 +140,29 @@ class TestGeneralizedInverse:
                     continue
                 expect = g.scores[ok[0]]
             assert generalized_inverse(g, u) == expect
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counts_searched_as_float_levels(self, seed):
+        # count-valued knots are searched with an integer key; both
+        # searches must land where the float64 search of the counts does,
+        # at exact counts and at the floats next to them
+        rng = np.random.default_rng(seed)
+        n = 40
+        f = EmpiricalStepFunction(rng.integers(0, 10, n) / 10, 1, np.arange(n))
+        g = f.reweight(rng.integers(0, 3, n))
+        assert g._up.dtype.kind == "i"
+        cast = copy.copy(g)
+        cast._up = g._up.astype(np.float64)
+        cast.tail = cast._up[::-1]
+        exact = np.unique(g._up).astype(np.float64)
+        levels = np.concatenate([
+            exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
+            rng.uniform(0, g.total, 20),
+        ])
+        for search in (generalized_inverse, largest_level_knot):
+            for level in levels.tolist():
+                expect = raised(search, cast, level) or search(cast, level)
+                assert (raised(search, g, level) or search(g, level)) == expect
 
     def test_interior_knot(self):
         f = EmpiricalStepFunction([0.5, 0.3, 0.2], [1, 1, 1])

@@ -1,6 +1,8 @@
 """File formats and the command-line pipeline."""
 
 import hashlib
+import os
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from predsets.core import ScoreSet, softmax
 from predsets.errors import NonFiniteEntry, ParseError
 from predsets.evaluation import evaluate
 from predsets.formulations import FormulationSpec, Kind
-from predsets.oracle import make_distribution
+from predsets.oracle import make_distribution, synth_generate
 
 
 @pytest.fixture()
@@ -169,7 +171,7 @@ class TestScoreFiles:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
-    def test_round_trip_property(self, tmp_path, data):
+    def test_round_trip_property(self, tmp_path, monkeypatch, data):
         L = data.draw(st.integers(2, 5), label="L")
         n = data.draw(st.integers(1, 6), label="n")
         ids = data.draw(
@@ -201,7 +203,10 @@ class TestScoreFiles:
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         io.write_scores(p1, s)
         loaded = io.read_scores(p1)
-        io.write_scores(p2, loaded)
+        with monkeypatch.context() as m:  # written back in 3 pieces
+            m.setattr(io, "_pieces", lambda floats: 3)
+            io.write_scores(p2, loaded)
+        assert_no_children()
         assert p1.read_bytes() == p2.read_bytes()
         assert loaded.ids == ids
         assert np.array_equal(loaded.probs, s.probs)
@@ -210,6 +215,62 @@ class TestScoreFiles:
             assert loaded.logits is None
         else:
             assert np.array_equal(loaded.logits, logits)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("unprintable id")
+
+
+class TestSplitWriter:
+    """A table cut into pieces, each past the first formatted by a forked
+    child, is written byte for byte as in one piece."""
+
+    @pytest.mark.parametrize("pieces", [1, 2, 3])
+    def test_bytes_do_not_depend_on_pieces(self, tmp_path, monkeypatch, pieces):
+        s = synth_generate("two-regime", L=6, n=11, seed=4, noise=0.3)
+        dist = s.meta["truth"]
+        s = ScoreSet(ids=['a"b', "c\rd", *s.ids[2:]], probs=s.probs,
+                     labels=[0, *s.labels[1:]], logits=s.logits)
+        serial = tmp_path / "serial"
+        serial.mkdir()
+        io.write_scores(serial / "s.csv", s)
+        io.write_distribution(serial / "d.csv", dist)
+        monkeypatch.setattr(io, "_pieces", lambda floats: pieces)
+        io.write_scores(tmp_path / "s.csv", s)
+        io.write_distribution(tmp_path / "d.csv", dist)
+        assert_no_children()
+        for name in ("s.csv", "d.csv"):
+            assert (tmp_path / name).read_bytes() == (serial / name).read_bytes()
+
+    def test_pieces_follow_usable_cpus_and_size(self, monkeypatch):
+        monkeypatch.setattr(io.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert [io._pieces(f) for f in (0, 2**17, 2**18 - 1, 2**18, 2**20)] == [
+            1, 1, 1, 2, 3
+        ]
+        monkeypatch.delattr(io.os, "fork")
+        assert io._pieces(2**20) == 1
+
+    def test_failed_child_raises_oserror_naming_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_pieces", lambda floats: 2)
+        path = tmp_path / "s.csv"
+        leading = [("a",), ("b",), ("c",), (Unprintable(),)]
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            io._write_table(path, ["id", "x"], leading, np.ones((4, 1)))
+        assert_no_children()
+
+    def test_children_reaped_when_first_piece_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_pieces", lambda floats: 3)
+        leading = [(Unprintable(),), ("b",), ("c",), ("d",)]
+        with pytest.raises(RuntimeError, match="unprintable"):
+            io._write_table(tmp_path / "s.csv", ["id", "x"], leading,
+                            np.ones((4, 1)))
+        assert_no_children()
 
 
 class TestModelFiles:
