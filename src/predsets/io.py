@@ -5,18 +5,23 @@ parallel logit columns ``z_1,...,z_L``; the label column is empty for
 unlabeled rows.  Floats are serialized with their shortest round-trip
 representation, so write -> read -> write is byte-identical.  Score files,
 distribution fixtures and per-class CSVs share one reader and one writer.
-A read parses all float columns in one serial ``np.loadtxt`` pass: two
-halves parsed at once each took twice as long.  A write cuts its rows
-into pieces of 2**17 floats or more, at most one per usable CPU, and forks
-a child to format each piece past the first; the bytes are a serial
-write's.  Model files are human-readable key-value text with a version.
+A read or a write cuts a table's rows into pieces of 2**17 floats or more,
+at most one per usable CPU, and forks a child for each piece past the
+first: a reader's child parses its rows' floats with ``np.loadtxt`` into
+memory shared with the parent, a writer's child formats its rows into a
+temporary file.  The arrays and the bytes are those of one piece.  Model
+files are human-readable key-value text with a version.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import mmap
 import os
+import shutil
+import tempfile
 from itertools import compress
 from pathlib import Path
 from types import SimpleNamespace
@@ -43,58 +48,76 @@ def fmt(x: float) -> str:
 
 def _pieces(floats: int) -> int:
     """One piece per usable CPU, each of at least 2**17 floats (some 60
-    times as long to format as a fork); one where this process cannot fork."""
+    times as long to format, and 20 times as long to parse, as a fork
+    takes); one where this process cannot fork."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), floats >> 17))
 
 
+def _cuts(rows: int, floats: int) -> list[int]:
+    """Bounds of the :func:`_pieces` contiguous row pieces, no more than rows."""
+    p = max(1, min(_pieces(floats), rows))
+    return [rows * i // p for i in range(p + 1)]
+
+
+@contextlib.contextmanager
+def _forked(cuts, child, failure: Exception):
+    """Run ``child(a, b)`` in a forked process for each row piece ``a:b``
+    of ``cuts`` past the first while the ``with`` body does piece 0, then
+    reap the children in order and raise ``failure`` if one exited
+    non-zero.  Every child is reaped, also when the body raises."""
+    pids = []
+    try:
+        for a, b in zip(cuts[1:-1], cuts[2:]):
+            pids.append(os.fork())
+            if pids[-1] == 0:  # the child exits 0 only once child returned
+                try:
+                    child(a, b)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+        yield
+        while pids:
+            if os.waitpid(pids.pop(0), 0)[1]:
+                raise failure
+    finally:  # reap every child left, also when a piece failed
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
 def _write_table(path, header, leading, values: np.ndarray) -> None:
     """Write ``header``, then one line per row of ``values``: that row's
     csv-quoted ``leading`` fields, then its floats.  Rows past the first
-    of :func:`_pieces` contiguous pieces are formatted by forked children."""
+    of the :func:`_cuts` pieces are formatted by forked children."""
     # writerow returns what the file's write returns: here the quoted line.
     # csv quotes a field holding a character of the line terminator, so
     # "\r\n" (cut off again) makes it quote "\r" as well as "\n"; the
     # trailing empty field keeps csv from quoting a lone empty field
     join = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
     leading = list(leading)
-    p = _pieces(values.size)
-    cuts = [len(leading) * i // p for i in range(p + 1)]
+    cuts = _cuts(len(leading), values.size)
 
     def write_rows(fh, a, b):
         for fields, row in zip(leading[a:b], values[a:b]):
             floats = ",".join(map(repr, row.tolist()))
             fh.write(f"{join([*fields, ''])[:-2]}{floats}\n")
 
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    def write_part(a, b):  # flushed, or the child's rows stay in its buffer
+        write_rows(parts[a], a, b)
+        parts[a].flush()
+
+    with contextlib.ExitStack() as files:
+        fh = files.enter_context(Path(path).open("w", encoding="utf-8", newline=""))
         fh.write(f"{join(header)[:-2]}\n")
-        parts, pids = [], []
-        try:
-            for a, b in zip(cuts[1:-1], cuts[2:]):
-                import shutil, tempfile  # only a split write needs them
-                # newline="" keeps a quoted "\r" in an id as it is
-                part = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-                parts.append(part)
-                pids.append(os.fork())
-                if pids[-1] == 0:  # the child exits 0 only once flushed
-                    try:
-                        write_rows(part, a, b)
-                        part.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
+        # newline="" keeps a quoted "\r" in an id as it is
+        parts = {a: files.enter_context(tempfile.TemporaryFile(
+            "w+", encoding="utf-8", newline="")) for a in cuts[1:-1]}
+        with _forked(cuts, write_part, OSError(f"{path}: a writer process failed")):
             write_rows(fh, 0, cuts[1])
-            for part in parts:
-                if os.waitpid(pids.pop(0), 0)[1]:
-                    raise OSError(f"{path}: a writer process failed")
-                part.seek(0)
-                shutil.copyfileobj(part, fh)
-        finally:  # reap every child left, also when a piece failed
-            for pid in pids:
-                os.waitpid(pid, 0)
-            for part in parts:
-                part.close()
+        for part in parts.values():
+            part.seek(0)
+            shutil.copyfileobj(part, fh)
 
 
 def _read_table(path, check_header, converters):
@@ -104,9 +127,9 @@ def _read_table(path, check_header, converters):
     ``check_header(path, header)`` raises :class:`ParseError` on a bad
     header and returns what the caller needs from it.  Returns that, the
     leading columns (one list per converter) and the floats as an (n, m)
-    array from one ``np.loadtxt`` pass.  A file holding a quote, and a file
-    with any line that pass does not take, goes through
-    :func:`_parse_records`, which raises the first error with its line.
+    array that ``np.loadtxt`` fills, one :func:`_forked` piece a process.
+    A file holding a quote, and a file with any line that fails there,
+    goes through :func:`_parse_records`, which raises the first error.
     """
     with path.open("r", encoding="utf-8", newline="") as fh:
         lines = fh.readlines()
@@ -114,27 +137,28 @@ def _read_table(path, check_header, converters):
         return _parse_records(path, check_header, converters)
     header = lines[0].rstrip("\r\n").split(",")
     shape = check_header(path, header)
-    n_lead, rows = len(converters), []
-    n_commas = len(header) - n_lead - 1
+    body, n_lead, rows = lines[1:], len(converters), []
+    n, m = len(body), len(header) - n_lead
+    cuts = _cuts(n, n * m)
+    # shared, so that a child's rows land in the parent's array
+    values = np.ndarray((n, m), buffer=mmap.mmap(-1, 8 * n * m))
+
+    def parse(a, b):
+        values[a:b] = np.loadtxt(body[a:b], delimiter=",", comments=None,
+                                 usecols=range(n_lead, n_lead + m), ndmin=2)
+
     try:
-        for line in lines[1:]:
-            fields = line.split(",", n_lead)
-            # loadtxt ignores fields past usecols, so count them here
-            if len(fields) <= n_lead or fields[-1].count(",") != n_commas:
-                raise ValueError("wrong field count")
-            rows.append(fields[:n_lead])
-        columns = [
-            list(map(convert, column))
-            for convert, column in zip(converters, zip(*rows))
-        ]
-        values = np.loadtxt(
-            lines[1:],
-            delimiter=",",
-            usecols=range(n_lead, len(header)),
-            comments=None,
-            ndmin=2,
-        )
-    except ValueError:
+        with _forked(cuts, parse, ValueError("a parser process failed")):
+            for line in body:
+                fields = line.split(",", n_lead)
+                # loadtxt ignores fields past usecols, so count them here
+                if len(fields) <= n_lead or fields[-1].count(",") != m - 1:
+                    raise ValueError("wrong field count")
+                rows.append(fields[:n_lead])
+            columns = [list(map(convert, column))
+                       for convert, column in zip(converters, zip(*rows))]
+            parse(0, cuts[1])
+    except (ValueError, OSError):  # OSError: this process could not fork
         return _parse_records(path, check_header, converters)
     return shape, columns, values
 

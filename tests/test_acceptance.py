@@ -7,6 +7,7 @@ being frozen here.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -403,10 +404,10 @@ def test_criterion_10_cli_round_trip(tmp_path, monkeypatch):
             "--test", f"{prefix}_test.csv", "--out", str(metrics),
         ]) == 0
         return [
-            open(f"{prefix}_calib.csv", "rb").read(),
-            open(model, "rb").read(),
-            open(preds, "rb").read(),
-            open(metrics, "rb").read(),
+            Path(f"{prefix}_calib.csv").read_bytes(),
+            model.read_bytes(),
+            preds.read_bytes(),
+            metrics.read_bytes(),
         ]
 
     run_a = pipeline(tmp_path / "a")

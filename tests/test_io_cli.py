@@ -3,6 +3,7 @@
 import hashlib
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,9 +203,9 @@ class TestScoreFiles:
         s = ScoreSet(ids=ids, probs=probs, labels=labels, logits=logits)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         io.write_scores(p1, s)
-        loaded = io.read_scores(p1)
-        with monkeypatch.context() as m:  # written back in 3 pieces
+        with monkeypatch.context() as m:  # read and written back in 3 pieces
             m.setattr(io, "_pieces", lambda floats: 3)
+            loaded = io.read_scores(p1)
             io.write_scores(p2, loaded)
         assert_no_children()
         assert p1.read_bytes() == p2.read_bytes()
@@ -271,6 +272,113 @@ class TestSplitWriter:
             io._write_table(tmp_path / "s.csv", ["id", "x"], leading,
                             np.ones((4, 1)))
         assert_no_children()
+
+
+def read_in_pieces(monkeypatch, pieces, read, path):
+    """``read(path)`` with ``_pieces`` forced, checking that pieces past the
+    first were forked and that no child is left."""
+    forks, fork = [], os.fork
+    with monkeypatch.context() as m:
+        m.setattr(io, "_pieces", lambda floats: pieces)
+        m.setattr(os, "fork", lambda: forks.append(1) or fork())
+        try:
+            return read(path)
+        finally:
+            assert len(forks) == pieces - 1
+            assert_no_children()
+
+
+def read_outcome(monkeypatch, pieces, path):
+    """The error text and line of ``read_scores`` in ``pieces`` pieces, or
+    its ids and the bytes of its probabilities and labels."""
+    try:
+        s = read_in_pieces(monkeypatch, pieces, io.read_scores, path)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return s.ids, s.probs.tobytes(), s.labels.tobytes()
+
+
+class TestSplitReader:
+    """A table cut into pieces, each past the first parsed by a forked
+    child, reads as in one piece, with the same errors."""
+
+    @pytest.mark.parametrize("pieces", [1, 2, 3])
+    @pytest.mark.parametrize("ending", ["lf", "crlf", "no final newline"])
+    def test_arrays_do_not_depend_on_pieces(self, tmp_path, monkeypatch,
+                                            pieces, ending):
+        s = synth_generate("two-regime", L=6, n=11, seed=4, noise=0.3)
+        scores = ScoreSet(ids=s.ids, probs=s.probs, logits=s.logits,
+                          labels=[0, *s.labels[1:]])
+        path, truth = tmp_path / "s.csv", tmp_path / "d.csv"
+        io.write_scores(path, scores)
+        io.write_distribution(truth, s.meta["truth"])
+        for p in (path, truth):
+            text = p.read_bytes()
+            if ending == "crlf":
+                p.write_bytes(text.replace(b"\n", b"\r\n"))
+            elif ending == "no final newline":
+                p.write_bytes(text.rstrip(b"\n"))
+        loaded = read_in_pieces(monkeypatch, pieces, io.read_scores, path)
+        assert loaded.ids == scores.ids
+        for name in ("probs", "logits", "labels"):
+            got, want = getattr(loaded, name), getattr(scores, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        dist = read_in_pieces(monkeypatch, pieces, io.read_distribution, truth)
+        assert dist.x_ids == s.meta["truth"].x_ids
+        for name in ("marginal", "cond"):
+            got, want = getattr(dist, name), getattr(s.meta["truth"], name)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("last, shown", [
+        ("r9,1,0.5,x", "could not convert string to float: 'x'"),
+        ("r9,1,0.5,0.5,0.5", "expected 4 fields, got 5"),
+        ("r9,1,0.5,inf", "non-finite probability in 'r9'"),
+        ("r9,3,0.5,0.5", "label 3 outside [1, 2] in 'r9'"),
+    ])
+    def test_error_in_last_piece_as_in_one(self, tmp_path, monkeypatch,
+                                           last, shown):
+        path = tmp_path / "bad.csv"
+        rows = [f"r{i},{1 + i % 2},0.5,0.5" for i in range(8)]
+        path.write_text("\n".join(["id,label,p_1,p_2", *rows, last]) + "\n")
+        serial = read_outcome(monkeypatch, 1, path)
+        assert shown in serial[0] and serial[1] == 10
+        for pieces in (2, 3):
+            assert read_outcome(monkeypatch, pieces, path) == serial
+
+    def test_children_reaped_when_first_piece_raises(self, tmp_path,
+                                                      monkeypatch):
+        path = tmp_path / "bad.csv"
+        rows = ["r0,1,x,0.5"] + [f"r{i},1,0.5,0.5" for i in range(1, 9)]
+        path.write_text("\n".join(["id,label,p_1,p_2", *rows]) + "\n")
+        serial = read_outcome(monkeypatch, 1, path)
+        assert serial[1] == 2
+        assert read_outcome(monkeypatch, 3, path) == serial
+
+    @pytest.mark.parametrize("bad", [None, "r9,1,0.5,inf", "r9,x,0.5,0.5"])
+    @pytest.mark.parametrize("broken", ["loadtxt in the child", "fork"])
+    def test_failure_to_split_falls_back_to_serial(self, tmp_path,
+                                                   monkeypatch, bad, broken):
+        path = tmp_path / "s.csv"
+        rows = [f"r{i},{1 + i % 2},{i / 10},{1 - i / 10}" for i in range(9)]
+        path.write_text("\n".join(["id,label,p_1,p_2", *rows[:8],
+                                   bad or rows[8]]) + "\n")
+        serial = read_outcome(monkeypatch, 1, path)
+        parent, loadtxt = os.getpid(), np.loadtxt
+
+        def fails_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("child fails")
+            return loadtxt(*args, **kwargs)
+
+        def no_fork():
+            raise BlockingIOError("no process left")
+
+        if broken == "fork":
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            monkeypatch.setattr(np, "loadtxt", fails_in_child)
+        assert read_outcome(monkeypatch, 2, path) == serial
 
 
 class TestModelFiles:
@@ -430,8 +538,8 @@ class TestCliSynth:
             "--out-prefix", again,
         )
         for name in ("train", "calib", "test", "truth"):
-            a = open(synth_files[name], "rb").read()
-            b = open(f"{again}_{name.replace('truth', 'truth')}.csv", "rb").read()
+            a = Path(synth_files[name]).read_bytes()
+            b = Path(f"{again}_{name}.csv").read_bytes()
             assert a == b
 
     def test_disjoint_ids_and_sizes(self, synth_files):
@@ -506,7 +614,7 @@ class TestCliCalibratePredictEvaluate:
             "calibrate", "--formulation", "top-k", "--k", 2,
             "--scores", synth_files["calib"], "--model", model,
         )
-        text = open(model).read()
+        text = model.read_text()
         assert "theta" not in text
         assert io.read_model(model).theta is None
 
@@ -598,7 +706,7 @@ class TestCliCalibratePredictEvaluate:
         assert run_cli(
             "predict", "--model", model, "--scores", scores, "--out", out
         ) == 0
-        assert open(out).read().splitlines() == ["id,labels,size", "q,1;2,2"]
+        assert out.read_text().splitlines() == ["id,labels,size", "q,1;2,2"]
 
     def test_predict_empty_set_row(self, tmp_path):
         scores = tmp_path / "s.csv"
@@ -612,7 +720,7 @@ class TestCliCalibratePredictEvaluate:
         )
         out = tmp_path / "p.csv"
         run_cli("predict", "--model", model, "--scores", scores, "--out", out)
-        assert open(out).read().splitlines()[1] == "q,,0"
+        assert out.read_text().splitlines()[1] == "q,,0"
 
     def test_predict_class_count_mismatch(self, tmp_path, synth_files):
         model = tmp_path / "m.model"
@@ -640,9 +748,9 @@ class TestCliCalibratePredictEvaluate:
             "--gate-slack", 0.05,
         )
         assert code == 0
-        text = open(out).read()
+        text = out.read_text()
         assert "avg_error:" in text and "gate_violations: 0" in text
-        assert open(tmp_path / "pc.csv").read().startswith("label,")
+        assert (tmp_path / "pc.csv").read_text().startswith("label,")
 
     def test_evaluate_builds_the_mask_once(
         self, tmp_path, synth_files, monkeypatch
@@ -677,8 +785,8 @@ class TestCliCalibratePredictEvaluate:
             "calibrate", "--formulation", "average-size", "--kbar", 3.0,
             "--scores", synth_files["calib"], "--model", model,
         )
-        text = open(model).read().replace("kbar: 3.0", "kbar: 0.5")
-        open(model, "w").write(text)
+        text = model.read_text().replace("kbar: 3.0", "kbar: 0.5")
+        model.write_text(text)
         code = run_cli(
             "evaluate", "--model", model, "--test", synth_files["test"],
             "--out", tmp_path / "metrics.txt", "--gate-slack", 0.0,
@@ -695,7 +803,7 @@ class TestCliSweep:
             "--out", out, "--repeats", 2,
         )
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = out.read_text().splitlines()
         assert lines[0].startswith(
             "param,avg_error_mean,avg_error_std,avg_size_mean,avg_size_std,status"
         )
@@ -709,7 +817,7 @@ class TestCliSweep:
             "--calib", synth_files["calib"], "--test", synth_files["test"],
             "--out", out, "--repeats", 3, "--seed", 1,
         )
-        lines = open(out).read().splitlines()[1:]
+        lines = out.read_text().splitlines()[1:]
         for line in lines:
             param, _, _, size_mean = line.split(",")[:4]
             assert abs(float(size_mean) - float(param)) < 0.2
@@ -725,7 +833,7 @@ class TestCliSweep:
                 "--out", out,
             )
             assert code == 0
-            curves[k] = open(out).read()
+            curves[k] = out.read_text()
         assert curves[2] != curves[3]
         assert ",ok," in curves[2] and ",failed" not in curves[2]
 
@@ -801,7 +909,7 @@ class TestPipelineDeterminism:
             FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.1), calib
         )
         mask = clf.predict_set_mask(test)
-        rows = open(out).read().splitlines()[1:]
+        rows = out.read_text().splitlines()[1:]
         for i, row in enumerate(rows):
             labels = np.flatnonzero(mask[i]) + 1
             expect = f"{test.ids[i]},{';'.join(map(str, labels))},{len(labels)}"
