@@ -26,7 +26,6 @@ from .calibration import (
     calibrate,
     feasibility_check,
     fit_temperature,
-    generalized_inverse,
     pointwise_offset,
     step_function,
 )

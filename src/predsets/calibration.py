@@ -3,18 +3,19 @@
 The average-size, average-error, hybrid and F-score rules all threshold the
 probability vector at a cutoff that depends on the unknown distribution.
 This module estimates those cutoffs from data: empirical step functions
-over pooled scores, their generalized inverses, the point-wise offset, the
-F-score root, temperature scaling (a safeguarded Newton iteration on
-``1/T``, where the likelihood is convex), and the feasibility check for the
-average-error-with-size-cap problem.
+over pooled scores, one search for their cutoff knots, the point-wise
+offset, the F-score root, temperature scaling (a safeguarded Newton
+iteration on ``1/T``, where the likelihood is convex), and the feasibility
+check for the average-error-with-size-cap problem.
 
 :func:`calibrate` is the one fitting entry point: for every kind it
 resolves the temperature and offset, and for the fitted kinds it reads the
 cutoff off one representation, the sorted knots of
-:class:`EmpiricalStepFunction` that :func:`step_function` returns: a
-generalized inverse of G, G_k or H, the largest knot reaching a level of
-H_eps, or the exact F-score root.  The knots carry per-sample counts, so a
-bootstrap replicate is the same knots reweighted (see ``evaluation.sweep``).
+:class:`EmpiricalStepFunction` that :func:`step_function` returns, by one
+search in two orientations (the knot where G or G_k drops to kbar, the
+largest where H or H_eps reaches 1 - ebar) or the exact F-score root.  The
+knots carry per-sample counts, so a bootstrap replicate is the same knots
+reweighted (see ``evaluation.sweep``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .core import ScoreSet, check_probability_rows, mask_to_labels, softmax
 from .core import row_blocks, topk_mask, validate_probability_vector
 from .errors import EmptyScoreSet, InfeasiblePair, KOutOfRange
-from .errors import InvalidTemperature, MissingLogits, NegativeU, NonFiniteEntry
+from .errors import InvalidTemperature, MissingLogits, NonFiniteEntry
 from .errors import Saturated, ThetaMismatch, TooFewClasses
 from .formulations import FormulationSpec, Kind, pointwise_error_mask, rule_mask
 
@@ -88,7 +89,7 @@ class EmpiricalStepFunction:
 
     def _set(self, weight):
         # weight[j] = weight of knot j; tail[j] = weight at or above it,
-        # a view of the non-decreasing _up, which the inverses search
+        # a view of the non-decreasing _up, which _knot_at searches
         self.weight = weight
         self._up = np.cumsum(weight[::-1])
         self.tail = self._up[::-1]
@@ -145,57 +146,40 @@ class EmpiricalStepFunction:
         )
 
 
-def _key(up: np.ndarray, level: float, rounding):
-    # for integer up (unit counts), the integer key that counts the same
-    # entries, so that numpy does not cast all of up to float64 to search
-    return rounding(level) if up.dtype.kind == "i" and level >= 0 else level
-
-
-def generalized_inverse(f: EmpiricalStepFunction, u: float) -> float:
-    """Smallest cutoff at which the step function has dropped to ``u``.
-
-    Follows ``inf{t : f(t) <= u}`` restricted to the knots that carry
-    weight: returns 0 when ``f(0) <= u`` already, otherwise the smallest
-    such knot score whose value is ``<= u``.  When even the largest knot
-    leaves ``f`` above ``u`` the request is unattainable and
-    :class:`Saturated` is raised (carrying the largest knot score) instead
-    of silently clamping.
+def _knot_at(f: EmpiricalStepFunction, u: float, reach: bool) -> float:
+    """The cutoff knot of ``f`` at level ``u``: when ``reach``, the largest
+    knot score at which ``f`` still reaches ``u`` (:class:`InfeasiblePair`
+    when none does); else the smallest cutoff at which ``f`` has dropped to
+    ``u`` among the knots that carry weight: 0 when ``f(0) <= u``, and
+    :class:`Saturated`, with the largest knot score that has weight, when
+    even that knot leaves ``f`` above ``u``.
     """
-    u = float(u)
-    if u < 0:
-        raise NegativeU(f"u={u!r} < 0")
     level = u * f.norm
-    if f.scores.size == 0 or f.tail[0] <= level:
-        return 0.0
-    # _up[i] is the tail of knot m - 1 - i.  The first knot with tail
-    # <= level is knot m - 1 - i for the last i with _up[i] <= level.  A
-    # knot without weight has its successor's tail, so the first knot from
-    # there that has weight is the last one sharing its tail: the first i
-    # holding that value.  None has weight when the tail is 0.
     up, top = f._up, f.scores.size - 1
-    i = int(np.searchsorted(up, _key(up, level, math.floor), side="right")) - 1
-    if i < 0 or up[i] == 0:  # report the largest knot that carries weight
-        heavy = top - np.searchsorted(up, 0, side="right")
-        raise Saturated(u, float(f.scores[heavy]))
-    return float(f.scores[top - np.searchsorted(up, up[i], side="left")])
-
-
-def largest_level_knot(f: EmpiricalStepFunction, level: float) -> float:
-    """Largest knot score at which ``f`` still reaches ``level``.
-
-    This is the opposite orientation from :func:`generalized_inverse`: used
-    where the contract is "keep ``f`` at or above the level", e.g. cumulated
-    true-class mass must stay above ``1 - ebar``.  Raises
-    :class:`InfeasiblePair` when no knot attains the level.
-    """
-    if f.scores.size == 0 or f.tail[0] < level * f.norm:
+    if up.dtype.kind == "i":
+        # the integer key that counts the same entries, so that numpy does
+        # not cast all of up to float64 to search
+        level = math.ceil(level) if reach else math.floor(level)
+    if not reach:
+        # _up[i] is the tail of knot top - i, so the last i with _up[i] <=
+        # level is the first knot whose tail has dropped to the level.  A
+        # knot without weight has its successor's tail: the first knot from
+        # there with weight is the last one that reaches that tail.
+        i = int(np.searchsorted(up, level, side="right")) - 1
+        if i == top:  # f(0) <= u
+            return 0.0
+        if i < 0 or up[i] == 0:  # report the largest knot that carries weight
+            heavy = top - np.searchsorted(up, 0, side="right")
+            raise Saturated(u, float(f.scores[heavy]))
+        level = up[i]
+    # the last knot with tail >= level: the first i with _up[i] >= level
+    i = int(np.searchsorted(up, level, side="left"))
+    if i > top:
         raise InfeasiblePair(
-            f"step function never reaches level {level!r} "
+            f"step function never reaches level {u!r} "
             f"(maximum attainable {f.total!r})"
         )
-    # last knot with tail >= level: the first i with _up[i] >= level
-    i = np.searchsorted(f._up, _key(f._up, level * f.norm, math.ceil), side="left")
-    return float(f.scores[f.scores.size - 1 - i])
+    return float(f.scores[top - i])
 
 
 def fscore_root(g: EmpiricalStepFunction, beta: float) -> float:
@@ -266,11 +250,11 @@ def _cutoff(spec: FormulationSpec, f: EmpiricalStepFunction) -> float:
     """The fitted threshold of ``spec`` from its (reweighted) knots."""
     kind = spec.kind
     if kind in (Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
-        return generalized_inverse(f, spec.kbar)
+        return _knot_at(f, spec.kbar, reach=False)
     if kind is Kind.AVERAGE_ERROR:
-        return largest_level_knot(f, 1.0 - spec.ebar)
+        return _knot_at(f, 1.0 - spec.ebar, reach=True)
     if kind is Kind.HYBRID_ERROR:
-        return largest_level_knot(f.mass(), 1.0 - spec.ebar)
+        return _knot_at(f.mass(), 1.0 - spec.ebar, reach=True)
     return fscore_root(f, spec.beta)
 
 

@@ -207,7 +207,7 @@ def _spec_from_args_sweep(args, L: int) -> FormulationSpec:
         Kind.PENALIZED: dict(lam=0.0),
         Kind.AVERAGE_SIZE: dict(kbar=1.0),
         Kind.AVERAGE_ERROR: dict(ebar=0.5),
-        Kind.HYBRID_SIZE: dict(kbar=1.0, k=L),
+        Kind.HYBRID_SIZE: dict(kbar=0.5, k=L),  # kbar < every k >= 1
         Kind.HYBRID_ERROR: dict(ebar=0.0, eps=1.0),
         Kind.F_SCORE: dict(beta=1.0),
     }[kind]

@@ -103,11 +103,16 @@ class InvalidBeta(PredsetsError, ValueError):
     """F-score weight beta not finite and > 0."""
 
 
+class SpecFieldError(PredsetsError, ValueError):
+    """A spec field missing, given to a kind that does not take it, or of
+    an unknown value (the kind or the combine mode); ``field`` names it."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+
 # --- calibration ----------------------------------------------------------
-
-
-class NegativeU(PredsetsError, ValueError):
-    """Generalized inverse queried at a negative level."""
 
 
 class Saturated(PredsetsError, RuntimeError):
@@ -121,8 +126,8 @@ class Saturated(PredsetsError, RuntimeError):
         self.u = float(u)
         self.value = float(value)
         super().__init__(
-            f"step function stays above u={u!r} for every knot; "
-            f"largest knot score is {value!r}"
+            f"step function stays above u={self.u!r} for every knot; "
+            f"largest knot score is {self.value!r}"
         )
 
 

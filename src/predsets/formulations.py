@@ -24,6 +24,7 @@ from .errors import (
     KOutOfRange,
     NegativeLambda,
     ParameterOrderViolation,
+    SpecFieldError,
 )
 
 
@@ -89,33 +90,31 @@ class FormulationSpec:
     mode: str = MODE_LEMMA_THRESHOLD
 
     def __post_init__(self):
-        kind = Kind(self.kind)
+        try:
+            kind = Kind(self.kind)
+        except ValueError as exc:
+            raise SpecFieldError(str(exc), "kind") from None
         object.__setattr__(self, "kind", kind)
+        self._check_fields()
         if kind is Kind.TOP_K:
-            self._need("k")
             if not (isinstance(self.k, (int, np.integer)) and self.k >= 0):
                 raise KOutOfRange(f"k={self.k!r} must be an integer >= 0")
         elif kind is Kind.POINTWISE_ERROR:
-            self._need("eps")
             _check_eps(self.eps)
             if not 0.0 <= self.offset <= self.eps:
                 raise InvalidOffset(
                     f"offset={self.offset!r} outside [0, {self.eps!r}]"
                 )
         elif kind is Kind.PENALIZED:
-            self._need("lam")
             if not 0 <= self.lam < np.inf:
                 raise NegativeLambda(f"lambda={self.lam!r} must be finite and >= 0")
         elif kind is Kind.AVERAGE_SIZE:
-            self._need("kbar")
             if not 0 < self.kbar < np.inf:
                 raise KbarOutOfRange(f"kbar={self.kbar!r} must be finite and > 0")
         elif kind is Kind.AVERAGE_ERROR:
-            self._need("ebar")
             if not 0.0 < self.ebar < 1.0:
                 raise EbarOutOfRange(f"ebar={self.ebar!r} outside (0, 1)")
         elif kind is Kind.HYBRID_SIZE:
-            self._need("kbar", "k")
             if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
                 raise KOutOfRange(f"k={self.k!r} must be an integer >= 1")
             if not 0.0 < self.kbar < np.inf:
@@ -125,7 +124,6 @@ class FormulationSpec:
                     f"need kbar < k, got kbar={self.kbar!r}, k={self.k!r}"
                 )
         elif kind is Kind.HYBRID_ERROR:
-            self._need("ebar", "eps")
             _check_eps(self.eps)
             if not 0.0 <= self.ebar:
                 raise EbarOutOfRange(f"ebar={self.ebar!r} must be >= 0")
@@ -134,12 +132,10 @@ class FormulationSpec:
                     f"need ebar < eps, got ebar={self.ebar!r}, eps={self.eps!r}"
                 )
             if self.mode not in (MODE_LEMMA_THRESHOLD, MODE_UNION_POINTWISE):
-                raise ValueError(f"unknown combine mode {self.mode!r}")
+                raise SpecFieldError(f"unknown combine mode {self.mode!r}", "mode")
         elif kind is Kind.F_SCORE:
-            self._need("beta")
             if not 0 < self.beta < np.inf:
                 raise InvalidBeta(f"beta={self.beta!r} must be finite and > 0")
-        self._reject_stray_fields()
 
     _RELEVANT = {
         Kind.TOP_K: {"k"},
@@ -152,21 +148,18 @@ class FormulationSpec:
         Kind.F_SCORE: {"beta"},
     }
 
-    def _reject_stray_fields(self):
+    def _check_fields(self):
+        # every field the kind takes is set, and every other is at its default
         relevant = self._RELEVANT[self.kind]
         defaults = {"offset": 0.0, "mode": MODE_LEMMA_THRESHOLD}
         for name in ("k", "eps", "offset", "lam", "kbar", "ebar", "beta", "mode"):
-            if name in relevant:
-                continue
-            if getattr(self, name) != defaults.get(name):
-                raise ValueError(
-                    f"{name} is not a parameter of {self.kind.value}"
+            value = getattr(self, name)
+            if name in relevant and value is None:
+                raise SpecFieldError(f"{self.kind.value} requires {name}", name)
+            if name not in relevant and value != defaults.get(name):
+                raise SpecFieldError(
+                    f"{name} is not a parameter of {self.kind.value}", name
                 )
-
-    def _need(self, *names):
-        for name in names:
-            if getattr(self, name) is None:
-                raise ValueError(f"{self.kind.value} requires {name}")
 
     @property
     def needs_fit(self) -> bool:

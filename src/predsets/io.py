@@ -30,7 +30,7 @@ import numpy as np
 
 from .calibration import CalibratedClassifier
 from .core import ScoreSet
-from .errors import ParseError, RowError
+from .errors import ParseError, PredsetsError, RowError, ThetaMismatch
 from .evaluation import MetricsReport, SweepCurve, PERCENTILES
 from .formulations import FormulationSpec, Kind
 from .oracle import DiscreteDistribution
@@ -354,7 +354,7 @@ def read_model(path) -> CalibratedClassifier:
         return value
 
     spec_kwargs = {}
-    for name in ("k", "eps", "lam", "kbar", "ebar", "beta", "mode"):
+    for name in _SPEC_FIELDS:
         value = grab(name, {"k": int, "mode": str}.get(name, float))
         if value is not None:
             spec_kwargs[name] = value
@@ -365,10 +365,8 @@ def read_model(path) -> CalibratedClassifier:
             f"{path}: temperature {temperature!r} must be > 0",
             line=line_of["temperature"],
         )
-    offset = grab("offset", default=0.0)
-    if kind is Kind.POINTWISE_ERROR:
-        spec_kwargs["offset"] = offset
-    spec = FormulationSpec(kind, **spec_kwargs)
+    # every kind writes offset 0; the spec rejects any other but pointwise's
+    spec_kwargs["offset"] = grab("offset", default=0.0)
     provenance = {}
     for key, parse in _PROVENANCE_PARSERS.items():
         value = grab(key, parse)
@@ -376,12 +374,19 @@ def read_model(path) -> CalibratedClassifier:
             provenance[key] = value
     if entries:
         raise ParseError(f"{path}: unknown keys {sorted(entries)}")
-    return CalibratedClassifier(
-        spec=spec,
-        theta=theta,
-        temperature=temperature,
-        provenance=provenance,
-    )
+    try:
+        return CalibratedClassifier(
+            spec=FormulationSpec(kind, **spec_kwargs),
+            theta=theta,
+            temperature=temperature,
+            provenance=provenance,
+        )
+    except PredsetsError as exc:
+        # name the line when one key is at fault
+        key = getattr(exc, "field", None)
+        if isinstance(exc, ThetaMismatch):
+            key = "theta"
+        raise ParseError(f"{path}: {exc}", line=line_of.get(key)) from None
 
 
 # --- metrics / curves ----------------------------------------------------------

@@ -14,9 +14,8 @@ from predsets.calibration import (
     calibrate,
     feasibility_check,
     fit_temperature,
+    _knot_at,
     fscore_objective_derivative,
-    generalized_inverse,
-    largest_level_knot,
     pointwise_offset,
     step_function,
 )
@@ -30,7 +29,6 @@ from predsets.errors import (
     InvalidTemperature,
     MissingLabels,
     MissingLogits,
-    NegativeU,
     NonFiniteEntry,
     ParameterOrderViolation,
     PredsetsError,
@@ -54,6 +52,16 @@ def fit(scores, kind, **params):
 #: Specs whose step functions are G, H, G_k and the member counts of H_eps.
 G = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
 H = FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.5)
+
+
+def drop(f, u):
+    """Where ``f`` has dropped to ``u``: the size-budget orientation."""
+    return _knot_at(f, u, reach=False)
+
+
+def reach(f, level):
+    """The largest knot where ``f`` still reaches ``level``."""
+    return _knot_at(f, level, reach=True)
 
 
 def G_k(k):
@@ -106,12 +114,14 @@ class TestEmpiricalStepFunction:
 
 
 class TestGeneralizedInverse:
+    """The one cutoff search, ``_knot_at``, in both orientations."""
+
     def test_skips_knots_without_weight(self):
         # f(0.3) = f(0.5) = 1, but no sample sits at 0.3
         f = EmpiricalStepFunction([0.2, 0.3, 0.5], [1, 0, 1])
-        assert generalized_inverse(f, 1) == 0.5
+        assert drop(f, 1) == 0.5
         with pytest.raises(Saturated) as exc:
-            generalized_inverse(EmpiricalStepFunction([0.2, 0.7], [1, 0]), 0.5)
+            drop(EmpiricalStepFunction([0.2, 0.7], [1, 0]), 0.5)
         assert exc.value.value == 0.2
 
 
@@ -135,11 +145,11 @@ class TestGeneralizedInverse:
                 ok = heavy[g.tail[heavy] <= u * n]
                 if ok.size == 0:
                     with pytest.raises(Saturated) as exc:
-                        generalized_inverse(g, u)
+                        drop(g, u)
                     assert exc.value.value == g.scores[heavy[-1]]
                     continue
                 expect = g.scores[ok[0]]
-            assert generalized_inverse(g, u) == expect
+            assert drop(g, u) == expect
 
     @pytest.mark.parametrize("seed", range(3))
     def test_counts_searched_as_float_levels(self, seed):
@@ -159,7 +169,7 @@ class TestGeneralizedInverse:
             exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
             rng.uniform(0, g.total, 20),
         ])
-        for search in (generalized_inverse, largest_level_knot):
+        for search in (drop, reach):
             for level in levels.tolist():
                 expect = raised(search, cast, level) or search(cast, level)
                 assert (raised(search, g, level) or search(g, level)) == expect
@@ -167,24 +177,68 @@ class TestGeneralizedInverse:
     def test_interior_knot(self):
         f = EmpiricalStepFunction([0.5, 0.3, 0.2], [1, 1, 1])
         # f(0.3) = 2 <= 2 while f(0.2) = 3 > 2
-        assert generalized_inverse(f, 2) == 0.3
+        assert drop(f, 2) == 0.3
 
     def test_boundary_rule_returns_zero(self):
         f = EmpiricalStepFunction([0.5, 0.3, 0.2], [1, 1, 1])
-        assert generalized_inverse(f, 3) == 0.0
-        assert generalized_inverse(f, 10) == 0.0
+        assert drop(f, 3) == 0.0
+        assert drop(f, 10) == 0.0
 
     def test_saturation(self):
         f = EmpiricalStepFunction([0.5, 0.3, 0.2], [1, 1, 1])
         with pytest.raises(Saturated) as exc:
-            generalized_inverse(f, 0.5)
+            drop(f, 0.5)
         assert exc.value.value == 0.5
         assert exc.value.u == 0.5
+        assert str(exc.value) == (
+            "step function stays above u=0.5 for every knot; "
+            "largest knot score is 0.5"
+        )
+        with pytest.raises(InfeasiblePair) as exc:
+            reach(f, 3.5)
+        assert str(exc.value) == (
+            "step function never reaches level 3.5 (maximum attainable 3.0)"
+        )
 
-    def test_negative_level(self):
-        f = EmpiricalStepFunction([0.5], [1])
-        with pytest.raises(NegativeU):
-            generalized_inverse(f, -0.01)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_both_orientations_match_brute_force(self, seed):
+        # reweighted knots with runs of zero counts, as counts (integer
+        # keys) and as their mass (float levels), searched at every tail
+        # value, at the floats next to it and between; the brute force
+        # compares every knot's tail with the level directly
+        rng = np.random.default_rng(seed)
+        n = 25
+        scores = rng.integers(0, 10, size=(n, 2)) / 10.0
+        rows = np.repeat(np.arange(n)[:, None], 2, axis=1)
+        f = EmpiricalStepFunction(scores, 1, rows, norm=n)
+        counted = f.reweight(rng.integers(0, 3, n) * (rng.random(n) < 0.4))
+        assert np.any(counted.weight == 0)
+        for g in (counted, counted.mass()):
+            exact = np.unique(g.tail) / g.norm
+            levels = np.concatenate([
+                exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
+                rng.uniform(0, g.total + 0.1, 10),
+            ])
+            heavy = np.flatnonzero(g.weight)
+            for u in levels.tolist():
+                level = u * g.norm
+                low = heavy[g.tail[heavy] <= level]
+                if g.tail[0] <= level:
+                    assert drop(g, u) == 0.0
+                elif low.size == 0:
+                    with pytest.raises(Saturated) as exc:
+                        drop(g, u)
+                    assert exc.value.value == g.scores[heavy[-1]]
+                else:
+                    assert drop(g, u) == g.scores[low[0]]
+                high = np.flatnonzero(g.tail >= level)
+                if high.size == 0:
+                    with pytest.raises(InfeasiblePair):
+                        reach(g, u)
+                    continue
+                assert reach(g, u) == g.scores[high[-1]]
+                if u > 0:  # reach never lands on a knot without weight
+                    assert g.weight[high[-1]] > 0
 
 
 class TestFitAverageSize:
@@ -262,8 +316,6 @@ class TestFitAverageError:
     def test_order_statistic_agrees_with_step_function(self):
         # the fitted cutoff is exactly the largest knot at which the
         # true-class-score function still reaches 1 - ebar
-        from predsets.calibration import largest_level_knot
-
         rng = np.random.default_rng(17)
         probs = rng.dirichlet(np.ones(6), size=321)
         labels = 1 + np.array([rng.choice(6, p=row) for row in probs])
@@ -273,7 +325,7 @@ class TestFitAverageError:
         h = step_function(H, s)
         for ebar in (0.03, 0.17, 0.4, 0.77):
             theta = fit(s, Kind.AVERAGE_ERROR, ebar=ebar).theta
-            assert theta == largest_level_knot(h, 1.0 - ebar)
+            assert theta == reach(h, 1.0 - ebar)
 
     def test_calibration_error_at_most_ebar(self):
         rng = np.random.default_rng(11)

@@ -15,6 +15,8 @@ from predsets.errors import (
     KOutOfRange,
     NegativeLambda,
     ParameterOrderViolation,
+    PredsetsError,
+    SpecFieldError,
 )
 from predsets.formulations import (
     FormulationSpec,
@@ -143,14 +145,11 @@ class TestPredictWithThreshold:
         # on the one-point population (0.5, 0.3, 0.2) the pooled-score
         # function drops to 2 at 0.3, so the calibrated cutoff for a size
         # budget of 2 is 0.3 and thresholding there keeps {1, 2}
-        from predsets.calibration import (
-            EmpiricalStepFunction,
-            generalized_inverse,
-        )
+        from predsets.calibration import EmpiricalStepFunction, _knot_at
 
         p = np.array([0.5, 0.3, 0.2])
         g = EmpiricalStepFunction(p, np.ones(3))
-        theta = generalized_inverse(g, 2.0)
+        theta = _knot_at(g, 2.0, reach=False)
         assert theta == 0.3
         assert thresholded(p, theta) == [1, 2]
 
@@ -231,8 +230,21 @@ class TestFormulationSpec:
             FormulationSpec(Kind.HYBRID_SIZE, kbar=3.0, k=3)
         with pytest.raises(ParameterOrderViolation):
             FormulationSpec(Kind.HYBRID_ERROR, ebar=0.3, eps=0.2)
-        with pytest.raises(ValueError):
-            FormulationSpec(Kind.PENALIZED)  # missing lam
+        # a missing or stray field, an unknown mode or kind: typed, and
+        # still a ValueError, with the field it names
+        for args, kwargs, text, field in [
+            ((Kind.PENALIZED,), {}, "penalized requires lam", "lam"),
+            ((Kind.TOP_K,), {"k": 1, "eps": 0.1},
+             "eps is not a parameter of top-k", "eps"),
+            ((Kind.HYBRID_ERROR,), {"ebar": 0.1, "eps": 0.2, "mode": "x"},
+             "unknown combine mode 'x'", "mode"),
+            (("top-j",), {"k": 1}, "'top-j' is not a valid Kind", "kind"),
+        ]:
+            with pytest.raises(SpecFieldError) as exc:
+                FormulationSpec(*args, **kwargs)
+            assert isinstance(exc.value, PredsetsError)
+            assert isinstance(exc.value, ValueError)
+            assert (str(exc.value), exc.value.field) == (text, field)
 
     @pytest.mark.parametrize(
         "kind, params",

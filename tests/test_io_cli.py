@@ -14,7 +14,7 @@ from predsets.calibration import calibrate, step_function
 from predsets.cli import main
 from predsets.core import ScoreSet, softmax
 from predsets.errors import NonFiniteEntry, ParseError
-from predsets.evaluation import evaluate
+from predsets.evaluation import evaluate, sweep
 from predsets.formulations import FormulationSpec, Kind
 from predsets.oracle import make_distribution, synth_generate
 
@@ -460,6 +460,37 @@ class TestModelFiles:
             with pytest.raises(NonFiniteEntry):
                 clf.predict_set_mask(s)
 
+    @pytest.mark.parametrize("edits, line, problem", [
+        ({"\nk: 2": "\nk: 0"}, None, "k=0 must be an integer >= 1"),
+        ({"\nk: 2": "\nk: 1", "kbar: 1.5": "kbar: 2.0"}, None,
+         "need kbar < k, got kbar=2.0, k=1"),
+        ({"theta: 0.5\n": ""}, None, "hybrid-size needs a fitted threshold"),
+        ({"kind: hybrid-size": "kind: top-k"}, 4,
+         "kbar is not a parameter of top-k"),
+        ({"kind: hybrid-size": "kind: top-k", "kbar: 1.5\n": ""}, 4,
+         "top-k takes no fitted threshold"),
+        ({"offset: 0.0": "offset: 0.7"}, 7,
+         "offset is not a parameter of hybrid-size"),
+    ])
+    def test_spec_errors_name_the_file(self, tmp_path, edits, line, problem):
+        # a written model, edited: each fault is a ParseError naming the
+        # file, and the line when one key is at fault
+        path = tmp_path / "m.model"
+        s = ScoreSet(ids=["a", "b"], probs=[[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+        spec = FormulationSpec(Kind.HYBRID_SIZE, kbar=1.5, k=2)
+        io.write_model(path, calibrate(spec, s, seed=1))
+        text = path.read_text()
+        assert io.read_model(path).theta == 0.5
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            io.read_model(path)
+        where = "" if line is None else f" (line {line})"
+        assert str(exc.value) == f"{path}: {problem}{where}"
+        assert exc.value.line == line
+
     def test_version_checked(self, tmp_path):
         path = tmp_path / "m.model"
         path.write_text("format_version: 99\nkind: top-k\nk: 1\n")
@@ -837,6 +868,25 @@ class TestCliSweep:
         assert curves[2] != curves[3]
         assert ",ok," in curves[2] and ",failed" not in curves[2]
 
+    def test_hybrid_size_at_k_one(self, tmp_path, synth_files):
+        # the swept kbar's placeholder must lie below k = 1 too
+        out, ref = tmp_path / "cli.csv", tmp_path / "ref.csv"
+        assert run_cli(
+            "sweep", "--formulation", "hybrid-size", "--k", 1,
+            "--grid", "0.5,0.8", "--repeats", 2,
+            "--calib", synth_files["calib"], "--test", synth_files["test"],
+            "--out", out,
+        ) == 0
+        status = [line.split(",")[5] for line in out.read_text().splitlines()[1:]]
+        assert status == ["ok", "ok"]
+        curve = sweep(
+            FormulationSpec(Kind.HYBRID_SIZE, kbar=0.5, k=1), [0.5, 0.8],
+            io.read_scores(synth_files["calib"]),
+            io.read_scores(synth_files["test"]), seeds=2,
+        )
+        io.write_curve(ref, curve)
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_temperature_fit_outputs_pinned(self, tmp_path, monkeypatch):
         # synth -> calibrate -> sweep, all at a fitted temperature; the
         # model digest was taken before sweep draws fit on arrays of their
@@ -882,6 +932,19 @@ class TestCliOracleCheck:
         assert "0 mismatches" in out
         assert "hybrid-error[lemma-threshold]" in out
         assert "hybrid-error[union-with-pointwise]" in out
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "42299c08fa70733771e825c8ecc34ac39b8b27abc5e80099d464fdbd015ce222"),
+        (1, "5a5b6bcc49c295f886b323dfa65099df8fe6e2ae88df09fcdddf9cd46d9f0814"),
+        (2, "1218c299bbab2315121b241093801b5bb0d51b260f216c97b145e3313d37fadd"),
+        (3, "18930d37edaa4e16ce64d4671fcdcdbf1f6dadad15c0c5215970089362d14c51"),
+    ], ids=["seed0", "seed1", "seed2", "seed3"])
+    def test_population_cutoffs_pinned(self, capsys, seed, digest):
+        # 200 random distributions: every population cutoff and verdict,
+        # byte for byte as before the cutoff searches became one
+        assert run_cli("oracle-check", "--count", 200, "--seed", seed) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_fixture_mode(self, tmp_path):
         dist = make_distribution("dirichlet-like", 4, 2, support=3)
