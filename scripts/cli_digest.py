@@ -10,6 +10,10 @@ cutoffs are fingerprinted both ways.  One has 4 classes and 3 support
 points.  The other has 9 classes and 2 support points: numpy sums rows
 of 8 or more entries pairwise, so the oracle's exact metrics and brute
 force leave a fingerprint there too.
+The hybrid-size rule caps at k only the rows holding more than k labels
+above its threshold.  Two hybrid-size models at k=20 cover it: at kbar=10
+no row is over, and at kbar=19 about 40 % of the rows are over at L=100
+and about 55 % at L=1000, so capped and uncapped rows leave a fingerprint.
 A two-regime set at L=1000, whose point-wise sets hold 1 to about 840
 labels, also runs calibrate, predict and evaluate for the point-wise and
 hybrid-error union models.  Its rows are put in descending order of their
@@ -67,6 +71,8 @@ MODELS = (
     ("average-error", ["--formulation", "average-error", "--ebar", "0.1"]),
     ("hybrid-size", ["--formulation", "hybrid-size", "--kbar", "10",
                      "--k", "20"]),
+    ("hybrid-size-near-k", ["--formulation", "hybrid-size", "--kbar", "19",
+                            "--k", "20"]),
     ("hybrid-error-lemma", ["--formulation", "hybrid-error", "--ebar", "0.4999",
                             "--eps", "0.5"]),
     ("hybrid-error-union", ["--formulation", "hybrid-error", "--ebar", "0.4999",

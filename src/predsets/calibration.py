@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import ScoreSet, check_probability_rows, mask_to_labels, softmax
-from .core import row_blocks, topk_mask, validate_probability_vector
+from .core import row_blocks, row_counts, topk_mask, validate_probability_vector
 from .errors import EmptyScoreSet, InfeasiblePair, KOutOfRange
 from .errors import InvalidTemperature, MissingLogits, NonFiniteEntry
 from .errors import Saturated, ThetaMismatch, TooFewClasses
@@ -236,7 +236,7 @@ def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None, weights=None):
     elif kind is Kind.HYBRID_ERROR:
         member = pointwise_error_mask(P, eps, 0.0)
         values = np.compress(member.ravel(), P)  # row-major, as P[member]
-        rows = np.repeat(np.arange(n), np.count_nonzero(member, axis=1))
+        rows = np.repeat(np.arange(n), row_counts(member))
     else:
         values = P
     if rows is None:

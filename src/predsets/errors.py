@@ -162,6 +162,10 @@ class TooLargeForBruteForce(PredsetsError, ValueError):
     """Joint enumeration would exceed the safety budget."""
 
 
+class InvalidSlack(PredsetsError, ValueError):
+    """A CI gate slack that is NaN or infinite."""
+
+
 class ClassCountMismatch(PredsetsError, ValueError):
     """Two artifacts disagree on the number of classes L."""
 

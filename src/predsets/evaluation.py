@@ -20,7 +20,7 @@ import numpy as np
 from .calibration import CalibratedClassifier, calibrate, _probs_at
 from .calibration import _check_temperature, _cutoff, _knots, _require_nonempty
 from .calibration import _temperature_fit, fit_temperature
-from .core import ScoreSet, check_probability_rows, softmax, topk_mask
+from .core import ScoreSet, check_probability_rows, row_counts, softmax, topk_mask
 from .errors import InvalidBeta, KOutOfRange, MissingLogits
 from .errors import PredsetsError
 from .formulations import FormulationSpec, Kind, MODE_UNION_POINTWISE
@@ -66,7 +66,7 @@ def evaluate(
     mask = classifier.predict_set_mask(test)
     n = test.n
     covered = mask[np.arange(n), labels - 1]
-    sizes = mask.sum(axis=1)
+    sizes = row_counts(mask)
 
     recall = float(np.count_nonzero(covered)) / n
     avg_error = 1.0 - recall

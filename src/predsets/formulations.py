@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cut_mask, row_blocks, threshold_mask, topk_mask
+from .core import cut_mask, row_blocks, row_counts, threshold_mask, topk_mask
 from .errors import (
     InvalidBeta,
     InvalidEpsilon,
@@ -229,13 +229,14 @@ def pointwise_error_mask(
         # cutoff = 1 + number of strict prefixes below the target, capped at
         # L (the cap absorbs float shortfall when the full sum should reach it)
         head = np.cumsum(desc[:, :m], axis=1, out=sums[:b, :m])
-        khat = np.count_nonzero(head < target, axis=1) + 1
+        # intp: a full row's count below may pass the head's int16
+        khat = row_counts(head < target).astype(np.intp) + 1
         if m < L:
             long = np.flatnonzero(khat > m)
             if partial:
                 ascending[long] = np.sort(ascending[long], axis=1)
             full = np.cumsum(desc[long], axis=1)
-            khat[long] = np.count_nonzero(full < target, axis=1) + 1
+            khat[long] = row_counts(full < target) + 1
         np.minimum(khat, L, out=khat)
         mask[rows] = cut_mask(block, desc[np.arange(b), khat - 1], khat)
         m = min(L, int(khat.max()) + 1 + L // 16)
@@ -248,6 +249,10 @@ def rule_mask(spec: FormulationSpec, P: np.ndarray,
 
     ``theta`` is the fitted threshold for the kinds that use one; the
     point-wise rule reads its offset from the spec.
+
+    The hybrid size rule caps the threshold set at its ``k`` largest
+    entries, which a row with at most ``k`` entries ``>= theta`` already
+    is, so only the rows over ``k`` run the top-k cut.
 
     The hybrid error rule has two combine modes.  ``lemma-threshold``
     applies the stated closed form: thresholding at the calibrated cutoff.
@@ -267,7 +272,10 @@ def rule_mask(spec: FormulationSpec, P: np.ndarray,
     if kind in (Kind.AVERAGE_SIZE, Kind.AVERAGE_ERROR, Kind.F_SCORE):
         return threshold_mask(P, theta)
     if kind is Kind.HYBRID_SIZE:
-        return threshold_mask(P, theta) & topk_mask(P, spec.k)
+        mask = threshold_mask(P, theta)
+        over = np.flatnonzero(row_counts(mask) > spec.k)
+        mask[over] = topk_mask(P[over], spec.k)
+        return mask
     if kind is Kind.HYBRID_ERROR:
         base = threshold_mask(P, theta)
         if spec.mode == MODE_UNION_POINTWISE:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import EmpiricalStepFunction, _cutoff, _knots
-from .core import ScoreSet, check_probability_rows, row_blocks, topk_mask
+from .core import ScoreSet, check_probability_rows, row_blocks, row_counts
+from .core import topk_mask
 from .errors import RowError, TooFewClasses, TooLargeForBruteForce
 from .formulations import (
     FormulationSpec,
@@ -87,7 +88,7 @@ def exact_error(dist: DiscreteDistribution, mask: np.ndarray) -> float:
 
 def exact_size(dist: DiscreteDistribution, mask: np.ndarray) -> float:
     """Exact average set size of a membership mask."""
-    sizes = np.count_nonzero(_checked(dist, mask), axis=1)
+    sizes = row_counts(_checked(dist, mask))
     return float(np.sum(dist.marginal * sizes))
 
 
@@ -299,7 +300,7 @@ def _candidates(dist: DiscreteDistribution, allowed):
             f"2^{dist.L} subsets x {dist.L} labels exceed {BRUTE_FORCE_BUDGET}"
         )
     S = _all_subsets(dist.L)
-    size = np.count_nonzero(S, axis=1)
+    size = row_counts(S)
     for w, p in zip(dist.marginal, dist.cond):
         mass = np.sum(S * p, axis=1)
         keep = np.flatnonzero(allowed(mass, size))
@@ -401,7 +402,8 @@ def sample_scores(
     Each sample records the exact conditional probabilities of its support
     point as its scores (oracle-calibrated); ``noise > 0`` multiplies them
     by log-normal factors and renormalizes, emulating a miscalibrated
-    model while labels still follow the truth.
+    model while labels still follow the truth.  ``noise`` must be finite
+    and ``>= 0``.
 
     The label CDF, and at noise 0 the logits, are computed once per support
     point and gathered per row, which gives each row the same numbers as its
@@ -409,13 +411,15 @@ def sample_scores(
     """
     if n < 1:
         raise ValueError(f"n={n!r} must be >= 1")
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise={noise!r} must be finite and >= 0")
     rng = np.random.default_rng([17, seed])
     x_idx = rng.choice(dist.n_points, size=n, p=dist.marginal)
     cdf = np.cumsum(dist.cond, axis=1)
     u = rng.random(n)
     labels = np.empty(n, dtype=np.int64)
     for rows in row_blocks(n, dist.L):  # no n x L temporary
-        labels[rows] = (cdf[x_idx[rows]] < u[rows, None]).sum(axis=1) + 1
+        labels[rows] = row_counts(cdf[x_idx[rows]] < u[rows, None]) + 1
     labels = np.minimum(labels, dist.L)
 
     if noise > 0.0:
@@ -600,7 +604,7 @@ def constraint_satisfied(
     mask = _checked(dist, mask)
     ok = True
     if kind in (Kind.TOP_K, Kind.HYBRID_SIZE):
-        ok &= np.all(np.count_nonzero(mask, axis=1) <= spec.k)
+        ok &= np.all(row_counts(mask) <= spec.k)
     if kind in (Kind.POINTWISE_ERROR, Kind.HYBRID_ERROR):
         mass = np.sum(dist.cond * mask, axis=1)
         ok &= np.all(mass >= 1.0 - spec.eps - OBJECTIVE_TOL)

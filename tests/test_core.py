@@ -9,6 +9,7 @@ from predsets.core import (
     DEFAULT_SUM_TOL,
     ScoreSet,
     check_probability_rows,
+    row_counts,
     threshold_mask,
     topk_mask,
     validate_probability_vector,
@@ -123,6 +124,34 @@ class TestTopIndices:
         inside = topk_mask(p[None, :], k)[0]
         if inside.any() and not inside.all():
             assert p[inside].min() >= p[~inside].max()
+
+
+class TestRowCounts:
+    """``row_counts`` is numpy's per-row count, in int16 while a count plus
+    one fits and in intp beyond."""
+
+    @pytest.mark.parametrize("L", [1, 2, 10, 1000, 2**15 - 2, 2**15 - 1, 2**15])
+    def test_equals_count_nonzero(self, L):
+        rng = np.random.default_rng(L)
+        wide = rng.random((8, 2 * L)) < 0.5
+        wide[0] = True  # a full row: the largest count
+        wide[1] = False
+        views = {
+            "contiguous": np.ascontiguousarray(wide[:, :L]),
+            "strided": wide[::2, ::2],
+            "reversed": wide[::-1, ::-2],
+            "fortran": np.asfortranarray(wide[:, L:]),
+        }
+        dtype = np.int16 if L <= 2**15 - 2 else np.intp
+        for name, mask in views.items():
+            counts = row_counts(mask)
+            assert counts.dtype == dtype, name
+            assert np.array_equal(counts, np.count_nonzero(mask, axis=1)), name
+        assert row_counts(views["contiguous"])[0] == L
+
+    def test_empty(self):
+        assert row_counts(np.zeros((0, 5), dtype=bool)).shape == (0,)
+        assert np.array_equal(row_counts(np.zeros((3, 0), dtype=bool)), [0] * 3)
 
 
 class TestThresholdSet:

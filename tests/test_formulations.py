@@ -181,6 +181,67 @@ class TestPredictHybridSize:
         assert len(hybrid) <= k
 
 
+class TestHybridSizeCap:
+    """``rule_mask`` caps only the rows holding more than k threshold
+    entries, and is the intersection of the threshold and top-k masks."""
+
+    K, THETA = 2, 0.15
+    #: rows with more than k entries >= theta: all five tied, exactly k + 1
+    #: with a tie at the cut, and k + 2 with a tie at the cut
+    OVER = [[0.2, 0.2, 0.2, 0.2, 0.2], [0.3, 0.25, 0.25, 0.1, 0.1],
+            [0.2, 0.4, 0.2, 0.2, 0.0]]
+    #: rows with at most k: exactly k, exactly k with one tied at theta,
+    #: and one
+    UNDER = [[0.5, 0.3, 0.1, 0.05, 0.05], [0.15, 0.0, 0.0, 0.85, 0.0],
+             [0.9, 0.025, 0.025, 0.025, 0.025], [0.14, 0.14, 0.14, 0.14, 0.44]]
+
+    @pytest.mark.parametrize("n_over", [0, 2, 3, 4])
+    def test_equals_intersection(self, n_over):
+        rows = (self.OVER * 2)[:n_over] + self.UNDER[: 4 - n_over]
+        P = np.array(rows)[::-1]  # over rows last
+        spec = FormulationSpec(HYBRID_SIZE, kbar=0.5, k=self.K)
+        want = core.threshold_mask(P, self.THETA) & topk_mask(P, self.K)
+        got = rule_mask(spec, P, self.THETA)
+        assert np.array_equal(got, want)
+        assert np.all(np.count_nonzero(got, axis=1) <= self.K)
+
+    def test_k_above_L_raises_with_no_row_over(self):
+        spec = FormulationSpec(HYBRID_SIZE, kbar=0.5, k=6)
+        with pytest.raises(KOutOfRange):
+            rule_mask(spec, np.array(self.UNDER), self.THETA)
+
+    def test_exactly_k_plus_one_is_capped(self):
+        P = np.array([self.OVER[1]] + self.UNDER[:3])
+        spec = FormulationSpec(HYBRID_SIZE, kbar=0.5, k=self.K)
+        got = rule_mask(spec, P, self.THETA)
+        assert got[0].tolist() == [True, True, False, False, False]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_matrices(self, seed):
+        P = tied_matrix(40, 9, seed)
+        for k in (1, 2, 4, 8, 9):
+            spec = FormulationSpec(HYBRID_SIZE, kbar=0.5, k=k)
+            for theta in (0.0, 0.05, 0.1, 0.2, 1.0):
+                want = core.threshold_mask(P, theta) & topk_mask(P, k)
+                assert np.array_equal(rule_mask(spec, P, theta), want)
+
+
+class TestPointwiseCountsAtManyClasses:
+    @pytest.mark.parametrize("L", [2**15 - 2, 2**15 - 1, 2**15 + 2])
+    def test_full_rows_do_not_wrap(self, L):
+        # a flat row summing just below 1 keeps every prefix below the
+        # target at eps 0, so its count plus one is L + 1 before the cap
+        flat = np.full(L, (1.0 - 1e-9) / L)
+        peaked = np.zeros(L)
+        peaked[0] = 1.0
+        # blocks of at most two rows: after a peaked block the flat row
+        # sums a short prefix first and falls back to its full row
+        assert all(b.stop - b.start <= 2 for b in core.row_blocks(5, L))
+        P = np.array([peaked, peaked, flat, peaked, flat])
+        mask = pointwise_error_mask(P, 0.0)
+        assert np.count_nonzero(mask, axis=1).tolist() == [1, 1, L, 1, L]
+
+
 class TestPredictHybridError:
     @staticmethod
     def hybrid(p, theta, eps, mode):

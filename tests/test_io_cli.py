@@ -491,6 +491,24 @@ class TestModelFiles:
         assert str(exc.value) == f"{path}: {problem}{where}"
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("body, problem, line", [
+        ("kind top-k\nk: 1\n", "expected 'key: value'", 2),
+        ("kind: top-q\nk: 1\n",
+         "bad or missing kind ('top-q' is not a valid Kind)", None),
+        ("k: 1\n", "bad or missing kind ('kind')", None),
+        ("kind: top-k\nk: 1\ncolour: red\nshade: 2\n",
+         "unknown keys ['colour', 'shade']", None),
+    ])
+    def test_malformed_file_names_the_file(self, tmp_path, body, problem,
+                                           line):
+        path = tmp_path / "m.model"
+        path.write_text("format_version: 1\n" + body)
+        with pytest.raises(ParseError) as exc:
+            io.read_model(path)
+        where = "" if line is None else f" (line {line})"
+        assert str(exc.value) == f"{path}: {problem}{where}"
+        assert exc.value.line == line
+
     def test_version_checked(self, tmp_path):
         path = tmp_path / "m.model"
         path.write_text("format_version: 99\nkind: top-k\nk: 1\n")
@@ -533,6 +551,26 @@ class TestDistributionFixture:
             io.read_distribution(path)
         assert exc.value.line == line
         assert problem in str(exc.value)
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+#: outputs recorded when these branches were first run through the CLI
+PINNED_OFFSET_MODEL = (
+    "6cfaba6a520a91564e66ddac8614fcbb3baa3f9da6a8b40fd77b919cedd73ff6"
+)
+#: model, predictions, curve and stdout of the hybrid-error union chain
+PINNED_HYBRID_ERROR = [
+    "5ee3b7629758f37b4e5e547e165c019da00b77ccb2c3023c108b45bc443435bb",
+    "e9703ae2cea31abb3eaa1f07efb282a490933e37e8ad270e72f32c724864f181",
+    "69e2e86cf94bea8d9e31e72c8eac3b93d1de3360a831b45a95f79b7fccf63b95",
+    "9f5a4083dc9700199b174a051d1fe6ca31749cb62a17722d330d1e94b311cc57",
+]
+PINNED_POINTWISE_CURVE = (
+    "c11871ae9815db3f9ce4edc88cfdcbfe6b82116c3389db812bb4e3415ebbba7a"
+)
 
 
 def run_cli(*argv):
@@ -592,6 +630,31 @@ class TestCliSynth:
             "--out-prefix", tmp_path / "x",
         )
         assert code == 1
+
+    def test_split_required_when_n_not_divisible(self, tmp_path, capsys):
+        prefix = tmp_path / "x"
+        assert run_cli(
+            "synth", "--template", "two-regime", "--classes", 4,
+            "--n", 10, "--out-prefix", prefix,
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: PredsetsError: --split required when n is not "
+            "divisible by 3\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("noise", ["nan", "-1", "inf", "-inf"])
+    def test_noise_must_be_finite_and_nonnegative(self, tmp_path, capsys,
+                                                  noise):
+        assert run_cli(
+            "synth", "--template", "dirichlet-like", "--classes", 5,
+            "--n", 30, f"--noise={noise}", "--out-prefix", tmp_path / "x",
+        ) == 1
+        shown = repr(float(noise))
+        assert capsys.readouterr().err == (
+            f"error: ValueError: noise={shown} must be finite and >= 0\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_noisy_scores_differ_from_truth_but_validate(self, tmp_path):
         prefix = tmp_path / "noisy"
@@ -825,6 +888,170 @@ class TestCliCalibratePredictEvaluate:
         assert code == 1
 
 
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
+    def test_gate_slack_must_be_finite(self, tmp_path, synth_files, capsys,
+                                       slack):
+        model, out = tmp_path / "m.model", tmp_path / "metrics.txt"
+        run_cli(
+            "calibrate", "--formulation", "pointwise-error", "--eps", 0.05,
+            "--scores", synth_files["calib"], "--model", model,
+        )
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", "--model", model, "--test", synth_files["test"],
+            "--out", out, "--per-class", tmp_path / "pc.csv",
+            f"--gate-slack={slack}",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: InvalidSlack: --gate-slack {float(slack)!r} is not "
+            "finite\n"
+        )
+        assert not out.exists() and not (tmp_path / "pc.csv").exists()
+
+    def test_negative_slack_is_a_stricter_gate(self, tmp_path, synth_files,
+                                               capsys):
+        with pytest.raises(SystemExit):
+            run_cli("evaluate", "--help")
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "a negative slack is a stricter gate" in help_text
+        model = tmp_path / "m.model"
+        run_cli(
+            "calibrate", "--formulation", "average-size", "--kbar", 2.0,
+            "--scores", synth_files["calib"], "--model", model,
+        )
+        capsys.readouterr()
+        args = ["evaluate", "--model", model, "--test", synth_files["test"],
+                "--out", tmp_path / "metrics.txt", "--gate-slack"]
+        assert run_cli(*args, 0.5) == 0
+        assert run_cli(*args, -0.5) == 1
+        out = capsys.readouterr().out
+        assert "gate_slack: -0.5\ngate_violations: 1\n" in out
+        assert re.search(
+            r"^CONSTRAINT VIOLATED: avg_size \S+ > kbar 2.0 \+ slack -0.5$",
+            out, re.M,
+        )
+
+    def test_gate_counts_classes_past_the_slack(self, tmp_path, capsys):
+        # point-wise sets at eps 0.1 are {1} on a peaked row and {2} on a
+        # row peaked at 2; class 2 misses 3 of 20 (0.15, within eps +
+        # slack), class 3 misses 1 of 2 (0.5, beyond it)
+        peaked = {1: [0.95, 0.03, 0.02], 2: [0.03, 0.95, 0.02],
+                  3: [0.03, 0.02, 0.95]}
+        rows = ([(1, 1)] * 10 + [(2, 2)] * 17 + [(1, 2)] * 3
+                + [(3, 3), (1, 3)])
+        scores = tmp_path / "s.csv"
+        io.write_scores(scores, ScoreSet(
+            ids=[str(i) for i in range(len(rows))],
+            probs=[peaked[row] for row, _ in rows],
+            labels=[label for _, label in rows],
+        ))
+        model = tmp_path / "m.model"
+        run_cli(
+            "calibrate", "--formulation", "pointwise-error", "--eps", 0.1,
+            "--scores", scores, "--model", model,
+        )
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", "--model", model, "--test", scores,
+            "--out", tmp_path / "metrics.txt", "--gate-slack", 0.1,
+        )
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-4:] == [
+            "gate_slack: 0.1",
+            "gate_violations: 1",
+            "gate: 1 classes exceed eps 0.1 + slack 0.1 (worst 0.5)",
+            "CONSTRAINT VIOLATED: 1 classes exceed eps 0.1 + slack 0.1"
+            " (worst 0.5)",
+        ]
+
+    def test_gate_on_ebar(self, tmp_path, synth_files, capsys):
+        model, out = tmp_path / "m.model", tmp_path / "metrics.txt"
+        run_cli(
+            "calibrate", "--formulation", "average-error", "--ebar", 0.1,
+            "--scores", synth_files["calib"], "--model", model,
+        )
+        model.write_text(model.read_text().replace("ebar: 0.1", "ebar: 0.01"))
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", "--model", model, "--test", synth_files["test"],
+            "--out", out, "--gate-slack", 0.02,
+        )
+        assert code == 1
+        problem = "avg_error 0.09699999999999998 > ebar 0.01 + slack 0.02"
+        assert out.read_text().endswith(
+            f"gate_slack: 0.02\ngate_violations: 1\ngate: {problem}\n"
+        )
+        assert capsys.readouterr().out == (
+            out.read_text() + f"CONSTRAINT VIOLATED: {problem}\n"
+        )
+
+    def test_empty_sets_have_no_precision(self, tmp_path, synth_files,
+                                          capsys):
+        # no probability reaches lambda = 1 on these files, so every set
+        # is empty and precision, a ratio over no predicted label, is absent
+        model, out = tmp_path / "m.model", tmp_path / "metrics.txt"
+        run_cli(
+            "calibrate", "--formulation", "penalized", "--lambda", 1.0,
+            "--scores", synth_files["calib"], "--model", model,
+        )
+        capsys.readouterr()
+        assert run_cli(
+            "evaluate", "--model", model, "--test", synth_files["test"],
+            "--out", out,
+        ) == 0
+        assert out.read_text() == capsys.readouterr().out == (
+            "n_samples: 1000\navg_error: 1.0\navg_size: 0.0\nrecall: 0.0\n"
+            "precision: absent\nf_beta: 0.0\nbeta: 1.0\n"
+            "empty_set_rate: 1.0\n"
+        )
+
+    def test_fixed_offset(self, tmp_path, synth_files, capsys, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        model = tmp_path / "m.model"
+        assert run_cli(
+            "calibrate", "--formulation", "pointwise-error", "--eps", 0.1,
+            "--offset", 0.05, "--scores", synth_files["calib"],
+            "--model", model,
+        ) == 0
+        assert capsys.readouterr().out == (
+            "kind: pointwise-error\ntemperature: 1.0\noffset: 0.05\n"
+            "calibration_avg_size: 3.4\n"
+            "calibration_avg_error: 0.007000000000000006\n"
+            f"model written to {model}\n"
+        )
+        assert io.read_model(model).offset == 0.05
+        assert sha256(model) == PINNED_OFFSET_MODEL
+
+    def test_hybrid_error_union_mode(self, tmp_path, synth_files, capsys,
+                                     monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        model, pred = tmp_path / "m.model", tmp_path / "p.csv"
+        args = ["--formulation", "hybrid-error", "--eps", 0.3,
+                "--mode", "union-with-pointwise"]
+        assert run_cli(
+            "calibrate", *args, "--ebar", 0.2,
+            "--scores", synth_files["calib"], "--model", model,
+        ) == 0
+        assert "mode: union-with-pointwise" in model.read_text()
+        assert run_cli(
+            "predict", "--model", model, "--scores", synth_files["test"],
+            "--out", pred,
+        ) == 0
+        curve = tmp_path / "c.csv"
+        assert run_cli(
+            "sweep", *args, "--grid", "0.1,0.2", "--repeats", 2,
+            "--calib", synth_files["calib"], "--test", synth_files["test"],
+            "--out", curve,
+        ) == 0
+        stdout = capsys.readouterr().out.replace(str(tmp_path), "TMP")
+        assert [sha256(p) for p in (model, pred, curve)] + [
+            hashlib.sha256(stdout.encode()).hexdigest()] == PINNED_HYBRID_ERROR
+
+
 class TestCliSweep:
     def test_topk_curve_columns(self, tmp_path, synth_files):
         out = tmp_path / "curve.csv"
@@ -886,6 +1113,22 @@ class TestCliSweep:
         )
         io.write_curve(ref, curve)
         assert out.read_bytes() == ref.read_bytes()
+
+    def test_pointwise_curve_has_violation_quantiles(self, tmp_path,
+                                                     synth_files):
+        out = tmp_path / "curve.csv"
+        assert run_cli(
+            "sweep", "--formulation", "pointwise-error", "--grid", "0.1,0.3",
+            "--calib", synth_files["calib"], "--test", synth_files["test"],
+            "--out", out, "--repeats", 2,
+        ) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header.split(",")[6:] == [
+            f"violation_q{q}" for q in (10, 25, 50, 75, 90)
+        ]
+        assert all(row.split(",")[5] == "ok" for row in rows)
+        assert all("" not in row.split(",") for row in rows)
+        assert sha256(out) == PINNED_POINTWISE_CURVE
 
     def test_temperature_fit_outputs_pinned(self, tmp_path, monkeypatch):
         # synth -> calibrate -> sweep, all at a fitted temperature; the

@@ -477,6 +477,12 @@ class TestSynthGenerate:
         rows = np.array([lookup[x] for x in x_ids])
         assert np.array_equal(s.probs, truth.cond[rows])
 
+    @pytest.mark.parametrize("noise", [np.nan, -1.0, -1e-300, np.inf])
+    def test_noise_must_be_finite_and_nonnegative(self, noise):
+        with pytest.raises(ValueError) as exc:
+            sample_scores(ONE_POINT, 5, 0, noise=noise)
+        assert str(exc.value) == f"noise={noise!r} must be finite and >= 0"
+
     def test_population_threshold_none_for_pointwise_kinds(self):
         rng = np.random.default_rng(11)
         d = random_test_distribution(rng)
