@@ -4,6 +4,13 @@ Runs ``synth``, ``calibrate`` (every kind, both hybrid-error modes, a
 fitted temperature and the automatic offset), ``predict``, ``evaluate
 --per-class``, ``sweep`` at T=1 and T=fit, and ``oracle-check`` in a
 temporary directory with ``SOURCE_DATE_EPOCH=0``, at L=100 and at L=1000.
+A two-regime chain at L=10 (noise 0.2, as in the sweep-bootstrap
+benchmark) runs ``synth``, ``calibrate`` for every kind, ``predict``,
+``evaluate --per-class`` and every ``sweep``, with size budgets, caps and
+grids scaled to 10 classes, so masks narrow enough for ``row_counts`` to
+sum across columns leave a fingerprint.  Its models fit on ``probs`` read
+as a column slice of the parsed table and predict into fresh masks, so
+both of ``label_entries``' gathers leave one too.
 ``oracle-check`` runs on 20 random distributions and on two desk-scale
 ``synth`` truth files read back with ``--fixture``, so the population
 cutoffs are fingerprinted both ways.  One has 4 classes and 3 support
@@ -104,6 +111,24 @@ SCALED_MODELS = tuple(
     if name in ("pointwise-fit", "average-size-fit")
 )
 
+#: the models at L=10, their size budgets, caps and grids scaled to 10
+#: classes as in the sweep-bootstrap benchmark
+NARROW_MODELS = tuple((name, {
+    "top-k": ["--formulation", "top-k", "--k", "3"],
+    "penalized": ["--formulation", "penalized", "--lambda", "0.05"],
+    "average-size": ["--formulation", "average-size", "--kbar", "2"],
+    "average-size-fit": ["--formulation", "average-size", "--kbar", "2",
+                         "--temperature", "fit"],
+    "hybrid-size": ["--formulation", "hybrid-size", "--kbar", "1.5",
+                    "--k", "3"],
+    "hybrid-size-near-k": ["--formulation", "hybrid-size", "--kbar", "2.5",
+                           "--k", "3"],
+    "hybrid-error-lemma": ["--formulation", "hybrid-error", "--ebar", "0.2",
+                           "--eps", "0.3"],
+    "hybrid-error-union": ["--formulation", "hybrid-error", "--ebar", "0.2",
+                           "--eps", "0.3", "--mode", "union-with-pointwise"],
+}.get(name, flags)) for name, flags in MODELS)
+
 #: name, sweep flags; each runs at T=1 and at T=fit (at T=0.7 in the
 #: fixed-temperature chain)
 SWEEPS = (
@@ -118,6 +143,17 @@ SWEEPS = (
                             "--grid", "0.4995,0.4999"]),
     ("f-score", ["--formulation", "f-score", "--grid", "0.5,1,2"]),
 )
+
+#: the sweeps at L=10
+NARROW_SWEEPS = tuple((name, {
+    "top-k": ["--formulation", "top-k", "--grid", "1,3,5"],
+    "average-size": ["--formulation", "average-size", "--grid", "1,1.5,3"],
+    "hybrid-size": ["--formulation", "hybrid-size", "--k", "3",
+                    "--grid", "0.8,1.5,2.5"],
+    "hybrid-error-union": ["--formulation", "hybrid-error", "--eps", "0.3",
+                           "--mode", "union-with-pointwise",
+                           "--grid", "0.2,0.25"],
+}.get(name, flags)) for name, flags in SWEEPS)
 
 
 def digest(data: bytes) -> str:
@@ -197,6 +233,8 @@ def digest_all() -> int:
         try:
             for L in (100, 1000):
                 chain(f"L{L}", "dirichlet-like", L)
+            chain("two-regime-L10", "two-regime", 10, NARROW_MODELS,
+                  NARROW_SWEEPS, noise="0.2")
             for scale in ("1e-3", "1e3"):
                 scaled("L100", f"scaled{scale}-L100", float(scale))
                 fit_models(f"scaled{scale}-L100", SCALED_MODELS)

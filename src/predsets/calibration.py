@@ -29,7 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import ScoreSet, check_probability_rows, mask_to_labels, softmax
-from .core import row_blocks, row_counts, topk_mask, validate_probability_vector
+from .core import label_entries, row_blocks, row_counts, topk_mask
+from .core import validate_probability_vector
 from .errors import EmptyScoreSet, InfeasiblePair, KOutOfRange
 from .errors import InvalidTemperature, MissingLogits, NonFiniteEntry
 from .errors import Saturated, ThetaMismatch, TooFewClasses
@@ -229,7 +230,7 @@ def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None, weights=None):
     n = P.shape[0]
     rows = None
     if kind is Kind.AVERAGE_ERROR:
-        values = P[np.arange(n), labels - 1][:, None]
+        values = label_entries(P, labels)[:, None]
     elif kind is Kind.HYBRID_SIZE:
         L = P.shape[1]
         values = np.partition(P, L - k, axis=1)[:, L - k:]
@@ -408,7 +409,7 @@ def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
         raise NonFiniteEntry(f"logit {float(logits[i, j])!r} is not finite", i, j)
     # logits less their row maximum: beta * z then needs no max-shift
     z_all = logits - logits.max(axis=1, keepdims=True)
-    z_true_all = z_all[np.arange(z_all.shape[0]), labels - 1]
+    z_true_all = label_entries(z_all, labels)
     e_block = np.empty_like(z_all[row_blocks(*z_all.shape)[0]])  # exp(beta z)
     t_lo, t_hi = TEMPERATURE_BOUNDS
     bracket = (1.0 / t_hi, 1.0 / t_lo)  # on beta
@@ -493,7 +494,7 @@ def feasibility_check(
     if not 1 <= k <= scores.L:
         raise KOutOfRange(f"k={k!r} outside [1, {scores.L}]")
     labels = scores.require_labels("feasibility_check")
-    member = topk_mask(scores.probs, k)[np.arange(scores.n), labels - 1]
+    member = label_entries(topk_mask(scores.probs, k), labels)
     eps_k = float(np.mean(~member))
     return FeasibilityReport(eps_k=eps_k, feasible=bool(ebar >= eps_k))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io
 from .calibration import CalibratedClassifier, calibrate
-from .core import ScoreSet, row_counts
+from .core import ScoreSet, label_entries, row_counts
 from .errors import ClassCountMismatch, InvalidSlack, PredsetsError
 from .evaluation import SWEEP_PARAM, PerClassViolation, evaluate, sweep
 from .formulations import FormulationSpec, Kind, MODE_LEMMA_THRESHOLD
@@ -102,7 +102,7 @@ def cmd_calibrate(args) -> int:
     sizes = row_counts(mask)
     print(f"calibration_avg_size: {io.fmt(float(np.mean(sizes)))}")
     if scores.fully_labeled:
-        covered = mask[np.arange(scores.n), scores.labels - 1]
+        covered = label_entries(mask, scores.labels)
         print(
             f"calibration_avg_error: {io.fmt(1.0 - float(np.mean(covered)))}"
         )
@@ -255,6 +255,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if not args.fixture and args.count < 1:
+        raise PredsetsError(f"--count={args.count} must be >= 1")
     rng = np.random.default_rng(args.seed or 0)
     if args.fixture:
         dists = [(io.read_distribution(args.fixture), "fixture")]

@@ -21,7 +21,13 @@ row sees the same operations in the same order: results are identical to
 one pass over the whole matrix.  :func:`cut_mask` compares each entry with
 its row's cut once; only rows whose ties straddle the cut compare again.
 Per-row mask sizes are :func:`row_counts`, int16 sums about 4 times faster
-at L = 1000 than numpy's int64 count.
+at L = 1000 than numpy's int64 count.  A row sum is one short reduction
+per row, so a mask at most ``_NARROW_L`` = 32 wide is summed across its
+columns instead (L vector adds over all rows): about 4 times faster at
+L = 10, a third faster at L = 32, and slower from about L = 40 on.
+Each row's entry at its true label is :func:`label_entries`, one gather
+from the flat buffer of a C-contiguous matrix.  On the sweep-bootstrap
+benchmark (L = 10) the two took ``eval_rows_per_s`` from 13.2M to 21.4M/s.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ from .errors import (
 DEFAULT_SUM_TOL = 1e-6
 
 _BLOCK_BYTES = 1 << 19  # float64 bytes per row block: 512 KiB
+# Widest mask row_counts sums across columns: on 10 000 rows that took 50 us
+# vs the row sum's 197 at L = 10, 156 vs 224 at L = 32, but 424 vs 267 at 64.
+_NARROW_L = 32
 
 
 def row_blocks(n: int, L: int) -> list[slice]:
@@ -57,9 +66,24 @@ def row_blocks(n: int, L: int) -> list[slice]:
 def row_counts(mask: np.ndarray) -> np.ndarray:
     """True entries per row of the 2-D bool ``mask``, summed in int16 while
     ``L + 1`` fits (``L <= 2**15 - 2``: a count plus one never wraps) and
-    in intp beyond."""
+    in intp beyond.  Up to ``_NARROW_L`` columns it sums a C-contiguous
+    transposed copy (n x L bytes): L vector adds over all rows."""
     dtype = np.int16 if mask.shape[1] <= 2**15 - 2 else np.intp
+    if mask.shape[1] <= _NARROW_L:
+        columns = np.ascontiguousarray(mask.T).view(np.int8)
+        return columns.sum(axis=0, dtype=dtype)
     return mask.view(np.int8).sum(axis=1, dtype=dtype)
+
+
+def label_entries(M: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``M[i, labels[i] - 1]`` for each row ``i`` of the 2-D ``M``; labels
+    must lie in ``1..L``.  A C-contiguous ``M`` takes one flat gather; any
+    other layout is indexed in place, as flattening it would copy it."""
+    n, L = M.shape
+    at = labels - 1
+    if M.flags.c_contiguous:
+        return M.ravel()[np.arange(0, n * L, L) + at]
+    return M[np.arange(n), at]
 
 
 def validate_probability_vector(

@@ -20,7 +20,8 @@ import numpy as np
 from .calibration import CalibratedClassifier, calibrate, _probs_at
 from .calibration import _check_temperature, _cutoff, _knots, _require_nonempty
 from .calibration import _temperature_fit, fit_temperature
-from .core import ScoreSet, check_probability_rows, row_counts, softmax, topk_mask
+from .core import ScoreSet, check_probability_rows, label_entries, row_counts
+from .core import softmax, topk_mask
 from .errors import InvalidBeta, KOutOfRange, MissingLogits
 from .errors import PredsetsError
 from .formulations import FormulationSpec, Kind, MODE_UNION_POINTWISE
@@ -65,7 +66,7 @@ def evaluate(
     labels = test.require_labels("evaluate")
     mask = classifier.predict_set_mask(test)
     n = test.n
-    covered = mask[np.arange(n), labels - 1]
+    covered = label_entries(mask, labels)
     sizes = row_counts(mask)
 
     recall = float(np.count_nonzero(covered)) / n
@@ -368,10 +369,10 @@ def _metrics_at(spec: FormulationSpec, T: float, test: ScoreSet):
         always = pointwise_error_mask(P, spec.eps, 0.0)
         pool = ~always
     n = test.n
-    true = (np.arange(n), labels - 1)
-    sized, covered = np.sort(P[pool]), np.sort(P[true][pool[true]])
+    sized = np.sort(P[pool])
+    covered = np.sort(label_entries(P, labels)[label_entries(pool, labels)])
     size_base = int(always.sum()) + sized.size
-    cover_base = int(always[true].sum()) + covered.size
+    cover_base = int(label_entries(always, labels).sum()) + covered.size
 
     def at(theta: float) -> tuple[float, float]:
         size = size_base - np.searchsorted(sized, theta)

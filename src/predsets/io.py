@@ -333,9 +333,11 @@ def read_model(path) -> CalibratedClassifier:
         raise ParseError(
             f"{path}: unsupported format_version {version!r}"
         )
+    if "kind" not in entries:
+        raise ParseError(f"{path}: missing kind")
     try:
         kind = Kind(entries.pop("kind"))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: bad or missing kind ({exc})") from None
 
     def grab(name, parse=float, default=None):

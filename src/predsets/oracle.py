@@ -357,6 +357,8 @@ def make_distribution(
     if L < 2:
         raise ValueError(f"L={L!r} must be >= 2")
     m = support if support is not None else _DEFAULT_SUPPORT[template]
+    if m < 1:
+        raise ValueError(f"support={m!r} must be >= 1")
     if template == "two-regime" and m % 2:
         raise ValueError("two-regime needs an even support size")
     rng = np.random.default_rng([_TEMPLATE_CODES[template], L, seed])

@@ -9,6 +9,7 @@ from predsets.core import (
     DEFAULT_SUM_TOL,
     ScoreSet,
     check_probability_rows,
+    label_entries,
     row_counts,
     threshold_mask,
     topk_mask,
@@ -128,9 +129,11 @@ class TestTopIndices:
 
 class TestRowCounts:
     """``row_counts`` is numpy's per-row count, in int16 while a count plus
-    one fits and in intp beyond."""
+    one fits and in intp beyond, on either side of the width up to which
+    it sums across columns."""
 
-    @pytest.mark.parametrize("L", [1, 2, 10, 1000, 2**15 - 2, 2**15 - 1, 2**15])
+    @pytest.mark.parametrize("L", [1, 2, 10, 31, 32, 33, 64, 1000,
+                                   2**15 - 2, 2**15 - 1, 2**15])
     def test_equals_count_nonzero(self, L):
         rng = np.random.default_rng(L)
         wide = rng.random((8, 2 * L)) < 0.5
@@ -141,6 +144,7 @@ class TestRowCounts:
             "strided": wide[::2, ::2],
             "reversed": wide[::-1, ::-2],
             "fortran": np.asfortranarray(wide[:, L:]),
+            "empty": wide[:0, :L],
         }
         dtype = np.int16 if L <= 2**15 - 2 else np.intp
         for name, mask in views.items():
@@ -152,6 +156,30 @@ class TestRowCounts:
     def test_empty(self):
         assert row_counts(np.zeros((0, 5), dtype=bool)).shape == (0,)
         assert np.array_equal(row_counts(np.zeros((3, 0), dtype=bool)), [0] * 3)
+
+
+class TestLabelEntries:
+    """``label_entries`` is the fancy index ``M[arange(n), labels - 1]``
+    whatever the layout of ``M``."""
+
+    @pytest.mark.parametrize("L", [2, 10, 100])
+    def test_equals_fancy_index(self, L):
+        rng = np.random.default_rng(L)
+        values = rng.random((50, L + 3))
+        labels = rng.integers(1, L + 1, 50)
+        labels[:2] = 1, L  # the first and the last column
+        views = {
+            "contiguous": np.ascontiguousarray(values[:, :L]),
+            "fortran": np.asfortranarray(values[:, :L]),
+            "column-sliced": values[:, :L],
+            "bool": np.ascontiguousarray(values[:, :L] < 0.5),
+        }
+        for name, M in views.items():
+            expect = M[np.arange(len(M)), labels - 1]
+            got = label_entries(M, labels)
+            assert got.dtype == M.dtype, name
+            assert np.array_equal(got, expect), name
+        assert label_entries(values[:0, :L], labels[:0]).shape == (0,)
 
 
 class TestThresholdSet:

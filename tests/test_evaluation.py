@@ -119,6 +119,21 @@ class TestEvaluate:
             assert list(m.per_class_avg_size.items()) == list(size.items())
             assert 5 not in error
 
+    @pytest.mark.parametrize("L", [10, 40])
+    def test_column_sliced_probs_give_equal_reports(self, L):
+        # the probabilities of a parsed score table are a column slice of
+        # it; a fit and its report must not depend on that layout
+        s = labeled_set(seed=L, L=L, n=400)
+        table = np.hstack([s.probs, np.zeros((s.n, 2))])
+        sliced = ScoreSet(ids=s.ids, probs=table[:, :L], labels=s.labels)
+        assert not sliced.probs.flags.c_contiguous
+        for spec in (FormulationSpec(Kind.TOP_K, k=3),
+                     FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.2),
+                     FormulationSpec(Kind.HYBRID_SIZE, kbar=2.0, k=3)):
+            fits = [calibrate(spec, scores) for scores in (s, sliced)]
+            assert fits[0].theta == fits[1].theta
+            assert evaluate(fits[0], s) == evaluate(fits[1], sliced)
+
     def test_two_regime_bimodal_sizes(self):
         # a two-regime construction where the regimes use disjoint classes:
         # easy points concentrate on classes 1-4, ambiguous ones split

@@ -495,7 +495,7 @@ class TestModelFiles:
         ("kind top-k\nk: 1\n", "expected 'key: value'", 2),
         ("kind: top-q\nk: 1\n",
          "bad or missing kind ('top-q' is not a valid Kind)", None),
-        ("k: 1\n", "bad or missing kind ('kind')", None),
+        ("k: 1\n", "missing kind", None),
         ("kind: top-k\nk: 1\ncolour: red\nshade: 2\n",
          "unknown keys ['colour', 'shade']", None),
     ])
@@ -653,6 +653,17 @@ class TestCliSynth:
         shown = repr(float(noise))
         assert capsys.readouterr().err == (
             f"error: ValueError: noise={shown} must be finite and >= 0\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("support", [0, -2])
+    def test_support_must_be_positive(self, tmp_path, capsys, support):
+        assert run_cli(
+            "synth", "--template", "dirichlet-like", "--classes", 5,
+            "--n", 30, "--support", support, "--out-prefix", tmp_path / "x",
+        ) == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: support={support} must be >= 1\n"
         )
         assert list(tmp_path.iterdir()) == []
 
@@ -1188,6 +1199,14 @@ class TestCliOracleCheck:
         assert run_cli("oracle-check", "--count", 200, "--seed", seed) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_must_be_positive(self, capsys, count):
+        # checking no distribution at all must not pass as a clean run
+        assert run_cli("oracle-check", "--count", count) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: PredsetsError: --count={count} must be >= 1\n"
 
     def test_fixture_mode(self, tmp_path):
         dist = make_distribution("dirichlet-like", 4, 2, support=3)

@@ -440,6 +440,13 @@ class TestSynthGenerate:
         c = synth_generate("dirichlet-like", 5, 100, seed=4)
         assert not np.array_equal(a.probs, c.probs)
 
+    @pytest.mark.parametrize("template", ["dirichlet-like", "two-regime"])
+    @pytest.mark.parametrize("support", [0, -2])
+    def test_support_must_be_positive(self, template, support):
+        problem = rf"^support={support} must be >= 1$"
+        with pytest.raises(ValueError, match=problem):
+            make_distribution(template, 4, 0, support=support)
+
     def test_two_regime_entropy_split(self):
         L = 10
         dist = make_distribution("two-regime", L, 0)
