@@ -28,8 +28,13 @@ largest probability, so blocks of one-label sets come first and the
 point-wise mask's short-prefix blocks and its full-row fallback both
 leave a fingerprint.  A noiseless ``synth`` set at L=1000 runs calibrate,
 predict and evaluate for the top-k and point-wise models, so the
-sampler's noiseless logits at many classes leave one too.  A chain at a
-fixed ``--temperature 0.7`` runs the average-size, point-wise and
+sampler's noiseless logits at many classes leave one too.  Average-size and
+F-score models on the L=10 two-regime set, the L=1000 set and the L=1000
+two-regime set take each branch of ``calibrate``'s top-knot selection:
+average-size selected by rank and gated off, and F-score selected by its
+bound, retried with the largest score below the bound (no pooled score
+lies between the bound and the root) and fallen back to all scores.  A
+chain at a fixed ``--temperature 0.7`` runs the average-size, point-wise and
 hybrid-error union models and every sweep at L=100 and at L=1000, so
 fitting and predicting on rescaled logits leave one as well.  The L=100
 files with their logits scaled by 1e-3 and by 1e3 (probabilities
@@ -128,6 +133,25 @@ NARROW_MODELS = tuple((name, {
     "hybrid-error-union": ["--formulation", "hybrid-error", "--ebar", "0.2",
                            "--eps", "0.3", "--mode", "union-with-pointwise"],
 }.get(name, flags)) for name, flags in MODELS)
+
+#: data set, then models taking the branches of calibrate's top-knot
+#: selection (500 calibration rows) that the models above leave out: those
+#: select average-size (kbar 2 at L=10, 10 at L=1000) and the F-score
+#: (beta 1 at L=1000), and retry the F-score at beta 1 at L=10
+SELECTION_MODELS = (
+    ("two-regime-L10", (
+        ("average-size-gated", ["--formulation", "average-size", "--kbar", "3"]),
+        ("f-score-selected", ["--formulation", "f-score", "--beta", "2"]),
+        ("f-score-fallback", ["--formulation", "f-score", "--beta", "3"]),
+    )),
+    ("L1000", (
+        ("average-size-gated", ["--formulation", "average-size", "--kbar", "300"]),
+        ("f-score-fallback", ["--formulation", "f-score", "--beta", "3"]),
+    )),
+    ("two-regime-L1000", (
+        ("f-score-retried", ["--formulation", "f-score", "--beta", "1"]),
+    )),
+)
 
 #: name, sweep flags; each runs at T=1 and at T=fit (at T=0.7 in the
 #: fixed-temperature chain)
@@ -245,6 +269,8 @@ def digest_all() -> int:
             for L in (100, 1000):
                 chain(f"T0.7-L{L}", "dirichlet-like", L, FIXED_T_MODELS,
                       temperatures=("0.7",))
+            for data, models in SELECTION_MODELS:
+                fit_models(data, models)
             run("synth-fixture", [
                 "synth", "--template", "dirichlet-like", "--classes", "4",
                 "--support", "3", "--n", "30", "--seed", "5",

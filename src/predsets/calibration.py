@@ -16,6 +16,20 @@ search in two orientations (the knot where G or G_k drops to kbar, the
 largest where H or H_eps reaches 1 - ebar) or the exact F-score root.  The
 knots carry per-sample counts, so a bootstrap replicate is the same knots
 reweighted (see ``evaluation.sweep``).
+
+For average-size and the F-score, :func:`calibrate` sorts only the pooled
+scores that can hold the cutoff (:func:`_top_knots`).  Tails and masses are
+summed from the top, so the top knots carry the full knots' values, and
+both searches count from the top: the same reader finds the same knot.
+Average-size keeps the scores at or above the (floor(kbar n) + 1)-th
+largest, whose tail exceeds the level.  The F-score root is
+``theta = F*/(1 + beta^2)``, where ``F*`` is the best plug-in F-score of any
+set rule (the mean of ``sum_{l in Gamma} (p_l - theta)`` is at most
+``beta^2 theta``); the top-1 sets score the mean row maximum, so ``theta``
+is at least that over ``1 + beta^2``.  The scores at or above this bound
+are kept, with the largest one below when the lowest kept knot still
+passes the root test; the lowest must fail it.  Neither keeps more than
+``_SELECT_SHARE`` (a quarter) of the scores; past it, all are sorted.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -61,13 +76,16 @@ class EmpiricalStepFunction:
         weights = np.asarray(weights)
         if weights.ndim and weights.size != scores.size:
             raise ValueError("scores and weights must have equal length")
-        if np.any(weights < 0):
-            raise ValueError("knot weights must be nonnegative")
+        if weights.size and not 0 <= weights.min() <= weights.max() < math.inf:
+            raise ValueError("knot weights must be finite and nonnegative")
         if weights.ndim:
             order = np.argsort(scores, kind="stable")
             ordered = scores[order]
         else:
             ordered = np.sort(scores)
+        # sorted, with any NaN last: the ends show every non-finite score
+        if ordered.size and not -math.inf < ordered[0] <= ordered[-1] < math.inf:
+            raise ValueError("knot scores must be finite")
         first = np.ones(ordered.size, dtype=bool)
         first[1:] = ordered[1:] != ordered[:-1]
         self.scores = ordered[first]
@@ -190,20 +208,22 @@ def fscore_root(g: EmpiricalStepFunction, beta: float) -> float:
     is continuous, strictly increasing and linear between knots.  With
     ``M_j`` and ``W_j`` the mass and weight of the knots at or above
     ``s_j``, the root on the segment below the first knot where
-    ``phi >= 0`` is ``theta = M_j / (norm beta^2 + W_j)``.  That knot is
-    found by binary search; ``phi`` is non-negative at the largest one.
+    ``phi >= 0`` is ``theta = M_j / (norm beta^2 + W_j)``.  A binary search
+    counted down from the largest knot (``phi >= 0`` there) finds that knot.
     """
     mass = g.mass().tail  # M_j / norm
     b2 = beta * beta
-    lo, hi = 0, g.scores.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        s = g.scores[mid]
-        if b2 * s - (mass[mid] - s * (g.tail[mid] / g.norm)) >= 0.0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(mass[lo] / (b2 + g.tail[lo] / g.norm))
+    top, d = g.scores.size - 1, 0  # phi >= 0 at knot top - d, from the top
+    for bit in reversed(range(top.bit_length())):
+        if d + (1 << bit) <= top and _phi_nonnegative(g, b2, top - d - (1 << bit)):
+            d += 1 << bit
+    return float(mass[top - d] / (b2 + g.tail[top - d] / g.norm))
+
+
+def _phi_nonnegative(g: EmpiricalStepFunction, b2: float, j: int):
+    """Whether ``phi >= 0`` at knot ``j`` of ``g``, as :func:`fscore_root` tests."""
+    s = g.scores[j]
+    return b2 * s - (g.mass().tail[j] - s * (g.tail[j] / g.norm)) >= 0.0
 
 
 def fscore_objective_derivative(probs: np.ndarray, beta: float, theta) -> float:
@@ -537,7 +557,9 @@ def calibrate(
         P = _probs_at(scores, T)
         if spec.kind is Kind.AVERAGE_ERROR:
             scores.require_labels(spec.kind.value)
-        knots = _knots(spec.kind, P, scores.labels, spec.k, spec.eps)
+        knots = _top_knots(spec, P)
+        if knots is None:
+            knots = _knots(spec.kind, P, scores.labels, spec.k, spec.eps)
         theta = _cutoff(spec, knots)
     elif T != 1.0:
         _rescalable(scores, T)  # checked, not computed: nothing is fitted
@@ -549,6 +571,41 @@ def calibrate(
     return CalibratedClassifier(
         spec=spec, theta=theta, temperature=T, provenance=provenance
     )
+
+
+#: Largest share of the pooled scores :func:`_top_knots` keeps.  Selecting a
+#: share s cost as much as sorting all at s ~ 0.7 at L = 10 (10 000 rows) and
+#: s ~ 0.5 at L = 1000 (2000 rows); at 0.25 it took 0.3-0.8 of the sort.
+_SELECT_SHARE = 0.25
+
+
+def _top_knots(spec: FormulationSpec, P: np.ndarray) -> EmpiricalStepFunction | None:
+    """The top knots of G over ``P`` (norm n) that hold the average-size or
+    F-score cutoff, as the module docstring describes; None for other kinds
+    or when they would be more than ``_SELECT_SHARE`` of the scores."""
+    n, N = P.shape[0], P.size
+    most = _SELECT_SHARE * N
+    if spec.kind is Kind.AVERAGE_SIZE:
+        rank = math.floor(spec.kbar * n) + 1
+        if rank > most:
+            return None
+        part = np.partition(P, N - rank, axis=None)  # one flat copy
+        return EmpiricalStepFunction(part[part >= part[N - rank]], 1, norm=n)
+    if spec.kind is not Kind.F_SCORE:
+        return None
+    flat, b2 = P.ravel(), spec.beta * spec.beta
+    # row maxima folded over <= 16 columns: 11-192 vs 516-874 us on 10 000 rows
+    top1 = reduce(np.maximum, P.T) if P.shape[1] <= 16 else P.max(axis=1)
+    v = top1.mean() / (1.0 + b2)
+    for _ in range(2):
+        keep = flat >= v
+        if np.count_nonzero(keep) > most:
+            return None
+        g = EmpiricalStepFunction(flat[keep], 1, norm=n)
+        if g.scores.size and not _phi_nonnegative(g, b2, 0):
+            return g
+        v = flat.max(where=~keep, initial=-np.inf)
+    return None
 
 
 def _probs_at(scores: ScoreSet, T: float) -> np.ndarray:

@@ -435,7 +435,7 @@ def sample_scores(
     check_probability_rows(probs)
     # labels lie in [1, L] and softmax(log p) = p by construction
     return ScoreSet._trusted(
-        ids=[f"s{i:07d}" for i in range(n)],
+        ids=list(map("s%07d".__mod__, range(n))),
         probs=probs,
         labels=labels,
         logits=logits,
@@ -443,7 +443,7 @@ def sample_scores(
             "truth": dist,
             "seed": seed,
             "noise": noise,
-            "x_ids": [dist.x_ids[i] for i in x_idx],
+            "x_ids": [dist.x_ids[i] for i in x_idx.tolist()],
         },
     )
 

@@ -96,6 +96,20 @@ class TestEmpiricalStepFunction:
         assert np.all(np.diff(values) <= 0)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        for weights in (1, [1, 2, 3]):
+            with pytest.raises(ValueError, match="scores must be finite"):
+                EmpiricalStepFunction([0.1, bad, 0.3], weights)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            EmpiricalStepFunction(bad, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_weights_rejected(self, bad):
+        for weights in (bad, [1.0, bad, 1.0]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                EmpiricalStepFunction([0.1, 0.2, 0.3], weights)
+
     def test_reweight_matches_repeated_rows(self):
         # a bootstrap draw as counts over the knots sorted once equals the
         # function built from the drawn rows themselves
@@ -872,6 +886,154 @@ class TestStepFunction:
             step_function(spec, one_sample([0.5, 0.3, 0.2]))
         with pytest.raises(KOutOfRange):
             calibrate(spec, one_sample([0.5, 0.3, 0.2]))
+
+
+def outcome(fit_theta):
+    """The cutoff ``fit_theta()`` returns, or the type and text it raises."""
+    try:
+        return fit_theta()
+    except PredsetsError as exc:
+        return type(exc), str(exc)
+
+
+def eighths(rng, L, n):
+    """Rows of multiples of 1/8: exact sums and many tied scores."""
+    return rng.multinomial(8, np.full(L, 1.0 / L), size=n) / 8.0
+
+
+def branch(spec, P):
+    """Which path ``calibrate`` takes for ``spec`` on ``P``: "full", or the
+    kept top knots, "selected" (for the F-score at the bound) or
+    "retried" (down to the largest score below the bound).  Checks the
+    kept knots are exactly the scores at or above the lowest kept one,
+    which is the (floor(kbar n) + 1)-th largest score, or the lowest score
+    at or above the bound, or the largest below it; the F-score's lowest
+    kept knot must fail the root test."""
+    g = calibration._top_knots(spec, P)
+    if g is None:
+        return "full"
+    flat = P.ravel()
+    assert g.tail[0] == np.count_nonzero(flat >= g.scores[0])
+    if spec.kind is Kind.AVERAGE_SIZE:
+        rank = int(np.floor(spec.kbar * P.shape[0]))
+        assert g.scores[0] == np.sort(flat)[::-1][rank]
+        return "selected"
+    b2 = spec.beta * spec.beta
+    assert not calibration._phi_nonnegative(g, b2, 0)
+    bound = P.max(axis=1).mean() / (1.0 + b2)
+    if g.scores[0] < bound:
+        assert g.scores[0] == flat[flat < bound].max()
+        return "retried"
+    assert g.scores[0] == flat[flat >= bound].min()
+    return "selected"
+
+
+SIZE_BUDGETS = (1e-3, 0.2, 0.5, 1.0, 1.5, 2.5, 3.0, 7.5)
+BETAS = (0.05, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 8.0, 20.0)
+
+
+class TestTopKnots:
+    """``calibrate`` reads the average-size and F-score cutoffs off the top
+    knots of G that can hold them; the cutoff, or the error and its text,
+    equals that of the full knots of ``step_function``."""
+
+    @staticmethod
+    def specs(L):
+        for kbar in (*SIZE_BUDGETS, L / 2, L):
+            if kbar <= L:
+                yield FormulationSpec(Kind.AVERAGE_SIZE, kbar=kbar)
+        for beta in BETAS:
+            yield FormulationSpec(Kind.F_SCORE, beta=beta)
+
+    @staticmethod
+    def assert_fits_equal(s, L, T=1.0):
+        at = s
+        if T != 1.0:
+            at = ScoreSet(ids=s.ids, probs=softmax(s.logits, T), labels=s.labels)
+        seen = set()
+        for spec in TestTopKnots.specs(L):
+            want = outcome(lambda: calibration._cutoff(spec, step_function(spec, at)))
+            got = outcome(lambda: calibrate(spec, s, temperature=T).theta)
+            assert got == want, spec
+            seen.add((spec.kind, branch(spec, at.probs)))
+        return seen
+
+    @pytest.mark.parametrize("L", [2, 10, 100, 1000])
+    @pytest.mark.parametrize("rows", ["dirichlet", "eighths", "repeated"])
+    def test_fit_equals_full_knots(self, L, rows):
+        rng = np.random.default_rng(L)
+        n = 4000 // L + 3
+        if rows == "dirichlet":
+            P = rng.dirichlet(np.full(L, 0.3), size=n)
+        elif rows == "eighths":
+            P = eighths(rng, L, n)
+        else:  # rows of a 3-point support, tied across rows
+            P = rng.dirichlet(np.full(L, 0.3), size=3)[rng.integers(0, 3, n)]
+        seen = self.assert_fits_equal(ScoreSet(ids=[""] * n, probs=P), L)
+        # both sides of the gate for average-size; test_each_branch takes
+        # every F-score branch
+        assert {(Kind.AVERAGE_SIZE, "selected"), (Kind.AVERAGE_SIZE, "full"),
+                (Kind.F_SCORE, "full")} <= seen
+
+    @pytest.mark.parametrize("L", [2, 10, 100, 1000])
+    def test_one_row(self, L):
+        rng = np.random.default_rng(L + 1)
+        for P in (rng.dirichlet(np.ones(L), size=1), eighths(rng, L, 1)):
+            self.assert_fits_equal(ScoreSet(ids=["a"], probs=P), L)
+
+    @pytest.mark.parametrize("template", ["two-regime", "near-deterministic"])
+    @pytest.mark.parametrize("L", [10, 1000])
+    @pytest.mark.parametrize("T", [1.0, 0.7, 2.0])
+    def test_synthetic_sets_and_temperatures(self, template, L, T):
+        s = synth_generate(template, L, 20_000 // L, 3, noise=0.2)
+        self.assert_fits_equal(s, L, T)
+
+    def test_each_branch(self):
+        cases = [
+            ("dirichlet-like", 10, FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), "selected"),
+            ("dirichlet-like", 10, FormulationSpec(Kind.AVERAGE_SIZE, kbar=3.0), "full"),
+            ("dirichlet-like", 1000, FormulationSpec(Kind.AVERAGE_SIZE, kbar=10.0), "selected"),
+            ("dirichlet-like", 1000, FormulationSpec(Kind.AVERAGE_SIZE, kbar=300.0), "full"),
+            ("dirichlet-like", 10, FormulationSpec(Kind.F_SCORE, beta=0.5), "selected"),
+            ("dirichlet-like", 10, FormulationSpec(Kind.F_SCORE, beta=3.0), "full"),
+            ("near-deterministic", 10, FormulationSpec(Kind.F_SCORE, beta=1.0), "retried"),
+            ("dirichlet-like", 1000, FormulationSpec(Kind.F_SCORE, beta=1.0), "selected"),
+            ("dirichlet-like", 1000, FormulationSpec(Kind.F_SCORE, beta=8.0), "full"),
+            ("near-deterministic", 1000, FormulationSpec(Kind.F_SCORE, beta=1.0), "retried"),
+        ]
+        for template, L, spec, want in cases:
+            s = synth_generate(template, L, 20_000 // L, 5, noise=0.2)
+            assert branch(spec, s.probs) == want, (template, L, spec)
+            assert calibrate(spec, s).theta == calibration._cutoff(
+                spec, step_function(spec, s))
+
+    def test_top_rank_beyond_the_scores_gives_zero(self):
+        # floor(kbar n) + 1 > N: every score is kept and theta is 0
+        s = synth_generate("dirichlet-like", 10, 50, 2)
+        spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=10.0)
+        assert branch(spec, s.probs) == "full"
+        assert calibrate(spec, s).theta == 0.0
+
+    def test_tiny_budget_saturates_alike(self):
+        s = synth_generate("dirichlet-like", 100, 50, 2)
+        spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1e-3)
+        assert branch(spec, s.probs) == "selected"
+        got = outcome(lambda: calibrate(spec, s).theta)
+        assert got[0] is Saturated
+        assert got == outcome(lambda: calibration._cutoff(spec, step_function(spec, s)))
+
+    def test_root_at_the_bound(self, monkeypatch):
+        # one-hot-like rows: the top-1 sets are optimal, the root is the
+        # bound itself and its knot passes the root test, so the kept knots
+        # reach down to the largest score below it
+        P = np.array([[0.9, 0.05, 0.05], [0.8, 0.1, 0.1], [0.7, 0.2, 0.1]])
+        s = ScoreSet(ids=list("abc"), probs=P)
+        spec = FormulationSpec(Kind.F_SCORE, beta=1.0)
+        monkeypatch.setattr(calibration, "_SELECT_SHARE", 1.0)  # 4 of 9 kept
+        assert branch(spec, P) == "retried"
+        theta = calibrate(spec, s).theta
+        assert theta == calibration._cutoff(spec, step_function(spec, s))
+        assert theta == pytest.approx(0.8 / 2, abs=1e-15)
 
 
 class TestCalibrateDispatch:
