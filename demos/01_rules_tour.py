@@ -5,17 +5,20 @@ this script to see how each formulation trades the size of that set
 against the chance of missing the true class.  All eight are built from
 two primitives, ``topk_mask`` and ``threshold_mask``, which keep the top
 ``k`` entries or the entries ``>= theta`` of each row; a classifier's
-``predict`` applies a whole formulation to one vector.
+``predict_set_mask`` applies a whole formulation to a checked score set,
+here of one row.
 """
 
 import numpy as np
 
-from predsets import CalibratedClassifier, FormulationSpec, Kind
-from predsets.core import mask_to_labels, threshold_mask, topk_mask
+from predsets import CalibratedClassifier, FormulationSpec, Kind, ScoreSet
+from predsets.core import threshold_mask, topk_mask
 
 
 def predict(spec, p, theta=None):
-    return CalibratedClassifier(spec, theta=theta).predict(p).tolist()
+    one = ScoreSet(ids=["x"], probs=[p])
+    mask = CalibratedClassifier(spec, theta=theta).predict_set_mask(one)
+    return (np.flatnonzero(mask[0]) + 1).tolist()
 
 
 p = np.array([0.42, 0.23, 0.15, 0.11, 0.06, 0.03])
@@ -24,9 +27,9 @@ print("conditional probabilities:", p, "\n")
 
 print("fixed-size rules")
 for k in (1, 2, 3):
-    labels = mask_to_labels(topk_mask(p[None, :], k)[0])
-    assert labels.tolist() == predict(FormulationSpec(Kind.TOP_K, k=k), p)
-    print(f"  top-{k}:                 {labels.tolist()}")
+    labels = (np.flatnonzero(topk_mask(p[None, :], k)[0]) + 1).tolist()
+    assert labels == predict(FormulationSpec(Kind.TOP_K, k=k), p)
+    print(f"  top-{k}:                 {labels}")
 
 print("\nadaptive size from a point-wise error budget")
 for eps in (0.5, 0.2, 0.05):
@@ -41,7 +44,7 @@ print("\nthresholding rules (penalized / calibrated cutoffs)")
 for theta in (0.05, 0.12, 0.3):
     penalized = predict(FormulationSpec(Kind.PENALIZED, lam=theta), p)
     print(f"  cutoff {theta:<5} -> {penalized}")
-assert mask_to_labels(threshold_mask(p, 0.12)).tolist() == predict(
+assert (np.flatnonzero(threshold_mask(p, 0.12)) + 1).tolist() == predict(
     FormulationSpec(Kind.PENALIZED, lam=0.12), p
 )
 

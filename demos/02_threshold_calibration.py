@@ -15,7 +15,6 @@ from predsets import (
     calibrate,
     evaluate,
 )
-from predsets.calibration import fscore_objective_derivative
 from predsets.oracle import make_distribution, sample_scores
 
 L = 10
@@ -48,7 +47,9 @@ print(f"  held-out avg size    {m.avg_size:.3f}\n")
 
 print("F-score rule: the cutoff is the root of a scalar equation")
 clf = calibrate(FormulationSpec(Kind.F_SCORE, beta=1.0), calib)
-residual = fscore_objective_derivative(calib.probs, 1.0, clf.theta)
+# phi(theta) = beta^2 theta - mean_i sum_l (p_il - theta)_+, here beta = 1
+hinge = np.clip(calib.probs - clf.theta, 0, None).sum(axis=1).mean()
+residual = clf.theta - hinge
 m = evaluate(clf, held_out)
 print(f"  fitted cutoff        {clf.theta:.6f}")
 print(f"  root residual        {residual:.2e}")

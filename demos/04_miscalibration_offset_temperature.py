@@ -11,9 +11,10 @@ import numpy as np
 from predsets import (
     FormulationSpec,
     Kind,
+    PerClassViolation,
     calibrate,
+    evaluate,
     fit_temperature,
-    per_class_violation,
 )
 from predsets.calibration import pointwise_offset
 from predsets.core import ScoreSet, softmax
@@ -26,7 +27,7 @@ test = sample_scores(dist, 10_000, seed=3, noise=0.35)
 
 spec = FormulationSpec(Kind.POINTWISE_ERROR, eps=eps)
 plain = calibrate(spec, calib)
-v = per_class_violation(plain, test, eps)
+v = PerClassViolation.from_rates(evaluate(plain, test).per_class_error, eps)
 print(f"noisy scores, eps={eps}: "
       f"{100 * v.violation_fraction:.0f}% of classes violate the budget")
 print("  per-class error percentiles:",
@@ -34,7 +35,8 @@ print("  per-class error percentiles:",
 
 r = pointwise_offset(calib.n, L)
 corrected = calibrate(spec, calib, offset="auto")
-v_off = per_class_violation(corrected, test, eps)
+rates = evaluate(corrected, test).per_class_error
+v_off = PerClassViolation.from_rates(rates, eps)
 print(f"\nwith offset sqrt(L/n) = {r:.3f}: "
       f"{100 * v_off.violation_fraction:.0f}% of classes violate")
 print("  per-class error percentiles:",
@@ -53,8 +55,10 @@ overconf = ScoreSet(
 T = fit_temperature(overconf)
 print(f"  fitted temperature T = {T:.3f} (sharpening factor was 2.5)")
 clf_t = calibrate(spec, overconf, temperature=T)
-v_raw = per_class_violation(calibrate(spec, overconf), overconf, eps)
-v_t = per_class_violation(clf_t, overconf, eps)
+rates = evaluate(calibrate(spec, overconf), overconf).per_class_error
+v_raw = PerClassViolation.from_rates(rates, eps)
+rates = evaluate(clf_t, overconf).per_class_error
+v_t = PerClassViolation.from_rates(rates, eps)
 print(f"  violating classes before rescaling: "
       f"{100 * v_raw.violation_fraction:.0f}%")
 print(f"  violating classes after rescaling:  "

@@ -14,7 +14,6 @@ readings are reported side by side without picking a winner.
 import numpy as np
 
 from predsets import FormulationSpec, Kind, brute_force_optimal
-from predsets.core import mask_to_labels
 from predsets.oracle import (
     closed_form_assignment,
     equivalence_suite,
@@ -30,7 +29,7 @@ from predsets.oracle import (
 def label_sets(dist, mask):
     """Each support point's labels, read off its row of the mask."""
     return {
-        x: tuple(mask_to_labels(row).tolist())
+        x: tuple((np.flatnonzero(row) + 1).tolist())
         for x, row in zip(dist.x_ids, mask)
     }
 

@@ -8,11 +8,7 @@ the data-driven calibration of every distribution-dependent threshold and
 an evaluation harness for error/size trade-off curves.
 """
 
-from .core import (
-    ScoreSet,
-    softmax,
-    validate_probability_vector,
-)
+from .core import ScoreSet, softmax
 from .formulations import (
     FormulationSpec,
     Kind,
@@ -35,7 +31,6 @@ from .evaluation import (
     SweepCurve,
     SweepPoint,
     evaluate,
-    per_class_violation,
     sweep,
 )
 from .oracle import (

@@ -43,9 +43,8 @@ from functools import reduce
 
 import numpy as np
 
-from .core import ScoreSet, check_probability_rows, mask_to_labels, softmax
-from .core import label_entries, row_blocks, row_counts, topk_mask
-from .core import validate_probability_vector
+from .core import ScoreSet, check_probability_rows, label_entries, row_blocks
+from .core import row_counts, softmax, topk_mask
 from .errors import EmptyScoreSet, InfeasiblePair, KOutOfRange
 from .errors import InvalidTemperature, MissingLogits, NonFiniteEntry
 from .errors import Saturated, ThetaMismatch, TooFewClasses
@@ -226,17 +225,6 @@ def _phi_nonnegative(g: EmpiricalStepFunction, b2: float, j: int):
     return b2 * s - (g.mass().tail[j] - s * (g.tail[j] / g.norm)) >= 0.0
 
 
-def fscore_objective_derivative(probs: np.ndarray, beta: float, theta) -> float:
-    """The strictly increasing function whose unique root is the F-score cutoff.
-
-    ``phi(theta) = beta^2 * theta - mean_i sum_l (p_il - theta)_+``.
-    ``phi(0) = -1`` for any valid probability matrix and ``phi(1) = beta^2``.
-    """
-    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    hinge = np.clip(probs - float(theta), 0.0, None).sum(axis=1).mean()
-    return beta * beta * float(theta) - float(hinge)
-
-
 # --- empirical step-function builders ---------------------------------------
 
 
@@ -308,8 +296,9 @@ class CalibratedClassifier:
     """A formulation together with every fitted quantity it needs.
 
     ``theta`` is present exactly for the threshold-fitted kinds
-    (average-size, average-error, hybrid-size, hybrid-error, f-score);
-    ``temperature`` rescales logits before prediction when it is not 1.
+    (average-size, average-error, hybrid-size, hybrid-error, f-score) and
+    finite, so that a model file can hold it; ``temperature`` rescales
+    logits before prediction when it is not 1.
     """
 
     spec: FormulationSpec
@@ -326,6 +315,8 @@ class CalibratedClassifier:
             raise ThetaMismatch(
                 f"{self.spec.kind.value} takes no fitted threshold"
             )
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ThetaMismatch(f"theta={self.theta!r} must be finite")
         _check_temperature(self.temperature)
 
     @property
@@ -334,20 +325,13 @@ class CalibratedClassifier:
         other kind)."""
         return self.spec.offset
 
-    def predict_mask(self, P: np.ndarray) -> np.ndarray:
-        """Boolean membership mask over rows of a probability matrix."""
-        P = np.atleast_2d(np.asarray(P, dtype=np.float64))
+    def predict_set_mask(self, scores: ScoreSet) -> np.ndarray:
+        """Boolean membership mask over the rows of ``scores`` at the
+        classifier's temperature: the one prediction path, on a checked
+        score set."""
+        P = _probs_at(scores, self.temperature)
         self.spec.check_class_count(P.shape[1])
         return rule_mask(self.spec, P, self.theta)
-
-    def predict(self, p: np.ndarray) -> np.ndarray:
-        """Ascending labels of one validated vector: a row of predict_mask."""
-        row = validate_probability_vector(p)[None, :]
-        return mask_to_labels(self.predict_mask(row)[0])
-
-    def predict_set_mask(self, scores: ScoreSet) -> np.ndarray:
-        """Membership mask for a whole ScoreSet, honoring the temperature."""
-        return self.predict_mask(_probs_at(scores, self.temperature))
 
 
 def _provenance(n: int, seed: int | None) -> dict:

@@ -17,7 +17,7 @@ from . import io
 from .calibration import CalibratedClassifier, calibrate
 from .core import ScoreSet, label_entries, row_counts
 from .errors import ClassCountMismatch, InvalidSlack, PredsetsError
-from .evaluation import SWEEP_PARAM, PerClassViolation, evaluate, sweep
+from .evaluation import SWEEP_PARAM, evaluate, sweep
 from .formulations import FormulationSpec, Kind, MODE_LEMMA_THRESHOLD
 from .oracle import (
     equivalence_suite,
@@ -122,7 +122,7 @@ def cmd_predict(args) -> int:
 
 #: Each declared budget (kbar, ebar, and eps through the per-class error
 #: rates) is checked with the user's slack added.
-def _gate_violations(clf, metrics, violation, slack):
+def _gate_violations(clf, metrics, slack):
     spec = clf.spec
     problems = []
     if spec.kbar is not None and metrics.avg_size > spec.kbar + slack:
@@ -135,10 +135,11 @@ def _gate_violations(clf, metrics, violation, slack):
             f"avg_error {io.fmt(metrics.avg_error)} > ebar"
             f" {io.fmt(spec.ebar)} + slack {io.fmt(slack)}"
         )
-    if violation is not None:
-        bad = [c for c, r in violation.rates.items() if r > spec.eps + slack]
+    if spec.eps is not None:
+        rates = metrics.per_class_error
+        bad = [c for c, r in rates.items() if r > spec.eps + slack]
         if bad:
-            worst = max(violation.rates.values())
+            worst = max(rates.values())
             problems.append(
                 f"{len(bad)} classes exceed eps {io.fmt(spec.eps)}"
                 f" + slack {io.fmt(slack)} (worst {io.fmt(worst)})"
@@ -153,16 +154,11 @@ def cmd_evaluate(args) -> int:
     test = io.read_scores(args.test)
     _check_class_count(clf, test)
     metrics = evaluate(clf, test, beta=args.beta)
-    violation = None
-    if clf.spec.eps is not None:
-        violation = PerClassViolation.from_rates(
-            metrics.per_class_error, clf.spec.eps
-        )
 
     gate_lines = None
     problems = []
     if args.gate_slack is not None:
-        problems = _gate_violations(clf, metrics, violation, args.gate_slack)
+        problems = _gate_violations(clf, metrics, args.gate_slack)
         gate_lines = [f"gate_slack: {io.fmt(args.gate_slack)}"]
         gate_lines.append(f"gate_violations: {len(problems)}")
         gate_lines += [f"gate: {p}" for p in problems]

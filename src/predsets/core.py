@@ -6,9 +6,10 @@ largest entries of each row and ``threshold_mask(P, theta)`` keeps the
 entries ``>= theta``.  Equal probabilities go to the smaller label: a top
 set is read off each row's cut value by :func:`cut_mask`, which fills the
 ties at the cut in ascending label order, so no row is ever fully sorted.
-Labels are 1-based integers in ``{1, ..., L}``; label sets are ascending
-``numpy`` integer arrays.  All functions here are pure: they never mutate
-their inputs and identical inputs give identical outputs.
+Labels are 1-based integers in ``{1, ..., L}``; a label set is a row of a
+boolean mask, whose column ``l - 1`` holds label ``l``.  All functions here
+are pure: they never mutate their inputs and identical inputs give
+identical outputs.
 
 The wide-row kernels (``topk_mask``, :func:`softmax`, the point-wise error
 mask and the temperature fit's row terms) make several passes over each
@@ -84,44 +85,6 @@ def label_entries(M: np.ndarray, labels: np.ndarray) -> np.ndarray:
     if M.flags.c_contiguous:
         return M.ravel()[np.arange(0, n * L, L) + at]
     return M[np.arange(n), at]
-
-
-def validate_probability_vector(
-    raw, tol: float = DEFAULT_SUM_TOL
-) -> np.ndarray:
-    """Validate one sample's class-probability vector.
-
-    Parameters
-    ----------
-    raw : array_like of shape (L,)
-        Candidate probabilities.
-    tol : float
-        Absolute tolerance on ``|sum - 1|``.
-
-    Returns
-    -------
-    np.ndarray
-        Read-only float64 copy of ``raw``.  Entries are never renormalized:
-        a vector that fails the checks raises instead of being silently
-        repaired, because silent repair hides upstream calibration bugs.
-
-    Raises
-    ------
-    TooFewClasses
-        If fewer than two entries.
-    NonFiniteEntry
-        If any entry is NaN or infinite.
-    NegativeEntry
-        If any entry is below zero.
-    SumOutOfTolerance
-        If the entries do not sum to one within ``tol``.
-    """
-    p = np.array(raw, dtype=np.float64)
-    if p.ndim != 1 or p.size < 2:
-        raise TooFewClasses(f"need at least 2 classes, got shape {p.shape}")
-    check_probability_rows(p[None, :], tol)
-    p.flags.writeable = False
-    return p
 
 
 def check_probability_rows(P: np.ndarray, tol: float = DEFAULT_SUM_TOL):
@@ -207,11 +170,6 @@ def threshold_mask(P: np.ndarray, theta: float) -> np.ndarray:
     legal prediction.
     """
     return np.asarray(P, dtype=np.float64) >= float(theta)
-
-
-def mask_to_labels(mask_row: np.ndarray) -> np.ndarray:
-    """Convert one boolean membership row to ascending 1-based labels."""
-    return np.flatnonzero(mask_row) + 1
 
 
 # --- score sets -------------------------------------------------------------

@@ -65,7 +65,8 @@ class LabelOutOfRange(RowError):
 
 
 class LogitsMismatch(RowError):
-    """Probabilities that are not ``softmax(logits / temperature)``."""
+    """Probabilities that are not ``softmax(logits)``: a score set is at
+    temperature 1."""
 
 
 # --- rule parameters ------------------------------------------------------
@@ -92,7 +93,7 @@ class KbarOutOfRange(PredsetsError, ValueError):
 
 
 class EbarOutOfRange(PredsetsError, ValueError):
-    """Average-error budget outside (0, 1)."""
+    """Average-error budget outside (0, 1), or hybrid-error budget below 0."""
 
 
 class ParameterOrderViolation(PredsetsError, ValueError):
@@ -144,7 +145,7 @@ class MissingLogits(PredsetsError, ValueError):
 
 
 class InvalidTemperature(PredsetsError, ValueError):
-    """Temperature not strictly positive."""
+    """Temperature not finite and > 0 (NaN included)."""
 
 
 class ThetaMismatch(PredsetsError, ValueError):

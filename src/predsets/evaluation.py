@@ -22,7 +22,7 @@ from .calibration import _check_temperature, _cutoff, _knots, _require_nonempty
 from .calibration import _temperature_fit, fit_temperature
 from .core import ScoreSet, check_probability_rows, label_entries, row_counts
 from .core import softmax, topk_mask
-from .errors import InvalidBeta, KOutOfRange, MissingLogits
+from .errors import EmptyScoreSet, InvalidBeta, KOutOfRange, MissingLogits
 from .errors import PredsetsError
 from .formulations import FormulationSpec, Kind, MODE_UNION_POINTWISE
 from .formulations import pointwise_error_mask
@@ -55,7 +55,8 @@ class MetricsReport:
 def evaluate(
     classifier: CalibratedClassifier, test: ScoreSet, beta: float = 1.0
 ) -> MetricsReport:
-    """Compute every aggregate and per-class metric on a labeled test set.
+    """Compute every aggregate and per-class metric on a labeled test set
+    of at least one row.
 
     The test set must be disjoint from the calibration data for the
     numbers to be honest; that is the caller's responsibility.  ``beta``
@@ -63,7 +64,7 @@ def evaluate(
     """
     if not 0.0 < beta < math.inf:
         raise InvalidBeta(f"beta={beta!r} must be finite and > 0")
-    labels = test.require_labels("evaluate")
+    labels = _test_labels(test)
     mask = classifier.predict_set_mask(test)
     n = test.n
     covered = label_entries(mask, labels)
@@ -104,6 +105,15 @@ def evaluate(
     )
 
 
+def _test_labels(test: ScoreSet) -> np.ndarray:
+    """The labels of a test set, raising :class:`MissingLabels` when some
+    are missing and :class:`EmptyScoreSet` when there are none."""
+    labels = test.require_labels("evaluate")
+    if test.n == 0:
+        raise EmptyScoreSet("evaluation needs at least one sample")
+    return labels
+
+
 @dataclass
 class PerClassViolation:
     """Class-conditional error rates as a proxy for the point-wise error.
@@ -135,16 +145,6 @@ class PerClassViolation:
         return cls(
             eps=eps, rates=rates, quantiles=quantiles, violated=violated
         )
-
-
-def per_class_violation(
-    classifier: CalibratedClassifier, test: ScoreSet, eps: float
-) -> PerClassViolation:
-    """Per-class error rates, their percentile summary, and violation flags."""
-    test.require_labels("per_class_violation")
-    return PerClassViolation.from_rates(
-        evaluate(classifier, test).per_class_error, eps
-    )
 
 
 @dataclass
@@ -182,7 +182,7 @@ def spec_with_param(template: FormulationSpec, value: float) -> FormulationSpec:
     name = SWEEP_PARAM[template.kind]
     if name != "k":
         value = float(value)
-    elif float(value) != int(value):
+    elif not float(value).is_integer():  # inf and NaN included
         raise KOutOfRange(
             f"top-k sweeps need integer grid values, got {value!r}"
         )
@@ -358,7 +358,7 @@ def _metrics_at(spec: FormulationSpec, T: float, test: ScoreSet):
     entries for hybrid-size, the entries outside the point-wise set in
     union mode.  Raises what :func:`evaluate` raises.
     """
-    labels = test.require_labels("evaluate")
+    labels = _test_labels(test)
     P = _probs_at(test, T)
     spec.check_class_count(P.shape[1])
     always = np.zeros(P.shape, dtype=bool)

@@ -21,7 +21,7 @@ from predsets.calibration import (
 )
 from predsets.cli import main
 from predsets.core import ScoreSet, threshold_mask, topk_mask
-from predsets.evaluation import evaluate, per_class_violation
+from predsets.evaluation import PerClassViolation, evaluate
 from predsets.formulations import (
     FormulationSpec,
     Kind,
@@ -199,10 +199,12 @@ def test_criterion_5_offset_reduces_violations():
             plain = calibrate(spec, calib)
             corrected = calibrate(spec, calib, offset="auto")
             assert corrected.offset == r
-            frac = per_class_violation(plain, test, eps).violation_fraction
-            frac_off = per_class_violation(
-                corrected, test, eps
-            ).violation_fraction
+            frac, frac_off = (
+                PerClassViolation.from_rates(
+                    evaluate(clf, test).per_class_error, eps
+                ).violation_fraction
+                for clf in (plain, corrected)
+            )
             if not frac_off < frac:
                 ok = False
                 details.append((eps, seed, frac, frac_off))
@@ -269,8 +271,8 @@ def test_criterion_7_equivalences():
         np.array_equal(
             CalibratedClassifier(
                 FormulationSpec(Kind.PENALIZED, lam=thetas[i])
-            ).predict(P[i]),
-            np.flatnonzero(P[i] >= thetas[i]) + 1,
+            ).predict_set_mask(ScoreSet(ids=["x"], probs=P[i : i + 1]))[0],
+            P[i] >= thetas[i],
         )
         for i in range(0, 10_000, 97)
     )

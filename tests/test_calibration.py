@@ -15,7 +15,6 @@ from predsets.calibration import (
     feasibility_check,
     fit_temperature,
     _knot_at,
-    fscore_objective_derivative,
     pointwise_offset,
     step_function,
 )
@@ -293,7 +292,7 @@ class TestFitAverageSize:
         s = ScoreSet(ids=[str(i) for i in range(400)], probs=probs)
         for kbar in (1.0, 2.5, 4.0):
             clf = fit(s, Kind.AVERAGE_SIZE, kbar=kbar)
-            mean_size = clf.predict_mask(s.probs).sum(axis=1).mean()
+            mean_size = clf.predict_set_mask(s).sum(axis=1).mean()
             assert kbar - 6 / 400 < mean_size <= kbar
 
 
@@ -354,7 +353,7 @@ class TestFitAverageError:
 
         for ebar in (0.05, 0.2, 0.5):
             clf = fit(s, Kind.AVERAGE_ERROR, ebar=ebar)
-            mask = clf.predict_mask(s.probs)
+            mask = clf.predict_set_mask(s)
             covered = int(mask[np.arange(500), labels - 1].sum())
             # the guarantee is count-based: at least ceil(n*(1-ebar))
             # calibration samples keep their true class in the set
@@ -429,23 +428,14 @@ class TestFitFscore:
         clf = fit(one_sample([0.5, 0.5]), Kind.F_SCORE, beta=1.0)
         assert abs(clf.theta - 1.0 / 3.0) < 1e-11
 
-    def test_phi_at_zero_is_minus_one(self):
-        rng = np.random.default_rng(9)
-        probs = rng.dirichlet(np.ones(7), size=50)
-        for beta in (0.5, 1.0, 2.0):
-            assert fscore_objective_derivative(probs, beta, 0.0) == pytest.approx(
-                -1.0, abs=1e-12
-            )
-            assert fscore_objective_derivative(probs, beta, 1.0) == pytest.approx(
-                beta**2, abs=1e-12
-            )
-
     def test_residual_below_tolerance(self):
         rng = np.random.default_rng(10)
         probs = rng.dirichlet(np.ones(5), size=200)
         s = ScoreSet(ids=[str(i) for i in range(200)], probs=probs)
-        clf = fit(s, Kind.F_SCORE, beta=1.3)
-        assert abs(fscore_objective_derivative(probs, 1.3, clf.theta)) <= 1e-12
+        theta = fit(s, Kind.F_SCORE, beta=1.3).theta
+        # phi(theta) = beta^2 theta - mean_i sum_l (p_il - theta)_+
+        phi = 1.3**2 * theta - np.clip(probs - theta, 0, None).sum(1).mean()
+        assert abs(phi) <= 1e-12
 
 
 class TestPointwiseOffset:
@@ -1106,6 +1096,13 @@ class TestCalibrateDispatch:
         assert isinstance(exc.value, PredsetsError)
         assert isinstance(exc.value, ValueError)
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
+    def test_non_finite_theta_rejected(self, theta):
+        # a model file could not hold it: read_model refuses 'theta: nan'
+        spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
+        with pytest.raises(ThetaMismatch, match="must be finite"):
+            CalibratedClassifier(spec, theta=theta)
+
     @pytest.mark.parametrize("T", [0.0, -1.0, float("inf"), float("nan")])
     def test_calibrate_rejects_bad_temperature(self, T):
         s = one_sample([0.5, 0.3, 0.2])
@@ -1118,7 +1115,8 @@ class TestCalibrateDispatch:
         assert calibrate(spec, s).spec.offset == 0.05
         clf = calibrate(spec, s, offset=0.0)  # a 0 stays 0 under a spec offset
         assert clf.spec.offset == clf.offset == 0.0
-        assert clf.predict(np.array([0.5, 0.3, 0.2])).tolist() == [1, 2]
+        mask = clf.predict_set_mask(one_sample([0.5, 0.3, 0.2]))
+        assert mask.tolist() == [[True, True, False]]
         with pytest.raises(AttributeError):
             clf.offset = 0.1  # read-only: the spec is its one home
 
@@ -1127,8 +1125,8 @@ class TestCalibrateDispatch:
             spec=FormulationSpec(Kind.POINTWISE_ERROR, eps=0.25, offset=0.05)
         )
         assert clf.offset == 0.05
-        labels = clf.predict(np.array([0.5, 0.3, 0.2]))
-        assert labels.tolist() == [1, 2]  # 0.8 >= 1 - 0.25 + 0.05
+        mask = clf.predict_set_mask(one_sample([0.5, 0.3, 0.2]))
+        assert mask.tolist() == [[True, True, False]]  # 0.8 >= 1 - 0.25 + 0.05
 
     def test_temperature_applied_at_predict_time(self):
         # a classifier carrying T != 1 rescales the logits before the rule

@@ -13,7 +13,6 @@ from predsets.core import (
     row_counts,
     threshold_mask,
     topk_mask,
-    validate_probability_vector,
 )
 from predsets.errors import (
     ClassCountMismatch,
@@ -49,33 +48,31 @@ def prob_vectors(min_L=2, max_L=8):
 
 
 class TestValidateProbabilityVector:
+    """One probability vector, checked where it enters the library: a
+    one-row ``ScoreSet``, or ``check_probability_rows`` at a tolerance."""
+
     def test_exact_sum_ok(self):
-        p = validate_probability_vector([0.5, 0.3, 0.2], tol=1e-6)
+        p = ScoreSet(ids=["a"], probs=[[0.5, 0.3, 0.2]]).probs[0]
         assert np.array_equal(p, [0.5, 0.3, 0.2])
 
     def test_sum_out_of_tolerance(self):
         with pytest.raises(SumOutOfTolerance) as exc:
-            validate_probability_vector([0.5, 0.6], tol=1e-6)
+            check_probability_rows(np.array([[0.5, 0.6]]), tol=1e-6)
         assert exc.value.actual_sum == pytest.approx(1.1)
 
     def test_too_few_classes(self):
         with pytest.raises(TooFewClasses):
-            validate_probability_vector([1.0], tol=1e-6)
+            ScoreSet(ids=["a"], probs=[[1.0]])
 
     def test_negative_entry(self):
         with pytest.raises(NegativeEntry):
-            validate_probability_vector([1.2, -0.2])
+            ScoreSet(ids=["a"], probs=[[1.2, -0.2]])
 
     def test_no_silent_renormalization(self):
-        # within tolerance the entries are returned untouched
+        # within tolerance the entries are kept untouched
         raw = [0.5000004, 0.4999999]
-        p = validate_probability_vector(raw, tol=1e-5)
-        assert p[0] == raw[0] and p[1] == raw[1]
-
-    def test_result_read_only(self):
-        p = validate_probability_vector([0.5, 0.5])
-        with pytest.raises(ValueError):
-            p[0] = 0.3
+        check_probability_rows(np.array([raw]), tol=1e-5)
+        assert ScoreSet(ids=["a"], probs=[raw]).probs[0].tolist() == raw
 
 
 class TestTopIndices:
@@ -277,9 +274,9 @@ class TestNonFiniteRejected:
     checks alone would let them through."""
 
     @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_validate_probability_vector(self, bad):
+    def test_check_probability_rows(self, bad):
         with pytest.raises(NonFiniteEntry):
-            validate_probability_vector([bad, 0.5, 0.5])
+            check_probability_rows(np.array([[bad, 0.5, 0.5]]))
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_score_set(self, bad):
@@ -289,9 +286,10 @@ class TestNonFiniteRejected:
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_classifier_predict(self, bad):
+        # the one prediction path takes a ScoreSet, which refuses the row
         clf = CalibratedClassifier(FormulationSpec(Kind.TOP_K, k=1))
         with pytest.raises(NonFiniteEntry):
-            clf.predict(np.array([0.5, bad]))
+            clf.predict_set_mask(ScoreSet(ids=["a"], probs=[[0.5, bad]]))
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_distribution(self, bad):

@@ -9,11 +9,11 @@ from predsets import calibration, evaluation
 from predsets.calibration import CalibratedClassifier, EmpiricalStepFunction
 from predsets.calibration import calibrate
 from predsets.core import ScoreSet
-from predsets.errors import InvalidBeta, MissingLabels, PredsetsError
+from predsets.errors import EmptyScoreSet, InvalidBeta, MissingLabels
+from predsets.errors import PredsetsError
 from predsets.evaluation import (
     PerClassViolation,
     evaluate,
-    per_class_violation,
     spec_with_param,
     sweep,
 )
@@ -93,6 +93,10 @@ class TestEvaluate:
         with pytest.raises(MissingLabels):
             evaluate(topk_clf(1), s)
 
+    def test_empty_test_set(self):
+        with pytest.raises(EmptyScoreSet):
+            evaluate(topk_clf(1), labeled_set().subset([]))
+
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
     def test_beta_must_be_finite_and_positive(self, beta):
         # at beta = 0 every set empty would make F_beta 0 / 0
@@ -169,7 +173,8 @@ class TestEvaluate:
 class TestPerClassViolation:
     def test_perfect_coverage(self):
         s = labeled_set(L=3)
-        v = per_class_violation(topk_clf(3), s, eps=0.1)
+        rates = evaluate(topk_clf(3), s).per_class_error
+        v = PerClassViolation.from_rates(rates, 0.1)
         assert all(r == 0.0 for r in v.rates.values())
         assert all(q == 0.0 for q in v.quantiles.values())
         assert not any(v.violated.values())
@@ -189,7 +194,9 @@ class TestPerClassViolation:
             s = ScoreSet(
                 ids=[str(i) for i in range(n)], probs=probs, labels=labels
             )
-            v = per_class_violation(topk_clf(1), s, eps=0.3)
+            v = PerClassViolation.from_rates(
+                evaluate(topk_clf(1), s).per_class_error, 0.3
+            )
             rates.extend(v.rates.values())
         assert np.allclose(rates, 0.5, atol=0.05)
 
@@ -199,7 +206,8 @@ class TestPerClassViolation:
             probs=[[0.9, 0.05, 0.05], [0.8, 0.1, 0.1]],
             labels=[1, 1],
         )
-        v = per_class_violation(topk_clf(1), s, eps=0.1)
+        rates = evaluate(topk_clf(1), s).per_class_error
+        v = PerClassViolation.from_rates(rates, 0.1)
         assert set(v.rates) == {1}
 
 
@@ -298,6 +306,30 @@ class TestSweep:
         statuses = [pt.status for pt in curve.points]
         assert statuses[0] == "ok" and statuses[2] == "ok"
         assert statuses[1].startswith("failed: KOutOfRange")
+
+    def test_non_finite_topk_grid_points_marked_failed(self):
+        s = labeled_set(L=3, n=50)
+        curve = sweep(
+            FormulationSpec(Kind.TOP_K, k=1), [1, math.inf, math.nan], s, s,
+            seeds=1,
+        )
+        assert [pt.status for pt in curve.points] == ["ok"] + [
+            f"failed: KOutOfRange: top-k sweeps need integer grid values, "
+            f"got {v}" for v in ("inf", "nan")
+        ]
+
+    @pytest.mark.parametrize(
+        "template",
+        [FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0),
+         FormulationSpec(Kind.PENALIZED, lam=0.3)],
+        ids=["fitted", "unfitted"],
+    )
+    def test_empty_test_set_points_marked_failed(self, template):
+        s = labeled_set(L=3, n=50)
+        curve = sweep(template, [0.5, 1.5], s, s.subset([]), seeds=2)
+        assert [pt.status for pt in curve.points] == [
+            "failed: EmptyScoreSet: evaluation needs at least one sample"
+        ] * 2
 
     def test_infinite_beta_grid_point_marked_failed(self):
         dist = make_distribution("dirichlet-like", 3, 2)

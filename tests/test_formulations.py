@@ -26,7 +26,7 @@ from predsets.formulations import (
     pointwise_error_mask,
     rule_mask,
 )
-from predsets.core import topk_mask
+from predsets.core import ScoreSet, topk_mask
 from predsets.oracle import synth_generate
 
 from test_core import prob_vectors
@@ -39,14 +39,15 @@ HYBRID_ERROR = Kind.HYBRID_ERROR
 
 
 def predict(kind, p, theta=None, **params):
-    """Labels of one probability vector under the classifier's rule.
+    """Labels of one probability vector under the classifier's rule: its
+    mask of a one-row score set, as ascending 1-based labels.
 
     ``theta`` is the fitted cutoff of the threshold kinds; parameters the
     rule does not read (kbar of hybrid-size, ebar of hybrid-error) only
     need to pass the spec's checks.
     """
     clf = CalibratedClassifier(FormulationSpec(kind, **params), theta=theta)
-    return clf.predict(p)
+    return np.flatnonzero(clf.predict_set_mask(ScoreSet(["x"], [p]))[0]) + 1
 
 
 def labels(kind, p, theta=None, **params):

@@ -1,5 +1,6 @@
 """File formats and the command-line pipeline."""
 
+import csv
 import hashlib
 import os
 import re
@@ -415,7 +416,7 @@ class TestModelFiles:
             assert loaded.offset == clf.offset
             # identical predictions after the round trip
             assert np.array_equal(
-                loaded.predict_mask(probs), clf.predict_mask(probs)
+                loaded.predict_set_mask(s), clf.predict_set_mask(s)
             )
 
     def test_temperature_at_bound_round_trip(self, tmp_path):
@@ -1168,6 +1169,20 @@ class TestCliSweep:
         assert digests == [
             "834a391837f460f9108ffde05ce5709e3b9b4b559ec3b07ad56b1b19d512cd83",
             "191e2a5dfa5d45dadce01d7e06f7c6db24304bf5b72aedbbfbcbca97558b2c57",
+        ]
+
+    def test_non_finite_topk_grid_points_marked_failed(self, tmp_path,
+                                                       synth_files):
+        out = tmp_path / "curve.csv"
+        assert run_cli(
+            "sweep", "--formulation", "top-k", "--grid", "1,inf,nan",
+            "--calib", synth_files["calib"], "--test", synth_files["test"],
+            "--out", out, "--repeats", 2,
+        ) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        assert [row[5] for row in rows] == ["ok"] + [
+            f"failed: KOutOfRange: top-k sweeps need integer grid values, "
+            f"got {v}" for v in ("inf", "nan")
         ]
 
     def test_empty_grid_usage_error(self, tmp_path, synth_files):
