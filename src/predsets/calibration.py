@@ -14,8 +14,11 @@ cutoff off one representation, the sorted knots of
 :class:`EmpiricalStepFunction` that :func:`step_function` returns, by one
 search in two orientations (the knot where G or G_k drops to kbar, the
 largest where H or H_eps reaches 1 - ebar) or the exact F-score root.  The
-knots carry per-sample counts, so a bootstrap replicate is the same knots
-reweighted (see ``evaluation.sweep``).
+knots are built with unit counts, and :meth:`EmpiricalStepFunction.reweight`
+is the one way to weigh them otherwise: a bootstrap replicate is the same
+knots reweighted by its counts (see ``evaluation.sweep``), and a population
+is its support points' knots reweighted by its marginal (see
+``oracle.population_step_function``).
 
 For average-size and the F-score, :func:`calibrate` sorts only the pooled
 scores that can hold the cutoff (:func:`_top_knots`).  Tails and masses are
@@ -54,34 +57,25 @@ from .formulations import FormulationSpec, Kind, pointwise_error_mask, rule_mask
 class EmpiricalStepFunction:
     """A non-increasing step function ``f(t) = (weight of knots >= t) / norm``.
 
-    Entries with equal score merge into one knot carrying their summed
-    weight; ``weights`` may be one scalar for every entry.  ``f(0)`` equals
-    the total weight over ``norm`` and ``f(t) = 0`` for ``t`` above the
-    largest knot.  This is the one representation of the pooled-score
-    function G, the true-class-score function H, and their hybrid variants
-    G_k and H_eps, both empirical and, in the oracle, exact: a population
-    is the same knots with each entry weighing its support point's
-    probability (see :func:`_knots`).
+    Entries with equal score merge into one knot; each entry weighs 1 until
+    :meth:`reweight` gives it its row's weight.  ``f(0)`` equals the total
+    weight over ``norm`` and ``f(t) = 0`` for ``t`` above the largest knot.
+    This is the one representation of the pooled-score function G, the
+    true-class-score function H, and their hybrid variants G_k and H_eps,
+    both empirical and, in the oracle, exact: a population is the unit
+    knots of its support points reweighted by its marginal at norm 1, as a
+    bootstrap replicate is the same knots reweighted by its multinomial
+    counts at norm n (see :func:`_knots`).
 
-    The entries are sorted once.  Given ``rows``, the sample each entry
-    belongs to, :meth:`reweight` evaluates ``f`` for per-sample counts
-    without sorting again: a bootstrap replicate is the same knots carrying
-    multinomial counts.  Integer weights stay integers, so ``tail`` holds
-    exact counts, compared against ``level * norm``.
+    The entries are sorted once.  Given ``rows``, the row each entry
+    belongs to, :meth:`reweight` weighs the knots without sorting the
+    scores again.  Integer weights stay integers, so ``tail`` holds exact
+    counts, compared against ``level * norm``.
     """
 
-    def __init__(self, scores, weights, rows=None, norm=1):
+    def __init__(self, scores, *, rows=None, norm=1):
         scores = np.asarray(scores, dtype=np.float64).ravel()
-        weights = np.asarray(weights)
-        if weights.ndim and weights.size != scores.size:
-            raise ValueError("scores and weights must have equal length")
-        if weights.size and not 0 <= weights.min() <= weights.max() < math.inf:
-            raise ValueError("knot weights must be finite and nonnegative")
-        if weights.ndim:
-            order = np.argsort(scores, kind="stable")
-            ordered = scores[order]
-        else:
-            ordered = np.sort(scores)
+        ordered = np.sort(scores)
         # sorted, with any NaN last: the ends show every non-finite score
         if ordered.size and not -math.inf < ordered[0] <= ordered[-1] < math.inf:
             raise ValueError("knot scores must be finite")
@@ -91,19 +85,9 @@ class EmpiricalStepFunction:
         self.norm = norm
         self._start = np.flatnonzero(first)
         # the entries as given; reweight sorts their rows on first use
-        self._entries = (scores, weights, rows)
-        self._sorted = None
-        if weights.ndim:
-            self._merge(weights.ravel()[order])
-        else:
-            self._set(np.diff(self._start, append=ordered.size) * weights)
-
-    def _merge(self, weights):
-        # sum the weights of the sorted entries knot by knot, unless every
-        # knot is one entry
-        if self._start.size < weights.size:
-            weights = np.add.reduceat(weights, self._start)
-        self._set(weights)
+        self._entries = (scores, rows)
+        self._rows = None
+        self._set(np.diff(self._start, append=ordered.size))
 
     def _set(self, weight):
         # weight[j] = weight of knot j; tail[j] = weight at or above it,
@@ -113,24 +97,24 @@ class EmpiricalStepFunction:
         self.tail = self._up[::-1]
         self._mass = None  # mass() of these weights, built on first use
 
-    def reweight(self, counts) -> "EmpiricalStepFunction":
-        """The same knots, each entry's weight times its sample's count.
-
-        The entries of one knot are summed in sorted order, which for
-        float weights need not be the order the constructor used.
-        """
-        if self._sorted is None:
-            scores, weights, rows = self._entries
+    def reweight(self, weights, *, norm) -> "EmpiricalStepFunction":
+        """The same knots over ``norm``, each entry weighing its row's entry
+        of ``weights``: a bootstrap draw's counts, or a population's
+        marginal.  The entries of one knot are summed in sorted order."""
+        weights = np.asarray(weights)
+        if weights.size and not 0 <= weights.min() <= weights.max() < math.inf:
+            raise ValueError("knot weights must be finite and nonnegative")
+        if self._rows is None:
+            scores, rows = self._entries
             if rows is None:
                 raise ValueError("reweight needs the rows of the entries")
-            order = np.argsort(scores)
-            self._sorted = (
-                np.asarray(rows).ravel()[order],
-                weights.ravel()[order] if weights.ndim else weights,
-            )
-        rows, weights = self._sorted
+            self._rows = np.asarray(rows).ravel()[np.argsort(scores)]
+        weight = weights[self._rows]
+        if self._start.size < weight.size:  # not every knot is one entry
+            weight = np.add.reduceat(weight, self._start)
         out = copy.copy(self)
-        out._merge(np.asarray(counts)[rows] * weights)
+        out.norm = norm
+        out._set(weight)
         return out
 
     def mass(self) -> "EmpiricalStepFunction":
@@ -228,13 +212,12 @@ def _phi_nonnegative(g: EmpiricalStepFunction, b2: float, j: int):
 # --- empirical step-function builders ---------------------------------------
 
 
-def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None, weights=None):
-    """Unit-count knots, over rows of ``P``, of the step function the
-    cutoff of ``kind`` inverts: G (average-size, f-score), H
+def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None):
+    """Unit-count knots, over the n rows of ``P`` at norm n, of the step
+    function the cutoff of ``kind`` inverts: G (average-size, f-score), H
     (average-error), G_k (hybrid-size) or the member counts of H_eps
-    (hybrid-error).  Given per-row ``weights``, each entry weighs its
-    row's weight and the norm is 1: a population whose support points
-    are the rows and whose marginal is ``weights``."""
+    (hybrid-error).  Each entry knows its row, so the knots can be
+    :meth:`~EmpiricalStepFunction.reweight`-ed."""
     n = P.shape[0]
     rows = None
     if kind is Kind.AVERAGE_ERROR:
@@ -250,9 +233,7 @@ def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None, weights=None):
         values = P
     if rows is None:
         rows = np.broadcast_to(np.arange(n)[:, None], values.shape)
-    if weights is None:
-        return EmpiricalStepFunction(values, 1, rows, norm=n)
-    return EmpiricalStepFunction(values, weights[rows], rows)
+    return EmpiricalStepFunction(values, rows=rows, norm=n)
 
 
 def _cutoff(spec: FormulationSpec, f: EmpiricalStepFunction) -> float:
@@ -574,7 +555,7 @@ def _top_knots(spec: FormulationSpec, P: np.ndarray) -> EmpiricalStepFunction | 
         if rank > most:
             return None
         part = np.partition(P, N - rank, axis=None)  # one flat copy
-        return EmpiricalStepFunction(part[part >= part[N - rank]], 1, norm=n)
+        return EmpiricalStepFunction(part[part >= part[N - rank]], norm=n)
     if spec.kind is not Kind.F_SCORE:
         return None
     flat, b2 = P.ravel(), spec.beta * spec.beta
@@ -585,7 +566,7 @@ def _top_knots(spec: FormulationSpec, P: np.ndarray) -> EmpiricalStepFunction | 
         keep = flat >= v
         if np.count_nonzero(keep) > most:
             return None
-        g = EmpiricalStepFunction(flat[keep], 1, norm=n)
+        g = EmpiricalStepFunction(flat[keep], norm=n)
         if g.scores.size and not _phi_nonnegative(g, b2, 0):
             return g
         v = flat.max(where=~keep, initial=-np.inf)

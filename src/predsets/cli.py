@@ -50,12 +50,26 @@ def _add_formulation_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _spec_from_args(args) -> FormulationSpec:
+def _spec_from_args(args, L: int | None = None) -> FormulationSpec:
+    """The spec the formulation flags give.  Given the class count ``L``,
+    a sweep template: its swept field holds a placeholder, not the flag."""
     kind = Kind(args.formulation)
-    kwargs = {}
+    kwargs, swept = {}, None
+    if L is not None:
+        swept = SWEEP_PARAM[kind]
+        kwargs = {
+            Kind.TOP_K: dict(k=1),
+            Kind.POINTWISE_ERROR: dict(eps=0.5),
+            Kind.PENALIZED: dict(lam=0.0),
+            Kind.AVERAGE_SIZE: dict(kbar=1.0),
+            Kind.AVERAGE_ERROR: dict(ebar=0.5),
+            Kind.HYBRID_SIZE: dict(kbar=0.5, k=L),  # kbar < every k >= 1
+            Kind.HYBRID_ERROR: dict(ebar=0.0, eps=1.0),
+            Kind.F_SCORE: dict(beta=1.0),
+        }[kind]
     for name in ("k", "eps", "ebar", "kbar", "lam", "beta"):
         value = getattr(args, name, None)
-        if value is not None:
+        if value is not None and name != swept:
             kwargs[name] = value
     if kind is Kind.HYBRID_ERROR:
         kwargs["mode"] = args.mode
@@ -176,7 +190,7 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     calib = io.read_scores(args.calib)
     test = io.read_scores(args.test)
-    template = _spec_from_args_sweep(args, calib.L)
+    template = _spec_from_args(args, calib.L)
     grid = [float(v) for v in args.grid.split(",") if v != ""]
     curve = sweep(
         template,
@@ -195,29 +209,6 @@ def cmd_sweep(args) -> int:
         f"written to {args.out}"
     )
     return 0
-
-
-def _spec_from_args_sweep(args, L: int) -> FormulationSpec:
-    """Build a sweep template; the swept parameter gets a placeholder."""
-    kind = Kind(args.formulation)
-    placeholder = {
-        Kind.TOP_K: dict(k=1),
-        Kind.POINTWISE_ERROR: dict(eps=0.5),
-        Kind.PENALIZED: dict(lam=0.0),
-        Kind.AVERAGE_SIZE: dict(kbar=1.0),
-        Kind.AVERAGE_ERROR: dict(ebar=0.5),
-        Kind.HYBRID_SIZE: dict(kbar=0.5, k=L),  # kbar < every k >= 1
-        Kind.HYBRID_ERROR: dict(ebar=0.0, eps=1.0),
-        Kind.F_SCORE: dict(beta=1.0),
-    }[kind]
-    kwargs = dict(placeholder)
-    for name in ("k", "eps", "ebar", "kbar", "lam", "beta"):
-        value = getattr(args, name, None)
-        if value is not None and name != SWEEP_PARAM[kind]:
-            kwargs[name] = value
-    if kind is Kind.HYBRID_ERROR:
-        kwargs["mode"] = args.mode
-    return FormulationSpec(kind, **kwargs)
 
 
 def cmd_synth(args) -> int:

@@ -201,7 +201,8 @@ def sweep(
     temperature: float | str = 1.0,
     offset: float | str | None = None,
 ) -> SweepCurve:
-    """Refit-and-evaluate curve over a sorted parameter grid.
+    """Refit-and-evaluate curve over a parameter grid sorted ascending
+    (a NaN value is a failed point, outside the order).
 
     Every grid value is refit on the same ``seeds`` bootstrap resamples of
     the calibration set (with replacement, same size) and evaluated on the
@@ -224,7 +225,8 @@ def sweep(
     grid = [float(v) for v in param_grid]
     if not grid:
         raise ValueError("parameter grid is empty")
-    if any(b < a for a, b in zip(grid, grid[1:])):
+    values = [v for v in grid if not math.isnan(v)]
+    if any(b < a for a, b in zip(values, values[1:])):
         raise ValueError("parameter grid must be sorted ascending")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
@@ -325,7 +327,7 @@ def _bootstrap(template, specs, calib, test, seeds, base_seed, temperature):
             else:
                 if kind is Kind.AVERAGE_ERROR:
                     calib.require_labels(kind.value, counts)
-                knots = base.reweight(counts)
+                knots = base.reweight(counts, norm=calib.n)
             for i, spec in list(alive.items()):
                 try:
                     theta = _cutoff(spec, knots)

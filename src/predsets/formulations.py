@@ -4,7 +4,8 @@ Each rule maps rows of probabilities (plus fitted parameters) to label
 sets, as a boolean membership mask.  Five of them are pure thresholding;
 the point-wise error rule is an adaptive top-k; the hybrids intersect or
 combine the two primitives.  :func:`rule_mask` is the one implementation
-of all eight; ``CalibratedClassifier.predict`` is its one-row view.
+of all eight; ``CalibratedClassifier.predict_set_mask`` runs it on a
+checked score set.
 """
 
 from __future__ import annotations

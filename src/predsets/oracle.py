@@ -7,8 +7,8 @@ found by exhaustive enumeration.  The closed-form rules are then checked
 against those optima instead of against themselves.  A population
 assignment is the classifier's own (n_points x L) membership mask over
 the distribution's rows, and a population cutoff is the fitted one: the
-calibrator's knots and cutoff, run on the distribution as a calibration
-set weighted by its marginal.
+calibrator's knots and cutoff, with the support points' unit knots
+reweighted by the marginal, the code a bootstrap draw runs.
 """
 
 from __future__ import annotations
@@ -113,22 +113,19 @@ def population_step_function(
 ) -> EmpiricalStepFunction:
     """The population twin of :func:`~predsets.calibration.step_function`.
 
-    The distribution is a weighted calibration set: its support points are
-    the rows and its marginal their weights, with norm 1.  The knots are
-    those the fit builds, so G (average-size, f-score), G_k (hybrid-size)
-    and the point-wise member knots (hybrid-error, whose
+    A population is its support points' unit knots reweighted by its
+    marginal at norm 1, as a bootstrap draw is the same knots reweighted
+    by its counts: the knots the fit builds, so G (average-size, f-score),
+    G_k (hybrid-size) and the point-wise member knots (hybrid-error, whose
     :meth:`~EmpiricalStepFunction.mass` is H_eps) are the population
     functions.  A population has no sampled labels, so its H
     (average-error) is the mass of G: each knot carries its own
     probability.
     """
-    if spec.kind is Kind.AVERAGE_ERROR:
-        return _knots(
-            Kind.AVERAGE_SIZE, dist.cond, None, weights=dist.marginal
-        ).mass()
-    return _knots(
-        spec.kind, dist.cond, None, spec.k, spec.eps, weights=dist.marginal
-    )
+    kind = Kind.AVERAGE_SIZE if spec.kind is Kind.AVERAGE_ERROR else spec.kind
+    f = _knots(kind, dist.cond, None, spec.k, spec.eps)
+    f = f.reweight(dist.marginal, norm=1)
+    return f.mass() if spec.kind is Kind.AVERAGE_ERROR else f
 
 
 def population_threshold(

@@ -73,7 +73,7 @@ def H_eps(eps):
 
 class TestEmpiricalStepFunction:
     def test_value_counts_knots_at_or_above(self):
-        f = EmpiricalStepFunction([0.5, 0.3, 0.2], [1, 1, 1])
+        f = EmpiricalStepFunction([0.5, 0.3, 0.2])
         assert f.value(0.0) == 3
         assert f.value(0.2) == 3
         assert f.value(0.25) == 2
@@ -82,14 +82,17 @@ class TestEmpiricalStepFunction:
         assert f.total == 3
 
     def test_duplicate_scores_merged(self):
-        f = EmpiricalStepFunction([0.4, 0.4, 0.1], [1, 2, 3])
+        f = EmpiricalStepFunction([0.4, 0.4, 0.1], rows=[0, 1, 2])
+        assert f.weight.tolist() == [1, 2]
+        f = f.reweight([1, 2, 3], norm=1)
         assert f.value(0.4) == 3
         assert f.value(0.1) == 6
         assert f.scores.tolist() == [0.1, 0.4]
 
     def test_monotone_non_increasing(self):
         rng = np.random.default_rng(0)
-        f = EmpiricalStepFunction(rng.random(50), rng.random(50))
+        f = EmpiricalStepFunction(rng.random(50), rows=np.arange(50))
+        f = f.reweight(rng.random(50), norm=1)
         grid = np.linspace(0, 1, 101)
         values = f.value(grid)
         assert np.all(np.diff(values) <= 0)
@@ -97,17 +100,29 @@ class TestEmpiricalStepFunction:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):
-        for weights in (1, [1, 2, 3]):
+        for rows in (None, [0, 1, 2]):
             with pytest.raises(ValueError, match="scores must be finite"):
-                EmpiricalStepFunction([0.1, bad, 0.3], weights)
+                EmpiricalStepFunction([0.1, bad, 0.3], rows=rows)
         with pytest.raises(ValueError, match="scores must be finite"):
-            EmpiricalStepFunction(bad, 1)
+            EmpiricalStepFunction(bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_non_finite_or_negative_weights_rejected(self, bad):
-        for weights in (bad, [1.0, bad, 1.0]):
+        f = EmpiricalStepFunction([0.1, 0.2, 0.3], rows=[0, 1, 2])
+        for weights in ([bad] * 3, [1.0, bad, 1.0]):
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                EmpiricalStepFunction([0.1, 0.2, 0.3], weights)
+                f.reweight(weights, norm=1)
+
+    def test_weights_only_through_reweight(self):
+        # the knots are built with unit counts; a second positional
+        # argument is not read as rows
+        with pytest.raises(TypeError):
+            EmpiricalStepFunction([0.1, 0.2], [1, 1])
+        f = EmpiricalStepFunction([0.1, 0.2], rows=[0, 1])
+        with pytest.raises(TypeError):
+            f.reweight([1, 1])  # the norm is always given
+        with pytest.raises(ValueError, match="needs the rows"):
+            EmpiricalStepFunction([0.1, 0.2]).reweight([1, 1], norm=1)
 
     def test_reweight_matches_repeated_rows(self):
         # a bootstrap draw as counts over the knots sorted once equals the
@@ -118,7 +133,7 @@ class TestEmpiricalStepFunction:
         drawn = step_function(G, ScoreSet(ids=[""] * 40, probs=probs[idx]))
         full = step_function(G, ScoreSet(ids=[""] * 40, probs=probs))
         full.mass()  # kept by the full knots, not by their reweighting
-        counted = full.reweight(np.bincount(idx, minlength=40))
+        counted = full.reweight(np.bincount(idx, minlength=40), norm=40)
         heavy = counted.weight > 0
         assert np.array_equal(counted.scores[heavy], drawn.scores)
         assert np.array_equal(counted.tail[heavy], drawn.tail)
@@ -131,10 +146,11 @@ class TestGeneralizedInverse:
 
     def test_skips_knots_without_weight(self):
         # f(0.3) = f(0.5) = 1, but no sample sits at 0.3
-        f = EmpiricalStepFunction([0.2, 0.3, 0.5], [1, 0, 1])
-        assert drop(f, 1) == 0.5
+        f = EmpiricalStepFunction([0.2, 0.3, 0.5], rows=[0, 1, 2])
+        assert drop(f.reweight([1, 0, 1], norm=1), 1) == 0.5
+        f = EmpiricalStepFunction([0.2, 0.7], rows=[0, 1])
         with pytest.raises(Saturated) as exc:
-            drop(EmpiricalStepFunction([0.2, 0.7], [1, 0]), 0.5)
+            drop(f.reweight([1, 0], norm=1), 0.5)
         assert exc.value.value == 0.2
 
 
@@ -146,9 +162,9 @@ class TestGeneralizedInverse:
         n = 30
         scores = rng.integers(0, 12, size=(n, 2)) / 12.0
         rows = np.repeat(np.arange(n)[:, None], 2, axis=1)
-        f = EmpiricalStepFunction(scores, 1, rows, norm=n)
+        f = EmpiricalStepFunction(scores, rows=rows, norm=n)
         counts = rng.integers(0, 3, size=n) * (rng.random(n) < 0.3)
-        g = f.reweight(counts)
+        g = f.reweight(counts, norm=n)
         assert np.any(g.weight == 0)
         heavy = np.flatnonzero(g.weight)
         for u in np.linspace(0.0, g.total + 0.1, 41):
@@ -171,8 +187,8 @@ class TestGeneralizedInverse:
         # at exact counts and at the floats next to them
         rng = np.random.default_rng(seed)
         n = 40
-        f = EmpiricalStepFunction(rng.integers(0, 10, n) / 10, 1, np.arange(n))
-        g = f.reweight(rng.integers(0, 3, n))
+        f = EmpiricalStepFunction(rng.integers(0, 10, n) / 10, rows=np.arange(n))
+        g = f.reweight(rng.integers(0, 3, n), norm=1)
         assert g._up.dtype.kind == "i"
         cast = copy.copy(g)
         cast._up = g._up.astype(np.float64)
@@ -188,17 +204,17 @@ class TestGeneralizedInverse:
                 assert (raised(search, g, level) or search(g, level)) == expect
 
     def test_interior_knot(self):
-        f = EmpiricalStepFunction([0.5, 0.3, 0.2], [1, 1, 1])
+        f = EmpiricalStepFunction([0.5, 0.3, 0.2])
         # f(0.3) = 2 <= 2 while f(0.2) = 3 > 2
         assert drop(f, 2) == 0.3
 
     def test_boundary_rule_returns_zero(self):
-        f = EmpiricalStepFunction([0.5, 0.3, 0.2], [1, 1, 1])
+        f = EmpiricalStepFunction([0.5, 0.3, 0.2])
         assert drop(f, 3) == 0.0
         assert drop(f, 10) == 0.0
 
     def test_saturation(self):
-        f = EmpiricalStepFunction([0.5, 0.3, 0.2], [1, 1, 1])
+        f = EmpiricalStepFunction([0.5, 0.3, 0.2])
         with pytest.raises(Saturated) as exc:
             drop(f, 0.5)
         assert exc.value.value == 0.5
@@ -223,8 +239,8 @@ class TestGeneralizedInverse:
         n = 25
         scores = rng.integers(0, 10, size=(n, 2)) / 10.0
         rows = np.repeat(np.arange(n)[:, None], 2, axis=1)
-        f = EmpiricalStepFunction(scores, 1, rows, norm=n)
-        counted = f.reweight(rng.integers(0, 3, n) * (rng.random(n) < 0.4))
+        f = EmpiricalStepFunction(scores, rows=rows, norm=n)
+        counted = f.reweight(rng.integers(0, 3, n) * (rng.random(n) < 0.4), norm=n)
         assert np.any(counted.weight == 0)
         for g in (counted, counted.mass()):
             exact = np.unique(g.tail) / g.norm

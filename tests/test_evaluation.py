@@ -289,6 +289,16 @@ class TestSweep:
                 seeds=1,
             )
 
+    def test_nan_does_not_hide_unsorted_grid(self):
+        # the order is that of the values other than NaN
+        s = labeled_set(L=3, n=50)
+        template = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
+        with pytest.raises(ValueError, match="must be sorted ascending"):
+            sweep(template, [2.0, math.nan, 1.0], s, s, seeds=1)
+        curve = sweep(template, [1.0, math.nan, 2.0], s, s, seeds=1)
+        assert [pt.status for pt in curve.points][::2] == ["ok", "ok"]
+        assert curve.points[1].status.startswith("failed: KbarOutOfRange")
+
     def test_spec_with_param(self):
         assert spec_with_param(FormulationSpec(Kind.TOP_K, k=1), 3).k == 3
         t = spec_with_param(
@@ -591,9 +601,9 @@ class TestCommonDraws:
         calls = []
         reweight = EmpiricalStepFunction.reweight
 
-        def counted(self, counts):
+        def counted(self, counts, *, norm):
             calls.append(counts)
-            return reweight(self, counts)
+            return reweight(self, counts, norm=norm)
 
         monkeypatch.setattr(EmpiricalStepFunction, "reweight", counted)
         curve = sweep(template, grid, calib, test, seeds=4)

@@ -149,7 +149,7 @@ class TestPredictWithThreshold:
         from predsets.calibration import EmpiricalStepFunction, _knot_at
 
         p = np.array([0.5, 0.3, 0.2])
-        g = EmpiricalStepFunction(p, np.ones(3))
+        g = EmpiricalStepFunction(p, rows=[0, 0, 0]).reweight([1.0], norm=1)
         theta = _knot_at(g, 2.0, reach=False)
         assert theta == 0.3
         assert thresholded(p, theta) == [1, 2]

@@ -1107,6 +1107,27 @@ class TestCliSweep:
         assert curves[2] != curves[3]
         assert ",ok," in curves[2] and ",failed" not in curves[2]
 
+    def test_template_takes_every_flag_but_the_swept_one(
+            self, tmp_path, synth_files, capsys):
+        # the swept --kbar is dropped; --k reaches the spec, which refuses it
+        files = ("--calib", synth_files["calib"], "--test", synth_files["test"])
+        curves = []
+        for extra in ((), ("--kbar", 9)):
+            curves.append(tmp_path / f"c{len(curves)}.csv")
+            assert run_cli(
+                "sweep", "--formulation", "average-size", "--grid", "1,2",
+                *files, "--out", curves[-1], "--repeats", 2, *extra,
+            ) == 0
+        assert curves[0].read_bytes() == curves[1].read_bytes()
+        capsys.readouterr()
+        assert run_cli(
+            "sweep", "--formulation", "average-size", "--grid", "1,2",
+            *files, "--out", tmp_path / "k.csv", "--k", 2,
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: SpecFieldError: k is not a parameter of average-size\n"
+        )
+
     def test_hybrid_size_at_k_one(self, tmp_path, synth_files):
         # the swept kbar's placeholder must lie below k = 1 too
         out, ref = tmp_path / "cli.csv", tmp_path / "ref.csv"
@@ -1184,6 +1205,19 @@ class TestCliSweep:
             f"failed: KOutOfRange: top-k sweeps need integer grid values, "
             f"got {v}" for v in ("inf", "nan")
         ]
+
+    def test_nan_in_unsorted_grid_rejected(self, tmp_path, synth_files,
+                                           capsys):
+        out = tmp_path / "curve.csv"
+        assert run_cli(
+            "sweep", "--formulation", "average-size", "--grid", "2,nan,1",
+            "--calib", synth_files["calib"], "--test", synth_files["test"],
+            "--out", out,
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: parameter grid must be sorted ascending\n"
+        )
+        assert not out.exists()
 
     def test_empty_grid_usage_error(self, tmp_path, synth_files):
         code = run_cli(

@@ -1,14 +1,17 @@
 """Exact population machinery and brute-force solvers."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import predsets.calibration as calibration
 import predsets.oracle as oracle
+from predsets.calibration import EmpiricalStepFunction
+from predsets.core import topk_mask
 from predsets.errors import TooLargeForBruteForce
-from predsets.formulations import FormulationSpec, Kind
+from predsets.formulations import FormulationSpec, Kind, pointwise_error_mask
 from predsets.oracle import (
     DiscreteDistribution,
     brute_force_avg_error_with_size_cap,
@@ -205,15 +208,103 @@ class TestSharedCutoffPath:
         assert seen == [spec.kind for spec in self.SPECS]
 
     def test_mutated_knots_change_every_kind(self, monkeypatch):
+        # every support point counted twice: the marginal doubled
         before = self.thresholds()
-
-        def doubled(kind, P, labels, k=None, eps=None, weights=None):
-            # every support point counted twice
-            return calibration._knots(kind, P, labels, k, eps, 2 * weights)
-
-        monkeypatch.setattr(oracle, "_knots", doubled)
+        reweight = EmpiricalStepFunction.reweight
+        monkeypatch.setattr(
+            EmpiricalStepFunction, "reweight",
+            lambda f, weights, *, norm: reweight(f, 2 * weights, norm=norm),
+        )
         after = self.thresholds()
         assert all(a != b for a, b in zip(after, before)), (before, after)
+
+    def test_shifted_reweight_changes_every_kind(self, monkeypatch):
+        # the population knots are reweight's output: shifting its knot
+        # scores moves every cutoff, and the cutoffs read off a knot of G
+        # or G_k move by the shift exactly
+        before = self.thresholds()
+        reweight = EmpiricalStepFunction.reweight
+        norms = []
+
+        def shifted(f, weights, *, norm):
+            norms.append(norm)
+            out = reweight(f, weights, norm=norm)
+            out.scores = out.scores + 0.01
+            return out
+
+        monkeypatch.setattr(EmpiricalStepFunction, "reweight", shifted)
+        after = self.thresholds()
+        assert norms == [1] * len(self.SPECS)
+        assert all(a != b for a, b in zip(after, before)), (before, after)
+        for spec, a, b in zip(self.SPECS, after, before):
+            if spec.kind in (Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
+                assert a == b + 0.01
+
+
+def tied_distribution(rng):
+    """12 rows of 4 entries in eighths: many entries tie within and across
+    rows."""
+    cond = rng.multinomial(8, np.full(4, 0.25), size=12) / 8
+    marginal = rng.dirichlet(np.ones(12))
+    return DiscreteDistribution(
+        [f"x{i}" for i in range(12)], marginal / marginal.sum(), cond
+    )
+
+
+class TestPopulationKnotWeights:
+    """Each population knot weighs the marginal summed over the entries of
+    ``cond`` that equal it: exactly when one entry makes the knot; for m
+    tied entries the summation order may differ from a direct sum, so the
+    weight is within (m - 1) eps of the exactly rounded sum (the recursive
+    summation bound for m nonnegative terms, plus the reference's rounding)."""
+
+    @staticmethod
+    def entries(dist, spec):
+        # the entries of cond each kind's knots are built from
+        if spec.kind is Kind.HYBRID_SIZE:
+            return topk_mask(dist.cond, spec.k)
+        if spec.kind is Kind.HYBRID_ERROR:
+            return pointwise_error_mask(dist.cond, spec.eps, 0.0)
+        return np.ones(dist.cond.shape, dtype=bool)
+
+    SPECS = (
+        SIZE,
+        FormulationSpec(Kind.HYBRID_SIZE, kbar=0.5, k=2),
+        FormulationSpec(Kind.HYBRID_ERROR, ebar=0.0, eps=0.3),
+    )
+
+    def check(self, dist, spec):
+        f = population_step_function(dist, spec)
+        rows, cols = np.nonzero(self.entries(dist, spec))
+        values = dist.cond[rows, cols]
+        assert np.array_equal(f.scores, np.unique(values))
+        tied = 0
+        for s, w in zip(f.scores, f.weight):
+            terms = dist.marginal[rows[values == s]]
+            direct = math.fsum(terms)
+            if terms.size == 1:
+                assert w == direct
+            else:
+                tied += 1
+                eps = np.finfo(np.float64).eps
+                assert abs(w - direct) <= (terms.size - 1) * eps * direct
+        return tied
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_distinct_entries_exact(self, spec):
+        rng = np.random.default_rng(31)
+        for template in oracle.TEMPLATES:
+            dist = make_distribution(template, 4, int(rng.integers(100)))
+            assert self.check(dist, spec) == 0
+        for _ in range(20):
+            dist = random_test_distribution(rng)
+            assert self.check(dist, spec) == 0
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_tied_entries_within_bound(self, spec):
+        rng = np.random.default_rng(32)
+        tied = sum(self.check(tied_distribution(rng), spec) for _ in range(20))
+        assert tied > 0
 
 
 class TestBruteForce:

@@ -1,9 +1,11 @@
 """The package's public names, pinned: an addition or a removal shows up
 as a diff here."""
 
+import inspect
+
 import predsets
-from predsets import calibration, core, evaluation
-from predsets.calibration import CalibratedClassifier
+from predsets import calibration, core, evaluation, formulations, io, oracle
+from predsets.calibration import CalibratedClassifier, EmpiricalStepFunction
 
 PACKAGE = [
     "BruteForceResult", "CalibratedClassifier", "DiscreteDistribution",
@@ -33,6 +35,24 @@ MODULES = {
         "MetricsReport", "PerClassViolation", "SweepCurve", "SweepPoint",
         "evaluate", "spec_with_param", "sweep",
     ],
+    formulations: [
+        "FormulationSpec", "Kind", "pointwise_error_mask", "rule_mask",
+    ],
+    oracle: [
+        "BruteForceResult", "DiscreteDistribution", "EquivalenceRecord",
+        "brute_force_avg_error_with_size_cap", "brute_force_optimal",
+        "closed_form_assignment", "constraint_satisfied", "equivalence_suite",
+        "exact_error", "exact_fscore", "exact_size", "exact_top_k_error",
+        "infeasibility_records", "make_distribution", "objective_value",
+        "population_step_function", "population_threshold",
+        "random_test_distribution", "sample_binding_spec", "sample_scores",
+        "synth_generate",
+    ],
+    io: [
+        "fmt", "metrics_text", "read_distribution", "read_model",
+        "read_scores", "write_curve", "write_distribution", "write_metrics",
+        "write_model", "write_per_class", "write_predictions", "write_scores",
+    ],
 }
 
 
@@ -55,3 +75,13 @@ def test_one_prediction_path():
     assert sorted(public) == [
         "offset", "predict_set_mask", "temperature", "theta"
     ]
+
+
+def test_knot_weights_only_through_reweight():
+    # unit knots are built; reweight is the one way to weigh them
+    def params(fn):
+        sig = inspect.signature(fn)
+        return str(sig.replace(return_annotation=inspect.Signature.empty))
+
+    assert params(EmpiricalStepFunction) == "(scores, *, rows=None, norm=1)"
+    assert params(EmpiricalStepFunction.reweight) == "(self, weights, *, norm)"
