@@ -44,20 +44,36 @@ with two or more usable CPUs the L=1000 ``synth`` files (500 rows of 2000
 floats) are written and read in pieces, each past the first by a forked
 child, while the L=100 ones (500 rows of 200 floats) are written and read
 in one, so a diff against another tree compares both write paths and both
-read paths.  Prints one ``sha256  name`` line per output file and per
-command's stdout and exit code.  Two trees that behave alike print identical text:
+read paths.  Prints a ``#`` line naming the numpy and Python versions,
+then one ``sha256  name`` line per output file and per command's stdout
+and exit code.  Two trees that behave alike print identical text:
 
     PYTHONPATH=src python scripts/cli_digest.py > new.txt
     PYTHONPATH=../old/src python scripts/cli_digest.py > old.txt
     diff old.txt new.txt
+
+``scripts/cli_digest.sha256`` is that text for the current outputs.
+``--check`` compares a run against such a golden file: it prints each
+name whose digest differs, or that only one side has, and exits 1 if
+any does.  numpy's SIMD ``exp``/``log`` and its pairwise sums can change
+bits across versions and CPUs, so it says when the golden file was made
+with another numpy or Python:
+
+    PYTHONPATH=src python scripts/cli_digest.py --check scripts/cli_digest.sha256
+
+A change that moves an output on purpose rewrites the golden file:
+
+    PYTHONPATH=src python scripts/cli_digest.py > scripts/cli_digest.sha256
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -250,6 +266,7 @@ def fit_models(data: str, models) -> None:
 
 
 def digest_all() -> int:
+    print(f"# numpy {np.__version__} python {platform.python_version()}")
     os.environ["SOURCE_DATE_EPOCH"] = "0"  # model files' fitted_at
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -296,5 +313,29 @@ def digest_all() -> int:
     return 0
 
 
+def check(golden: str) -> int:
+    """Run the chains and compare their digests with the file ``golden``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        digest_all()
+    want = Path(golden).read_text().splitlines()
+    got = out.getvalue().splitlines()
+    if want[0] != got[0]:
+        print(f"note: {golden} was made with {want[0][2:]}, this run has "
+              f"{got[0][2:]}")
+    want, got = ({name: sha for sha, name in
+                  (line.split("  ", 1) for line in lines[1:])}
+                 for lines in (want, got))
+    differ = [name for name in {**want, **got} if want.get(name) != got.get(name)]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} names differ; the golden file has {len(want)}")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    sys.exit(digest_all())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="GOLDEN",
+                        help="compare with a golden digest file")
+    args = parser.parse_args()
+    sys.exit(check(args.check) if args.check else digest_all())

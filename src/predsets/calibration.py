@@ -68,9 +68,10 @@ class EmpiricalStepFunction:
     counts at norm n (see :func:`_knots`).
 
     The entries are sorted once.  Given ``rows``, the row each entry
-    belongs to, :meth:`reweight` weighs the knots without sorting the
-    scores again.  Integer weights stay integers, so ``tail`` holds exact
-    counts, compared against ``level * norm``.
+    belongs to (one per entry), :meth:`reweight` weighs the knots by a
+    weight per row without sorting the scores again.  Integer weights stay
+    integers, so ``tail`` holds exact counts, compared against
+    ``level * norm``.
     """
 
     def __init__(self, scores, *, rows=None, norm=1):
@@ -79,6 +80,11 @@ class EmpiricalStepFunction:
         # sorted, with any NaN last: the ends show every non-finite score
         if ordered.size and not -math.inf < ordered[0] <= ordered[-1] < math.inf:
             raise ValueError("knot scores must be finite")
+        if rows is not None and np.size(rows) != scores.size:
+            raise ValueError(
+                f"{np.size(rows)} rows for {scores.size} knot scores: "
+                "need one row per score"
+            )
         first = np.ones(ordered.size, dtype=bool)
         first[1:] = ordered[1:] != ordered[:-1]
         self.scores = ordered[first]
@@ -109,6 +115,13 @@ class EmpiricalStepFunction:
             if rows is None:
                 raise ValueError("reweight needs the rows of the entries")
             self._rows = np.asarray(rows).ravel()[np.argsort(scores)]
+            # the fewest weights that cover every row
+            self._n_rows = int(self._rows.max()) + 1 if self._rows.size else 0
+        if weights.size < self._n_rows:
+            raise ValueError(
+                f"{weights.size} weights for rows 0..{self._n_rows - 1}: "
+                "need one weight per row"
+            )
         weight = weights[self._rows]
         if self._start.size < weight.size:  # not every knot is one entry
             weight = np.add.reduceat(weight, self._start)

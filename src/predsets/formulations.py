@@ -6,6 +6,11 @@ the point-wise error rule is an adaptive top-k; the hybrids intersect or
 combine the two primitives.  :func:`rule_mask` is the one implementation
 of all eight; ``CalibratedClassifier.predict_set_mask`` runs it on a
 checked score set.
+
+A formulation is its fields: the spec's checks, its bounds by L and
+:attr:`~FormulationSpec.needs_fit` read which of ``k``, ``eps``,
+``kbar``, ``ebar``, ``lam`` and ``beta`` are set, as the oracle does; the
+kind names which fields may be set and which rule :func:`rule_mask` runs.
 """
 
 from __future__ import annotations
@@ -46,23 +51,15 @@ class Kind(str, enum.Enum):
 MODE_LEMMA_THRESHOLD = "lemma-threshold"
 MODE_UNION_POINTWISE = "union-with-pointwise"
 
-#: Kinds whose rule uses a data-fitted threshold.
-FITTED_KINDS = frozenset(
-    {
-        Kind.AVERAGE_SIZE,
-        Kind.AVERAGE_ERROR,
-        Kind.HYBRID_SIZE,
-        Kind.HYBRID_ERROR,
-        Kind.F_SCORE,
-    }
-)
-
 
 @dataclass(frozen=True)
 class FormulationSpec:
     """A formulation tag plus its parameters.
 
-    Only the fields relevant to ``kind`` may be set:
+    Only the fields relevant to ``kind`` may be set, so a formulation is
+    its fields: ``k`` and ``eps`` bound size and error point-wise,
+    ``kbar`` and ``ebar`` on average, and ``lam`` and ``beta`` trade the
+    two off.  Each set field is checked, in field order:
 
     ==================  =============================================
     kind                parameters
@@ -97,46 +94,36 @@ class FormulationSpec:
             raise SpecFieldError(str(exc), "kind") from None
         object.__setattr__(self, "kind", kind)
         self._check_fields()
-        if kind is Kind.TOP_K:
-            if not (isinstance(self.k, (int, np.integer)) and self.k >= 0):
-                raise KOutOfRange(f"k={self.k!r} must be an integer >= 0")
-        elif kind is Kind.POINTWISE_ERROR:
-            _check_eps(self.eps)
-            if not 0.0 <= self.offset <= self.eps:
-                raise InvalidOffset(
-                    f"offset={self.offset!r} outside [0, {self.eps!r}]"
-                )
-        elif kind is Kind.PENALIZED:
-            if not 0 <= self.lam < np.inf:
-                raise NegativeLambda(f"lambda={self.lam!r} must be finite and >= 0")
-        elif kind is Kind.AVERAGE_SIZE:
+        # only the kind's own fields are set; each set one is checked
+        if self.k is not None:
+            lo = 0 if self.kbar is None else 1
+            if not (isinstance(self.k, (int, np.integer)) and self.k >= lo):
+                raise KOutOfRange(f"k={self.k!r} must be an integer >= {lo}")
+        if self.eps is not None:
+            _check_eps(self.eps, self.offset)
+        if self.lam is not None and not 0 <= self.lam < np.inf:
+            raise NegativeLambda(f"lambda={self.lam!r} must be finite and >= 0")
+        if self.kbar is not None:
             if not 0 < self.kbar < np.inf:
                 raise KbarOutOfRange(f"kbar={self.kbar!r} must be finite and > 0")
-        elif kind is Kind.AVERAGE_ERROR:
-            if not 0.0 < self.ebar < 1.0:
-                raise EbarOutOfRange(f"ebar={self.ebar!r} outside (0, 1)")
-        elif kind is Kind.HYBRID_SIZE:
-            if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-                raise KOutOfRange(f"k={self.k!r} must be an integer >= 1")
-            if not 0.0 < self.kbar < np.inf:
-                raise KbarOutOfRange(f"kbar={self.kbar!r} must be finite and > 0")
-            if not self.kbar < self.k:
+            if self.k is not None and not self.kbar < self.k:
                 raise ParameterOrderViolation(
                     f"need kbar < k, got kbar={self.kbar!r}, k={self.k!r}"
                 )
-        elif kind is Kind.HYBRID_ERROR:
-            _check_eps(self.eps)
-            if not 0.0 <= self.ebar:
+        if self.ebar is not None:
+            if self.eps is None:
+                if not 0.0 < self.ebar < 1.0:
+                    raise EbarOutOfRange(f"ebar={self.ebar!r} outside (0, 1)")
+            elif not 0.0 <= self.ebar:
                 raise EbarOutOfRange(f"ebar={self.ebar!r} must be >= 0")
-            if not self.ebar < self.eps:
+            elif not self.ebar < self.eps:
                 raise ParameterOrderViolation(
                     f"need ebar < eps, got ebar={self.ebar!r}, eps={self.eps!r}"
                 )
-            if self.mode not in (MODE_LEMMA_THRESHOLD, MODE_UNION_POINTWISE):
-                raise SpecFieldError(f"unknown combine mode {self.mode!r}", "mode")
-        elif kind is Kind.F_SCORE:
-            if not 0 < self.beta < np.inf:
-                raise InvalidBeta(f"beta={self.beta!r} must be finite and > 0")
+        if self.mode not in (MODE_LEMMA_THRESHOLD, MODE_UNION_POINTWISE):
+            raise SpecFieldError(f"unknown combine mode {self.mode!r}", "mode")
+        if self.beta is not None and not 0 < self.beta < np.inf:
+            raise InvalidBeta(f"beta={self.beta!r} must be finite and > 0")
 
     _RELEVANT = {
         Kind.TOP_K: {"k"},
@@ -164,21 +151,25 @@ class FormulationSpec:
 
     @property
     def needs_fit(self) -> bool:
-        return self.kind in FITTED_KINDS
+        """Whether the rule uses a data-fitted threshold: an average bound
+        or the F-score, which couple the points.  Without one, each point
+        is solved on its own, by the rule and by the brute force."""
+        return (self.kbar is not None or self.ebar is not None
+                or self.beta is not None)
 
     def check_class_count(self, L: int) -> None:
         """Validate the L-dependent parameter bounds."""
-        if self.kind is Kind.TOP_K and self.k > L:
+        if self.k is not None and self.k > L:
             raise KOutOfRange(f"k={self.k} > L={L}")
-        if self.kind is Kind.AVERAGE_SIZE and self.kbar > L:
+        if self.kbar is not None and self.kbar > L:
             raise KbarOutOfRange(f"kbar={self.kbar!r} > L={L}")
-        if self.kind is Kind.HYBRID_SIZE and self.k > L:
-            raise KOutOfRange(f"k={self.k} > L={L}")
 
 
-def _check_eps(eps):
+def _check_eps(eps, offset):
     if not 0.0 <= eps <= 1.0:
         raise InvalidEpsilon(f"eps={eps!r} outside [0, 1]")
+    if not 0.0 <= offset <= eps:
+        raise InvalidOffset(f"offset={offset!r} outside [0, {eps!r}]")
 
 
 # --- the rules --------------------------------------------------------------
@@ -205,9 +196,7 @@ def pointwise_error_mask(
     its full row.  The top ``m`` values sort and sum the same either way,
     so ``khat`` is the same.
     """
-    _check_eps(eps)
-    if not 0.0 <= offset <= eps:
-        raise InvalidOffset(f"offset={offset!r} outside [0, {eps!r}]")
+    _check_eps(eps, offset)
     P = np.asarray(P, dtype=np.float64)
     n, L = P.shape
     target = 1.0 - eps + offset

@@ -264,8 +264,14 @@ def write_distribution(path, dist: DiscreteDistribution) -> None:
 
 
 def _distribution_header(path, header) -> None:
-    if header[:2] != ["x_id", "marginal"]:
-        raise ParseError(f"{path}: bad header", line=1)
+    L = len(header) - 2
+    expected = ["x_id", "marginal"] + [f"p_{j}" for j in range(1, L + 1)]
+    if header != expected or L < 2:
+        raise ParseError(
+            f"{path}: header must be x_id,marginal,p_1..p_L with L >= 2, "
+            f"got {','.join(header)}",
+            line=1,
+        )
 
 
 def read_distribution(path) -> DiscreteDistribution:

@@ -9,11 +9,17 @@ assignment is the classifier's own (n_points x L) membership mask over
 the distribution's rows, and a population cutoff is the fitted one: the
 calibrator's knots and cutoff, with the support points' unit knots
 reweighted by the marginal, the code a bootstrap draw runs.
+
+A formulation is its fields: the brute force, its objective and the
+constraint check read ``k``, ``eps``, ``kbar``, ``ebar``, ``lam`` and
+``beta``, and ``FormulationSpec.needs_fit`` tells the brute force too
+whether it can solve point by point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -90,14 +96,6 @@ def exact_size(dist: DiscreteDistribution, mask: np.ndarray) -> float:
     """Exact average set size of a membership mask."""
     sizes = row_counts(_checked(dist, mask))
     return float(np.sum(dist.marginal * sizes))
-
-
-def exact_fscore(
-    dist: DiscreteDistribution, mask: np.ndarray, beta: float
-) -> float:
-    """Exact population F-beta of a membership mask."""
-    rec = 1.0 - exact_error(dist, mask)
-    return (1.0 + beta**2) * rec / (beta**2 + exact_size(dist, mask))
 
 
 def exact_top_k_error(dist: DiscreteDistribution, k: int) -> float:
@@ -217,60 +215,66 @@ def brute_force_optimal(
 ) -> BruteForceResult:
     """Exhaustively solve a formulation's constrained problem on ``dist``.
 
-    Point-wise-constrained kinds decompose into independent per-point
-    subset choices; average-constrained kinds (and the F-score ratio) are
-    solved by joint enumeration over all assignments, guarded by
-    ``BRUTE_FORCE_BUDGET``.  The objective reported matches the kind:
-    error for size-constrained problems, size for error-constrained ones,
-    the penalized sum for the penalized kind, and the F-score itself
-    (maximized) for the F-score kind.  A point-wise kind with a point
-    that no subset serves is infeasible.
+    The solver reads the spec's fields, not its kind.  Each point's
+    allowed subsets are those within its point-wise bounds ``k`` and
+    ``eps``.  Without an average bound or the F-score (``not
+    spec.needs_fit``) the points decompose into independent per-point
+    subset choices; otherwise every joint assignment is enumerated,
+    guarded by ``BRUTE_FORCE_BUDGET``, and those within ``kbar`` and
+    ``ebar`` are kept.  The objective is :func:`_objective`'s, minimized,
+    or maximized for the F-score.  A problem no assignment meets, such as
+    a point no subset serves, is infeasible.
     """
-    kind = spec.kind
 
     def allowed(mass, size):
-        if kind in (Kind.TOP_K, Kind.HYBRID_SIZE):
-            return size <= spec.k
-        if kind in (Kind.POINTWISE_ERROR, Kind.HYBRID_ERROR):
-            return mass >= 1.0 - spec.eps
-        return np.ones(size.size, dtype=bool)
+        keep = np.ones(size.size, dtype=bool)
+        if spec.k is not None:
+            keep &= size <= spec.k
+        if spec.eps is not None:
+            keep &= mass >= 1.0 - spec.eps
+        return keep
 
-    if kind in (Kind.TOP_K, Kind.POINTWISE_ERROR, Kind.PENALIZED):
+    infeasible = BruteForceResult(None, float("nan"), feasible=False)
+    if not spec.needs_fit:
         rows, objective = [], 0.0
         for w, subsets, mass, size in _candidates(dist, allowed):
             if not len(subsets):
-                return BruteForceResult(None, float("nan"), feasible=False)
-            if kind is Kind.TOP_K:
-                value = w * (1.0 - mass)
-            elif kind is Kind.POINTWISE_ERROR:
-                value = w * size
-            else:
-                value = w * (1.0 - mass) + spec.lam * w * size
+                return infeasible
+            value = _objective(spec, 1.0 - mass, size, w)
             j = np.argmin(value)  # the first subset attaining the minimum
             rows.append(subsets[j])
             objective += value[j]
         return BruteForceResult(np.array(rows), objective)
 
-    candidates, err, siz = _joint_stats(dist, allowed)
-    if kind is Kind.F_SCORE:
-        beta = spec.beta
-        fscores = (1.0 + beta**2) * (1.0 - err) / (beta**2 + siz)
-        idx = int(np.argmax(fscores))
-        return BruteForceResult(
-            _unflatten(candidates, idx), float(fscores[idx])
-        )
-    if kind in (Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
-        return _best_feasible(candidates, siz <= spec.kbar, err)
-    return _best_feasible(candidates, err <= spec.ebar, siz)
+    _guard_joint(dist)
+    candidates, err_parts, siz_parts = [], [], []
+    for w, subsets, mass, size in _candidates(dist, allowed):
+        candidates.append(subsets)
+        err_parts.append(w * (1.0 - mass))
+        siz_parts.append(w * size)
+    err, siz = _joint_enumerate(err_parts), _joint_enumerate(siz_parts)
+    feasible = np.ones(err.size, dtype=bool)
+    if spec.kbar is not None:
+        feasible &= siz <= spec.kbar
+    if spec.ebar is not None:
+        feasible &= err <= spec.ebar
+    if not feasible.any():
+        return infeasible
+    value = np.where(feasible, _objective(spec, err, siz), np.inf)
+    # the F-score, which bounds nothing, is the one objective maximized
+    idx = int(np.argmax(value) if spec.beta is not None else np.argmin(value))
+    return BruteForceResult(_unflatten(candidates, idx), float(value[idx]))
 
 
-def _best_feasible(candidates, feasible, objective) -> BruteForceResult:
-    """The first feasible joint assignment minimizing ``objective``."""
-    if not np.any(feasible):
-        return BruteForceResult(None, float("nan"), feasible=False)
-    masked = np.where(feasible, objective, np.inf)
-    idx = int(np.argmin(masked))
-    return BruteForceResult(_unflatten(candidates, idx), float(masked[idx]))
+def _objective(spec: FormulationSpec, err, siz, w=1.0):
+    """The objective of ``spec`` at error ``err`` and size ``siz`` of
+    weight ``w``: the penalized sum, the F-score, or the size when the
+    error is bounded and else the error."""
+    if spec.lam is not None:
+        return w * err + spec.lam * w * siz
+    if spec.beta is not None:
+        return (1.0 + spec.beta**2) * (1.0 - err) / (spec.beta**2 + siz)
+    return w * (siz if spec.eps is not None or spec.ebar is not None else err)
 
 
 def brute_force_avg_error_with_size_cap(
@@ -282,10 +286,12 @@ def brute_force_avg_error_with_size_cap(
     Unlike the eight standard formulations this problem can be genuinely
     infeasible: no classifier under the cap can beat the top-k error, so
     ``ebar`` below that is unattainable and the result carries
-    ``feasible=False``.
+    ``feasible=False``.  No kind pairs ``k`` with ``ebar``, so the
+    solver gets the fields alone.
     """
-    candidates, err, siz = _joint_stats(dist, lambda mass, size: size <= k)
-    return _best_feasible(candidates, err <= ebar, siz)
+    capped = SimpleNamespace(k=k, eps=None, lam=None, kbar=None, ebar=ebar,
+                             beta=None, needs_fit=True)
+    return brute_force_optimal(dist, capped)
 
 
 def _candidates(dist: DiscreteDistribution, allowed):
@@ -302,18 +308,6 @@ def _candidates(dist: DiscreteDistribution, allowed):
         mass = np.sum(S * p, axis=1)
         keep = np.flatnonzero(allowed(mass, size))
         yield w, S[keep], mass[keep], size[keep]
-
-
-def _joint_stats(dist: DiscreteDistribution, allowed):
-    """Each point's candidate subsets and the exact error and size of
-    every joint assignment of them."""
-    _guard_joint(dist)
-    candidates, err_parts, siz_parts = [], [], []
-    for w, subsets, mass, size in _candidates(dist, allowed):
-        candidates.append(subsets)
-        err_parts.append(w * (1.0 - mass))
-        siz_parts.append(w * size)
-    return candidates, _joint_enumerate(err_parts), _joint_enumerate(siz_parts)
 
 
 def _unflatten(candidates, flat_idx) -> np.ndarray:
@@ -531,48 +525,32 @@ def sample_binding_spec(
         return FormulationSpec(
             Kind.F_SCORE, beta=float(rng.uniform(0.5, 2.0))
         )
-    if kind is Kind.AVERAGE_SIZE:
-        g = population_step_function(dist, FormulationSpec(kind, kbar=1.0))
-        j = int(rng.integers(1, g.scores.size))
-        return FormulationSpec(kind, kbar=float(g.tail[j]) + BINDING_MARGIN)
-    if kind is Kind.AVERAGE_ERROR:
-        h = population_step_function(dist, FormulationSpec(kind, ebar=0.5))
-        j = int(rng.integers(1, h.scores.size))
-        return FormulationSpec(
-            kind, ebar=1.0 - float(h.tail[j]) + BINDING_MARGIN
-        )
+    # a budget kind: its budget is a knot's level, plus BINDING_MARGIN, of
+    # the population function a placeholder budget builds: past the first
+    # knot, whose level is the whole support's and binds nothing, or for
+    # hybrid-error any level in [0, eps)
+    size = kind in (Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE)
+    budget = "kbar" if size else "ebar"
+    k = eps = None
     if kind is Kind.HYBRID_SIZE:
         k = int(rng.integers(2, L + 1)) if L > 2 else 2
-        g_k = population_step_function(
-            dist, FormulationSpec(kind, kbar=1.0, k=k)
-        )
-        j = int(rng.integers(1, g_k.scores.size))
-        return FormulationSpec(
-            kind, kbar=float(g_k.tail[j]) + BINDING_MARGIN, k=k
-        )
-    if kind is Kind.HYBRID_ERROR:
-        for _ in range(32):
+    for _ in range(32 if kind is Kind.HYBRID_ERROR else 1):
+        if kind is Kind.HYBRID_ERROR:
             eps = float(rng.uniform(0.1, 0.5))
-            h_eps = population_step_function(
-                dist, FormulationSpec(kind, ebar=0.0, eps=eps)
-            ).mass()
-            # knots whose level keeps ebar in [0, eps)
-            ok = [
-                j
-                for j in range(h_eps.scores.size)
-                if 0.0 <= 1.0 - h_eps.tail[j] + BINDING_MARGIN < eps
-            ]
-            if ok:
-                j = ok[int(rng.integers(len(ok)))]
-                return FormulationSpec(
-                    kind,
-                    ebar=max(
-                        1.0 - float(h_eps.tail[j]) + BINDING_MARGIN, 0.0
-                    ),
-                    eps=eps,
-                )
-        raise ValueError("no attainable hybrid-error budget found")
-    raise ValueError(f"unhandled kind {kind!r}")  # pragma: no cover
+        spec = FormulationSpec(kind, k=k, eps=eps, **{budget: 0.05})
+        f = population_step_function(dist, spec)
+        if kind is Kind.HYBRID_ERROR:
+            f = f.mass()  # H_eps
+        levels = (f.tail if size else 1.0 - f.tail) + BINDING_MARGIN
+        ok = range(1, f.scores.size)
+        if eps is not None:
+            ok = [j for j in range(f.scores.size) if 0.0 <= levels[j] < eps]
+        if ok:
+            j = ok[int(rng.integers(len(ok)))]
+            return FormulationSpec(
+                kind, k=k, eps=eps, **{budget: float(levels[j])}
+            )
+    raise ValueError(f"no {kind.value} budget binds on this distribution")
 
 
 def objective_value(
@@ -581,16 +559,7 @@ def objective_value(
     mask: np.ndarray,
 ) -> float:
     """The formulation's own objective of a mask, evaluated exactly."""
-    kind = spec.kind
-    if kind in (Kind.TOP_K, Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
-        return exact_error(dist, mask)
-    if kind in (Kind.POINTWISE_ERROR, Kind.AVERAGE_ERROR, Kind.HYBRID_ERROR):
-        return exact_size(dist, mask)
-    if kind is Kind.PENALIZED:
-        return exact_error(dist, mask) + spec.lam * exact_size(dist, mask)
-    if kind is Kind.F_SCORE:
-        return exact_fscore(dist, mask, spec.beta)
-    raise ValueError(f"unhandled kind {kind!r}")  # pragma: no cover
+    return _objective(spec, exact_error(dist, mask), exact_size(dist, mask))
 
 
 def constraint_satisfied(
@@ -599,17 +568,16 @@ def constraint_satisfied(
     mask: np.ndarray,
 ) -> bool:
     """Exact population-level check of every constraint of ``spec``."""
-    kind = spec.kind
     mask = _checked(dist, mask)
     ok = True
-    if kind in (Kind.TOP_K, Kind.HYBRID_SIZE):
+    if spec.k is not None:
         ok &= np.all(row_counts(mask) <= spec.k)
-    if kind in (Kind.POINTWISE_ERROR, Kind.HYBRID_ERROR):
+    if spec.eps is not None:
         mass = np.sum(dist.cond * mask, axis=1)
         ok &= np.all(mass >= 1.0 - spec.eps - OBJECTIVE_TOL)
-    if kind in (Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
+    if spec.kbar is not None:
         ok &= exact_size(dist, mask) <= spec.kbar + OBJECTIVE_TOL
-    if kind in (Kind.AVERAGE_ERROR, Kind.HYBRID_ERROR):
+    if spec.ebar is not None:
         ok &= exact_error(dist, mask) <= spec.ebar + OBJECTIVE_TOL
     return bool(ok)
 

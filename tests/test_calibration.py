@@ -124,6 +124,24 @@ class TestEmpiricalStepFunction:
         with pytest.raises(ValueError, match="needs the rows"):
             EmpiricalStepFunction([0.1, 0.2]).reweight([1, 1], norm=1)
 
+    @pytest.mark.parametrize("scores, rows", [
+        ([0.1, 0.2, 0.3], [0, 1]),
+        ([0.1, 0.2], [[0, 1], [0, 1]]),
+    ])
+    def test_rows_must_match_scores(self, scores, rows):
+        # one row per score, checked when the knots are built
+        with pytest.raises(ValueError, match="need one row per score"):
+            EmpiricalStepFunction(scores, rows=rows)
+
+    def test_weights_must_cover_every_row(self):
+        f = EmpiricalStepFunction([0.1, 0.2], rows=[0, 1])
+        with pytest.raises(ValueError, match="need one weight per row"):
+            f.reweight([1], norm=1)
+        # checked again on every draw, after the rows are sorted once
+        assert f.reweight([1, 2], norm=1).tail.tolist() == [3, 2]
+        with pytest.raises(ValueError, match="need one weight per row"):
+            f.reweight([], norm=1)
+
     def test_reweight_matches_repeated_rows(self):
         # a bootstrap draw as counts over the knots sorted once equals the
         # function built from the drawn rows themselves

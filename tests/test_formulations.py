@@ -8,6 +8,7 @@ from predsets import core
 from predsets.calibration import CalibratedClassifier, _temperature_fit
 from predsets.calibration import fit_temperature
 from predsets.errors import (
+    EbarOutOfRange,
     InvalidBeta,
     InvalidEpsilon,
     InvalidOffset,
@@ -346,6 +347,77 @@ class TestFormulationSpec:
         with pytest.raises(KOutOfRange):
             spec.check_class_count(3)
         spec.check_class_count(5)
+
+    @pytest.mark.parametrize("kind, params, error, message", [
+        (TOP_K, {"k": -1}, KOutOfRange, "k=-1 must be an integer >= 0"),
+        (TOP_K, {"k": 1.5}, KOutOfRange, "k=1.5 must be an integer >= 0"),
+        (POINTWISE, {"eps": 1.4}, InvalidEpsilon, "eps=1.4 outside [0, 1]"),
+        (POINTWISE, {"eps": 0.2, "offset": 0.3}, InvalidOffset,
+         "offset=0.3 outside [0, 0.2]"),
+        (PENALIZED, {"lam": -0.1}, NegativeLambda,
+         "lambda=-0.1 must be finite and >= 0"),
+        (Kind.AVERAGE_SIZE, {"kbar": 0.0}, KbarOutOfRange,
+         "kbar=0.0 must be finite and > 0"),
+        (Kind.AVERAGE_ERROR, {"ebar": 0.0}, EbarOutOfRange,
+         "ebar=0.0 outside (0, 1)"),
+        (Kind.AVERAGE_ERROR, {"ebar": 1.0}, EbarOutOfRange,
+         "ebar=1.0 outside (0, 1)"),
+        (HYBRID_SIZE, {"k": 0, "kbar": 0.5}, KOutOfRange,
+         "k=0 must be an integer >= 1"),
+        (HYBRID_SIZE, {"k": 3, "kbar": -1.0}, KbarOutOfRange,
+         "kbar=-1.0 must be finite and > 0"),
+        (HYBRID_SIZE, {"k": 3, "kbar": 3.0}, ParameterOrderViolation,
+         "need kbar < k, got kbar=3.0, k=3"),
+        (HYBRID_SIZE, {"k": 0, "kbar": -1.0}, KOutOfRange,
+         "k=0 must be an integer >= 1"),
+        (HYBRID_ERROR, {"eps": 1.5, "ebar": 0.1}, InvalidEpsilon,
+         "eps=1.5 outside [0, 1]"),
+        (HYBRID_ERROR, {"eps": 0.5, "ebar": -0.1}, EbarOutOfRange,
+         "ebar=-0.1 must be >= 0"),
+        (HYBRID_ERROR, {"eps": 0.2, "ebar": 0.3}, ParameterOrderViolation,
+         "need ebar < eps, got ebar=0.3, eps=0.2"),
+        (HYBRID_ERROR, {"eps": 0.2, "ebar": 0.1, "mode": "x"}, SpecFieldError,
+         "unknown combine mode 'x'"),
+        (HYBRID_ERROR, {"eps": 1.5, "ebar": -0.1, "mode": "x"},
+         InvalidEpsilon, "eps=1.5 outside [0, 1]"),
+        (HYBRID_ERROR, {"eps": 0.2, "ebar": 0.3, "mode": "x"},
+         ParameterOrderViolation, "need ebar < eps, got ebar=0.3, eps=0.2"),
+        (Kind.F_SCORE, {"beta": 0.0}, InvalidBeta,
+         "beta=0.0 must be finite and > 0"),
+    ], ids=lambda v: v.value if isinstance(v, Kind) else None)
+    def test_each_invalid_field(self, kind, params, error, message):
+        # with two bad fields, the first in field order is reported
+        with pytest.raises(error) as exc:
+            FormulationSpec(kind, **params)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind, params, needs_fit, over", [
+        (TOP_K, {"k": 3}, False, (KOutOfRange, "k=3 > L=2")),
+        (POINTWISE, {"eps": 0.1}, False, None),
+        (PENALIZED, {"lam": 0.1}, False, None),
+        (Kind.AVERAGE_SIZE, {"kbar": 2.5}, True,
+         (KbarOutOfRange, "kbar=2.5 > L=2")),
+        (Kind.AVERAGE_ERROR, {"ebar": 0.1}, True, None),
+        (HYBRID_SIZE, {"k": 3, "kbar": 1.5}, True,
+         (KOutOfRange, "k=3 > L=2")),
+        (HYBRID_ERROR, {"eps": 0.2, "ebar": 0.1}, True, None),
+        (Kind.F_SCORE, {"beta": 1.0}, True, None),
+    ], ids=lambda v: v.value if isinstance(v, Kind) else None)
+    def test_needs_fit_and_class_count(self, kind, params, needs_fit, over):
+        # a fitted threshold exactly for the average bounds and the F-score;
+        # k and kbar are bounded by L, at L = 2 here and fine at L = 3
+        spec = FormulationSpec(kind, **params)
+        assert spec.needs_fit is needs_fit
+        spec.check_class_count(3)
+        if over is None:
+            spec.check_class_count(2)
+        else:
+            error, message = over
+            with pytest.raises(error) as exc:
+                spec.check_class_count(2)
+            assert type(exc.value) is error
+            assert str(exc.value) == message
 
 
 def pointwise_reference(p, eps):

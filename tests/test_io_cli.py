@@ -536,6 +536,22 @@ class TestDistributionFixture:
         io.write_distribution(p2, io.read_distribution(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("header", [
+        "x_id,marginal,a,zz", "x_id,marginal,p_1", "x_id,marginal,p_2,p_1",
+        "x_id,marginal,p_1,p_2,z_1", "x_id,marginal",
+    ])
+    def test_header_names_every_class(self, tmp_path, header):
+        # x_id, marginal, then p_1..p_L with L >= 2, as a score file's p_j
+        path = tmp_path / "dist.csv"
+        path.write_text(f"{header}\nx0,1.0,0.5,0.5\n")
+        with pytest.raises(ParseError) as exc:
+            io.read_distribution(path)
+        assert exc.value.line == 1
+        assert str(exc.value) == (
+            f"{path}: header must be x_id,marginal,p_1..p_L with L >= 2, "
+            f"got {header} (line 1)"
+        )
+
     @pytest.mark.parametrize("rows, line, problem", [
         # a conditional row of support point j, and marginal entry j, are
         # line j + 2; the marginal's sum belongs to no one line
@@ -1256,6 +1272,17 @@ class TestCliOracleCheck:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: PredsetsError: --count={count} must be >= 1\n"
+
+    def test_fixture_with_one_knot_names_the_kind(self, tmp_path, capsys):
+        # one support point with tied classes: G has a single knot, the
+        # whole support's, so no average-size budget binds
+        fixture = tmp_path / "one.csv"
+        fixture.write_text("x_id,marginal,p_1,p_2\nx0,1.0,0.5,0.5\n")
+        assert run_cli("oracle-check", "--fixture", fixture) == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: no average-size budget binds on this "
+            "distribution\n"
+        )
 
     def test_fixture_mode(self, tmp_path):
         dist = make_distribution("dirichlet-like", 4, 2, support=3)

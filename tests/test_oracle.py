@@ -20,11 +20,11 @@ from predsets.oracle import (
     constraint_satisfied,
     equivalence_suite,
     exact_error,
-    exact_fscore,
     exact_size,
     exact_top_k_error,
     infeasibility_records,
     make_distribution,
+    objective_value,
     population_step_function,
     population_threshold,
     random_test_distribution,
@@ -405,6 +405,33 @@ class TestBruteForce:
         with pytest.raises(TooLargeForBruteForce):
             brute_force_optimal(one, FormulationSpec(Kind.TOP_K, k=1))
 
+    @pytest.mark.parametrize("kind", [Kind.TOP_K, Kind.POINTWISE_ERROR,
+                                      Kind.PENALIZED])
+    def test_per_point_solve_equals_joint_enumeration(self, kind):
+        # the point-wise kinds solve each point alone; enumerating every
+        # joint assignment of each point's allowed subsets, first point
+        # slowest, finds the same first optimum
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            d = random_test_distribution(rng, L=4, n_points=2)
+            spec = oracle.sample_binding_spec(d, kind, rng)
+            S = oracle._all_subsets(d.L)
+            allowed = [
+                [s for s in S
+                 if (spec.k is None or s.sum() <= spec.k)
+                 and (spec.eps is None or p[s].sum() >= 1.0 - spec.eps)]
+                for p in d.cond
+            ]
+            best, best_value = None, np.inf
+            for rows in itertools.product(*allowed):
+                mask = np.array(rows)
+                value = objective_value(d, spec, mask)
+                if value < best_value:
+                    best, best_value = mask, value
+            res = brute_force_optimal(d, spec)
+            assert np.array_equal(res.mask, best)
+            assert res.objective == pytest.approx(best_value, abs=1e-12)
+
     def test_fscore_brute_matches_threshold_rule(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
@@ -414,7 +441,7 @@ class TestBruteForce:
             )
             res = brute_force_optimal(d, spec)
             closed = closed_form_assignment(d, spec)
-            assert exact_fscore(d, closed, spec.beta) == pytest.approx(
+            assert objective_value(d, spec, closed) == pytest.approx(
                 res.objective, abs=1e-12
             )
 

@@ -42,7 +42,7 @@ MODULES = {
         "BruteForceResult", "DiscreteDistribution", "EquivalenceRecord",
         "brute_force_avg_error_with_size_cap", "brute_force_optimal",
         "closed_form_assignment", "constraint_satisfied", "equivalence_suite",
-        "exact_error", "exact_fscore", "exact_size", "exact_top_k_error",
+        "exact_error", "exact_size", "exact_top_k_error",
         "infeasibility_records", "make_distribution", "objective_value",
         "population_step_function", "population_threshold",
         "random_test_distribution", "sample_binding_spec", "sample_scores",
