@@ -114,9 +114,12 @@ class EmpiricalStepFunction:
             scores, rows = self._entries
             if rows is None:
                 raise ValueError("reweight needs the rows of the entries")
-            self._rows = np.asarray(rows).ravel()[np.argsort(scores)]
+            rows = np.asarray(rows).ravel()
+            if rows.size and not (rows.dtype.kind in "iu" and rows.min() >= 0):
+                raise ValueError("knot rows must be nonnegative integers")
+            self._rows = rows[np.argsort(scores)]
             # the fewest weights that cover every row
-            self._n_rows = int(self._rows.max()) + 1 if self._rows.size else 0
+            self._n_rows = int(rows.max()) + 1 if rows.size else 0
         if weights.size < self._n_rows:
             raise ValueError(
                 f"{weights.size} weights for rows 0..{self._n_rows - 1}: "
@@ -225,23 +228,24 @@ def _phi_nonnegative(g: EmpiricalStepFunction, b2: float, j: int):
 # --- empirical step-function builders ---------------------------------------
 
 
-def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None):
+def _knots(spec: FormulationSpec, P: np.ndarray, labels):
     """Unit-count knots, over the n rows of ``P`` at norm n, of the step
-    function the cutoff of ``kind`` inverts: G (average-size, f-score), H
-    (average-error), G_k (hybrid-size) or the member counts of H_eps
-    (hybrid-error).  Each entry knows its row, so the knots can be
-    :meth:`~EmpiricalStepFunction.reweight`-ed."""
+    function the cutoff of ``spec`` inverts, read off its fields: with
+    ``eps``, the member counts of the point-wise sets, whose
+    :meth:`~EmpiricalStepFunction.mass` is H_eps; with ``k``, G_k; with
+    ``ebar`` and ``labels``, H; else G.  Each entry knows its row, so the
+    knots can be :meth:`~EmpiricalStepFunction.reweight`-ed."""
     n = P.shape[0]
     rows = None
-    if kind is Kind.AVERAGE_ERROR:
-        values = label_entries(P, labels)[:, None]
-    elif kind is Kind.HYBRID_SIZE:
-        L = P.shape[1]
-        values = np.partition(P, L - k, axis=1)[:, L - k:]
-    elif kind is Kind.HYBRID_ERROR:
-        member = pointwise_error_mask(P, eps, 0.0)
+    if spec.eps is not None:
+        member = pointwise_error_mask(P, spec.eps, 0.0)
         values = np.compress(member.ravel(), P)  # row-major, as P[member]
         rows = np.repeat(np.arange(n), row_counts(member))
+    elif spec.k is not None:
+        L = P.shape[1]
+        values = np.partition(P, L - spec.k, axis=1)[:, L - spec.k:]
+    elif spec.ebar is not None and labels is not None:
+        values = label_entries(P, labels)[:, None]
     else:
         values = P
     if rows is None:
@@ -250,31 +254,35 @@ def _knots(kind: Kind, P: np.ndarray, labels, k=None, eps=None):
 
 
 def _cutoff(spec: FormulationSpec, f: EmpiricalStepFunction) -> float:
-    """The fitted threshold of ``spec`` from its (reweighted) knots."""
-    kind = spec.kind
-    if kind in (Kind.AVERAGE_SIZE, Kind.HYBRID_SIZE):
+    """The fitted threshold of ``spec`` from its (reweighted) knots: where
+    they drop to ``kbar``, the largest knot where they (their mass, with
+    ``eps``) reach ``1 - ebar``, or the F-score root."""
+    if spec.kbar is not None:
         return _knot_at(f, spec.kbar, reach=False)
-    if kind is Kind.AVERAGE_ERROR:
-        return _knot_at(f, 1.0 - spec.ebar, reach=True)
-    if kind is Kind.HYBRID_ERROR:
-        return _knot_at(f.mass(), 1.0 - spec.ebar, reach=True)
+    if spec.ebar is not None:
+        return _knot_at(f if spec.eps is None else f.mass(), 1.0 - spec.ebar,
+                        reach=True)
     return fscore_root(f, spec.beta)
 
 
 def step_function(spec: FormulationSpec, scores: ScoreSet) -> EmpiricalStepFunction:
-    """The unit-count knots, over norm n, that :func:`calibrate` at
-    temperature 1 reads the cutoff of ``spec`` off: G (average-size,
-    f-score), H (average-error), G_k (hybrid-size) or, for hybrid-error,
-    the member counts of the point-wise error sets, whose
-    :meth:`~EmpiricalStepFunction.mass` is H_eps.  Raises what the fit
-    would: :class:`EmptyScoreSet`, the spec's class-count errors and, for
-    average-error, :class:`MissingLabels`.
+    """The unit-count knots (:func:`_knots`), over norm n, that
+    :func:`calibrate` at temperature 1 reads the cutoff of ``spec`` off.
+    Raises what the fit would: :class:`EmptyScoreSet`, the spec's
+    class-count errors and, for average-error, :class:`MissingLabels`; and
+    :class:`ThetaMismatch` for a kind without a fitted threshold.
     """
+    _require_fit(spec)
     _require_nonempty(scores)
     spec.check_class_count(scores.L)
     if spec.kind is Kind.AVERAGE_ERROR:
         scores.require_labels(spec.kind.value)
-    return _knots(spec.kind, scores.probs, scores.labels, spec.k, spec.eps)
+    return _knots(spec, scores.probs, scores.labels)
+
+
+def _require_fit(spec: FormulationSpec) -> None:
+    if not spec.needs_fit:
+        raise ThetaMismatch(f"{spec.kind.value} takes no fitted threshold")
 
 
 def _require_nonempty(scores: ScoreSet) -> None:
@@ -305,10 +313,8 @@ class CalibratedClassifier:
             raise ThetaMismatch(
                 f"{self.spec.kind.value} needs a fitted threshold"
             )
-        if not self.spec.needs_fit and self.theta is not None:
-            raise ThetaMismatch(
-                f"{self.spec.kind.value} takes no fitted threshold"
-            )
+        if self.theta is not None:
+            _require_fit(self.spec)
         if self.theta is not None and not math.isfinite(self.theta):
             raise ThetaMismatch(f"theta={self.theta!r} must be finite")
         _check_temperature(self.temperature)
@@ -537,7 +543,7 @@ def calibrate(
             scores.require_labels(spec.kind.value)
         knots = _top_knots(spec, P)
         if knots is None:
-            knots = _knots(spec.kind, P, scores.labels, spec.k, spec.eps)
+            knots = _knots(spec, P, scores.labels)
         theta = _cutoff(spec, knots)
     elif T != 1.0:
         _rescalable(scores, T)  # checked, not computed: nothing is fitted
@@ -563,13 +569,13 @@ def _top_knots(spec: FormulationSpec, P: np.ndarray) -> EmpiricalStepFunction | 
     or when they would be more than ``_SELECT_SHARE`` of the scores."""
     n, N = P.shape[0], P.size
     most = _SELECT_SHARE * N
-    if spec.kind is Kind.AVERAGE_SIZE:
+    if spec.kbar is not None and spec.k is None:
         rank = math.floor(spec.kbar * n) + 1
         if rank > most:
             return None
         part = np.partition(P, N - rank, axis=None)  # one flat copy
         return EmpiricalStepFunction(part[part >= part[N - rank]], norm=n)
-    if spec.kind is not Kind.F_SCORE:
+    if spec.beta is None:
         return None
     flat, b2 = P.ravel(), spec.beta * spec.beta
     # row maxima folded over <= 16 columns: 11-192 vs 516-874 us on 10 000 rows

@@ -17,8 +17,9 @@ from . import io
 from .calibration import CalibratedClassifier, calibrate
 from .core import ScoreSet, label_entries, row_counts
 from .errors import ClassCountMismatch, InvalidSlack, PredsetsError
-from .evaluation import SWEEP_PARAM, evaluate, sweep
-from .formulations import FormulationSpec, Kind, MODE_LEMMA_THRESHOLD
+from .evaluation import evaluate, sweep
+from .formulations import FormulationSpec, Kind, KIND_FIELDS
+from .formulations import MODE_LEMMA_THRESHOLD
 from .oracle import (
     equivalence_suite,
     infeasibility_records,
@@ -50,28 +51,21 @@ def _add_formulation_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _spec_from_args(args, L: int | None = None) -> FormulationSpec:
-    """The spec the formulation flags give.  Given the class count ``L``,
-    a sweep template: its swept field holds a placeholder, not the flag."""
+def _spec_from_args(args, sweep: bool = False) -> FormulationSpec:
+    """The spec the formulation flags give.  For a sweep template, the
+    swept field (the first its kind takes) holds a valid placeholder that
+    the grid replaces, not the flag; every other field comes from a flag."""
     kind = Kind(args.formulation)
-    kwargs, swept = {}, None
-    if L is not None:
-        swept = SWEEP_PARAM[kind]
-        kwargs = {
-            Kind.TOP_K: dict(k=1),
-            Kind.POINTWISE_ERROR: dict(eps=0.5),
-            Kind.PENALIZED: dict(lam=0.0),
-            Kind.AVERAGE_SIZE: dict(kbar=1.0),
-            Kind.AVERAGE_ERROR: dict(ebar=0.5),
-            Kind.HYBRID_SIZE: dict(kbar=0.5, k=L),  # kbar < every k >= 1
-            Kind.HYBRID_ERROR: dict(ebar=0.0, eps=1.0),
-            Kind.F_SCORE: dict(beta=1.0),
-        }[kind]
+    kwargs, swept = {}, KIND_FIELDS[kind][0] if sweep else None
     for name in ("k", "eps", "ebar", "kbar", "lam", "beta"):
         value = getattr(args, name, None)
         if value is not None and name != swept:
             kwargs[name] = value
-    if kind is Kind.HYBRID_ERROR:
+    if swept is not None:
+        # kbar below any cap k >= 1, ebar below any cap eps > 0
+        kwargs[swept] = {"k": 1, "eps": 0.5, "lam": 0.0, "kbar": 0.5,
+                         "ebar": (args.eps or 1.0) / 2, "beta": 1.0}[swept]
+    if "mode" in KIND_FIELDS[kind]:
         kwargs["mode"] = args.mode
     # --offset stays out of the spec: calibrate resolves it (see _offset_arg)
     return FormulationSpec(kind, **kwargs)
@@ -190,7 +184,11 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     calib = io.read_scores(args.calib)
     test = io.read_scores(args.test)
-    template = _spec_from_args(args, calib.L)
+    if test.L != calib.L:
+        raise ClassCountMismatch(
+            f"calibration scores have L={calib.L}, test scores have L={test.L}"
+        )
+    template = _spec_from_args(args, sweep=True)
     grid = [float(v) for v in args.grid.split(",") if v != ""]
     curve = sweep(
         template,

@@ -24,8 +24,8 @@ from .core import ScoreSet, check_probability_rows, label_entries, row_counts
 from .core import softmax, topk_mask
 from .errors import EmptyScoreSet, InvalidBeta, KOutOfRange, MissingLogits
 from .errors import PredsetsError
-from .formulations import FormulationSpec, Kind, MODE_UNION_POINTWISE
-from .formulations import pointwise_error_mask
+from .formulations import FormulationSpec, Kind, KIND_FIELDS
+from .formulations import MODE_UNION_POINTWISE, pointwise_error_mask
 
 PERCENTILES = (10, 25, 50, 75, 90)
 
@@ -164,22 +164,10 @@ class SweepCurve:
     points: list[SweepPoint] = field(default_factory=list)
 
 
-#: Which spec field each kind's sweep varies.
-SWEEP_PARAM = {
-    Kind.TOP_K: "k",
-    Kind.POINTWISE_ERROR: "eps",
-    Kind.PENALIZED: "lam",
-    Kind.AVERAGE_SIZE: "kbar",
-    Kind.AVERAGE_ERROR: "ebar",
-    Kind.HYBRID_SIZE: "kbar",
-    Kind.HYBRID_ERROR: "ebar",
-    Kind.F_SCORE: "beta",
-}
-
-
 def spec_with_param(template: FormulationSpec, value: float) -> FormulationSpec:
-    """Copy of ``template`` with its sweep parameter replaced by ``value``."""
-    name = SWEEP_PARAM[template.kind]
+    """Copy of ``template`` with its swept field, the first its kind takes,
+    replaced by ``value``."""
+    name = KIND_FIELDS[template.kind][0]
     if name != "k":
         value = float(value)
     elif not float(value).is_integer():  # inf and NaN included
@@ -298,7 +286,6 @@ def _bootstrap(template, specs, calib, test, seeds, base_seed, temperature):
     making a draw's knots fails every spec still alive; the test set's
     checks run for each spec, so each fails with the error it meets first."""
     out, alive = {}, dict(specs)
-    kind, k, eps = template.kind, template.k, template.eps
     try:
         fit = temperature == "fit"
         if fit:
@@ -307,7 +294,7 @@ def _bootstrap(template, specs, calib, test, seeds, base_seed, temperature):
             fit_rows = _temperature_fit(calib.logits, calib.labels)
         else:
             T, at = _check_temperature(temperature), None
-            base = _knots(kind, _probs_at(calib, T), calib.labels, k, eps)
+            base = _knots(template, _probs_at(calib, T), calib.labels)
         for rep in range(seeds):
             if not alive:
                 break
@@ -323,10 +310,10 @@ def _bootstrap(template, specs, calib, test, seeds, base_seed, temperature):
                 T, at = fit_rows(distinct, order), None
                 P = softmax(calib.logits[distinct], T)[order]
                 check_probability_rows(P)  # raises what _rescalable would
-                knots = _knots(kind, P, labels, k, eps)
+                knots = _knots(template, P, labels)
             else:
-                if kind is Kind.AVERAGE_ERROR:
-                    calib.require_labels(kind.value, counts)
+                if template.kind is Kind.AVERAGE_ERROR:
+                    calib.require_labels(template.kind.value, counts)
                 knots = base.reweight(counts, norm=calib.n)
             for i, spec in list(alive.items()):
                 try:
@@ -356,18 +343,18 @@ def _metrics_at(spec: FormulationSpec, T: float, test: ScoreSet):
 
     Each total is a base count (entries every cutoff keeps) plus the
     count of pooled test scores at or above ``theta``, a binary search of
-    the pool sorted once: all entries for the threshold kinds, the top-``k``
-    entries for hybrid-size, the entries outside the point-wise set in
-    union mode.  Raises what :func:`evaluate` raises.
+    the pool sorted once: all entries, the top-``k`` entries when ``k`` is
+    set (hybrid-size), or the entries outside the point-wise set in union
+    mode.  Raises what :func:`evaluate` raises.
     """
     labels = _test_labels(test)
     P = _probs_at(test, T)
     spec.check_class_count(P.shape[1])
     always = np.zeros(P.shape, dtype=bool)
     pool = np.ones(P.shape, dtype=bool)
-    if spec.kind is Kind.HYBRID_SIZE:
+    if spec.k is not None:
         pool = topk_mask(P, spec.k)
-    elif spec.kind is Kind.HYBRID_ERROR and spec.mode == MODE_UNION_POINTWISE:
+    elif spec.mode == MODE_UNION_POINTWISE:
         always = pointwise_error_mask(P, spec.eps, 0.0)
         pool = ~always
     n = test.n

@@ -7,10 +7,11 @@ combine the two primitives.  :func:`rule_mask` is the one implementation
 of all eight; ``CalibratedClassifier.predict_set_mask`` runs it on a
 checked score set.
 
-A formulation is its fields: the spec's checks, its bounds by L and
-:attr:`~FormulationSpec.needs_fit` read which of ``k``, ``eps``,
-``kbar``, ``ebar``, ``lam`` and ``beta`` are set, as the oracle does; the
-kind names which fields may be set and which rule :func:`rule_mask` runs.
+A formulation is its fields: :data:`KIND_FIELDS` names the fields each
+kind takes, and every layer reads which of ``k``, ``eps``, ``kbar``,
+``ebar``, ``lam`` and ``beta`` are set: the spec's checks, its bounds by
+L and :attr:`~FormulationSpec.needs_fit`, :func:`rule_mask`, the fit's
+knots and cutoff, the sweep and the oracle.
 """
 
 from __future__ import annotations
@@ -47,6 +48,18 @@ class Kind(str, enum.Enum):
     F_SCORE = "f-score"
 
 
+#: The fields each kind takes, the one a sweep varies first.
+KIND_FIELDS = {
+    Kind.TOP_K: ("k",),
+    Kind.POINTWISE_ERROR: ("eps", "offset"),
+    Kind.PENALIZED: ("lam",),
+    Kind.AVERAGE_SIZE: ("kbar",),
+    Kind.AVERAGE_ERROR: ("ebar",),
+    Kind.HYBRID_SIZE: ("kbar", "k"),
+    Kind.HYBRID_ERROR: ("ebar", "eps", "mode"),
+    Kind.F_SCORE: ("beta",),
+}
+
 #: Combine modes for the hybrid error rule (see rule_mask).
 MODE_LEMMA_THRESHOLD = "lemma-threshold"
 MODE_UNION_POINTWISE = "union-with-pointwise"
@@ -56,10 +69,10 @@ MODE_UNION_POINTWISE = "union-with-pointwise"
 class FormulationSpec:
     """A formulation tag plus its parameters.
 
-    Only the fields relevant to ``kind`` may be set, so a formulation is
-    its fields: ``k`` and ``eps`` bound size and error point-wise,
-    ``kbar`` and ``ebar`` on average, and ``lam`` and ``beta`` trade the
-    two off.  Each set field is checked, in field order:
+    Only the fields :data:`KIND_FIELDS` names for ``kind`` may be set,
+    so a formulation is its fields: ``k`` and ``eps`` bound size and error
+    point-wise, ``kbar`` and ``ebar`` on average, and ``lam`` and ``beta``
+    trade the two off.  Each set field is checked, in field order:
 
     ==================  =============================================
     kind                parameters
@@ -125,20 +138,9 @@ class FormulationSpec:
         if self.beta is not None and not 0 < self.beta < np.inf:
             raise InvalidBeta(f"beta={self.beta!r} must be finite and > 0")
 
-    _RELEVANT = {
-        Kind.TOP_K: {"k"},
-        Kind.POINTWISE_ERROR: {"eps", "offset"},
-        Kind.PENALIZED: {"lam"},
-        Kind.AVERAGE_SIZE: {"kbar"},
-        Kind.AVERAGE_ERROR: {"ebar"},
-        Kind.HYBRID_SIZE: {"kbar", "k"},
-        Kind.HYBRID_ERROR: {"ebar", "eps", "mode"},
-        Kind.F_SCORE: {"beta"},
-    }
-
     def _check_fields(self):
         # every field the kind takes is set, and every other is at its default
-        relevant = self._RELEVANT[self.kind]
+        relevant = KIND_FIELDS[self.kind]
         defaults = {"offset": 0.0, "mode": MODE_LEMMA_THRESHOLD}
         for name in ("k", "eps", "offset", "lam", "kbar", "ebar", "beta", "mode"):
             value = getattr(self, name)
@@ -235,40 +237,34 @@ def pointwise_error_mask(
 
 def rule_mask(spec: FormulationSpec, P: np.ndarray,
               theta: float | None) -> np.ndarray:
-    """Membership mask of any formulation over rows of ``P``.
+    """Membership mask of any formulation over rows of ``P``, read off the
+    spec's fields.
 
-    ``theta`` is the fitted threshold for the kinds that use one; the
-    point-wise rule reads its offset from the spec.
+    A spec with neither a fitted threshold nor ``lam`` is a point-wise
+    bound alone: the top-``k`` rule, or the point-wise error rule at
+    ``eps`` and the spec's offset.  Every other spec thresholds at ``lam``,
+    or else at the fitted ``theta``.
 
-    The hybrid size rule caps the threshold set at its ``k`` largest
+    A set ``k`` (hybrid-size) caps the threshold set at its ``k`` largest
     entries, which a row with at most ``k`` entries ``>= theta`` already
     is, so only the rows over ``k`` run the top-k cut.
 
-    The hybrid error rule has two combine modes.  ``lemma-threshold``
-    applies the stated closed form: thresholding at the calibrated cutoff.
-    ``union-with-pointwise`` unions that set with the point-wise error set
-    at ``eps``, which guarantees the point-wise constraint by construction.
-    Both are exposed because a pure threshold can violate the point-wise
-    constraint on some distributions; the brute-force oracle reports how
-    each mode behaves case by case.
+    With ``eps`` set (hybrid-error) there are two combine modes.
+    ``lemma-threshold`` applies the stated closed form: thresholding at the
+    calibrated cutoff.  ``union-with-pointwise`` unions that set with the
+    point-wise error set at ``eps``, which guarantees the point-wise
+    constraint by construction.  Both are exposed because a pure threshold
+    can violate the point-wise constraint on some distributions; the
+    brute-force oracle reports how each mode behaves case by case.
     """
-    kind = spec.kind
-    if kind is Kind.TOP_K:
-        return topk_mask(P, spec.k)
-    if kind is Kind.POINTWISE_ERROR:
+    if not spec.needs_fit and spec.lam is None:
+        if spec.k is not None:
+            return topk_mask(P, spec.k)
         return pointwise_error_mask(P, spec.eps, spec.offset)
-    if kind is Kind.PENALIZED:
-        return threshold_mask(P, spec.lam)
-    if kind in (Kind.AVERAGE_SIZE, Kind.AVERAGE_ERROR, Kind.F_SCORE):
-        return threshold_mask(P, theta)
-    if kind is Kind.HYBRID_SIZE:
-        mask = threshold_mask(P, theta)
+    mask = threshold_mask(P, theta if spec.lam is None else spec.lam)
+    if spec.k is not None:
         over = np.flatnonzero(row_counts(mask) > spec.k)
         mask[over] = topk_mask(P[over], spec.k)
-        return mask
-    if kind is Kind.HYBRID_ERROR:
-        base = threshold_mask(P, theta)
-        if spec.mode == MODE_UNION_POINTWISE:
-            return base | pointwise_error_mask(P, spec.eps, 0.0)
-        return base
-    raise ValueError(f"unhandled kind {kind!r}")  # pragma: no cover
+    if spec.mode == MODE_UNION_POINTWISE:
+        mask |= pointwise_error_mask(P, spec.eps, 0.0)
+    return mask

@@ -32,7 +32,7 @@ from .calibration import CalibratedClassifier
 from .core import ScoreSet
 from .errors import ParseError, PredsetsError, RowError, ThetaMismatch
 from .evaluation import MetricsReport, SweepCurve, PERCENTILES
-from .formulations import FormulationSpec, Kind
+from .formulations import FormulationSpec, Kind, KIND_FIELDS
 from .oracle import DiscreteDistribution
 
 MODEL_FORMAT_VERSION = 1
@@ -304,10 +304,8 @@ def write_model(path, clf: CalibratedClassifier) -> None:
     lines = [f"format_version: {MODEL_FORMAT_VERSION}"]
     lines.append(f"kind: {clf.spec.kind.value}")
     for name in _SPEC_FIELDS:
-        value = getattr(clf.spec, name)
-        if name == "mode" and clf.spec.kind is not Kind.HYBRID_ERROR:
-            continue
-        if value is not None:
+        if name in KIND_FIELDS[clf.spec.kind]:
+            value = getattr(clf.spec, name)
             text = value if name in ("k", "mode") else fmt(value)
             lines.append(f"{name}: {text}")
     if clf.theta is not None:
@@ -332,8 +330,11 @@ def read_model(path) -> CalibratedClassifier:
         if ":" not in line:
             raise ParseError(f"{path}: expected 'key: value'", line=lineno)
         key, value = line.split(":", 1)
-        entries[key.strip()] = value.strip()
-        line_of[key.strip()] = lineno
+        key = key.strip()
+        if key in entries:
+            raise ParseError(f"{path}: repeated key {key!r}", line=lineno)
+        entries[key] = value.strip()
+        line_of[key] = lineno
     version = entries.pop("format_version", None)
     if version != str(MODEL_FORMAT_VERSION):
         raise ParseError(

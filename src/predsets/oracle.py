@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .calibration import EmpiricalStepFunction, _cutoff, _knots
+from .calibration import EmpiricalStepFunction, _cutoff, _knots, _require_fit
 from .core import ScoreSet, check_probability_rows, row_blocks, row_counts
 from .core import topk_mask
 from .errors import RowError, TooFewClasses, TooLargeForBruteForce
@@ -118,12 +118,12 @@ def population_step_function(
     :meth:`~EmpiricalStepFunction.mass` is H_eps) are the population
     functions.  A population has no sampled labels, so its H
     (average-error) is the mass of G: each knot carries its own
-    probability.
+    probability.  Raises :class:`ThetaMismatch` for a kind without a
+    fitted threshold.
     """
-    kind = Kind.AVERAGE_SIZE if spec.kind is Kind.AVERAGE_ERROR else spec.kind
-    f = _knots(kind, dist.cond, None, spec.k, spec.eps)
-    f = f.reweight(dist.marginal, norm=1)
-    return f.mass() if spec.kind is Kind.AVERAGE_ERROR else f
+    _require_fit(spec)
+    f = _knots(spec, dist.cond, None).reweight(dist.marginal, norm=1)
+    return f.mass() if spec.ebar is not None and spec.eps is None else f
 
 
 def population_threshold(

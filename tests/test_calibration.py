@@ -142,6 +142,14 @@ class TestEmpiricalStepFunction:
         with pytest.raises(ValueError, match="need one weight per row"):
             f.reweight([], norm=1)
 
+    @pytest.mark.parametrize("rows", [[-1, 0], [0.5, 1.0], [0.0, 1.0]])
+    def test_rows_must_be_nonnegative_integers(self, rows):
+        # a negative row would wrap to the last weight, a float one fail
+        # to index; checked once, when reweight first sorts the rows
+        f = EmpiricalStepFunction([0.1, 0.2], rows=rows)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            f.reweight([1, 5], norm=1)
+
     def test_reweight_matches_repeated_rows(self):
         # a bootstrap draw as counts over the knots sorted once equals the
         # function built from the drawn rows themselves
@@ -903,6 +911,16 @@ class TestStepFunction:
         at = ScoreSet(ids=s.ids, probs=softmax(s.logits, 0.7), labels=s.labels)
         want = calibrate(spec, at).theta
         assert calibrate(spec, s, temperature=0.7).theta == want
+
+    @pytest.mark.parametrize("spec", [
+        FormulationSpec(Kind.TOP_K, k=2),
+        FormulationSpec(Kind.POINTWISE_ERROR, eps=0.1),
+        FormulationSpec(Kind.PENALIZED, lam=0.1),
+    ], ids=lambda sp: sp.kind.value)
+    def test_kinds_without_a_fit_have_no_knots(self, spec):
+        # the knots are read off the fields, and no fit reads these kinds'
+        with pytest.raises(ThetaMismatch, match="takes no fitted threshold"):
+            step_function(spec, one_sample([0.5, 0.3, 0.2]))
 
     def test_hybrid_size_k_above_L(self):
         spec = FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=4)

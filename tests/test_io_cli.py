@@ -510,6 +510,21 @@ class TestModelFiles:
         assert str(exc.value) == f"{path}: {problem}{where}"
         assert exc.value.line == line
 
+    def test_repeated_key_names_its_second_line(self, tmp_path):
+        # a second theta is refused, not read over the first
+        path = tmp_path / "m.model"
+        s = ScoreSet(ids=["a", "b"], probs=[[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+        spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.5)
+        io.write_model(path, calibrate(spec, s, seed=1))
+        text = path.read_text()
+        assert "\ntheta: " in text
+        path.write_text(text + "theta: 0.9\n")
+        with pytest.raises(ParseError) as exc:
+            io.read_model(path)
+        line = len(text.splitlines()) + 1
+        assert str(exc.value) == f"{path}: repeated key 'theta' (line {line})"
+        assert exc.value.line == line
+
     def test_version_checked(self, tmp_path):
         path = tmp_path / "m.model"
         path.write_text("format_version: 99\nkind: top-k\nk: 1\n")
@@ -1143,6 +1158,44 @@ class TestCliSweep:
         assert capsys.readouterr().err == (
             "error: SpecFieldError: k is not a parameter of average-size\n"
         )
+
+    @pytest.mark.parametrize("formulation, budget, missing", [
+        ("hybrid-size", "--kbar", "k"),
+        ("hybrid-error", "--ebar", "eps"),
+    ])
+    def test_fixed_field_is_required(self, tmp_path, synth_files, capsys,
+                                     formulation, budget, missing):
+        # only the swept field holds a placeholder: a sweep without the
+        # hybrid's cap fails as calibrate does, before writing anything
+        out = tmp_path / "curve.csv"
+        assert run_cli(
+            "sweep", "--formulation", formulation, "--grid", "0.1,0.2",
+            "--calib", synth_files["calib"], "--test", synth_files["test"],
+            "--out", out,
+        ) == 1
+        want = f"error: SpecFieldError: {formulation} requires {missing}\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+        assert run_cli(
+            "calibrate", "--formulation", formulation, budget, 0.1,
+            "--scores", synth_files["calib"], "--model", tmp_path / "m",
+        ) == 1
+        assert capsys.readouterr().err == want
+
+    def test_class_count_mismatch(self, tmp_path, synth_files, capsys):
+        other = tmp_path / "other.csv"
+        io.write_scores(
+            other, ScoreSet(ids=["a"], probs=[[0.6, 0.4]], labels=[1]))
+        out = tmp_path / "curve.csv"
+        assert run_cli(
+            "sweep", "--formulation", "top-k", "--grid", "1",
+            "--calib", synth_files["calib"], "--test", other, "--out", out,
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: ClassCountMismatch: calibration scores have L=6, "
+            "test scores have L=2\n"
+        )
+        assert not out.exists()
 
     def test_hybrid_size_at_k_one(self, tmp_path, synth_files):
         # the swept kbar's placeholder must lie below k = 1 too

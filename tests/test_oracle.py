@@ -10,7 +10,7 @@ import predsets.calibration as calibration
 import predsets.oracle as oracle
 from predsets.calibration import EmpiricalStepFunction
 from predsets.core import topk_mask
-from predsets.errors import TooLargeForBruteForce
+from predsets.errors import ThetaMismatch, TooLargeForBruteForce
 from predsets.formulations import FormulationSpec, Kind, pointwise_error_mask
 from predsets.oracle import (
     DiscreteDistribution,
@@ -164,6 +164,17 @@ class TestExactThresholdFunctions:
         # at eps=0.4 the point-wise set is {1} with mass 0.6... cumulative
         # 0.5 < 0.6 so the cut is 2: knots 0.5 and 0.3 with their own mass
         assert H_eps.total == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("spec", [
+        FormulationSpec(Kind.TOP_K, k=2),
+        FormulationSpec(Kind.POINTWISE_ERROR, eps=0.1),
+        FormulationSpec(Kind.PENALIZED, lam=0.1),
+    ], ids=lambda sp: sp.kind.value)
+    def test_kinds_without_a_fit_have_no_knots(self, spec):
+        # the knots are read off the fields, and no fit reads these kinds'
+        with pytest.raises(ThetaMismatch, match="takes no fitted threshold"):
+            population_step_function(ONE_POINT, spec)
+        assert population_threshold(ONE_POINT, spec) is None
 
     def test_g_k_totals(self):
         rng = np.random.default_rng(1)
