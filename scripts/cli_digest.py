@@ -44,9 +44,12 @@ with two or more usable CPUs the L=1000 ``synth`` files (500 rows of 2000
 floats) are written and read in pieces, each past the first by a forked
 child, while the L=100 ones (500 rows of 200 floats) are written and read
 in one, so a diff against another tree compares both write paths and both
-read paths.  Prints a ``#`` line naming the numpy and Python versions,
-then one ``sha256  name`` line per output file and per command's stdout
-and exit code.  Two trees that behave alike print identical text:
+read paths.  By the same rule the row-blocked kernels run on the L=1000
+sets in pieces, a thread each, and on the L=100 ones in one piece; under
+``taskset -c 0`` everything runs in one piece.  Prints a ``#`` line naming
+the numpy and Python versions, then one ``sha256  name`` line per output
+file and per command's stdout and exit code.  Two trees that behave
+alike print identical text:
 
     PYTHONPATH=src python scripts/cli_digest.py > new.txt
     PYTHONPATH=../old/src python scripts/cli_digest.py > old.txt

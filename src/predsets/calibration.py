@@ -46,8 +46,8 @@ from functools import reduce
 
 import numpy as np
 
-from .core import ScoreSet, check_probability_rows, label_entries, row_blocks
-from .core import row_counts, softmax, topk_mask
+from .core import ScoreSet, _in_pieces, check_probability_rows, label_entries
+from .core import row_blocks, row_counts, softmax, topk_mask
 from .errors import EmptyScoreSet, InfeasiblePair, KOutOfRange
 from .errors import InvalidTemperature, MissingLogits, NonFiniteEntry
 from .errors import Saturated, ThetaMismatch, TooFewClasses
@@ -414,21 +414,26 @@ def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
     # logits less their row maximum: beta * z then needs no max-shift
     z_all = logits - logits.max(axis=1, keepdims=True)
     z_true_all = label_entries(z_all, labels)
-    e_block = np.empty_like(z_all[row_blocks(*z_all.shape)[0]])  # exp(beta z)
     t_lo, t_hi = TEMPERATURE_BOUNDS
     bracket = (1.0 / t_hi, 1.0 / t_lo)  # on beta
     start = min(max(1.0, bracket[0]), bracket[1])
     kept = {}
 
     def terms(z, z_true, beta):
-        # each row's E_p[z] - z_y and Var_p[z], a row block at a time
+        # each row's E_p[z] - z_y and Var_p[z], by row pieces and blocks
         mean, var = np.empty(z.shape[0]), np.empty(z.shape[0])
-        for rows in row_blocks(*z.shape):
-            zb, e = z[rows], e_block[: rows.stop - rows.start]
-            np.exp(np.multiply(zb, beta, out=e), out=e)
-            total = e.sum(axis=1)
-            m = mean[rows] = np.einsum("ij,ij->i", e, zb) / total
-            var[rows] = np.einsum("ij,ij,ij->i", e, zb, zb) / total - m * m
+
+        def piece(z, mean, var):
+            blocks = row_blocks(*z.shape)
+            e_block = np.empty((blocks[0].stop if blocks else 0, z.shape[1]))
+            for rows in blocks:  # e_block holds exp(beta z)
+                zb, e = z[rows], e_block[: rows.stop - rows.start]
+                np.exp(np.multiply(zb, beta, out=e), out=e)
+                total = e.sum(axis=1)
+                m = mean[rows] = np.einsum("ij,ij->i", e, zb) / total
+                var[rows] = np.einsum("ij,ij,ij->i", e, zb, zb) / total - m * m
+
+        _in_pieces(piece, z, mean, var)
         return mean - z_true, var
 
     def fit(distinct=slice(None), order=slice(None)) -> float:

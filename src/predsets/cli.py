@@ -46,8 +46,7 @@ def _add_formulation_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, help="F-score weight")
     parser.add_argument(
         "--mode",
-        default=MODE_LEMMA_THRESHOLD,
-        help="hybrid-error combine mode",
+        help=f"hybrid-error combine mode (default {MODE_LEMMA_THRESHOLD})",
     )
 
 
@@ -57,7 +56,7 @@ def _spec_from_args(args, sweep: bool = False) -> FormulationSpec:
     the grid replaces, not the flag; every other field comes from a flag."""
     kind = Kind(args.formulation)
     kwargs, swept = {}, KIND_FIELDS[kind][0] if sweep else None
-    for name in ("k", "eps", "ebar", "kbar", "lam", "beta"):
+    for name in ("k", "eps", "ebar", "kbar", "lam", "beta", "mode"):
         value = getattr(args, name, None)
         if value is not None and name != swept:
             kwargs[name] = value
@@ -65,8 +64,6 @@ def _spec_from_args(args, sweep: bool = False) -> FormulationSpec:
         # kbar below any cap k >= 1, ebar below any cap eps > 0
         kwargs[swept] = {"k": 1, "eps": 0.5, "lam": 0.0, "kbar": 0.5,
                          "ebar": (args.eps or 1.0) / 2, "beta": 1.0}[swept]
-    if "mode" in KIND_FIELDS[kind]:
-        kwargs["mode"] = args.mode
     # --offset stays out of the spec: calibrate resolves it (see _offset_arg)
     return FormulationSpec(kind, **kwargs)
 

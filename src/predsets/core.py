@@ -14,13 +14,20 @@ identical outputs.
 The wide-row kernels (``topk_mask``, :func:`softmax`, the point-wise error
 mask and the temperature fit's row terms) make several passes over each
 row: a sort or partition, a running sum, a comparison with the cut,
-``exp``.  At many classes one pass over the whole n x L matrix no longer
-fits in cache, so they work through :func:`row_blocks`: 512 KiB of float64
-rows (one row when a row is wider), whose two or three float temporaries
-still fit a 2 MiB L2 cache between passes.  Every step is per row, so each
-row sees the same operations in the same order: results are identical to
-one pass over the whole matrix.  :func:`cut_mask` compares each entry with
-its row's cut once; only rows whose ties straddle the cut compare again.
+``exp``.  They, and ``threshold_mask``'s one comparison, first cut the
+rows into contiguous pieces, one per usable CPU and each of at least 2**17
+floats (:func:`_cuts`, the rule the CSV reader and writer fork by).  The
+caller runs the first piece and a short-lived thread each later one, all
+joined before the kernel returns; numpy releases the interpreter lock in
+these sorts, sums, ``exp`` and ``einsum``.  At many classes one pass over
+a whole piece no longer fits in cache, so each piece works through
+:func:`row_blocks` with buffers of its own: 512 KiB of float64 rows (one
+row when a row is wider), whose two or three float temporaries still fit
+a 2 MiB L2 cache between passes.  Every step is per row, so each row sees
+the same operations in the same order: results are identical to one pass
+over the whole matrix, whatever the number of CPUs.  :func:`cut_mask`
+compares each entry with its row's cut once; only rows whose ties
+straddle the cut compare again.
 Per-row mask sizes are :func:`row_counts`, int16 sums about 4 times faster
 at L = 1000 than numpy's int64 count.  A row sum is one short reduction
 per row, so a mask at most ``_NARROW_L`` = 32 wide is summed across its
@@ -33,6 +40,8 @@ benchmark (L = 10) the two took ``eval_rows_per_s`` from 13.2M to 21.4M/s.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +71,50 @@ def row_blocks(n: int, L: int) -> list[slice]:
     """Slices of ``max(1, _BLOCK_BYTES // (8 L))`` rows covering ``range(n)``."""
     step = max(1, _BLOCK_BYTES // (8 * L))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _pieces(floats: int) -> int:
+    """One piece per usable CPU, each of at least 2**17 floats; one where
+    this process cannot tell its usable CPUs or fork (the CSV reader and
+    writer fork their pieces)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), floats >> 17))
+
+
+def _cuts(rows: int, floats: int) -> list[int]:
+    """Bounds of the :func:`_pieces` contiguous row pieces, no more than rows."""
+    p = max(1, min(_pieces(floats), rows))
+    return [rows * i // p for i in range(p + 1)]
+
+
+def _in_pieces(work, *arrays) -> None:
+    """Call ``work`` on each :func:`_cuts` row piece of ``arrays``, which
+    share their row count; the first one's size sets the pieces.  This
+    thread runs piece 0 and a short-lived thread each later one.  All are
+    joined before the return; then the exception of the first piece that
+    raised one is raised here."""
+    cuts = _cuts(len(arrays[0]), arrays[0].size)
+    errors = {}
+
+    def run(a, b):
+        try:
+            work(*(x[a:b] for x in arrays))
+        except BaseException as exc:  # raised in this thread below
+            errors[a] = exc
+
+    threads = []
+    try:
+        for a, b in zip(cuts[1:-1], cuts[2:]):
+            thread = threading.Thread(target=run, args=(a, b))
+            thread.start()
+            threads.append(thread)
+        work(*(x[: cuts[1]] for x in arrays))
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def row_counts(mask: np.ndarray) -> np.ndarray:
@@ -133,9 +186,13 @@ def topk_mask(P: np.ndarray, k: int) -> np.ndarray:
     mask = np.zeros((n, L), dtype=bool)
     if k == 0:
         return mask
-    for rows in row_blocks(n, L):
-        cut = np.partition(P[rows], L - k, axis=1)[:, L - k]
-        mask[rows] = cut_mask(P[rows], cut, k)
+
+    def piece(P, mask):
+        for rows in row_blocks(len(P), L):
+            cut = np.partition(P[rows], L - k, axis=1)[:, L - k]
+            mask[rows] = cut_mask(P[rows], cut, k)
+
+    _in_pieces(piece, P, mask)
     return mask
 
 
@@ -169,7 +226,10 @@ def threshold_mask(P: np.ndarray, theta: float) -> np.ndarray:
     any ``theta`` above the largest entry yields the empty set, which is a
     legal prediction.
     """
-    return np.asarray(P, dtype=np.float64) >= float(theta)
+    P, theta = np.asarray(P, dtype=np.float64), float(theta)
+    mask = np.empty(P.shape, dtype=bool)
+    _in_pieces(lambda P, mask: np.greater_equal(P, theta, out=mask), P, mask)
+    return mask
 
 
 # --- score sets -------------------------------------------------------------
@@ -295,10 +355,14 @@ def softmax(z: np.ndarray, T: float = 1.0) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64)
     out = np.empty(z.shape)
-    rows_in, rows_out = z.reshape(-1, z.shape[-1]), out.reshape(-1, z.shape[-1])
-    for rows in row_blocks(*rows_in.shape):
-        e = np.divide(rows_in[rows], T, out=rows_out[rows])
-        e -= e.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
-        e /= e.sum(axis=1, keepdims=True)
+
+    def piece(rows_in, rows_out):
+        for rows in row_blocks(*rows_in.shape):
+            e = np.divide(rows_in[rows], T, out=rows_out[rows])
+            e -= e.max(axis=1, keepdims=True)
+            np.exp(e, out=e)
+            e /= e.sum(axis=1, keepdims=True)
+
+    L = z.shape[-1]
+    _in_pieces(piece, z.reshape(-1, L), out.reshape(-1, L))
     return out

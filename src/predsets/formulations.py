@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cut_mask, row_blocks, row_counts, threshold_mask, topk_mask
+from .core import _in_pieces, cut_mask, row_blocks, row_counts
+from .core import threshold_mask, topk_mask
 from .errors import (
     InvalidBeta,
     InvalidEpsilon,
@@ -193,10 +194,10 @@ def pointwise_error_mask(
     :func:`~predsets.core.cut_mask` keeps the ``khat`` largest entries,
     equal ones in ascending label order like every rule.  The running sum
     covers ``m`` columns, the previous row block's largest ``khat`` plus
-    slack (all L in the first block), sorted alone after ``np.partition``
-    when ``2 m <= L``; a row still short of the target there sorts and sums
-    its full row.  The top ``m`` values sort and sum the same either way,
-    so ``khat`` is the same.
+    slack (all L in each row piece's first block), sorted alone after
+    ``np.partition`` when ``2 m <= L``; a row still short of the target
+    there sorts and sums its full row.  The top ``m`` values sort and sum
+    the same either way, so ``khat`` is the same.
     """
     _check_eps(eps, offset)
     P = np.asarray(P, dtype=np.float64)
@@ -205,33 +206,38 @@ def pointwise_error_mask(
     mask = np.zeros((n, L), dtype=bool)
     if target <= 0.0:
         return mask
-    blocks = row_blocks(n, L)
-    ascending = np.empty((blocks[0].stop if blocks else 0, L))
-    sums = np.empty_like(ascending)
-    m = L
-    for rows in blocks:
-        block = P[rows]
-        b = len(block)
-        np.copyto(ascending[:b], block)
-        partial = 2 * m <= L
-        if partial:  # split off the top m columns and sort only those
-            ascending[:b].partition(L - m, axis=1)
-        ascending[:b, L - m if partial else 0:].sort(axis=1)
-        desc = ascending[:b, ::-1]
-        # cutoff = 1 + number of strict prefixes below the target, capped at
-        # L (the cap absorbs float shortfall when the full sum should reach it)
-        head = np.cumsum(desc[:, :m], axis=1, out=sums[:b, :m])
-        # intp: a full row's count below may pass the head's int16
-        khat = row_counts(head < target).astype(np.intp) + 1
-        if m < L:
-            long = np.flatnonzero(khat > m)
-            if partial:
-                ascending[long] = np.sort(ascending[long], axis=1)
-            full = np.cumsum(desc[long], axis=1)
-            khat[long] = row_counts(full < target) + 1
-        np.minimum(khat, L, out=khat)
-        mask[rows] = cut_mask(block, desc[np.arange(b), khat - 1], khat)
-        m = min(L, int(khat.max()) + 1 + L // 16)
+
+    def piece(P, mask):  # its own buffers and prefix length
+        blocks = row_blocks(len(P), L)
+        ascending = np.empty((blocks[0].stop if blocks else 0, L))
+        sums = np.empty_like(ascending)
+        m = L
+        for rows in blocks:
+            block = P[rows]
+            b = len(block)
+            np.copyto(ascending[:b], block)
+            partial = 2 * m <= L
+            if partial:  # split off the top m columns and sort only those
+                ascending[:b].partition(L - m, axis=1)
+            ascending[:b, L - m if partial else 0:].sort(axis=1)
+            desc = ascending[:b, ::-1]
+            # cutoff = 1 + number of strict prefixes below the target, capped
+            # at L (the cap absorbs float shortfall when the full sum should
+            # reach it)
+            head = np.cumsum(desc[:, :m], axis=1, out=sums[:b, :m])
+            # intp: a full row's count below may pass the head's int16
+            khat = row_counts(head < target).astype(np.intp) + 1
+            if m < L:
+                long = np.flatnonzero(khat > m)
+                if partial:
+                    ascending[long] = np.sort(ascending[long], axis=1)
+                full = np.cumsum(desc[long], axis=1)
+                khat[long] = row_counts(full < target) + 1
+            np.minimum(khat, L, out=khat)
+            mask[rows] = cut_mask(block, desc[np.arange(b), khat - 1], khat)
+            m = min(L, int(khat.max()) + 1 + L // 16)
+
+    _in_pieces(piece, P, mask)
     return mask
 
 

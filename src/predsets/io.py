@@ -5,12 +5,15 @@ parallel logit columns ``z_1,...,z_L``; the label column is empty for
 unlabeled rows.  Floats are serialized with their shortest round-trip
 representation, so write -> read -> write is byte-identical.  Score files,
 distribution fixtures and per-class CSVs share one reader and one writer.
-A read or a write cuts a table's rows into pieces of 2**17 floats or more,
-at most one per usable CPU, and forks a child for each piece past the
-first: a reader's child parses its rows' floats with ``np.loadtxt`` into
-memory shared with the parent, a writer's child formats its rows into a
-temporary file.  The arrays and the bytes are those of one piece.  Model
-files are human-readable key-value text with a version.
+A read or a write cuts a table's rows into the row pieces of
+``core._cuts``, the one piece rule that the row-blocked kernels also
+follow: 2**17 floats or more each (some 60 times as long to format, and 20
+times as long to parse, as a fork takes), at most one per usable CPU.  It
+forks a child for each piece past the first: a reader's child parses its
+rows' floats with ``np.loadtxt`` into memory shared with the parent, a
+writer's child formats its rows into a temporary file.  The arrays and the
+bytes are those of one piece.  Model files are human-readable key-value
+text with a version.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .calibration import CalibratedClassifier
-from .core import ScoreSet
+from .core import ScoreSet, _cuts
 from .errors import ParseError, PredsetsError, RowError, ThetaMismatch
 from .evaluation import MetricsReport, SweepCurve, PERCENTILES
 from .formulations import FormulationSpec, Kind, KIND_FIELDS
@@ -44,21 +47,6 @@ def fmt(x: float) -> str:
 
 
 # --- numeric CSVs: scores, distribution fixtures, per-class rates -----------
-
-
-def _pieces(floats: int) -> int:
-    """One piece per usable CPU, each of at least 2**17 floats (some 60
-    times as long to format, and 20 times as long to parse, as a fork
-    takes); one where this process cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), floats >> 17))
-
-
-def _cuts(rows: int, floats: int) -> list[int]:
-    """Bounds of the :func:`_pieces` contiguous row pieces, no more than rows."""
-    p = max(1, min(_pieces(floats), rows))
-    return [rows * i // p for i in range(p + 1)]
 
 
 @contextlib.contextmanager

@@ -1,10 +1,12 @@
 """Prediction rules: examples pinned by hand, invariants by hypothesis."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from predsets import core
+from predsets import core, formulations
 from predsets.calibration import CalibratedClassifier, _temperature_fit
 from predsets.calibration import fit_temperature
 from predsets.errors import (
@@ -682,3 +684,126 @@ class TestRowBlocks:
             assert np.array_equal(core.softmax(z[0], T), whole(z[0] / T))
             assert core.softmax(z[0], T).shape == (self.L,)
         assert np.array_equal(core.softmax(z), whole(z))
+
+
+def pointwise_masks(P):
+    """The point-wise masks at eps 0, 0.1, 0.5 and 1, with and without an
+    offset."""
+    return [pointwise_error_mask(P, eps, offset)
+            for eps in (0.0, 0.1, 0.5, 1.0) for offset in (0.0, eps / 2)]
+
+
+def per_piece_count(monkeypatch, kernel, pieces):
+    """``kernel()`` with the piece rule forced to ``pieces``; every thread it
+    started is joined by its return."""
+    before = threading.active_count()
+    with monkeypatch.context() as m:
+        m.setattr(core, "_pieces", lambda floats: pieces)
+        out = kernel()
+    assert threading.active_count() == before
+    return out
+
+
+class TestRowPieces:
+    """The kernels give the same bits whatever the number of row pieces,
+    wherever a piece boundary falls against the row blocks."""
+
+    L = 9
+
+    def kernels(self, P, z):
+        hybrid_size = FormulationSpec(HYBRID_SIZE, kbar=0.5, k=3)
+        union = FormulationSpec(HYBRID_ERROR, ebar=0.0, eps=0.3,
+                                mode=MODE_UNION_POINTWISE)
+        return ([topk_mask(P, k) for k in range(P.shape[1] + 1)]
+                + pointwise_masks(P)
+                + [core.softmax(z, T) for T in (0.05, 1.0, 3.7)]
+                + [core.threshold_mask(P, 0.1),
+                   rule_mask(hybrid_size, P, 0.1), rule_mask(union, P, 0.1)])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 100])
+    def test_masks_and_softmax_do_not_depend_on_pieces(self, monkeypatch, n):
+        # 65-row blocks: 2 and 3 pieces of 100 rows cut inside a block
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * self.L * 65)
+        P = tied_matrix(n, self.L, seed=n)
+        z = np.random.default_rng(n).normal(scale=4.0, size=(n, self.L))
+        want = per_piece_count(monkeypatch, lambda: self.kernels(P, z), 1)
+        for pieces in (2, 3):
+            got = per_piece_count(monkeypatch, lambda: self.kernels(P, z),
+                                  pieces)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_pointwise_at_the_full_row_fallback(self, monkeypatch):
+        # 1000 classes, 65-row blocks: peaked rows, then flat ones whose
+        # block falls back to full rows; 2 pieces cut where the flat rows
+        # start, 3 inside the second and third blocks
+        n, L = 201, 1000
+        rng = np.random.default_rng(2)
+        ints = np.vstack([rng.integers(0, 2, size=(100, L)),
+                          rng.integers(2, 40, size=(n - 100, L))])
+        ints = ints.astype(float)
+        ints[:100, 0] = 20.0 * L
+        P = ints / ints.sum(axis=1, keepdims=True)
+
+        want = per_piece_count(monkeypatch, lambda: pointwise_masks(P), 1)
+        fallbacks, m = 0, L
+        for rows in core.row_blocks(n, L):  # the prefix one piece keeps
+            khat = want[2][rows].sum(axis=1)  # eps = 0.1, no offset
+            fallbacks += 2 * m <= L and khat.max() > m
+            m = min(L, int(khat.max()) + 1 + L // 16)
+        assert fallbacks
+        for pieces in (2, 3):
+            got = per_piece_count(monkeypatch, lambda: pointwise_masks(P),
+                                  pieces)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    def test_temperature_fits_do_not_depend_on_pieces(self, monkeypatch, n):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * self.L * 65)
+        data = synth_generate("dirichlet-like", self.L, n, 4, noise=0.5)
+        idx = np.random.default_rng(n).integers(0, n, size=n)
+        counts = np.bincount(idx, minlength=n)
+        distinct = np.flatnonzero(counts)
+        order = (np.cumsum(counts > 0) - 1)[idx]
+
+        def fits():
+            fit_rows = _temperature_fit(data.logits, data.labels)
+            return [fit_rows().hex(), fit_rows(distinct, order).hex()]
+
+        want = per_piece_count(monkeypatch, fits, 1)
+        for pieces in (2, 3):
+            assert per_piece_count(monkeypatch, fits, pieces) == want
+
+    def test_a_later_piece_raises_in_the_caller(self, monkeypatch):
+        def cut_mask(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("piece failed")
+            return core.cut_mask(*args)
+
+        P = tied_matrix(30, self.L, seed=1)
+        monkeypatch.setattr(formulations, "cut_mask", cut_mask)
+        for pieces in (2, 3):
+            with pytest.raises(RuntimeError, match="piece failed"):
+                per_piece_count(
+                    monkeypatch, lambda: pointwise_error_mask(P, 0.1), pieces
+                )
+        one = per_piece_count(
+            monkeypatch, lambda: pointwise_error_mask(P, 0.1), 1
+        )
+        assert np.array_equal(one, argsort_pointwise(P, 0.1))
+
+    def test_one_piece_starts_no_thread(self, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(core.threading, "Thread", Counted)
+        data = synth_generate("two-regime", 10, 10_000, 1, noise=0.2)
+        P, z = data.probs, data.logits
+        self.kernels(P, z)
+        _temperature_fit(z, data.labels)()
+        assert not started
+        per_piece_count(monkeypatch, lambda: core.softmax(z), 3)
+        assert len(started) == 2

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from predsets import calibration, io
+from predsets import calibration, core, io
 from predsets.calibration import calibrate, step_function
 from predsets.cli import main
 from predsets.core import ScoreSet, softmax
@@ -205,7 +205,7 @@ class TestScoreFiles:
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         io.write_scores(p1, s)
         with monkeypatch.context() as m:  # read and written back in 3 pieces
-            m.setattr(io, "_pieces", lambda floats: 3)
+            m.setattr(core, "_pieces", lambda floats: 3)
             loaded = io.read_scores(p1)
             io.write_scores(p2, loaded)
         assert_no_children()
@@ -243,7 +243,7 @@ class TestSplitWriter:
         serial.mkdir()
         io.write_scores(serial / "s.csv", s)
         io.write_distribution(serial / "d.csv", dist)
-        monkeypatch.setattr(io, "_pieces", lambda floats: pieces)
+        monkeypatch.setattr(core, "_pieces", lambda floats: pieces)
         io.write_scores(tmp_path / "s.csv", s)
         io.write_distribution(tmp_path / "d.csv", dist)
         assert_no_children()
@@ -251,15 +251,15 @@ class TestSplitWriter:
             assert (tmp_path / name).read_bytes() == (serial / name).read_bytes()
 
     def test_pieces_follow_usable_cpus_and_size(self, monkeypatch):
-        monkeypatch.setattr(io.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert [io._pieces(f) for f in (0, 2**17, 2**18 - 1, 2**18, 2**20)] == [
-            1, 1, 1, 2, 3
-        ]
-        monkeypatch.delattr(io.os, "fork")
-        assert io._pieces(2**20) == 1
+        monkeypatch.setattr(core.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2})
+        sizes = (0, 2**17, 2**18 - 1, 2**18, 2**20)
+        assert [core._pieces(f) for f in sizes] == [1, 1, 1, 2, 3]
+        monkeypatch.delattr(core.os, "fork")
+        assert core._pieces(2**20) == 1
 
     def test_failed_child_raises_oserror_naming_path(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(io, "_pieces", lambda floats: 2)
+        monkeypatch.setattr(core, "_pieces", lambda floats: 2)
         path = tmp_path / "s.csv"
         leading = [("a",), ("b",), ("c",), (Unprintable(),)]
         with pytest.raises(OSError, match=re.escape(str(path))):
@@ -267,7 +267,7 @@ class TestSplitWriter:
         assert_no_children()
 
     def test_children_reaped_when_first_piece_raises(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(io, "_pieces", lambda floats: 3)
+        monkeypatch.setattr(core, "_pieces", lambda floats: 3)
         leading = [(Unprintable(),), ("b",), ("c",), ("d",)]
         with pytest.raises(RuntimeError, match="unprintable"):
             io._write_table(tmp_path / "s.csv", ["id", "x"], leading,
@@ -280,7 +280,7 @@ def read_in_pieces(monkeypatch, pieces, read, path):
     first were forked and that no child is left."""
     forks, fork = [], os.fork
     with monkeypatch.context() as m:
-        m.setattr(io, "_pieces", lambda floats: pieces)
+        m.setattr(core, "_pieces", lambda floats: pieces)
         m.setattr(os, "fork", lambda: forks.append(1) or fork())
         try:
             return read(path)
@@ -1181,6 +1181,19 @@ class TestCliSweep:
             "--scores", synth_files["calib"], "--model", tmp_path / "m",
         ) == 1
         assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("mode", ["bogus", "union-with-pointwise"])
+    def test_mode_of_a_kind_without_one_is_refused(self, tmp_path, synth_files,
+                                                   capsys, mode):
+        model = tmp_path / "m"
+        assert run_cli(
+            "calibrate", "--formulation", "top-k", "--k", 2, "--mode", mode,
+            "--scores", synth_files["calib"], "--model", model,
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: SpecFieldError: mode is not a parameter of top-k\n"
+        )
+        assert not model.exists()
 
     def test_class_count_mismatch(self, tmp_path, synth_files, capsys):
         other = tmp_path / "other.csv"
