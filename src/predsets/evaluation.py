@@ -6,7 +6,8 @@ per-class error rate serves as its observable proxy throughout; per-class
 rates are integer counts per label, each divided once.  A sweep draws
 its bootstrap resamples once: each draw reweights calibration knots sorted
 once (at a fitted temperature, builds knots of its own rows), reads every
-grid value's cutoff off them and counts the test scores at or above it.
+grid value's cutoff off them and counts the test entries the rule keeps
+there, off the two sets :func:`~predsets.formulations.rule_mask` states.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from .calibration import CalibratedClassifier, calibrate, _probs_at
 from .calibration import _check_temperature, _cutoff, _knots, _require_nonempty
 from .calibration import _temperature_fit, fit_temperature
 from .core import ScoreSet, check_probability_rows, label_entries, row_counts
-from .core import softmax, topk_mask
+from .core import softmax
 from .errors import EmptyScoreSet, InvalidBeta, KOutOfRange, MissingLogits
 from .errors import PredsetsError
-from .formulations import FormulationSpec, Kind, KIND_FIELDS
-from .formulations import MODE_UNION_POINTWISE, pointwise_error_mask
+from .formulations import FormulationSpec, Kind, KIND_FIELDS, rule_mask
 
 PERCENTILES = (10, 25, 50, 75, 90)
 
@@ -341,22 +341,16 @@ def _metrics_at(spec: FormulationSpec, T: float, test: ScoreSet):
     """``theta -> (avg_error, avg_size)`` of ``spec``'s rule at temperature
     ``T`` on ``test``.
 
-    Each total is a base count (entries every cutoff keeps) plus the
-    count of pooled test scores at or above ``theta``, a binary search of
-    the pool sorted once: all entries, the top-``k`` entries when ``k`` is
-    set (hybrid-size), or the entries outside the point-wise set in union
-    mode.  Raises what :func:`evaluate` raises.
+    Each total counts the entries the rule keeps at every cutoff (its mask
+    at ``inf``) plus the pooled scores (its mask at 0 less those) at or
+    above ``theta``, a binary search of the pool sorted once.  Raises what
+    :func:`evaluate` raises.
     """
     labels = _test_labels(test)
     P = _probs_at(test, T)
     spec.check_class_count(P.shape[1])
-    always = np.zeros(P.shape, dtype=bool)
-    pool = np.ones(P.shape, dtype=bool)
-    if spec.k is not None:
-        pool = topk_mask(P, spec.k)
-    elif spec.mode == MODE_UNION_POINTWISE:
-        always = pointwise_error_mask(P, spec.eps, 0.0)
-        pool = ~always
+    always = rule_mask(spec, P, math.inf)
+    pool = rule_mask(spec, P, 0.0) & ~always
     n = test.n
     sized = np.sort(P[pool])
     covered = np.sort(label_entries(P, labels)[label_entries(pool, labels)])

@@ -262,6 +262,10 @@ def rule_mask(spec: FormulationSpec, P: np.ndarray,
     constraint by construction.  Both are exposed because a pure threshold
     can violate the point-wise constraint on some distributions; the
     brute-force oracle reports how each mode behaves case by case.
+
+    Every rule is ``always | (pool & (P >= theta))`` for every ``theta``
+    in [0, inf], with ``always = rule_mask(spec, P, inf)`` and ``pool =
+    rule_mask(spec, P, 0) & ~always``: the sweep counts off these sets.
     """
     if not spec.needs_fit and spec.lam is None:
         if spec.k is not None:
