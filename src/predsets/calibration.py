@@ -50,8 +50,9 @@ from .core import ScoreSet, _in_pieces, check_probability_rows, label_entries
 from .core import row_blocks, row_counts, softmax, topk_mask
 from .errors import EmptyScoreSet, InfeasiblePair, KOutOfRange
 from .errors import InvalidTemperature, MissingLogits, NonFiniteEntry
-from .errors import Saturated, ThetaMismatch, TooFewClasses
-from .formulations import FormulationSpec, Kind, pointwise_error_mask, rule_mask
+from .errors import Saturated, SpecFieldError, ThetaMismatch, TooFewClasses
+from .formulations import FormulationSpec, Kind, KIND_FIELDS
+from .formulations import pointwise_error_mask, rule_mask
 
 
 class EmpiricalStepFunction:
@@ -288,6 +289,12 @@ def _require_fit(spec: FormulationSpec) -> None:
 def _require_nonempty(scores: ScoreSet) -> None:
     if scores.n == 0:
         raise EmptyScoreSet("calibration needs at least one sample")
+
+
+def _check_offset(spec: FormulationSpec, offset) -> None:
+    if offset is not None and "offset" not in KIND_FIELDS[spec.kind]:
+        raise SpecFieldError(f"offset is not a parameter of {spec.kind.value}",
+                             "offset")
 
 
 # --- calibrated classifier ---------------------------------------------------
@@ -527,10 +534,11 @@ def calibrate(
         ``"fit"`` learns it by likelihood on the calibration set.  Kinds
         without a fitted threshold only check the rescale (:func:`_rescalable`).
     offset : float, "auto", or None
-        Point-wise offset for the point-wise error rule.  ``"auto"`` uses
-        ``sqrt(L / n)``; ``None`` keeps the spec's value.  The returned
-        classifier's spec holds the resolved offset.
+        Point-wise offset, which only the point-wise error rule takes.
+        ``"auto"`` uses ``sqrt(L / n)``; ``None`` keeps the spec's value.
+        The returned classifier's spec holds the resolved offset.
     """
+    _check_offset(spec, offset)
     _require_nonempty(scores)
     spec.check_class_count(scores.L)
     provenance = _provenance(scores.n, seed)
@@ -552,7 +560,7 @@ def calibrate(
         theta = _cutoff(spec, knots)
     elif T != 1.0:
         _rescalable(scores, T)  # checked, not computed: nothing is fitted
-    if spec.kind is Kind.POINTWISE_ERROR and offset is not None:
+    if offset is not None:
         if offset == "auto":
             offset = min(pointwise_offset(scores.n, scores.L), spec.eps)
         # the spec checks the resolved offset lies in [0, eps]

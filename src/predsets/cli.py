@@ -16,7 +16,8 @@ import numpy as np
 from . import io
 from .calibration import CalibratedClassifier, calibrate
 from .core import ScoreSet, label_entries, row_counts
-from .errors import ClassCountMismatch, InvalidSlack, PredsetsError
+from .errors import ClassCountMismatch, InvalidSlack, ParameterOrderViolation
+from .errors import PredsetsError
 from .evaluation import evaluate, sweep
 from .formulations import FormulationSpec, Kind, KIND_FIELDS
 from .formulations import MODE_LEMMA_THRESHOLD
@@ -61,9 +62,12 @@ def _spec_from_args(args, sweep: bool = False) -> FormulationSpec:
         if value is not None and name != swept:
             kwargs[name] = value
     if swept is not None:
-        # kbar below any cap k >= 1, ebar below any cap eps > 0
+        # kbar below any cap k >= 1, ebar below a cap eps > 0 (0 leaves none)
+        eps = kwargs.get("eps", 1.0)
+        if swept == "ebar" and eps == 0 and "eps" in KIND_FIELDS[kind]:
+            raise ParameterOrderViolation(f"need ebar < eps, got eps={eps!r}")
         kwargs[swept] = {"k": 1, "eps": 0.5, "lam": 0.0, "kbar": 0.5,
-                         "ebar": (args.eps or 1.0) / 2, "beta": 1.0}[swept]
+                         "ebar": eps / 2, "beta": 1.0}[swept]
     # --offset stays out of the spec: calibrate resolves it (see _offset_arg)
     return FormulationSpec(kind, **kwargs)
 

@@ -6,8 +6,7 @@ per-class error rate serves as its observable proxy throughout; per-class
 rates are integer counts per label, each divided once.  A sweep draws
 its bootstrap resamples once: each draw reweights calibration knots sorted
 once (at a fitted temperature, builds knots of its own rows), reads every
-grid value's cutoff off them and counts the test entries the rule keeps
-there, off the two sets :func:`~predsets.formulations.rule_mask` states.
+grid value's cutoff off them and counts the test entries rule_mask keeps.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibratedClassifier, calibrate, _probs_at
-from .calibration import _check_temperature, _cutoff, _knots, _require_nonempty
-from .calibration import _temperature_fit, fit_temperature
+from .calibration import CalibratedClassifier, calibrate, fit_temperature
+from .calibration import _check_temperature, _cutoff, _knots, _probs_at
+from .calibration import _check_offset, _require_nonempty, _temperature_fit
 from .core import ScoreSet, check_probability_rows, label_entries, row_counts
 from .core import softmax
 from .errors import EmptyScoreSet, InvalidBeta, KOutOfRange, MissingLogits
@@ -218,6 +217,7 @@ def sweep(
         raise ValueError("parameter grid must be sorted ascending")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    _check_offset(template, offset)
 
     specs, outcome = {}, {}  # grid index -> spec; fit or first error
     for i, value in enumerate(grid):
@@ -341,10 +341,9 @@ def _metrics_at(spec: FormulationSpec, T: float, test: ScoreSet):
     """``theta -> (avg_error, avg_size)`` of ``spec``'s rule at temperature
     ``T`` on ``test``.
 
-    Each total counts the entries the rule keeps at every cutoff (its mask
-    at ``inf``) plus the pooled scores (its mask at 0 less those) at or
-    above ``theta``, a binary search of the pool sorted once.  Raises what
-    :func:`evaluate` raises.
+    Each total counts the rule's mask at ``inf`` plus its pool (mask at 0
+    less that) at or above ``theta``, a binary search of the pool sorted
+    once.  Raises what :func:`evaluate` raises.
     """
     labels = _test_labels(test)
     P = _probs_at(test, T)

@@ -11,7 +11,7 @@ A formulation is its fields: :data:`KIND_FIELDS` names the fields each
 kind takes, and every layer reads which of ``k``, ``eps``, ``kbar``,
 ``ebar``, ``lam`` and ``beta`` are set: the spec's checks, its bounds by
 L and :attr:`~FormulationSpec.needs_fit`, :func:`rule_mask`, the fit's
-knots and cutoff, the sweep and the oracle.
+knots and cutoff and the oracle; the sweep counts :func:`rule_mask`.
 """
 
 from __future__ import annotations

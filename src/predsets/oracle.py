@@ -18,7 +18,7 @@ whether it can solve point by point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -358,30 +358,31 @@ def make_distribution(
     marginal = marginal / marginal.sum()
 
     if template == "two-regime":
-        easy = np.empty((m // 2, L))
-        for i in range(m // 2):
-            dom = int(rng.integers(L))
-            p_dom = rng.uniform(0.96, 0.995)
-            rest = rng.dirichlet(np.ones(L - 1)) * (1.0 - p_dom)
-            easy[i] = np.insert(rest, dom, p_dom)
+        easy = _dominant_rows(rng, m // 2, L, 0.96, 0.995)
         flat = 1.0 + 0.05 * rng.random((m - m // 2, L))
         ambiguous = flat / flat.sum(axis=1, keepdims=True)
         cond = np.vstack([easy, ambiguous])
     elif template == "dirichlet-like":
         cond = rng.dirichlet(np.ones(L), size=m)
     else:
-        cond = np.empty((m, L))
-        for i in range(m):
-            dom = int(rng.integers(L))
-            p_dom = rng.uniform(0.85, 0.99)
-            rest = rng.dirichlet(np.ones(L - 1)) * (1.0 - p_dom)
-            cond[i] = np.insert(rest, dom, p_dom)
+        cond = _dominant_rows(rng, m, L, 0.85, 0.99)
     cond = cond / cond.sum(axis=1, keepdims=True)
     return DiscreteDistribution(
         x_ids=[f"x{i:04d}" for i in range(m)],
         marginal=marginal,
         cond=cond,
     )
+
+
+def _dominant_rows(rng, m, L, low, high) -> np.ndarray:
+    """``m`` rows, each one dominant class of mass in ``[low, high)``."""
+    rows = np.empty((m, L))
+    for i in range(m):
+        dom = int(rng.integers(L))
+        p_dom = rng.uniform(low, high)
+        rest = rng.dirichlet(np.ones(L - 1)) * (1.0 - p_dom)
+        rows[i] = np.insert(rest, dom, p_dom)
+    return rows
 
 
 def sample_scores(
@@ -629,41 +630,30 @@ def equivalence_suite(
     record only states each mode's objective and constraint status.
     """
     _guard_joint(dist)  # the joint kinds' budget, checked before any work
+
+    def record(spec, brute, formulation, judged):
+        closed = closed_form_assignment(dist, spec)
+        return EquivalenceRecord(
+            dist_label=dist_label,
+            formulation=formulation,
+            params=_spec_params(spec),
+            closed_objective=objective_value(dist, spec, closed),
+            brute_objective=brute.objective,
+            constraint_ok=constraint_satisfied(dist, spec, closed),
+            judged=judged,
+        )
+
     records = []
     for kind in JUDGED_KINDS:
         spec = sample_binding_spec(dist, kind, rng)
-        closed = closed_form_assignment(dist, spec)
         brute = brute_force_optimal(dist, spec)
-        records.append(
-            EquivalenceRecord(
-                dist_label=dist_label,
-                formulation=kind.value,
-                params=_spec_params(spec),
-                closed_objective=objective_value(dist, spec, closed),
-                brute_objective=brute.objective,
-                constraint_ok=constraint_satisfied(dist, spec, closed),
-                judged=True,
-            )
-        )
+        records.append(record(spec, brute, kind.value, True))
 
     base = sample_binding_spec(dist, Kind.HYBRID_ERROR, rng)
     brute = brute_force_optimal(dist, base)
     for mode in (MODE_LEMMA_THRESHOLD, MODE_UNION_POINTWISE):
-        spec = FormulationSpec(
-            Kind.HYBRID_ERROR, ebar=base.ebar, eps=base.eps, mode=mode
-        )
-        closed = closed_form_assignment(dist, spec)
-        records.append(
-            EquivalenceRecord(
-                dist_label=dist_label,
-                formulation=f"hybrid-error[{mode}]",
-                params=_spec_params(spec),
-                closed_objective=objective_value(dist, spec, closed),
-                brute_objective=brute.objective,
-                constraint_ok=constraint_satisfied(dist, spec, closed),
-                judged=False,
-            )
-        )
+        spec = replace(base, mode=mode)
+        records.append(record(spec, brute, f"hybrid-error[{mode}]", False))
     return records
 
 

@@ -32,6 +32,7 @@ from predsets.errors import (
     ParameterOrderViolation,
     PredsetsError,
     Saturated,
+    SpecFieldError,
     ThetaMismatch,
     TooFewClasses,
 )
@@ -849,6 +850,13 @@ class TestFeasibilityCheck:
         with pytest.raises(MissingLabels):
             feasibility_check(s, 1, 0.1)
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_k_outside_one_to_L(self, k):
+        s = ScoreSet(ids=["a"], probs=[[0.9, 0.1]], labels=[1])
+        with pytest.raises(KOutOfRange) as exc:
+            feasibility_check(s, k, 0.1)
+        assert str(exc.value) == f"k={k} outside [1, 2]"
+
 
 class TestStepFunctionInvariants:
     def test_totals(self):
@@ -1106,6 +1114,23 @@ class TestCalibrateDispatch:
         spec = FormulationSpec(Kind.POINTWISE_ERROR, eps=0.3)
         clf = calibrate(spec, s, offset="auto")
         assert clf.offset == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("offset", [0.3, "auto", 0.0])
+    @pytest.mark.parametrize("spec", [
+        FormulationSpec(Kind.TOP_K, k=2),
+        FormulationSpec(Kind.AVERAGE_SIZE, kbar=2.0),
+        FormulationSpec(Kind.HYBRID_ERROR, ebar=0.1, eps=0.5),
+    ])
+    def test_offset_of_a_kind_without_one_is_refused(self, spec, offset):
+        # refused before the temperature fit, which these logit-free
+        # scores would fail
+        s = one_sample([0.5, 0.3, 0.2])
+        with pytest.raises(SpecFieldError) as exc:
+            calibrate(spec, s, temperature="fit", offset=offset)
+        assert str(exc.value) == (
+            f"offset is not a parameter of {spec.kind.value}"
+        )
+        assert exc.value.field == "offset"
 
     def test_provenance_recorded(self):
         s = one_sample([0.5, 0.3, 0.2])

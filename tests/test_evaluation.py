@@ -10,7 +10,7 @@ from predsets.calibration import CalibratedClassifier, EmpiricalStepFunction
 from predsets.calibration import calibrate
 from predsets.core import ScoreSet
 from predsets.errors import EmptyScoreSet, InvalidBeta, MissingLabels
-from predsets.errors import PredsetsError
+from predsets.errors import PredsetsError, SpecFieldError
 from predsets.evaluation import (
     PerClassViolation,
     evaluate,
@@ -288,6 +288,30 @@ class TestSweep:
                 calib,
                 seeds=1,
             )
+
+    def test_seeds_must_be_positive(self):
+        s = labeled_set(L=3, n=50)
+        template = FormulationSpec(Kind.TOP_K, k=1)
+        with pytest.raises(ValueError) as exc:
+            sweep(template, [1], s, s, seeds=0)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "seeds must be >= 1"
+
+    @pytest.mark.parametrize("template, offset", [
+        (FormulationSpec(Kind.TOP_K, k=1), 0.3),
+        (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), "auto"),
+    ])
+    def test_offset_of_a_kind_without_one_is_refused(self, template, offset):
+        s = labeled_set(L=3, n=50)
+        with pytest.raises(SpecFieldError) as exc:
+            sweep(template, [1.0], s, s, seeds=1, offset=offset)
+        assert str(exc.value) == (
+            f"offset is not a parameter of {template.kind.value}"
+        )
+        assert exc.value.field == "offset"
+        pointwise = FormulationSpec(Kind.POINTWISE_ERROR, eps=0.5)
+        curve = sweep(pointwise, [0.5], s, s, seeds=1, offset=offset)
+        assert curve.points[0].status == "ok"
 
     def test_nan_does_not_hide_unsorted_grid(self):
         # the order is that of the values other than NaN

@@ -230,6 +230,36 @@ class TestHybridSizeCap:
                 assert np.array_equal(rule_mask(spec, P, theta), want)
 
 
+class TestRuleIsAlwaysPlusPool:
+    """Every rule keeps its mask at theta = inf, plus the pool (its mask at
+    0 less that) at or above theta: the two sets the sweep counts."""
+
+    @pytest.mark.parametrize("L", [3, 10, 40])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_every_rule_at_every_entry(self, L, tied):
+        rng = np.random.default_rng(L)
+        P = tied_matrix(12, L, L) if tied else rng.dirichlet(np.ones(L), 12)
+        specs = [
+            FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0),
+            FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.1),
+            FormulationSpec(HYBRID_ERROR, ebar=0.05, eps=0.3),
+            FormulationSpec(HYBRID_ERROR, ebar=0.05, eps=0.3,
+                            mode=MODE_UNION_POINTWISE),
+            FormulationSpec(Kind.F_SCORE, beta=1.0),
+            FormulationSpec(TOP_K, k=2),
+            FormulationSpec(POINTWISE, eps=0.3),
+            FormulationSpec(PENALIZED, lam=0.2),
+        ] + [FormulationSpec(HYBRID_SIZE, kbar=0.5, k=k) for k in {1, 2, L}]
+        for spec in specs:
+            always = rule_mask(spec, P, np.inf)
+            pool = rule_mask(spec, P, 0.0) & ~always
+            for theta in [0.0, *np.unique(P), np.inf]:
+                got = rule_mask(spec, P, theta)
+                assert np.array_equal(got, always | (pool & (P >= theta)))
+                assert not np.any(always & ~got)
+                assert not np.any(got & ~(always | pool))
+
+
 class TestPointwiseCountsAtManyClasses:
     @pytest.mark.parametrize("L", [2**15 - 2, 2**15 - 1, 2**15 + 2])
     def test_full_rows_do_not_wrap(self, L):

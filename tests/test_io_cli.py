@@ -70,6 +70,21 @@ class TestScoreFiles:
             io.read_scores(bad)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("read, header", [
+        (io.read_scores, "id,label,p_1,p_2"),
+        (io.read_distribution, "x_id,marginal,p_1,p_2"),
+    ])
+    def test_empty_and_header_only_files(self, tmp_path, read, header):
+        path = tmp_path / "data.csv"
+        for text, problem in (("", "empty file"),
+                              (f"{header}\n", "no data rows")):
+            path.write_text(text)
+            with pytest.raises(ParseError) as exc:
+                read(path)
+            assert type(exc.value) is ParseError
+            assert str(exc.value) == f"{path}: {problem}"
+            assert exc.value.line is None
+
     def test_non_integer_label_names_its_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,label,p_1,p_2\nr1,1,0.5,0.5\nr2,x,0.5,0.5\n")
@@ -524,6 +539,16 @@ class TestModelFiles:
         line = len(text.splitlines()) + 1
         assert str(exc.value) == f"{path}: repeated key 'theta' (line {line})"
         assert exc.value.line == line
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "m.model"
+        s = ScoreSet(ids=["a", "b"], probs=[[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+        clf = calibrate(FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.5), s)
+        io.write_model(path, clf)
+        want = io.read_model(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n" + "\n  \n".join(lines) + "\n\n")
+        assert io.read_model(path) == want
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "m.model"
@@ -1194,6 +1219,41 @@ class TestCliSweep:
             "error: SpecFieldError: mode is not a parameter of top-k\n"
         )
         assert not model.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("calibrate", ["top-k", "--k", 2, "--offset", 0.3]),
+        ("calibrate", ["average-size", "--kbar", 2, "--offset", "auto"]),
+        ("sweep", ["top-k", "--grid", "1,2", "--offset", 0.3]),
+        ("sweep", ["average-size", "--grid", "1,2", "--offset", "auto"]),
+    ])
+    def test_offset_of_a_kind_without_one_is_refused(
+            self, tmp_path, synth_files, capsys, command, flags):
+        out = tmp_path / "out"
+        files = (("--scores", synth_files["calib"], "--model", out)
+                 if command == "calibrate" else
+                 ("--calib", synth_files["calib"], "--test",
+                  synth_files["test"], "--out", out))
+        assert run_cli(command, "--formulation", *flags, *files) == 1
+        assert capsys.readouterr().err == (
+            f"error: SpecFieldError: offset is not a parameter of {flags[0]}\n"
+        )
+        assert not out.exists()
+
+    def test_no_ebar_below_eps_zero_names_only_given_values(
+            self, tmp_path, synth_files, capsys):
+        # the swept ebar's placeholder is never shown
+        out = tmp_path / "curve.csv"
+        assert run_cli(
+            "sweep", "--formulation", "hybrid-error", "--eps", 0,
+            "--grid", 0.1, "--calib", synth_files["calib"],
+            "--test", synth_files["test"], "--out", out,
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: ParameterOrderViolation: need ebar < eps, got eps=0.0\n"
+        )
+        assert "eps=0.0" in err and "ebar=0.5" not in err
+        assert not out.exists()
 
     def test_class_count_mismatch(self, tmp_path, synth_files, capsys):
         other = tmp_path / "other.csv"

@@ -10,7 +10,7 @@ import predsets.calibration as calibration
 import predsets.oracle as oracle
 from predsets.calibration import EmpiricalStepFunction
 from predsets.core import topk_mask
-from predsets.errors import ThetaMismatch, TooLargeForBruteForce
+from predsets.errors import ThetaMismatch, TooFewClasses, TooLargeForBruteForce
 from predsets.formulations import FormulationSpec, Kind, pointwise_error_mask
 from predsets.oracle import (
     DiscreteDistribution,
@@ -575,6 +575,28 @@ class TestSynthGenerate:
         problem = rf"^support={support} must be >= 1$"
         with pytest.raises(ValueError, match=problem):
             make_distribution(template, 4, 0, support=support)
+
+    @pytest.mark.parametrize("make, error, problem", [
+        (lambda: DiscreteDistribution(["a", "b"], [1.0], [[0.5, 0.5]] * 2),
+         ValueError, "one marginal probability per support point"),
+        (lambda: DiscreteDistribution(["a"], [1.0], [0.5, 0.5]),
+         ValueError, "cond must be (|support|, L)"),
+        (lambda: DiscreteDistribution(["a"], [1.0], [[1.0]]),
+         TooFewClasses, "need at least 2 classes, got (1, 1)"),
+        (lambda: make_distribution("bogus", 4, 0),
+         ValueError, "unknown template 'bogus'"),
+        (lambda: make_distribution("dirichlet-like", 1, 0),
+         ValueError, "L=1 must be >= 2"),
+        (lambda: make_distribution("two-regime", 4, 0, support=3),
+         ValueError, "two-regime needs an even support size"),
+        (lambda: sample_scores(ONE_POINT, 0, 0),
+         ValueError, "n=0 must be >= 1"),
+    ])
+    def test_bad_arguments_are_refused(self, make, error, problem):
+        with pytest.raises(error) as exc:
+            make()
+        assert type(exc.value) is error
+        assert str(exc.value) == problem
 
     def test_two_regime_entropy_split(self):
         L = 10
