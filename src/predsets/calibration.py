@@ -32,7 +32,9 @@ set rule (the mean of ``sum_{l in Gamma} (p_l - theta)`` is at most
 is at least that over ``1 + beta^2``.  The scores at or above this bound
 are kept, with the largest one below when the lowest kept knot still
 passes the root test; the lowest must fail it.  Neither keeps more than
-``_SELECT_SHARE`` (a quarter) of the scores; past it, all are sorted.
+``_SELECT_SHARE`` (a quarter) of the scores; past it, all are sorted.  A
+sweep keeps the set of its largest grid value, each entry with its row,
+and at T = 1 reweights it by every draw's counts (see ``evaluation``).
 """
 
 from __future__ import annotations
@@ -576,33 +578,54 @@ def calibrate(
 _SELECT_SHARE = 0.25
 
 
-def _top_knots(spec: FormulationSpec, P: np.ndarray) -> EmpiricalStepFunction | None:
+def _top_knots(spec: FormulationSpec, P: np.ndarray, z: float = 0.0,
+               share: float | None = None) -> EmpiricalStepFunction | None:
     """The top knots of G over ``P`` (norm n) that hold the average-size or
-    F-score cutoff, as the module docstring describes; None for other kinds
-    or when they would be more than ``_SELECT_SHARE`` of the scores."""
-    n, N = P.shape[0], P.size
-    most = _SELECT_SHARE * N
-    if spec.kbar is not None and spec.k is None:
-        rank = math.floor(spec.kbar * n) + 1
+    F-score cutoff, as the module docstring describes, each entry with its
+    row, and with ``z`` as many more as ``z`` standard deviations of a
+    bootstrap draw's kept weight.  None for other kinds or when they would
+    be more than ``share`` (default ``_SELECT_SHARE``) of the scores."""
+    (n, L), N, flat = P.shape, P.size, P.ravel()
+    most = (share or _SELECT_SHARE) * N
+
+    def kept(keep):
+        at = np.flatnonzero(keep)
+        return EmpiricalStepFunction(flat[at], rows=at // L, norm=n)
+
+    def largest(rank):  # the rank largest scores, and any tied with the last
         if rank > most:
             return None
-        part = np.partition(P, N - rank, axis=None)  # one flat copy
-        return EmpiricalStepFunction(part[part >= part[N - rank]], norm=n)
-    if spec.beta is None:
-        return None
-    flat, b2 = P.ravel(), spec.beta * spec.beta
-    # row maxima folded over <= 16 columns: 11-192 vs 516-874 us on 10 000 rows
-    top1 = reduce(np.maximum, P.T) if P.shape[1] <= 16 else P.max(axis=1)
-    v = top1.mean() / (1.0 + b2)
-    for _ in range(2):
-        keep = flat >= v
-        if np.count_nonzero(keep) > most:
-            return None
-        g = EmpiricalStepFunction(flat[keep], norm=n)
-        if g.scores.size and not _phi_nonnegative(g, b2, 0):
-            return g
-        v = flat.max(where=~keep, initial=-np.inf)
-    return None
+        return kept(flat >= np.partition(flat, N - rank)[N - rank])
+
+    g = None
+    if spec.kbar is not None and spec.k is None:
+        g = largest(math.floor(spec.kbar * n) + 1)
+    elif spec.beta is not None:
+        # row maxima folded over <= 16 columns: 11-192 vs 516-874 us on 10 000 rows
+        top1 = reduce(np.maximum, P.T) if L <= 16 else P.max(axis=1)
+        v = top1.mean() / (1.0 + spec.beta * spec.beta)
+        for _ in range(2):
+            keep = flat >= v
+            if np.count_nonzero(keep) > most:
+                return None
+            g = kept(keep)
+            if g.scores.size and _holds(spec, g):
+                break
+            g, v = None, flat.max(where=~keep, initial=-np.inf)
+    if z and g is not None:
+        # a draw's kept weight sums its counts over these entries: mean K,
+        # variance sum(m^2) - K^2/n with m the entries per row
+        m, K = np.bincount(g._entries[1], minlength=n), int(g.tail[0])
+        g = largest(K + math.ceil(z * math.sqrt((n * int(m @ m) - K * K) / n)))
+    return g
+
+
+def _holds(spec: FormulationSpec, g: EmpiricalStepFunction) -> bool:
+    """Whether top knots of G hold the cutoff of ``spec`` and any smaller
+    kbar's or beta's: weight above ``kbar * norm``, or ``phi < 0`` at the lowest."""
+    if spec.kbar is not None:
+        return bool(g.tail[0] > spec.kbar * g.norm)
+    return not _phi_nonnegative(g, spec.beta * spec.beta, 0)
 
 
 def _probs_at(scores: ScoreSet, T: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from . import io
 from .calibration import CalibratedClassifier, calibrate
 from .core import ScoreSet, label_entries, row_counts
 from .errors import ClassCountMismatch, InvalidSlack, ParameterOrderViolation
-from .errors import PredsetsError
+from .errors import PredsetsError, SpecFieldError
 from .evaluation import evaluate, sweep
 from .formulations import FormulationSpec, Kind, KIND_FIELDS
 from .formulations import MODE_LEMMA_THRESHOLD
@@ -56,6 +56,8 @@ def _spec_from_args(args, sweep: bool = False) -> FormulationSpec:
     swept field (the first its kind takes) holds a valid placeholder that
     the grid replaces, not the flag; every other field comes from a flag."""
     kind = Kind(args.formulation)
+    if args.mode is not None and "mode" not in KIND_FIELDS[kind]:
+        raise SpecFieldError(f"mode is not a parameter of {kind.value}", "mode")
     kwargs, swept = {}, KIND_FIELDS[kind][0] if sweep else None
     for name in ("k", "eps", "ebar", "kbar", "lam", "beta", "mode"):
         value = getattr(args, name, None)

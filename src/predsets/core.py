@@ -76,10 +76,10 @@ def row_blocks(n: int, L: int) -> list[slice]:
 def _pieces(floats: int) -> int:
     """One piece per usable CPU, each of at least 2**17 floats; one where
     this process cannot tell its usable CPUs or fork (the CSV reader and
-    writer fork their pieces)."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), floats >> 17))
+    writer fork their pieces).  Below 2**18 floats that is one, unasked."""
+    if floats >> 18 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), floats >> 17)
+    return 1
 
 
 def _cuts(rows: int, floats: int) -> list[int]:
@@ -95,6 +95,8 @@ def _in_pieces(work, *arrays) -> None:
     joined before the return; then the exception of the first piece that
     raised one is raised here."""
     cuts = _cuts(len(arrays[0]), arrays[0].size)
+    if len(cuts) == 2:  # one piece: a plain call
+        return work(*arrays)
     errors = {}
 
     def run(a, b):

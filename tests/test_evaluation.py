@@ -7,7 +7,7 @@ import pytest
 
 from predsets import calibration, evaluation
 from predsets.calibration import CalibratedClassifier, EmpiricalStepFunction
-from predsets.calibration import calibrate
+from predsets.calibration import calibrate, step_function
 from predsets.core import ScoreSet
 from predsets.errors import EmptyScoreSet, InvalidBeta, MissingLabels
 from predsets.errors import PredsetsError, SpecFieldError
@@ -209,6 +209,17 @@ class TestPerClassViolation:
         rates = evaluate(topk_clf(1), s).per_class_error
         v = PerClassViolation.from_rates(rates, 0.1)
         assert set(v.rates) == {1}
+
+    def test_quantiles_equal_one_percentile_per_level(self):
+        rng = np.random.default_rng(4)
+        for size in range(1, 200):
+            rates = rng.random(size)
+            if size % 2:  # tied rates
+                rates = np.round(rates * 4) / 4
+            v = PerClassViolation.from_rates(dict(enumerate(rates)), 0.5)
+            assert v.quantiles == {
+                q: float(np.percentile(rates, q)) for q in (10, 25, 50, 75, 90)
+            }
 
 
 class TestSweep:
@@ -521,6 +532,92 @@ class TestSweepMatchesRefitLoop:
             assert got == want
             assert [pt.split(": ")[1] if isinstance(pt, str) else "ok"
                     for pt in got] == status
+
+
+class TestKeptKnots:
+    """A sweep of average-size or the F-score reads its cutoffs off the
+    top knots the largest grid value keeps; a draw they cannot hold is
+    read off the full knots, built then.  Every point equals the refits."""
+
+    CASES = [
+        (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), [0.3, 0.7, 1.3]),
+        (FormulationSpec(Kind.F_SCORE, beta=1.0), [0.5, 1.0, 1.5]),
+    ]
+
+    @staticmethod
+    def split(template="two-regime", L=4, n=157, temperature=1.0, seed=5):
+        data = synth_generate(template, L, 2 * n, seed, noise=0.3)
+        return data.subset(np.arange(n)), data.subset(np.arange(n, 2 * n))
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Lists of the full knots built and the sizes of the knots
+        reweighted, as the sweep calls them."""
+        built, sizes = [], []
+        knots, reweight = evaluation._knots, EmpiricalStepFunction.reweight
+
+        def counted_knots(*args):
+            built.append(args[0])
+            return knots(*args)
+
+        def counted_reweight(self, counts, *, norm):
+            sizes.append(self.scores.size)
+            return reweight(self, counts, norm=norm)
+
+        monkeypatch.setattr(evaluation, "_knots", counted_knots)
+        monkeypatch.setattr(EmpiricalStepFunction, "reweight", counted_reweight)
+        return built, sizes
+
+    @pytest.mark.parametrize("template, grid", CASES)
+    def test_short_draws_read_the_full_knots(self, template, grid, monkeypatch):
+        # without a margin some draws' kept weight (or phi) falls short
+        calib, test = self.split()
+        want = refit_loop(template, grid, calib, test, seeds=20)
+        monkeypatch.setattr(evaluation, "_MARGIN_SD", 0.0)
+        built, sizes = self.counted(monkeypatch)
+        assert swept(sweep(template, grid, calib, test, seeds=20)) == want
+        assert len(built) == 1  # once, at the first short draw
+        assert 20 < len(sizes) < 40
+        monkeypatch.undo()
+        built, sizes = self.counted(monkeypatch)
+        assert swept(sweep(template, grid, calib, test, seeds=20)) == want
+        assert (len(built), len(sizes)) == (0, 20)
+        assert max(sizes) < calib.probs.size * evaluation._SWEEP_SHARE
+
+    @pytest.mark.parametrize("template, grid", [
+        (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), [0.5, 1.5, 2.6]),
+        (FormulationSpec(Kind.F_SCORE, beta=1.0), [1.0, 8.0]),
+    ])
+    def test_grid_past_the_share_takes_the_full_knots(self, template, grid,
+                                                      monkeypatch):
+        # kbar 2.6 of L = 4 needs 65 % of the scores, beta = 8 nearly all
+        calib, test = self.split()
+        want = refit_loop(template, grid, calib, test, seeds=5)
+        built, sizes = self.counted(monkeypatch)
+        assert swept(sweep(template, grid, calib, test, seeds=5)) == want
+        assert len(built) == 1 and set(sizes) == {
+            step_function(template, calib).scores.size}
+
+    @pytest.mark.parametrize("template, grid", [
+        CASES[0], (FormulationSpec(Kind.F_SCORE, beta=1.0), [0.25, 0.5])])
+    def test_temperature_fit_draws_keep_their_top_knots(self, template, grid,
+                                                        monkeypatch):
+        calib, test = self.split("dirichlet-like", L=10, n=300, seed=8)
+        want = refit_loop(template, grid, calib, test, 4, temperature="fit")
+        built, _ = self.counted(monkeypatch)
+        kept = []
+        top_knots = evaluation._top_knots
+
+        def counted_top_knots(*args):
+            kept.append(top_knots(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(evaluation, "_top_knots", counted_top_knots)
+        got = swept(sweep(template, grid, calib, test, seeds=4,
+                          temperature="fit"))
+        assert got == want
+        assert built == [] and len(kept) == 4
+        assert all(g.scores.size < 0.25 * calib.probs.size for g in kept)
 
 
 class TestTemperatureFitSweep:

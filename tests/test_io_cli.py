@@ -273,6 +273,19 @@ class TestSplitWriter:
         monkeypatch.delattr(core.os, "fork")
         assert core._pieces(2**20) == 1
 
+    def test_small_kernels_ask_for_no_cpus(self, monkeypatch):
+        P = synth_generate("two-regime", 10, 10_000, 3, noise=0.2).probs
+        want = (core.threshold_mask(P, 0.2), softmax(np.log(P), 0.7))
+
+        def refused(pid):
+            raise AssertionError("asked for the usable CPUs")
+
+        monkeypatch.setattr(core.os, "sched_getaffinity", refused)
+        got = (core.threshold_mask(P, 0.2), softmax(np.log(P), 0.7))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert core._pieces(2**18) == 2
+
     def test_failed_child_raises_oserror_naming_path(self, tmp_path, monkeypatch):
         monkeypatch.setattr(core, "_pieces", lambda floats: 2)
         path = tmp_path / "s.csv"
@@ -1219,6 +1232,27 @@ class TestCliSweep:
             "error: SpecFieldError: mode is not a parameter of top-k\n"
         )
         assert not model.exists()
+
+    # the default mode too: a kind without one takes no --mode at all
+    @pytest.mark.parametrize("command, flags", [
+        ("calibrate", ["top-k", "--k", 2]),
+        ("calibrate", ["average-size", "--kbar", 2]),
+        ("sweep", ["top-k", "--grid", "1,2"]),
+        ("sweep", ["pointwise-error", "--grid", "0.1,0.2"]),
+    ])
+    def test_default_mode_of_a_kind_without_one_is_refused(
+            self, tmp_path, synth_files, capsys, command, flags):
+        out = tmp_path / "out"
+        files = (("--scores", synth_files["calib"], "--model", out)
+                 if command == "calibrate" else
+                 ("--calib", synth_files["calib"], "--test",
+                  synth_files["test"], "--out", out))
+        assert run_cli(command, "--formulation", *flags,
+                       "--mode", "lemma-threshold", *files) == 1
+        assert capsys.readouterr().err == (
+            f"error: SpecFieldError: mode is not a parameter of {flags[0]}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags", [
         ("calibrate", ["top-k", "--k", 2, "--offset", 0.3]),
