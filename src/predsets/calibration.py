@@ -16,7 +16,7 @@ search in two orientations (the knot where G or G_k drops to kbar, the
 largest where H or H_eps reaches 1 - ebar) or the exact F-score root.  The
 knots are built with unit counts, and :meth:`EmpiricalStepFunction.reweight`
 is the one way to weigh them otherwise: a bootstrap replicate is the same
-knots reweighted by its counts (see ``evaluation.sweep``), and a population
+knots reweighted by its counts (see :func:`_draw_fit`), and a population
 is its support points' knots reweighted by its marginal (see
 ``oracle.population_step_function``).
 
@@ -33,8 +33,8 @@ is at least that over ``1 + beta^2``.  The scores at or above this bound
 are kept, with the largest one below when the lowest kept knot still
 passes the root test; the lowest must fail it.  Neither keeps more than
 ``_SELECT_SHARE`` (a quarter) of the scores; past it, all are sorted.  A
-sweep keeps the set of its largest grid value, each entry with its row,
-and at T = 1 reweights it by every draw's counts (see ``evaluation``).
+sweep's draws (:func:`_draw_fit`) keep the set of its largest grid value,
+each entry with its row, and at T = 1 reweight it by every draw's counts.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .core import row_blocks, row_counts, softmax, topk_mask
 from .errors import EmptyScoreSet, InfeasiblePair, KOutOfRange
 from .errors import InvalidTemperature, MissingLogits, NonFiniteEntry
 from .errors import Saturated, SpecFieldError, ThetaMismatch, TooFewClasses
-from .formulations import FormulationSpec, Kind, KIND_FIELDS
+from .formulations import FormulationSpec, KIND_FIELDS
 from .formulations import pointwise_error_mask, rule_mask
 
 
@@ -278,8 +278,7 @@ def step_function(spec: FormulationSpec, scores: ScoreSet) -> EmpiricalStepFunct
     _require_fit(spec)
     _require_nonempty(scores)
     spec.check_class_count(scores.L)
-    if spec.kind is Kind.AVERAGE_ERROR:
-        scores.require_labels(spec.kind.value)
+    _require_true_labels(spec, scores)
     return _knots(spec, scores.probs, scores.labels)
 
 
@@ -291,6 +290,14 @@ def _require_fit(spec: FormulationSpec) -> None:
 def _require_nonempty(scores: ScoreSet) -> None:
     if scores.n == 0:
         raise EmptyScoreSet("calibration needs at least one sample")
+
+
+def _require_true_labels(spec: FormulationSpec, scores: ScoreSet, counts=None):
+    """:class:`MissingLabels` if the knots of ``spec`` are H (``ebar``
+    without ``eps``) and a row of ``scores`` (drawn, per ``counts``) has no
+    label."""
+    if spec.ebar is not None and spec.eps is None:
+        scores.require_labels(spec.kind.value, counts)
 
 
 def _check_offset(spec: FormulationSpec, offset) -> None:
@@ -410,11 +417,9 @@ def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
 
     Each row adds its own terms to the slope and the curvature, so a draw
     computes them once per distinct row and gathers them in draw order:
-    the means are those of the resampled rows, bit for bit.  The terms at
-    the start, which every fit evaluates, and at a bracket end, once a fit
-    needs it, are kept for all rows.  Non-finite logits raise
-    :class:`NonFiniteEntry` here,
-    before any slope is evaluated: ``0 * -inf`` would make every slope NaN.
+    the means are those of the resampled rows, bit for bit.  Non-finite
+    logits raise :class:`NonFiniteEntry` here, before any slope is
+    evaluated: ``0 * -inf`` would make every slope NaN.
     """
     finite = np.isfinite(logits)
     if not finite.all():
@@ -425,8 +430,6 @@ def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
     z_true_all = label_entries(z_all, labels)
     t_lo, t_hi = TEMPERATURE_BOUNDS
     bracket = (1.0 / t_hi, 1.0 / t_lo)  # on beta
-    start = min(max(1.0, bracket[0]), bracket[1])
-    kept = {}
 
     def terms(z, z_true, beta):
         # each row's E_p[z] - z_y and Var_p[z], by row pieces and blocks
@@ -449,12 +452,7 @@ def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
         z, z_true = z_all[distinct], z_true_all[distinct]
 
         def slope(beta: float) -> tuple[float, float]:
-            if beta in (*bracket, start):
-                if beta not in kept:
-                    kept[beta] = terms(z_all, z_true_all, beta)
-                d, v = (t[distinct] for t in kept[beta])
-            else:
-                d, v = terms(z, z_true, beta)
+            d, v = terms(z, z_true, beta)
             return float(np.mean(d[order])), float(np.mean(v[order]))
 
         def beyond():  # the bound the optimum lies at or beyond, if any; an
@@ -466,7 +464,7 @@ def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
             return None
 
         lo, hi = bracket
-        beta = start
+        beta = min(max(1.0, lo), hi)
         for _ in range(200):
             g, h = slope(beta)
             if g == 0.0:
@@ -554,11 +552,8 @@ def calibrate(
     theta = None
     if spec.needs_fit:
         P = _probs_at(scores, T)
-        if spec.kind is Kind.AVERAGE_ERROR:
-            scores.require_labels(spec.kind.value)
-        knots = _top_knots(spec, P)
-        if knots is None:
-            knots = _knots(spec, P, scores.labels)
+        _require_true_labels(spec, scores)
+        knots = _top_knots(spec, P) or _knots(spec, P, scores.labels)
         theta = _cutoff(spec, knots)
     elif T != 1.0:
         _rescalable(scores, T)  # checked, not computed: nothing is fitted
@@ -576,6 +571,10 @@ def calibrate(
 #: share s cost as much as sorting all at s ~ 0.7 at L = 10 (10 000 rows) and
 #: s ~ 0.5 at L = 1000 (2000 rows); at 0.25 it took 0.3-0.8 of the sort.
 _SELECT_SHARE = 0.25
+#: A T = 1 sweep's margin, in standard deviations of a draw's kept weight,
+#: and most kept share: kept knots of 0.6 of the scores took 0.87-0.99 of a
+#: full-knot sweep's time at L = 10, 100 and 1000, of 0.7 1.04-1.16.
+_MARGIN_SD, _SWEEP_SHARE = 4.0, 0.6
 
 
 def _top_knots(spec: FormulationSpec, P: np.ndarray, z: float = 0.0,
@@ -626,6 +625,50 @@ def _holds(spec: FormulationSpec, g: EmpiricalStepFunction) -> bool:
     if spec.kbar is not None:
         return bool(g.tail[0] > spec.kbar * g.norm)
     return not _phi_nonnegative(g, spec.beta * spec.beta, 0)
+
+
+def _draw_fit(spec: FormulationSpec, scores: ScoreSet, temperature):
+    """``(idx, counts) -> (T, knots)`` for a bootstrap draw of ``scores``
+    (its drawn rows and each row's count): the temperature and the knots
+    that ``calibrate(spec, scores.subset(idx), temperature)``, once the
+    spec's own checks pass, reads the cutoff of ``spec``, or of a smaller
+    swept value, off, bit for bit; it raises what that calibrate raises.
+    At a fixed T the knots are sorted once and reweighted by each draw's
+    counts: the top knots of ``spec`` with ``_MARGIN_SD`` standard
+    deviations of a draw's kept weight more, within ``_SWEEP_SHARE`` of the
+    scores, and the full knots, built on first need, for a draw they do not
+    hold.  Under ``"fit"`` a draw fits its own T and knots on its logit and
+    label rows, each row's terms and softmax computed once per distinct row
+    and gathered in draw order; no ScoreSet is built."""
+    if temperature == "fit":
+        if scores.logits is None:
+            raise MissingLogits("temperature fitting needs logits")
+        fit_rows = _temperature_fit(scores.logits, scores.labels)
+
+        def fitted(idx, counts):
+            labels = scores.require_labels("fit_temperature", counts)[idx]
+            distinct = np.flatnonzero(counts)
+            order = (np.cumsum(counts > 0) - 1)[idx]
+            T = fit_rows(distinct, order)
+            P = softmax(scores.logits[distinct], T)[order]
+            check_probability_rows(P)  # raises what _rescalable would
+            return T, _top_knots(spec, P) or _knots(spec, P, labels)
+
+        return fitted
+    T = _check_temperature(temperature)
+    P = _probs_at(scores, T)
+    top, full = _top_knots(spec, P, _MARGIN_SD, _SWEEP_SHARE), None
+
+    def reweighted(idx, counts):
+        nonlocal full
+        _require_true_labels(spec, scores, counts)
+        knots = top and top.reweight(counts, norm=scores.n)
+        if knots is None or not _holds(spec, knots):
+            full = full or _knots(spec, P, scores.labels)
+            knots = full.reweight(counts, norm=scores.n)
+        return T, knots
+
+    return reweighted
 
 
 def _probs_at(scores: ScoreSet, T: float) -> np.ndarray:

@@ -3,13 +3,9 @@
 Error and size can each be measured on average or per input; since the true
 conditional error at a single input is unidentifiable from one label, the
 per-class error rate serves as its observable proxy throughout; per-class
-rates are integer counts per label, each divided once.  A sweep draws
-its bootstrap resamples once: each draw reweights calibration knots sorted
-once (at a fitted temperature, builds knots of its own rows), reads every
-grid value's cutoff off them and counts the test entries rule_mask keeps.
-Average-size and F-score sweeps keep the top knots that can hold their
-largest grid value's cutoff (``calibration._top_knots``), at T = 1 with a
-margin for the draws' weights; a draw they do not hold reads full knots.
+rates are integer counts per label, each divided once.  A sweep draws its
+bootstrap resamples once, fits each in ``calibration._draw_fit``, reads
+every grid value's cutoff off the draw's knots and counts test entries.
 """
 
 from __future__ import annotations
@@ -21,20 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibratedClassifier, calibrate, fit_temperature
-from .calibration import _check_temperature, _cutoff, _knots, _probs_at
-from .calibration import _check_offset, _require_nonempty, _temperature_fit
-from .calibration import _holds, _top_knots
-from .core import ScoreSet, check_probability_rows, label_entries, row_counts
-from .core import softmax
-from .errors import EmptyScoreSet, InvalidBeta, KOutOfRange, MissingLogits
-from .errors import PredsetsError
-from .formulations import FormulationSpec, Kind, KIND_FIELDS, rule_mask
+from .calibration import _check_offset, _cutoff, _draw_fit, _probs_at
+from .calibration import _require_nonempty
+from .core import ScoreSet, label_entries, row_counts
+from .errors import EmptyScoreSet, InvalidBeta, KOutOfRange, PredsetsError
+from .formulations import FormulationSpec, KIND_FIELDS, rule_mask
 
 PERCENTILES = (10, 25, 50, 75, 90)
-#: A T = 1 sweep's margin, in standard deviations of a draw's kept weight,
-#: and most kept share: kept knots of 0.6 of the scores took 0.87-0.99 of a
-#: full-knot sweep's time at L = 10, 100 and 1000, of 0.7 1.04-1.16.
-_MARGIN_SD, _SWEEP_SHARE = 4.0, 0.6
 
 
 @dataclass
@@ -206,16 +195,14 @@ def sweep(
     zero deviation.  A grid value whose fit fails is recorded as a failed
     point instead of aborting the sweep.
 
-    A resample is a count vector over the calibration rows: a fitted
-    kind's knots, sorted once, are reweighted by each draw's counts, and
-    every grid value's cutoff is read off them, so each draw's cutoffs,
-    and the curve, are monotone in the swept field.  The test error and
-    size at a cutoff are counts of test scores.  Each point equals
+    A resample is a count vector over the calibration rows, fitted as
+    ``calibrate`` fits the resampled rows (``calibration._draw_fit``), and
+    every grid value's cutoff is read off that draw's knots, so each draw's
+    cutoffs, and the curve, are monotone in the swept field.  The test error
+    and size at a cutoff are counts of test scores.  Each point equals
     refitting ``calibrate`` on ``calib.subset(draw)`` and running
-    :func:`evaluate`.  Under ``temperature="fit"`` each draw fits its
-    temperature on its gathered logit and label rows and builds unit-count
-    knots from those rows at that temperature; no ScoreSet is built per
-    draw.
+    :func:`evaluate`.  A fitted point's ``violation_quantiles`` are those of
+    the per-class rates of its first draw's classifier, not of all draws.
     """
     grid = [float(v) for v in param_grid]
     if not grid:
@@ -238,7 +225,7 @@ def sweep(
             outcome[i] = exc
     if template.needs_fit:
         outcome.update(_bootstrap(
-            template, specs, calib, test, seeds, base_seed, temperature))
+            specs, calib, test, seeds, base_seed, temperature))
     elif temperature == "fit":  # one fit serves every grid value
         try:
             temperature = fit_temperature(calib)
@@ -255,10 +242,8 @@ def sweep(
                 errors, sizes, clf = outcome[i]
                 report = evaluate(clf, test) if spec.eps is not None else None
             else:
-                clf = calibrate(
-                    spec, calib, temperature=temperature, offset=offset,
-                    seed=base_seed,
-                )
+                clf = calibrate(spec, calib, temperature=temperature,
+                                offset=offset, seed=base_seed)
                 report = evaluate(clf, test)
                 errors = [report.avg_error] * seeds
                 sizes = [report.avg_size] * seeds
@@ -268,16 +253,11 @@ def sweep(
                 quantiles = PerClassViolation.from_rates(
                     report.per_class_error, spec.eps
                 ).quantiles
-            curve.points.append(
-                SweepPoint(
-                    param=value,
-                    avg_error=float(np.mean(errors)),
-                    avg_size=float(np.mean(sizes)),
-                    std_error=float(np.std(errors)),
-                    std_size=float(np.std(sizes)),
-                    violation_quantiles=quantiles,
-                )
-            )
+            curve.points.append(SweepPoint(
+                value, float(np.mean(errors)), float(np.mean(sizes)),
+                float(np.std(errors)), float(np.std(sizes)),
+                violation_quantiles=quantiles,
+            ))
         except PredsetsError as exc:
             curve.points.append(SweepPoint(
                 value, None, None, None, None,
@@ -286,48 +266,24 @@ def sweep(
     return curve
 
 
-def _bootstrap(template, specs, calib, test, seeds, base_seed, temperature):
-    """Each of ``specs`` (grid index -> ``template`` at a grid value) refit
-    on the same ``seeds`` bootstrap draws of ``calib``: its test errors,
-    sizes and first draw's classifier, or the first error ``calibrate`` on
-    a draw's rows, then :func:`evaluate`, raises for it.  An error in
-    making a draw's knots fails every spec still alive; the test set's
-    checks run for each spec, so each fails with the error it meets first."""
-    out, alive = {}, dict(specs)
+def _bootstrap(specs, calib, test, seeds, base_seed, temperature):
+    """Each of ``specs`` (grid index -> spec at a grid value) refit on the
+    same ``seeds`` bootstrap draws of ``calib``: its test errors, sizes and
+    first draw's classifier, or the first error ``calibrate`` on a draw's
+    rows, then :func:`evaluate`, raises for it.  An error in a draw's fit
+    (``_draw_fit`` at the largest value, made once a spec is alive) fails
+    every spec still alive; the test set's checks fail each spec alone."""
+    out, alive, fit, at_T = {}, dict(specs), None, None
     try:
-        fit = temperature == "fit"
-        extreme = specs[max(specs)] if specs else template  # largest value
-        if fit:
-            if calib.logits is None:
-                raise MissingLogits("temperature fitting needs logits")
-            fit_rows = _temperature_fit(calib.logits, calib.labels)
-        else:
-            T, at, full = _check_temperature(temperature), None, None
-            P = _probs_at(calib, T)
-            top = _top_knots(extreme, P, _MARGIN_SD, _SWEEP_SHARE)
         for rep in range(seeds):
             if not alive:
                 break
+            fit = fit or _draw_fit(specs[max(specs)], calib, temperature)
             rng = np.random.default_rng([base_seed, rep])
             idx = rng.integers(0, calib.n, size=calib.n)
-            counts = np.bincount(idx, minlength=calib.n)
-            if fit:
-                # the draw's own temperature and knots; row-wise work is
-                # done once per distinct row, then gathered
-                labels = calib.require_labels("fit_temperature", counts)[idx]
-                distinct = np.flatnonzero(counts)
-                order = (np.cumsum(counts > 0) - 1)[idx]
-                T, at = fit_rows(distinct, order), None
-                P = softmax(calib.logits[distinct], T)[order]
-                check_probability_rows(P)  # raises what _rescalable would
-                knots = _top_knots(extreme, P) or _knots(template, P, labels)
-            else:
-                if template.kind is Kind.AVERAGE_ERROR:
-                    calib.require_labels(template.kind.value, counts)
-                knots = top and top.reweight(counts, norm=calib.n)
-                if knots is None or not _holds(extreme, knots):
-                    full = full or _knots(template, P, calib.labels)
-                    knots = full.reweight(counts, norm=calib.n)
+            T, knots = fit(idx, np.bincount(idx, minlength=calib.n))
+            if T != at_T:  # the test counts at the draw's temperature
+                at, at_T = None, T
             for i, spec in list(alive.items()):
                 try:
                     theta = _cutoff(spec, knots)

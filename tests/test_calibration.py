@@ -19,6 +19,7 @@ from predsets.calibration import (
     step_function,
 )
 from predsets.core import ScoreSet, softmax
+from predsets.evaluation import spec_with_param
 from predsets.errors import (
     EbarOutOfRange,
     EmptyScoreSet,
@@ -1084,6 +1085,69 @@ class TestTopKnots:
         theta = calibrate(spec, s).theta
         assert theta == calibration._cutoff(spec, step_function(spec, s))
         assert theta == pytest.approx(0.8 / 2, abs=1e-15)
+
+
+class TestDrawFit:
+    """``_draw_fit`` fits a bootstrap draw as ``calibrate`` fits the drawn
+    rows: the same temperature and, at every grid value, the same cutoff,
+    or the same error and text, bit for bit."""
+
+    CASES = [
+        (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), [1e-9, 0.3, 0.7, 1.3]),
+        (FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.1), [0.03, 0.1, 0.25]),
+        (FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=2), [0.4, 1.1, 1.7]),
+        (FormulationSpec(Kind.HYBRID_ERROR, ebar=0.1, eps=0.3),
+         [0.01, 0.2, 0.27]),
+        (FormulationSpec(Kind.HYBRID_ERROR, ebar=0.1, eps=0.3,
+                         mode="union-with-pointwise"), [0.2, 0.27]),
+        (FormulationSpec(Kind.F_SCORE, beta=1.0), [0.5, 1.0, 1.5]),
+    ]
+
+    @staticmethod
+    def assert_draws_fit_alike(template, grid, temperature, seeds=6, n=157):
+        """Fits ``seeds`` draws of a two-regime set of ``n`` rows at L = 4;
+        returns the knot count of each draw and of the full knots."""
+        data = synth_generate("two-regime", 4, n, 5, noise=0.3)
+        specs = [spec_with_param(template, value) for value in grid]
+        fit = calibration._draw_fit(specs[-1], data, temperature)
+        sizes = []
+        for rep in range(seeds):
+            idx = np.random.default_rng([0, rep]).integers(0, n, size=n)
+            T, knots = fit(idx, np.bincount(idx, minlength=n))
+            rows = data.subset(idx)
+            for spec in specs:
+                want = outcome(lambda: calibrate(
+                    spec, rows, temperature=temperature))
+                got = outcome(lambda: calibration._cutoff(spec, knots))
+                if not isinstance(want, tuple):
+                    assert T == want.temperature, (spec, rep)
+                    want = want.theta
+                assert got == want, (spec, rep)
+            sizes.append(knots.scores.size)
+        return sizes, step_function(specs[-1], data).scores.size
+
+    @pytest.mark.parametrize("temperature", [1.0, "fit"])
+    @pytest.mark.parametrize("template, grid", CASES)
+    def test_equals_calibrate_on_the_drawn_rows(self, template, grid,
+                                                temperature):
+        self.assert_draws_fit_alike(template, grid, temperature)
+
+    @pytest.mark.parametrize("template, grid", [CASES[0], CASES[5]])
+    def test_draws_the_kept_set_misses(self, template, grid, monkeypatch):
+        # without a margin some draws' kept weight (or phi) falls short
+        monkeypatch.setattr(calibration, "_MARGIN_SD", 0.0)
+        sizes, full = self.assert_draws_fit_alike(template, grid, 1.0,
+                                                  seeds=20)
+        assert full in sizes and min(sizes) < full
+
+    @pytest.mark.parametrize("template, grid", [
+        (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), [0.5, 1.5, 2.6]),
+        (FormulationSpec(Kind.F_SCORE, beta=1.0), [1.0, 8.0]),
+    ])
+    def test_grid_past_the_share(self, template, grid):
+        # kbar 2.6 of L = 4 needs 65 % of the scores, beta = 8 nearly all
+        sizes, full = self.assert_draws_fit_alike(template, grid, 1.0)
+        assert set(sizes) == {full}
 
 
 class TestCalibrateDispatch:

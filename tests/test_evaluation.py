@@ -1,6 +1,7 @@
 """Metrics, per-class violation proxies and sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -376,6 +377,26 @@ class TestSweep:
             "failed: EmptyScoreSet: evaluation needs at least one sample"
         ] * 2
 
+    @pytest.mark.parametrize("temperature", [1.0, "fit"])
+    @pytest.mark.parametrize("template", [
+        FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0),
+        FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.1),
+        FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=2),
+        FormulationSpec(Kind.HYBRID_ERROR, ebar=0.1, eps=0.3),
+        FormulationSpec(Kind.F_SCORE, beta=1.0),
+    ])
+    def test_empty_calibration_set_points_marked_failed(self, template,
+                                                        temperature):
+        # nothing is fitted once every grid value has failed: no warning
+        s = synth_generate("dirichlet-like", 4, 100, 8, noise=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = sweep(template, [0.1, 0.2], s.subset([]), s, seeds=2,
+                          temperature=temperature)
+        assert [pt.status for pt in curve.points] == [
+            "failed: EmptyScoreSet: calibration needs at least one sample"
+        ] * 2
+
     def test_infinite_beta_grid_point_marked_failed(self):
         dist = make_distribution("dirichlet-like", 3, 2)
         calib = sample_scores(dist, 100, 2)
@@ -554,7 +575,7 @@ class TestKeptKnots:
         """Lists of the full knots built and the sizes of the knots
         reweighted, as the sweep calls them."""
         built, sizes = [], []
-        knots, reweight = evaluation._knots, EmpiricalStepFunction.reweight
+        knots, reweight = calibration._knots, EmpiricalStepFunction.reweight
 
         def counted_knots(*args):
             built.append(args[0])
@@ -564,7 +585,7 @@ class TestKeptKnots:
             sizes.append(self.scores.size)
             return reweight(self, counts, norm=norm)
 
-        monkeypatch.setattr(evaluation, "_knots", counted_knots)
+        monkeypatch.setattr(calibration, "_knots", counted_knots)
         monkeypatch.setattr(EmpiricalStepFunction, "reweight", counted_reweight)
         return built, sizes
 
@@ -573,7 +594,7 @@ class TestKeptKnots:
         # without a margin some draws' kept weight (or phi) falls short
         calib, test = self.split()
         want = refit_loop(template, grid, calib, test, seeds=20)
-        monkeypatch.setattr(evaluation, "_MARGIN_SD", 0.0)
+        monkeypatch.setattr(calibration, "_MARGIN_SD", 0.0)
         built, sizes = self.counted(monkeypatch)
         assert swept(sweep(template, grid, calib, test, seeds=20)) == want
         assert len(built) == 1  # once, at the first short draw
@@ -582,7 +603,7 @@ class TestKeptKnots:
         built, sizes = self.counted(monkeypatch)
         assert swept(sweep(template, grid, calib, test, seeds=20)) == want
         assert (len(built), len(sizes)) == (0, 20)
-        assert max(sizes) < calib.probs.size * evaluation._SWEEP_SHARE
+        assert max(sizes) < calib.probs.size * calibration._SWEEP_SHARE
 
     @pytest.mark.parametrize("template, grid", [
         (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), [0.5, 1.5, 2.6]),
@@ -606,13 +627,13 @@ class TestKeptKnots:
         want = refit_loop(template, grid, calib, test, 4, temperature="fit")
         built, _ = self.counted(monkeypatch)
         kept = []
-        top_knots = evaluation._top_knots
+        top_knots = calibration._top_knots
 
         def counted_top_knots(*args):
             kept.append(top_knots(*args))
             return kept[-1]
 
-        monkeypatch.setattr(evaluation, "_top_knots", counted_top_knots)
+        monkeypatch.setattr(calibration, "_top_knots", counted_top_knots)
         got = swept(sweep(template, grid, calib, test, seeds=4,
                           temperature="fit"))
         assert got == want
@@ -736,7 +757,7 @@ class TestCommonDraws:
         calib = data.subset(np.arange(120))
         test = data.subset(np.arange(120, 300))
         setups, fits = [], []
-        temperature_fit = evaluation._temperature_fit
+        temperature_fit = calibration._temperature_fit
 
         def counted(logits, labels):
             setups.append(logits)
@@ -748,7 +769,7 @@ class TestCommonDraws:
 
             return counted_fit
 
-        monkeypatch.setattr(evaluation, "_temperature_fit", counted)
+        monkeypatch.setattr(calibration, "_temperature_fit", counted)
         template = FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=2)
         curve = sweep(template, [0.4, 1.1, 1.7], calib, test, seeds=5,
                       temperature="fit")

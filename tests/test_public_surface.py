@@ -1,6 +1,7 @@
 """The package's public names, pinned: an addition or a removal shows up
 as a diff here."""
 
+import ast
 import inspect
 
 import predsets
@@ -68,6 +69,24 @@ def test_module_names():
             and getattr(obj, "__module__", None) == module.__name__
         )
         assert own == names, module.__name__
+
+
+#: The calibration names evaluation imports: each bootstrap draw is fitted
+#: in calibration, and the sweep only cuts and counts.
+EVALUATION_FROM_CALIBRATION = [
+    "CalibratedClassifier", "_check_offset", "_cutoff", "_draw_fit",
+    "_probs_at", "_require_nonempty", "calibrate", "fit_temperature",
+]
+
+
+def test_evaluation_imports_from_calibration():
+    tree = ast.parse(inspect.getsource(evaluation))
+    names = sorted(
+        alias.name for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "calibration"
+        for alias in node.names
+    )
+    assert names == EVALUATION_FROM_CALIBRATION
 
 
 def test_one_prediction_path():
