@@ -32,9 +32,9 @@ set rule (the mean of ``sum_{l in Gamma} (p_l - theta)`` is at most
 is at least that over ``1 + beta^2``.  The scores at or above this bound
 are kept, with the largest one below when the lowest kept knot still
 passes the root test; the lowest must fail it.  Neither keeps more than
-``_SELECT_SHARE`` (a quarter) of the scores; past it, all are sorted.  A
-sweep's draws (:func:`_draw_fit`) keep the set of its largest grid value,
-each entry with its row, and at T = 1 reweight it by every draw's counts.
+``_SELECT_SHARE`` (a quarter) of the scores; past it, all are sorted.  At
+T = 1 a sweep's draws (:func:`_draw_fit`) reweight the set of its largest
+grid value; at a fitted T each is fitted as :func:`calibrate` fits its rows.
 """
 
 from __future__ import annotations
@@ -400,39 +400,24 @@ def fit_temperature(scores: ScoreSet) -> float:
     evaluated only while no iterate's slope has shown its sign.  When the
     optimum lies at or beyond a bound that bound is returned exactly;
     callers should treat such a result as a degenerate fit.  A non-finite
-    logit raises :class:`NonFiniteEntry`.
+    logit raises :class:`NonFiniteEntry` first (``0 * -inf`` is NaN).
     """
     _require_nonempty(scores)
     if scores.logits is None:
         raise MissingLogits("temperature fitting needs logits")
-    labels = scores.require_labels("fit_temperature")
-    return _temperature_fit(scores.logits, labels)()
-
-
-def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
-    """:func:`fit_temperature` on a logit matrix and its labels, as
-    a function of the rows to fit on: ``distinct[order]``, all rows once
-    by default, or a bootstrap draw given as its distinct rows and each
-    drawn row's position among them.
-
-    Each row adds its own terms to the slope and the curvature, so a draw
-    computes them once per distinct row and gathers them in draw order:
-    the means are those of the resampled rows, bit for bit.  Non-finite
-    logits raise :class:`NonFiniteEntry` here, before any slope is
-    evaluated: ``0 * -inf`` would make every slope NaN.
-    """
+    labels, logits = scores.require_labels("fit_temperature"), scores.logits
     finite = np.isfinite(logits)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise NonFiniteEntry(f"logit {float(logits[i, j])!r} is not finite", i, j)
     # logits less their row maximum: beta * z then needs no max-shift
-    z_all = logits - logits.max(axis=1, keepdims=True)
-    z_true_all = label_entries(z_all, labels)
+    z = logits - logits.max(axis=1, keepdims=True)
+    z_true = label_entries(z, labels)
     t_lo, t_hi = TEMPERATURE_BOUNDS
     bracket = (1.0 / t_hi, 1.0 / t_lo)  # on beta
 
-    def terms(z, z_true, beta):
-        # each row's E_p[z] - z_y and Var_p[z], by row pieces and blocks
+    def slope(beta: float) -> tuple[float, float]:
+        # means of the rows' E_p[z] - z_y and Var_p[z], by pieces and blocks
         mean, var = np.empty(z.shape[0]), np.empty(z.shape[0])
 
         def piece(z, mean, var):
@@ -446,43 +431,34 @@ def _temperature_fit(logits: np.ndarray, labels: np.ndarray):
                 var[rows] = np.einsum("ij,ij,ij->i", e, zb, zb) / total - m * m
 
         _in_pieces(piece, z, mean, var)
-        return mean - z_true, var
+        return float(np.mean(mean - z_true)), float(np.mean(var))
 
-    def fit(distinct=slice(None), order=slice(None)) -> float:
-        z, z_true = z_all[distinct], z_true_all[distinct]
+    def beyond():  # the bound the optimum lies at or beyond, if any; an
+        # end an iterate has moved points inward (the slope rises with beta)
+        if lo == bracket[0] and slope(lo)[0] >= 0.0:
+            return t_hi
+        if hi == bracket[1] and slope(hi)[0] <= 0.0:
+            return t_lo
+        return None
 
-        def slope(beta: float) -> tuple[float, float]:
-            d, v = terms(z, z_true, beta)
-            return float(np.mean(d[order])), float(np.mean(v[order]))
-
-        def beyond():  # the bound the optimum lies at or beyond, if any; an
-            # end an iterate has moved points inward (the slope rises with beta)
-            if lo == bracket[0] and slope(lo)[0] >= 0.0:
-                return t_hi
-            if hi == bracket[1] and slope(hi)[0] <= 0.0:
-                return t_lo
-            return None
-
-        lo, hi = bracket
-        beta = min(max(1.0, lo), hi)
-        for _ in range(200):
-            g, h = slope(beta)
-            if g == 0.0:
-                break
-            if g < 0.0:
-                lo = beta
-            else:
-                hi = beta
-            # the Newton step; NaN (no curvature) fails both tests and bisects
-            step = beta - g / h if h > 0.0 else math.nan
-            if abs(step - beta) <= 1e-13 * beta:
-                break
-            if (step <= bracket[0] or step >= bracket[1]) and (end := beyond()):
-                return end
-            beta = step if lo < step < hi else 0.5 * (lo + hi)
-        return beyond() or 1.0 / beta
-
-    return fit
+    lo, hi = bracket
+    beta = min(max(1.0, lo), hi)
+    for _ in range(200):
+        g, h = slope(beta)
+        if g == 0.0:
+            break
+        if g < 0.0:
+            lo = beta
+        else:
+            hi = beta
+        # the Newton step; NaN (no curvature) fails both tests and bisects
+        step = beta - g / h if h > 0.0 else math.nan
+        if abs(step - beta) <= 1e-13 * beta:
+            break
+        if (step <= bracket[0] or step >= bracket[1]) and (end := beyond()):
+            return end
+        beta = step if lo < step < hi else 0.5 * (lo + hi)
+    return beyond() or 1.0 / beta
 
 
 # --- feasibility ---------------------------------------------------------------
@@ -551,10 +527,7 @@ def calibrate(
 
     theta = None
     if spec.needs_fit:
-        P = _probs_at(scores, T)
-        _require_true_labels(spec, scores)
-        knots = _top_knots(spec, P) or _knots(spec, P, scores.labels)
-        theta = _cutoff(spec, knots)
+        theta = _cutoff(spec, _fitted_knots(spec, scores, T))
     elif T != 1.0:
         _rescalable(scores, T)  # checked, not computed: nothing is fitted
     if offset is not None:
@@ -627,6 +600,14 @@ def _holds(spec: FormulationSpec, g: EmpiricalStepFunction) -> bool:
     return not _phi_nonnegative(g, spec.beta * spec.beta, 0)
 
 
+def _fitted_knots(spec: FormulationSpec, scores: ScoreSet, T: float):
+    """The knots :func:`calibrate` reads the cutoff of ``spec`` off at
+    temperature ``T``: top knots when they hold it, else the full ones."""
+    P = _probs_at(scores, T)
+    _require_true_labels(spec, scores)
+    return _top_knots(spec, P) or _knots(spec, P, scores.labels)
+
+
 def _draw_fit(spec: FormulationSpec, scores: ScoreSet, temperature):
     """``(idx, counts) -> (T, knots)`` for a bootstrap draw of ``scores``
     (its drawn rows and each row's count): the temperature and the knots
@@ -637,22 +618,13 @@ def _draw_fit(spec: FormulationSpec, scores: ScoreSet, temperature):
     counts: the top knots of ``spec`` with ``_MARGIN_SD`` standard
     deviations of a draw's kept weight more, within ``_SWEEP_SHARE`` of the
     scores, and the full knots, built on first need, for a draw they do not
-    hold.  Under ``"fit"`` a draw fits its own T and knots on its logit and
-    label rows, each row's terms and softmax computed once per distinct row
-    and gathered in draw order; no ScoreSet is built."""
+    hold.  Under ``"fit"`` a draw runs calibrate's steps on its drawn rows:
+    :func:`fit_temperature`, then :func:`_fitted_knots`."""
     if temperature == "fit":
-        if scores.logits is None:
-            raise MissingLogits("temperature fitting needs logits")
-        fit_rows = _temperature_fit(scores.logits, scores.labels)
-
         def fitted(idx, counts):
-            labels = scores.require_labels("fit_temperature", counts)[idx]
-            distinct = np.flatnonzero(counts)
-            order = (np.cumsum(counts > 0) - 1)[idx]
-            T = fit_rows(distinct, order)
-            P = softmax(scores.logits[distinct], T)[order]
-            check_probability_rows(P)  # raises what _rescalable would
-            return T, _top_knots(spec, P) or _knots(spec, P, labels)
+            rows = scores.subset(idx)
+            T = fit_temperature(rows)
+            return T, _fitted_knots(spec, rows, T)
 
         return fitted
     T = _check_temperature(temperature)

@@ -4,8 +4,9 @@ Error and size can each be measured on average or per input; since the true
 conditional error at a single input is unidentifiable from one label, the
 per-class error rate serves as its observable proxy throughout; per-class
 rates are integer counts per label, each divided once.  A sweep draws its
-bootstrap resamples once, fits each in ``calibration._draw_fit``, reads
-every grid value's cutoff off the draw's knots and counts test entries.
+bootstrap resamples once, fits each as ``calibrate`` fits the drawn rows
+(``calibration._draw_fit``), reads every grid value's cutoff off the
+draw's knots and counts test entries.
 """
 
 from __future__ import annotations
@@ -212,6 +213,8 @@ def sweep(
         raise ValueError("parameter grid must be sorted ascending")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    if base_seed < 0:
+        raise ValueError("base_seed must be >= 0")
     _check_offset(template, offset)
 
     specs, outcome = {}, {}  # grid index -> spec; fit or first error

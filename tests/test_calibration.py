@@ -617,24 +617,6 @@ class TestFitTemperature:
                          temperature="fit").provenance[
                              "temperature_at_bound"] is False
 
-    @pytest.mark.parametrize("scale", [0.01, 1.0, 3.0, 400.0])
-    def test_draw_fits_equal_subset_fits(self, scale):
-        # a bootstrap draw gathers the kept per-row terms: bit for bit the
-        # fit on the resampled rows, bound results included
-        data = synth_generate("two-regime", 6, 400, 3, noise=0.4)
-        z = scale * data.logits
-        s = ScoreSet(ids=data.ids, probs=softmax(z), labels=data.labels,
-                     logits=z)
-        fit_rows = calibration._temperature_fit(z, s.labels)
-        rng = np.random.default_rng(1)
-        for _ in range(12):
-            idx = rng.integers(0, s.n, size=s.n)
-            want = fit_temperature(s.subset(idx))
-            distinct, order = np.unique(idx, return_inverse=True)
-            assert fit_rows(distinct, order) == want
-            assert fit_rows(idx) == want
-        assert fit_rows() == fit_temperature(s)
-
     @pytest.mark.parametrize("template", ["dirichlet-like", "two-regime"])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_bracket_ends_on_demand_equal_the_eager_fit(self, monkeypatch,
@@ -657,8 +639,10 @@ class TestFitTemperature:
             for scale in (1e-4, 0.01, 1.0, 50.0, 1e4):
                 z = scale * data.logits
                 want, eager = eager_temperature_fit(z, data.labels)
+                scaled = ScoreSet(ids=data.ids, probs=softmax(z),
+                                  labels=data.labels, logits=z)
                 evaluations[0] = 0
-                got = calibration._temperature_fit(z, data.labels)()
+                got = fit_temperature(scaled)
                 assert got == want
                 used = evaluations[0] - 1
                 if want in TEMPERATURE_BOUNDS:
@@ -669,7 +653,9 @@ class TestFitTemperature:
         assert results == {*TEMPERATURE_BOUNDS, "inside"}
         z = np.zeros((5, 4))  # no slope anywhere: the upper bound
         labels = np.array([1, 2, 3, 4, 1])
-        assert calibration._temperature_fit(z, labels)() == 20.0
+        flat = ScoreSet(ids=list("abcde"), probs=softmax(z), labels=labels,
+                        logits=z)
+        assert fit_temperature(flat) == 20.0
         assert eager_temperature_fit(z, labels)[0] == 20.0
 
     def test_infinite_logits_raise_before_the_fit(self):

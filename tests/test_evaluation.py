@@ -309,6 +309,19 @@ class TestSweep:
         assert type(exc.value) is ValueError
         assert str(exc.value) == "seeds must be >= 1"
 
+    @pytest.mark.parametrize("template", [
+        FormulationSpec(Kind.TOP_K, k=1),
+        FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0),
+    ])
+    def test_base_seed_must_be_nonnegative(self, template):
+        # refused up front, not by numpy partway through the draws, and for
+        # a kind without draws too
+        s = labeled_set(L=3, n=50)
+        with pytest.raises(ValueError) as exc:
+            sweep(template, [1.0, 2.0], s, s, seeds=2, base_seed=-1)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "base_seed must be >= 0"
+
     @pytest.mark.parametrize("template, offset", [
         (FormulationSpec(Kind.TOP_K, k=1), 0.3),
         (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), "auto"),
@@ -428,7 +441,8 @@ class TestSweep:
         assert set(curve.points[0].violation_quantiles) == {10, 25, 50, 75, 90}
 
 
-def refit_loop(template, grid, calib, test, seeds, temperature=1.0):
+def refit_loop(template, grid, calib, test, seeds, temperature=1.0,
+               base_seed=0):
     """What sweep computes, the slow way: each bootstrap draw a resampled
     ScoreSet, a calibrate and an evaluate, from the same RNG streams; every
     grid value sees the same draws."""
@@ -438,7 +452,7 @@ def refit_loop(template, grid, calib, test, seeds, temperature=1.0):
         reports = []
         try:
             for rep in range(seeds):
-                rng = np.random.default_rng([0, rep])
+                rng = np.random.default_rng([base_seed, rep])
                 idx = rng.integers(0, calib.n, size=calib.n)
                 clf = calibrate(spec, calib.subset(idx), temperature=temperature)
                 reports.append(evaluate(clf, test))
@@ -642,38 +656,14 @@ class TestKeptKnots:
 
 
 class TestTemperatureFitSweep:
-    """Under ``temperature="fit"`` each draw fits its temperature and its
-    knots on arrays of the drawn rows, building no ScoreSet."""
+    """Under ``temperature="fit"`` each draw runs calibrate's steps on its
+    drawn rows: the same temperature, knots and errors as the refit loop."""
 
     @staticmethod
     def split(n_calib=120, n=300):
         data = synth_generate("dirichlet-like", 4, n, 8, noise=0.5)
         return data.subset(np.arange(n_calib)), data.subset(
             np.arange(n_calib, n))
-
-    def test_builds_no_score_set(self, monkeypatch):
-        calib, test = self.split()
-        built = []
-        checked, trusted = ScoreSet.__post_init__, ScoreSet._trusted.__func__
-
-        def counted_checked(self):
-            built.append(ScoreSet)
-            checked(self)
-
-        def counted_trusted(cls, **fields):
-            built.append(cls)
-            return trusted(cls, **fields)
-
-        monkeypatch.setattr(ScoreSet, "__post_init__", counted_checked)
-        monkeypatch.setattr(ScoreSet, "_trusted", classmethod(counted_trusted))
-        for template in (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0),
-                         FormulationSpec(Kind.AVERAGE_ERROR, ebar=0.1)):
-            curve = sweep(template, [0.1, 0.2, 1.3], calib, test, seeds=5,
-                          temperature="fit")
-            assert any(pt.status == "ok" for pt in curve.points)
-        assert built == []
-        calib.subset(np.arange(3))  # the counter sees trusted builds
-        assert built == [ScoreSet]
 
     @pytest.mark.parametrize("kind, grid", [
         (FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), [0.9, 1.6]),
@@ -703,19 +693,34 @@ class TestTemperatureFitSweep:
 
     def test_infinite_logits_fail_every_point(self):
         # a zero probability has logit -inf, which the constructor accepts;
-        # the fit refuses it instead of returning a bound from NaN slopes
+        # a draw's fit refuses it when the draw holds that row, at its
+        # position in the draw, and reports a drawn unlabeled row first
         calib, test = self.split()
         probs = calib.probs.copy()
         probs[7] = [0.5, 0.5, 0.0, 0.0]
         with np.errstate(divide="ignore"):
-            calib = ScoreSet(ids=calib.ids, probs=probs, labels=calib.labels,
-                             logits=np.log(probs))
-        template = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
-        curve = sweep(template, [1.0, 1.5], calib, test, seeds=2,
-                      temperature="fit")
-        assert [pt.status for pt in curve.points] == [
-            "failed: NonFiniteEntry: row 7, entry 2: logit -inf is not finite"
-        ] * 2
+            logits = np.log(probs)
+        template, grid = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0), [1.0]
+        unlabeled = np.r_[calib.labels[:3], 0, calib.labels[4:]]
+        got = {}
+        for labels in (calib.labels, unlabeled):
+            rows = ScoreSet(ids=calib.ids, probs=probs, labels=labels,
+                            logits=logits)
+            for base_seed in (0, 2):
+                want = refit_loop(template, grid, rows, test, 1,
+                                  temperature="fit", base_seed=base_seed)
+                got[labels is unlabeled, base_seed] = swept(sweep(
+                    template, grid, rows, test, seeds=1, base_seed=base_seed,
+                    temperature="fit"))
+                assert got[labels is unlabeled, base_seed] == want
+        assert got[False, 0] == [
+            "failed: NonFiniteEntry: row 107, entry 2: logit -inf is not "
+            "finite"]
+        assert got[True, 0] == [
+            "failed: MissingLabels: fit_temperature needs labels; 1 of 120 "
+            "samples are unlabeled"]
+        # the draw of base_seed 2 holds neither row 3 nor row 7
+        assert got[True, 2] == got[False, 2] and got[False, 2][0][1] > 0
 
     @pytest.mark.parametrize("template", [
         FormulationSpec(Kind.TOP_K, k=1),
@@ -756,25 +761,19 @@ class TestCommonDraws:
         data = synth_generate("dirichlet-like", 4, 300, 8, noise=0.5)
         calib = data.subset(np.arange(120))
         test = data.subset(np.arange(120, 300))
-        setups, fits = [], []
-        temperature_fit = calibration._temperature_fit
+        fits = []
+        fit_temperature = calibration.fit_temperature
 
-        def counted(logits, labels):
-            setups.append(logits)
-            fit = temperature_fit(logits, labels)
+        def counted(scores):
+            fits.append(scores)
+            return fit_temperature(scores)
 
-            def counted_fit(*rows):
-                fits.append(rows)
-                return fit(*rows)
-
-            return counted_fit
-
-        monkeypatch.setattr(calibration, "_temperature_fit", counted)
+        monkeypatch.setattr(calibration, "fit_temperature", counted)
         template = FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=2)
         curve = sweep(template, [0.4, 1.1, 1.7], calib, test, seeds=5,
                       temperature="fit")
         assert [pt.status for pt in curve.points] == ["ok"] * 3
-        assert (len(setups), len(fits)) == (1, 5)
+        assert len(fits) == 5
 
     @pytest.mark.parametrize("template, grid", [
         (FormulationSpec(Kind.TOP_K, k=1), [1, 2, 9]),  # k = 9 > L fails

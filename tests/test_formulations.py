@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from predsets import core, formulations
-from predsets.calibration import CalibratedClassifier, _temperature_fit
-from predsets.calibration import fit_temperature
+from predsets.calibration import CalibratedClassifier, fit_temperature
 from predsets.errors import (
     EbarOutOfRange,
     InvalidBeta,
@@ -620,18 +619,13 @@ class TestRowBlocks:
 
     def test_temperature_fits_are_bit_identical(self, monkeypatch):
         data = synth_generate("dirichlet-like", self.L, 50, 4, noise=0.5)
-        draws = []
-        for rep in range(4):
-            idx = np.random.default_rng([0, 0, rep]).integers(0, 50, size=50)
-            counts = np.bincount(idx, minlength=50)
-            draws.append((np.flatnonzero(counts),
-                          (np.cumsum(counts > 0) - 1)[idx]))
+        draws = [data.subset(np.random.default_rng([0, 0, rep]).integers(
+            0, 50, size=50)) for rep in range(4)]
         fits = []
         for block_bytes in block_sizes(self.L):
             monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
-            fit = _temperature_fit(data.logits, data.labels)
             fits.append([fit_temperature(data)]
-                        + [fit(distinct, order) for distinct, order in draws])
+                        + [fit_temperature(draw) for draw in draws])
         assert fits[0] == fits[1] == fits[2]
         assert len(set(fits[0])) == len(fits[0])  # the draws differ
 
@@ -790,14 +784,10 @@ class TestRowPieces:
     def test_temperature_fits_do_not_depend_on_pieces(self, monkeypatch, n):
         monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * self.L * 65)
         data = synth_generate("dirichlet-like", self.L, n, 4, noise=0.5)
-        idx = np.random.default_rng(n).integers(0, n, size=n)
-        counts = np.bincount(idx, minlength=n)
-        distinct = np.flatnonzero(counts)
-        order = (np.cumsum(counts > 0) - 1)[idx]
+        draw = data.subset(np.random.default_rng(n).integers(0, n, size=n))
 
         def fits():
-            fit_rows = _temperature_fit(data.logits, data.labels)
-            return [fit_rows().hex(), fit_rows(distinct, order).hex()]
+            return [fit_temperature(data).hex(), fit_temperature(draw).hex()]
 
         want = per_piece_count(monkeypatch, fits, 1)
         for pieces in (2, 3):
@@ -833,7 +823,7 @@ class TestRowPieces:
         data = synth_generate("two-regime", 10, 10_000, 1, noise=0.2)
         P, z = data.probs, data.logits
         self.kernels(P, z)
-        _temperature_fit(z, data.labels)()
+        fit_temperature(data)
         assert not started
         per_piece_count(monkeypatch, lambda: core.softmax(z), 3)
         assert len(started) == 2

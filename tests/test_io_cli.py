@@ -1302,6 +1302,20 @@ class TestCliSweep:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("formulation", ["average-size", "top-k"])
+    def test_negative_seed_is_refused(self, tmp_path, synth_files, capsys,
+                                      formulation):
+        out = tmp_path / "curve.csv"
+        assert run_cli(
+            "sweep", "--formulation", formulation, "--grid", "1,2",
+            "--calib", synth_files["calib"], "--test", synth_files["test"],
+            "--out", out, "--seed", -3,
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: base_seed must be >= 0\n"
+        )
+        assert not out.exists()
+
     def test_hybrid_size_at_k_one(self, tmp_path, synth_files):
         # the swept kbar's placeholder must lie below k = 1 too
         out, ref = tmp_path / "cli.csv", tmp_path / "ref.csv"
