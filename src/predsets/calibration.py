@@ -664,6 +664,7 @@ def _rescalable(scores: ScoreSet, T: float) -> np.ndarray:
         raise MissingLogits(
             f"cannot rescale scores to temperature {T!r} without logits"
         )
-    if not np.isfinite(scores.logits.max(axis=1) / T).all():
-        check_probability_rows(softmax(scores.logits, T))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused: no warning
+        if not np.isfinite(scores.logits.max(axis=1) / T).all():
+            check_probability_rows(softmax(scores.logits, T))
     return scores.logits

@@ -33,6 +33,9 @@ at L = 1000 than numpy's int64 count.  A row sum is one short reduction
 per row, so a mask at most ``_NARROW_L`` = 32 wide is summed across its
 columns instead (L vector adds over all rows): about 4 times faster at
 L = 10, a third faster at L = 32, and slower from about L = 40 on.
+The point-wise error mask sorts narrow rows across columns as well: from
+600 rows of at most 10 labels, one comparator network and one running sum
+over all rows (:func:`~predsets.formulations.pointwise_error_mask`).
 Each row's entry at its true label is :func:`label_entries`, one gather
 from the flat buffer of a C-contiguous matrix.  On the sweep-bootstrap
 benchmark (L = 10) the two took ``eval_rows_per_s`` from 13.2M to 21.4M/s.
@@ -357,13 +360,18 @@ def softmax(z: np.ndarray, T: float = 1.0) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64)
     out = np.empty(z.shape)
+    # the caller's error state, in every piece's thread too, but for z / T
+    # overflowing: to -inf, whose exp is an exact 0, or to +inf, which
+    # makes NaN and so warns of an invalid value
+    state = {**np.geterr(), "over": "ignore"}
 
     def piece(rows_in, rows_out):
-        for rows in row_blocks(*rows_in.shape):
-            e = np.divide(rows_in[rows], T, out=rows_out[rows])
-            e -= e.max(axis=1, keepdims=True)
-            np.exp(e, out=e)
-            e /= e.sum(axis=1, keepdims=True)
+        with np.errstate(**state):
+            for rows in row_blocks(*rows_in.shape):
+                e = np.divide(rows_in[rows], T, out=rows_out[rows])
+                e -= e.max(axis=1, keepdims=True)
+                np.exp(e, out=e)
+                e /= e.sum(axis=1, keepdims=True)
 
     L = z.shape[-1]
     _in_pieces(piece, z.reshape(-1, L), out.reshape(-1, L))

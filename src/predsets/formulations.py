@@ -17,6 +17,7 @@ knots and cutoff and the oracle; the sweep counts :func:`rule_mask`.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,21 @@ def _check_eps(eps, offset):
 
 # --- the rules --------------------------------------------------------------
 
+_NETWORK_L, _NETWORK_ROWS = 10, 600  # narrow rows: see pointwise_error_mask
+
+
+@functools.cache
+def _sorting_network(L: int) -> tuple[tuple[int, int], ...]:
+    """Comparators ``(i, j)``, ``i < j``, that sort ``L`` values ascending:
+    Batcher's odd-even merge sort for the next power of two, minus each one
+    that touches an index ``>= L`` (padded with +inf, those never swap)."""
+    n = 1 << (L - 1).bit_length()
+    ps = [1 << e for e in range(n.bit_length() - 1)]  # 1, 2, ..., n / 2
+    return tuple((i, i + k) for p in ps for k in ps[::-1] if k <= p
+                 for j in range(k % p, n - k, 2 * k)
+                 for i in range(j, min(j + k, n - k))
+                 if i + k < L and i // (2 * p) == (i + k) // (2 * p))
+
 
 def pointwise_error_mask(
     P: np.ndarray, eps: float, offset: float = 0.0
@@ -192,12 +208,17 @@ def pointwise_error_mask(
     The running sum of each row's values sorted in descending order gives
     the set size ``khat`` and the cut value, the ``khat``-th largest entry;
     :func:`~predsets.core.cut_mask` keeps the ``khat`` largest entries,
-    equal ones in ascending label order like every rule.  The running sum
-    covers ``m`` columns, the previous row block's largest ``khat`` plus
-    slack (all L in each row piece's first block), sorted alone after
-    ``np.partition`` when ``2 m <= L``; a row still short of the target
-    there sorts and sums its full row.  The top ``m`` values sort and sum
-    the same either way, so ``khat`` is the same.
+    equal ones in ascending label order like every rule.  From
+    ``_NETWORK_ROWS`` rows of at most ``_NETWORK_L`` labels, each row block
+    is copied to one buffer row per label, sorted by
+    :func:`_sorting_network` (one ``np.minimum`` and one ``np.maximum`` per
+    comparator, over all the block's rows) and summed across its columns,
+    the additions ``np.cumsum`` makes along a row.  Wider rows sum ``m``
+    columns, the previous row block's largest ``khat`` plus slack (all L in
+    each row piece's first block), sorted alone after ``np.partition`` when
+    ``2 m <= L``; a row still short of the target there sorts and sums its
+    full row.  The top ``m`` values sort and sum the same either way, so
+    ``khat`` is the same.
     """
     _check_eps(eps, offset)
     P = np.asarray(P, dtype=np.float64)
@@ -206,6 +227,26 @@ def pointwise_error_mask(
     mask = np.zeros((n, L), dtype=bool)
     if target <= 0.0:
         return mask
+
+    def narrow(P, mask):  # a buffer row per class, and a spare one
+        blocks = row_blocks(len(P), L)
+        buf = np.empty((L + 1, blocks[0].stop if blocks else 0))
+        for rows in blocks:
+            b = rows.stop - rows.start
+            line = list(buf[:, :b])
+            np.copyto(buf[:L, :b], P[rows].T)
+            at, spare = list(range(L)), L  # the buffer row of each rank
+            for i, j in _sorting_network(L):
+                np.minimum(line[at[i]], line[at[j]], out=line[spare])
+                np.maximum(line[at[i]], line[at[j]], out=line[at[j]])
+                at[i], spare = spare, at[i]
+            total, khat = line[at[-1]].copy(), np.ones(b, dtype=np.intp)
+            for c in at[-2::-1]:  # L - 1 prefixes, added as np.cumsum adds
+                khat += total < target
+                total += line[c]
+            cut = buf.ravel()[np.take(at, L - khat) * buf.shape[1]
+                              + np.arange(b)]
+            mask[rows] = cut_mask(P[rows], cut, khat)
 
     def piece(P, mask):  # its own buffers and prefix length
         blocks = row_blocks(len(P), L)
@@ -237,7 +278,8 @@ def pointwise_error_mask(
             mask[rows] = cut_mask(block, desc[np.arange(b), khat - 1], khat)
             m = min(L, int(khat.max()) + 1 + L // 16)
 
-    _in_pieces(piece, P, mask)
+    sort = narrow if L <= _NETWORK_L and n >= _NETWORK_ROWS else piece
+    _in_pieces(sort, P, mask)
     return mask
 
 

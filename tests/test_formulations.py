@@ -531,10 +531,11 @@ class TestMasksMatchArgsortRule:
     @settings(max_examples=100, deadline=None)
     def test_pointwise(self, P, eps, share):
         offset = share * eps
-        assert np.array_equal(
-            pointwise_error_mask(P, eps, offset),
-            argsort_pointwise(P, eps, offset),
-        )
+        want = argsort_pointwise(P, eps, offset)
+        assert np.array_equal(pointwise_error_mask(P, eps, offset), want)
+        with pytest.MonkeyPatch.context() as m:  # the narrow path at any n
+            m.setattr(formulations, "_NETWORK_ROWS", 0)
+            assert np.array_equal(pointwise_error_mask(P, eps, offset), want)
 
     @given(tied_rows(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -827,3 +828,112 @@ class TestRowPieces:
         assert not started
         per_piece_count(monkeypatch, lambda: core.softmax(z), 3)
         assert len(started) == 2
+
+
+# --- narrow rows: the comparator network --------------------------------------
+
+
+def run_network(pairs, x):
+    """Rows of ``x`` after each comparator ``(i, j)`` puts the smaller of
+    columns ``i`` and ``j`` at ``i``."""
+    x = x.copy()
+    for i, j in pairs:
+        lo, hi = np.minimum(x[:, i], x[:, j]), np.maximum(x[:, i], x[:, j])
+        x[:, i], x[:, j] = lo, hi
+    return x
+
+
+def signed_zeros(P):
+    """``P`` with every other zero entry written as ``-0.0``."""
+    P = P.copy()
+    zeros = np.flatnonzero(P == 0.0)
+    P.flat[zeros[::2]] = -0.0
+    return P
+
+
+def counting_network(monkeypatch):
+    """The widths the point-wise mask builds its sorting network for, one
+    entry per call."""
+    built, network = [], formulations._sorting_network
+
+    def counted(L):
+        built.append(L)
+        return network(L)
+
+    monkeypatch.setattr(formulations, "_sorting_network", counted)
+    return built
+
+
+class TestNarrowRows:
+    """Rows up to ``_NETWORK_L`` wide sort by a comparator network and sum
+    across columns, from ``_NETWORK_ROWS`` rows on (set to 0 here, so that
+    small cases take it); masks are bit for bit those of the wide path."""
+
+    CUTOFF = formulations._NETWORK_L
+    # eps 0 and 1, at and between offsets 0 and eps, and drawn ones
+    GRID = [(eps, share * eps)
+            for eps in (0.0, 1.0, 0.3, *np.random.default_rng(0).uniform(
+                size=3))
+            for share in (0.0, 0.5, 1.0)]
+
+    @pytest.mark.parametrize("L", range(1, formulations._NETWORK_L + 1))
+    def test_network_sorts_every_binary_row(self, L):
+        # the 0-1 principle: a comparator network that sorts all 2**L rows
+        # of zeros and ones sorts every row of L values
+        pairs = formulations._sorting_network(L)
+        assert all(0 <= i < j < L for i, j in pairs)
+        rows = (np.arange(2**L)[:, None] >> np.arange(L)) & 1
+        out = run_network(pairs, rows)
+        assert np.all(np.diff(out, axis=1) >= 0)
+        assert np.array_equal(out.sum(axis=1), rows.sum(axis=1))
+
+    def masks(self, P):
+        return [pointwise_error_mask(P, eps, offset)
+                for eps, offset in self.GRID]
+
+    def argsort_masks(self, P):
+        return [argsort_pointwise(P, eps, offset) for eps, offset in self.GRID]
+
+    @pytest.mark.parametrize("L", range(2, formulations._NETWORK_L + 3))
+    def test_equals_the_wide_path_and_the_argsort_rule(self, monkeypatch, L):
+        monkeypatch.setattr(formulations, "_NETWORK_ROWS", 0)
+        flat = np.random.default_rng(L).dirichlet(np.ones(L), size=20)
+        cases = [signed_zeros(tied_matrix(n, L, seed=n + L))
+                 for n in (0, 1, 2, 50)] + [flat, np.vstack([flat, flat])]
+        for P in cases:
+            with monkeypatch.context() as m:
+                built = counting_network(m)
+                narrow = self.masks(P)
+            assert bool(built) == (len(P) > 0 and L <= self.CUTOFF)
+            with monkeypatch.context() as m:
+                m.setattr(formulations, "_NETWORK_L", 0)  # every L is wide
+                wide = self.masks(P)
+            want = self.argsort_masks(P)
+            assert all(np.array_equal(a, b) for a, b in zip(narrow, want))
+            assert all(np.array_equal(a, b) for a, b in zip(wide, want))
+
+    def test_ties_zeros_and_signed_zeros_occur(self):
+        P = signed_zeros(tied_matrix(50, self.CUTOFF, seed=50 + self.CUTOFF))
+        assert np.any(np.signbit(P) & (P == 0.0))
+        assert np.any(~np.signbit(P) & (P == 0.0))
+        top = -np.sort(-P, axis=1)
+        assert np.any(top[:, 0] == top[:, 1])
+
+    @pytest.mark.parametrize("L", [2, formulations._NETWORK_L])
+    def test_masks_do_not_depend_on_pieces(self, monkeypatch, L):
+        # 7-row blocks: 2 and 3 pieces of 40 rows cut inside a block
+        monkeypatch.setattr(formulations, "_NETWORK_ROWS", 0)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * L * 7)
+        P = signed_zeros(tied_matrix(40, L, seed=L))
+        want = self.argsort_masks(P)
+        for pieces in (1, 2, 3):
+            got = per_piece_count(monkeypatch, lambda: self.masks(P), pieces)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_fewer_rows_keep_the_wide_path(self, monkeypatch):
+        built = counting_network(monkeypatch)
+        for n in (formulations._NETWORK_ROWS - 1, formulations._NETWORK_ROWS):
+            P = signed_zeros(tied_matrix(n, self.CUTOFF, seed=n))
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(self.masks(P), self.argsort_masks(P)))
+            assert bool(built) == (n == formulations._NETWORK_ROWS)

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -475,9 +477,10 @@ class TestModelFiles:
                 io.read_model(path)
             assert exc.value.line == 4
 
-    def test_tiny_temperature_fails_to_predict(self, tmp_path):
+    def test_tiny_temperature_fails_to_predict(self, tmp_path, monkeypatch):
         # read_model accepts any T > 0, but logits / 1e-320 overflow and
-        # the softmax gives NaN rows: prediction must raise, not go empty
+        # the softmax gives NaN rows: prediction must raise, not go empty,
+        # and warn of nothing, in a piece's thread too
         path = tmp_path / "m.model"
         path.write_text(
             "format_version: 1\nkind: top-k\nk: 1\ntemperature: 1e-320\n"
@@ -485,9 +488,46 @@ class TestModelFiles:
         clf = io.read_model(path)
         z = np.array([[2.0, 1.0, 0.0], [0.0, 0.5, 0.0]])
         s = ScoreSet(ids=["a", "b"], probs=softmax(z), logits=z)
-        with np.errstate(over="ignore", invalid="ignore"):
+        for pieces in (1, 2):
+            monkeypatch.setattr(core, "_pieces", lambda floats: pieces)
             with pytest.raises(NonFiniteEntry):
                 clf.predict_set_mask(s)
+
+    def test_small_temperature_predicts_without_a_warning(self, tmp_path,
+                                                          monkeypatch):
+        # -1e300 / 1e-10 overflows to -inf, whose exp is an exact 0: a
+        # valid prediction, which warns of nothing
+        path = tmp_path / "m.model"
+        path.write_text(
+            "format_version: 1\nkind: top-k\nk: 1\ntemperature: 1e-10\n"
+        )
+        z = np.array([[0.0, -1e300, -1.0], [1.0, 0.0, 2.0]])
+        s = ScoreSet(ids=["a", "b"], probs=softmax(z), logits=z)
+        clf = io.read_model(path)
+        for pieces in (1, 2):
+            monkeypatch.setattr(core, "_pieces", lambda floats: pieces)
+            mask = clf.predict_set_mask(s)
+            assert mask.tolist() == [[True, False, False],
+                                     [False, False, True]]
+
+    def test_refused_temperature_prints_only_the_error(self, tmp_path):
+        # run in a child process: its stderr shows any numpy warning
+        scores = tmp_path / "s.csv"
+        io.write_scores(scores, synth_generate("dirichlet-like", 4, 20, 1))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"),
+             env.get("PYTHONPATH", "")]
+        ).rstrip(os.pathsep)
+        result = subprocess.run(
+            [sys.executable, "-m", "predsets.cli", "calibrate",
+             "--formulation", "top-k", "--k", "2", "--temperature", "1e-320",
+             "--scores", str(scores), "--model", str(tmp_path / "m.model")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr == ("error: NonFiniteEntry: row 0, entry 0: "
+                                 "probability nan is not finite\n")
 
     @pytest.mark.parametrize("edits, line, problem", [
         ({"\nk: 2": "\nk: 0"}, None, "k=0 must be an integer >= 1"),
