@@ -10,7 +10,11 @@ benchmark) runs ``synth``, ``calibrate`` for every kind, ``predict``,
 grids scaled to 10 classes, so masks narrow enough for ``row_counts`` to
 sum across columns leave a fingerprint.  Its models fit on ``probs`` read
 as a column slice of the parsed table and predict into fresh masks, so
-both of ``label_entries``' gathers leave one too.
+both of ``label_entries``' gathers leave one too.  Its 500-row files are
+below the 600 rows from which the point-wise mask sorts rows of at most 10
+labels with a comparator network, so a second L=10 chain of 1800 rows
+(600 a file) runs calibrate, predict and evaluate for the point-wise and
+both hybrid-error models.
 ``oracle-check`` runs on 20 random distributions and on two desk-scale
 ``synth`` truth files read back with ``--fixture``, so the population
 cutoffs are fingerprinted both ways.  One has 4 classes and 3 support
@@ -153,6 +157,13 @@ NARROW_MODELS = tuple((name, {
                            "--eps", "0.3", "--mode", "union-with-pointwise"],
 }.get(name, flags)) for name, flags in MODELS)
 
+#: the point-wise and both hybrid-error models at L=10 on 600-row files,
+#: where the point-wise mask sorts rows with its comparator network
+NETWORK_MODELS = tuple(
+    (name, flags) for name, flags in NARROW_MODELS
+    if name in ("pointwise", "hybrid-error-lemma", "hybrid-error-union")
+)
+
 #: data set, then models taking the branches of calibrate's top-knot
 #: selection (500 calibration rows) that the models above leave out: those
 #: select average-size (kbar 2 at L=10, 10 at L=1000) and the F-score
@@ -233,10 +244,12 @@ def scaled(source: str, data: str, scale: float) -> None:
 
 def chain(data: str, template: str, L: int, models=MODELS,
           sweeps=SWEEPS, reorder=False, noise="0.3",
-          temperatures=("1.0", "fit")) -> None:
+          temperatures=("1.0", "fit"), n=1500) -> None:
+    """``synth`` ``n`` rows (a third each to train, calib and test), then
+    fit, predict and evaluate ``models`` and run ``sweeps``."""
     run(f"synth-{data}", [
         "synth", "--template", template, "--classes", str(L),
-        "--n", "1500", "--seed", "7", "--noise", noise, "--out-prefix", data,
+        "--n", str(n), "--seed", "7", "--noise", noise, "--out-prefix", data,
     ])
     calib, test = f"{data}_calib.csv", f"{data}_test.csv"
     if reorder:
@@ -279,6 +292,8 @@ def digest_all() -> int:
                 chain(f"L{L}", "dirichlet-like", L)
             chain("two-regime-L10", "two-regime", 10, NARROW_MODELS,
                   NARROW_SWEEPS, noise="0.2")
+            chain("two-regime-L10-n1800", "two-regime", 10, NETWORK_MODELS,
+                  sweeps=(), noise="0.2", n=1800)
             for scale in ("1e-3", "1e3"):
                 scaled("L100", f"scaled{scale}-L100", float(scale))
                 fit_models(f"scaled{scale}-L100", SCALED_MODELS)

@@ -50,7 +50,8 @@ import numpy as np
 
 from .core import ScoreSet, _in_pieces, check_probability_rows, label_entries
 from .core import row_blocks, row_counts, softmax, topk_mask
-from .errors import EmptyScoreSet, InfeasiblePair, KOutOfRange
+from .errors import ClassCountMismatch, EmptyScoreSet, InfeasiblePair
+from .errors import KOutOfRange
 from .errors import InvalidTemperature, MissingLogits, NonFiniteEntry
 from .errors import Saturated, SpecFieldError, ThetaMismatch, TooFewClasses
 from .formulations import FormulationSpec, KIND_FIELDS
@@ -344,7 +345,13 @@ class CalibratedClassifier:
     def predict_set_mask(self, scores: ScoreSet) -> np.ndarray:
         """Boolean membership mask over the rows of ``scores`` at the
         classifier's temperature: the one prediction path, on a checked
-        score set."""
+        score set.  Scores over another class count than a recorded
+        ``provenance["L"]`` raise :class:`ClassCountMismatch` first."""
+        fit_L = self.provenance.get("L")
+        if fit_L is not None and fit_L != scores.L:
+            raise ClassCountMismatch(
+                f"model was fit with L={fit_L}, scores have L={scores.L}"
+            )
         P = _probs_at(scores, self.temperature)
         self.spec.check_class_count(P.shape[1])
         return rule_mask(self.spec, P, self.theta)

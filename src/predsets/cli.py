@@ -14,11 +14,11 @@ import sys
 import numpy as np
 
 from . import io
-from .calibration import CalibratedClassifier, calibrate
-from .core import ScoreSet, label_entries, row_counts
-from .errors import ClassCountMismatch, InvalidSlack, ParameterOrderViolation
+from .calibration import calibrate
+from .core import label_entries, row_counts
+from .errors import InvalidSlack, ParameterOrderViolation
 from .errors import PredsetsError, SpecFieldError
-from .evaluation import evaluate, sweep
+from .evaluation import PerClassViolation, evaluate, sweep
 from .formulations import FormulationSpec, Kind, KIND_FIELDS
 from .formulations import MODE_LEMMA_THRESHOLD
 from .oracle import (
@@ -74,6 +74,13 @@ def _spec_from_args(args, sweep: bool = False) -> FormulationSpec:
     return FormulationSpec(kind, **kwargs)
 
 
+def _add_rescale_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--offset", default=None, help=(
+        "point-wise offset: a number or 'auto' for sqrt(L/n)"))
+    parser.add_argument("--temperature", default="1.0", help=(
+        "a number, or 'fit' to learn it from logits"))
+
+
 def _offset_arg(value: str | None):
     if value is None or value == "auto":
         return value
@@ -82,14 +89,6 @@ def _offset_arg(value: str | None):
 
 def _temperature_arg(value: str):
     return value if value == "fit" else float(value)
-
-
-def _check_class_count(clf: CalibratedClassifier, scores: ScoreSet) -> None:
-    model_L = clf.provenance.get("L")
-    if model_L is not None and model_L != scores.L:
-        raise ClassCountMismatch(
-            f"model was fit with L={model_L}, scores have L={scores.L}"
-        )
 
 
 def cmd_calibrate(args) -> int:
@@ -124,7 +123,6 @@ def cmd_calibrate(args) -> int:
 def cmd_predict(args) -> int:
     clf = io.read_model(args.model)
     scores = io.read_scores(args.scores)
-    _check_class_count(clf, scores)
     mask = clf.predict_set_mask(scores)
     io.write_predictions(args.out, scores.ids, mask)
     print(f"{scores.n} predictions written to {args.out}")
@@ -148,11 +146,12 @@ def _gate_violations(clf, metrics, slack):
         )
     if spec.eps is not None:
         rates = metrics.per_class_error
-        bad = [c for c, r in rates.items() if r > spec.eps + slack]
-        if bad:
+        flags = PerClassViolation.from_rates(rates, spec.eps + slack).violated
+        n_bad = sum(flags.values())
+        if n_bad:
             worst = max(rates.values())
             problems.append(
-                f"{len(bad)} classes exceed eps {io.fmt(spec.eps)}"
+                f"{n_bad} classes exceed eps {io.fmt(spec.eps)}"
                 f" + slack {io.fmt(slack)} (worst {io.fmt(worst)})"
             )
     return problems
@@ -163,7 +162,6 @@ def cmd_evaluate(args) -> int:
         raise InvalidSlack(f"--gate-slack {args.gate_slack!r} is not finite")
     clf = io.read_model(args.model)
     test = io.read_scores(args.test)
-    _check_class_count(clf, test)
     metrics = evaluate(clf, test, beta=args.beta)
 
     gate_lines = None
@@ -187,10 +185,6 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     calib = io.read_scores(args.calib)
     test = io.read_scores(args.test)
-    if test.L != calib.L:
-        raise ClassCountMismatch(
-            f"calibration scores have L={calib.L}, test scores have L={test.L}"
-        )
     template = _spec_from_args(args, sweep=True)
     grid = [float(v) for v in args.grid.split(",") if v != ""]
     curve = sweep(
@@ -295,16 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_formulation_args(p)
     p.add_argument("--scores", required=True, help="calibration score CSV")
     p.add_argument("--model", required=True, help="output model file")
-    p.add_argument(
-        "--offset",
-        default=None,
-        help="point-wise offset: a number or 'auto' for sqrt(L/n)",
-    )
-    p.add_argument(
-        "--temperature",
-        default="1.0",
-        help="a number, or 'fit' to learn it from logits",
-    )
+    _add_rescale_args(p)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_calibrate)
 
@@ -340,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--offset", default=None)
-    p.add_argument("--temperature", default="1.0")
+    _add_rescale_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("synth", help="generate synthetic score files")

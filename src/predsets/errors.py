@@ -145,11 +145,16 @@ class MissingLogits(PredsetsError, ValueError):
 
 
 class InvalidTemperature(PredsetsError, ValueError):
-    """Temperature not finite and > 0 (NaN included)."""
+    """Temperature not finite and > 0 (NaN included); ``field`` names it."""
+
+    field = "temperature"
 
 
 class ThetaMismatch(PredsetsError, ValueError):
-    """A fitted threshold missing where the kind needs one, or given where not."""
+    """A fitted threshold missing where the kind needs one, or given where
+    not; ``field`` names it."""
+
+    field = "theta"
 
 
 class InfeasiblePair(PredsetsError, RuntimeError):

@@ -21,7 +21,8 @@ from .calibration import CalibratedClassifier, calibrate, fit_temperature
 from .calibration import _check_offset, _cutoff, _draw_fit, _probs_at
 from .calibration import _require_nonempty
 from .core import ScoreSet, label_entries, row_counts
-from .errors import EmptyScoreSet, InvalidBeta, KOutOfRange, PredsetsError
+from .errors import ClassCountMismatch, EmptyScoreSet, InvalidBeta
+from .errors import KOutOfRange, PredsetsError
 from .formulations import FormulationSpec, KIND_FIELDS, rule_mask
 
 PERCENTILES = (10, 25, 50, 75, 90)
@@ -202,9 +203,15 @@ def sweep(
     cutoffs, and the curve, are monotone in the swept field.  The test error
     and size at a cutoff are counts of test scores.  Each point equals
     refitting ``calibrate`` on ``calib.subset(draw)`` and running
-    :func:`evaluate`.  A fitted point's ``violation_quantiles`` are those of
-    the per-class rates of its first draw's classifier, not of all draws.
+    :func:`evaluate`, except that a test set over another class count than
+    ``calib`` raises :class:`ClassCountMismatch` up front, before any fit.
+    A fitted point's ``violation_quantiles`` are those of the per-class
+    rates of its first draw's classifier, not of all draws.
     """
+    if test.L != calib.L:
+        raise ClassCountMismatch(
+            f"calibration scores have L={calib.L}, test scores have L={test.L}"
+        )
     grid = [float(v) for v in param_grid]
     if not grid:
         raise ValueError("parameter grid is empty")
@@ -275,7 +282,8 @@ def _bootstrap(specs, calib, test, seeds, base_seed, temperature):
     first draw's classifier, or the first error ``calibrate`` on a draw's
     rows, then :func:`evaluate`, raises for it.  An error in a draw's fit
     (``_draw_fit`` at the largest value, made once a spec is alive) fails
-    every spec still alive; the test set's checks fail each spec alone."""
+    every spec still alive; the test set's label checks fail each spec whose
+    cutoff was found."""
     out, alive, fit, at_T = {}, dict(specs), None, None
     try:
         for rep in range(seeds):
@@ -292,7 +300,6 @@ def _bootstrap(specs, calib, test, seeds, base_seed, temperature):
                     theta = _cutoff(spec, knots)
                     if at is None:
                         at = _metrics_at(spec, T, test)
-                    spec.check_class_count(test.L)
                     error, size = at(theta)
                 except PredsetsError as exc:
                     out[i] = exc
@@ -319,7 +326,6 @@ def _metrics_at(spec: FormulationSpec, T: float, test: ScoreSet):
     """
     labels = _test_labels(test)
     P = _probs_at(test, T)
-    spec.check_class_count(P.shape[1])
     always = rule_mask(spec, P, math.inf)
     pool = rule_mask(spec, P, 0.0) & ~always
     n = test.n

@@ -33,7 +33,7 @@ import numpy as np
 
 from .calibration import CalibratedClassifier
 from .core import ScoreSet, _cuts
-from .errors import ParseError, PredsetsError, RowError, ThetaMismatch
+from .errors import ParseError, PredsetsError, RowError
 from .evaluation import MetricsReport, SweepCurve, PERCENTILES
 from .formulations import FormulationSpec, Kind, KIND_FIELDS
 from .oracle import DiscreteDistribution
@@ -211,7 +211,10 @@ def read_scores(path) -> ScoreSet:
     # an empty label means unlabeled; a written label must lie in [1, L]
     labelled = np.array([v is not None for v in labels])
     labels = np.array([v or 0 for v in labels], dtype=np.int64)
-    non_finite = ~np.isfinite(values).all(axis=1)
+    # a -inf logit is a probability of 0 beside a finite largest logit
+    non_finite = ~np.isfinite(values[:, :L]).all(axis=1)
+    if values.shape[1] > L:
+        non_finite |= ~np.isfinite(values[:, L:].max(axis=1))
     bad = non_finite | (labelled & ((labels < 1) | (labels > L)))
     if bad.any():
         row = int(np.argmax(bad))
@@ -357,11 +360,6 @@ def read_model(path) -> CalibratedClassifier:
             spec_kwargs[name] = value
     theta = grab("theta")
     temperature = grab("temperature", default=1.0)
-    if temperature <= 0:
-        raise ParseError(
-            f"{path}: temperature {temperature!r} must be > 0",
-            line=line_of["temperature"],
-        )
     # every kind writes offset 0; the spec rejects any other but pointwise's
     spec_kwargs["offset"] = grab("offset", default=0.0)
     provenance = {}
@@ -378,12 +376,9 @@ def read_model(path) -> CalibratedClassifier:
             temperature=temperature,
             provenance=provenance,
         )
-    except PredsetsError as exc:
-        # name the line when one key is at fault
-        key = getattr(exc, "field", None)
-        if isinstance(exc, ThetaMismatch):
-            key = "theta"
-        raise ParseError(f"{path}: {exc}", line=line_of.get(key)) from None
+    except PredsetsError as exc:  # name the line when one key is at fault
+        line = line_of.get(getattr(exc, "field", None))
+        raise ParseError(f"{path}: {exc}", line=line) from None
 
 
 # --- metrics / curves ----------------------------------------------------------

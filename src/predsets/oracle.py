@@ -420,10 +420,10 @@ def sample_scores(
         true_p = dist.cond[x_idx]
         probs = true_p * np.exp(noise * rng.standard_normal(true_p.shape))
         probs = probs / probs.sum(axis=1, keepdims=True)
-        logits = np.log(probs)
     else:
         probs = dist.cond[x_idx]
-        logits = np.log(dist.cond)[x_idx]
+    with np.errstate(divide="ignore"):  # a probability of 0: logit -inf
+        logits = np.log(probs) if noise > 0.0 else np.log(dist.cond)[x_idx]
     check_probability_rows(probs)
     # labels lie in [1, L] and softmax(log p) = p by construction
     return ScoreSet._trusted(

@@ -1,8 +1,9 @@
 """A fast part of ``scripts/cli_digest.py`` against its golden file.
 
 The L=10 two-regime chain (synth, calibrate, predict, evaluate and every
-sweep of the narrow models) and ``oracle-check --count 20 --seed 1`` run
-in a temporary directory, as the full digest runs them, and each name
+sweep of the narrow models), its 1800-row variant that sorts point-wise
+rows with the comparator network, and ``oracle-check --count 20 --seed 1``
+run in a temporary directory, as the full digest runs them, and each name
 they produce must carry the golden file's digest.  The full run takes
 about a minute; this part takes about a second.
 """
@@ -42,6 +43,8 @@ def test_l10_chain_and_oracle_check_match_golden(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(out):
         digest.chain("two-regime-L10", "two-regime", 10, digest.NARROW_MODELS,
                      digest.NARROW_SWEEPS, noise="0.2")
+        digest.chain("two-regime-L10-n1800", "two-regime", 10,
+                     digest.NETWORK_MODELS, sweeps=(), noise="0.2", n=1800)
         digest.run("oracle-check",
                    ["oracle-check", "--count", "20", "--seed", "1"])
     got = dict(reversed(line.split("  ", 1))

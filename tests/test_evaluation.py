@@ -10,7 +10,8 @@ from predsets import calibration, evaluation
 from predsets.calibration import CalibratedClassifier, EmpiricalStepFunction
 from predsets.calibration import calibrate, step_function
 from predsets.core import ScoreSet
-from predsets.errors import EmptyScoreSet, InvalidBeta, MissingLabels
+from predsets.errors import ClassCountMismatch, EmptyScoreSet, InvalidBeta
+from predsets.errors import MissingLabels
 from predsets.errors import PredsetsError, SpecFieldError
 from predsets.evaluation import (
     PerClassViolation,
@@ -18,7 +19,7 @@ from predsets.evaluation import (
     spec_with_param,
     sweep,
 )
-from predsets.formulations import FormulationSpec, Kind
+from predsets.formulations import FormulationSpec, Kind, rule_mask
 from predsets.oracle import make_distribution, sample_scores, synth_generate
 
 
@@ -138,6 +139,29 @@ class TestEvaluate:
             fits = [calibrate(spec, scores) for scores in (s, sliced)]
             assert fits[0].theta == fits[1].theta
             assert evaluate(fits[0], s) == evaluate(fits[1], sliced)
+
+    def test_other_class_count_is_refused(self):
+        # refused before the rescale, which these scores (no logits) fail
+        fit = synth_generate("two-regime", 4, 200, 1, noise=0.3)
+        other = labeled_set(L=5)
+        spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.5)
+        for T in (1.0, 2.0):
+            clf = calibrate(spec, fit, temperature=T)
+            for call in (clf.predict_set_mask, lambda s: evaluate(clf, s)):
+                with pytest.raises(ClassCountMismatch) as exc:
+                    call(other)
+                assert str(exc.value) == (
+                    "model was fit with L=4, scores have L=5")
+
+    def test_classifier_without_a_class_count_predicts_any(self):
+        fit, other = labeled_set(L=4), labeled_set(L=5)
+        spec = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.5)
+        clf = calibrate(spec, fit)
+        bare = CalibratedClassifier(spec, clf.theta)
+        assert bare.provenance == {}
+        want = rule_mask(spec, other.probs, clf.theta)
+        assert np.array_equal(bare.predict_set_mask(other), want)
+        assert evaluate(bare, other).avg_size == want.sum() / other.n
 
     def test_two_regime_bimodal_sizes(self):
         # a two-regime construction where the regimes use disjoint classes:
@@ -337,6 +361,31 @@ class TestSweep:
         pointwise = FormulationSpec(Kind.POINTWISE_ERROR, eps=0.5)
         curve = sweep(pointwise, [0.5], s, s, seeds=1, offset=offset)
         assert curve.points[0].status == "ok"
+
+    @pytest.mark.parametrize("temperature", [1.0, "fit"])
+    @pytest.mark.parametrize("template", [
+        FormulationSpec(Kind.TOP_K, k=1),
+        FormulationSpec(Kind.POINTWISE_ERROR, eps=0.1),
+        FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0),
+        FormulationSpec(Kind.HYBRID_ERROR, ebar=0.1, eps=0.3),
+    ])
+    def test_other_class_count_is_refused_before_any_draw(
+            self, template, temperature, monkeypatch):
+        # every grid value lies within both class counts: each point used
+        # to score the 5-class test set against a 4-class fit
+        data = synth_generate("two-regime", 4, 120, 3, noise=0.3)
+        test = synth_generate("two-regime", 5, 120, 4, noise=0.3)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the class counts were checked")
+
+        for name in ("_draw_fit", "calibrate", "fit_temperature"):
+            monkeypatch.setattr(evaluation, name, no_fit)
+        grid = {Kind.TOP_K: [1, 2]}.get(template.kind, [0.2, 0.25])
+        with pytest.raises(ClassCountMismatch) as exc:
+            sweep(template, grid, data, test, seeds=2, temperature=temperature)
+        assert str(exc.value) == (
+            "calibration scores have L=4, test scores have L=5")
 
     def test_nan_does_not_hide_unsorted_grid(self):
         # the order is that of the values other than NaN
@@ -545,28 +594,28 @@ class TestSweepMatchesRefitLoop:
         assert got[0].startswith("failed: MissingLabels")
 
     def test_test_set_checks_fail_like_the_loop(self):
-        # the test set's checks run for each grid value: a class count
-        # fails its value alone, a missing label every value whose cutoff
-        # was found first
+        # a test set over another class count is refused up front;
+        # a missing label fails every value whose cutoff was found first
         calib = synth_generate("two-regime", 5, 100, 1, noise=0.3)
         test = synth_generate("two-regime", 4, 100, 2, noise=0.3)
-        unlabeled = ScoreSet(ids=test.ids, probs=test.probs)
         size = FormulationSpec(Kind.AVERAGE_SIZE, kbar=1.0)
-        kbar = "KbarOutOfRange"
-        for template, grid, test_set, temperature, status in (
-            (size, [1.0, 2.0, 4.5], test, 1.0, ["ok", "ok", kbar]),
-            (size, [1.0, 4.5, 5.5], test, "fit", ["ok", kbar, kbar]),
-            (FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=5), [1.0, 2.0],
-             test, 1.0, ["KOutOfRange"] * 2),
-            (size, [1e-9, 1.0], unlabeled, 1.0, ["Saturated", "MissingLabels"]),
+        for template, grid, temperature in (
+            (size, [1.0, 2.0, 4.5], 1.0),
+            (size, [1.0, 4.5, 5.5], "fit"),
+            (FormulationSpec(Kind.HYBRID_SIZE, kbar=1.0, k=5), [1.0, 2.0], 1.0),
         ):
-            want = refit_loop(template, grid, calib, test_set, 3,
-                              temperature=temperature)
-            got = swept(sweep(template, grid, calib, test_set, seeds=3,
-                              temperature=temperature))
-            assert got == want
-            assert [pt.split(": ")[1] if isinstance(pt, str) else "ok"
-                    for pt in got] == status
+            with pytest.raises(ClassCountMismatch) as exc:
+                sweep(template, grid, calib, test, seeds=3,
+                      temperature=temperature)
+            assert str(exc.value) == (
+                "calibration scores have L=5, test scores have L=4")
+        test = synth_generate("two-regime", 5, 100, 2, noise=0.3)
+        unlabeled = ScoreSet(ids=test.ids, probs=test.probs)
+        want = refit_loop(size, [1e-9, 1.0], calib, unlabeled, 3)
+        got = swept(sweep(size, [1e-9, 1.0], calib, unlabeled, seeds=3))
+        assert got == want
+        assert [pt.split(": ")[1] for pt in got] == [
+            "Saturated", "MissingLabels"]
 
 
 class TestKeptKnots:

@@ -19,7 +19,8 @@ from predsets.core import ScoreSet, softmax
 from predsets.errors import NonFiniteEntry, ParseError
 from predsets.evaluation import evaluate, sweep
 from predsets.formulations import FormulationSpec, Kind
-from predsets.oracle import make_distribution, synth_generate
+from predsets.oracle import DiscreteDistribution, make_distribution
+from predsets.oracle import sample_scores, synth_generate
 
 
 @pytest.fixture()
@@ -104,17 +105,40 @@ class TestScoreFiles:
             io.read_scores(path)
         assert exc.value.line == 4
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_logit_names_its_line(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad, problem", [
+        ("nan,0.0", "non-finite logit in 'r2'"),
+        ("inf,0.0", "non-finite logit in 'r2'"),
+        ("-inf,-inf", "non-finite logit in 'r2'"),
+        ("nan,-inf", "non-finite logit in 'r2'"),
+        # a -inf logit beside a finite largest one is probability 0, not 0.5
+        ("-inf,0.0", "row 1: probs are not softmax(logits)"),
+    ], ids=["nan", "inf", "all--inf", "nan--inf", "-inf"])
+    def test_non_finite_logit_names_its_line(self, tmp_path, bad, problem):
         path = tmp_path / "bad.csv"
         path.write_text(
             "id,label,p_1,p_2,z_1,z_2\nr1,1,0.5,0.5,0.0,0.0\n"
-            f"r2,2,0.5,0.5,{bad},0.0\n"
+            f"r2,2,0.5,0.5,{bad}\n"
         )
         with pytest.raises(ParseError) as exc:
             io.read_scores(path)
         assert exc.value.line == 3
-        assert "non-finite logit in 'r2'" in str(exc.value)
+        assert problem in str(exc.value)
+
+    def test_zero_probability_round_trip(self, tmp_path):
+        # log 0 = -inf: the set the sampler draws reads back as it was
+        dist = DiscreteDistribution(
+            ["a", "b"], [0.5, 0.5], [[0, 0.3, 0.7], [0.2, 0.3, 0.5]])
+        for noise in (0.0, 0.3):
+            s = sample_scores(dist, 50, 1, noise=noise)
+            assert np.isneginf(s.logits).any()
+            p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+            io.write_scores(p1, s)
+            loaded = io.read_scores(p1)
+            io.write_scores(p2, loaded)
+            assert p1.read_bytes() == p2.read_bytes()
+            assert loaded.ids == s.ids
+            for name in ("probs", "labels", "logits"):
+                assert np.array_equal(getattr(loaded, name), getattr(s, name))
 
     def test_logits_mismatch_names_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -794,6 +818,27 @@ class TestCliSynth:
 
 
 class TestCliCalibratePredictEvaluate:
+    @pytest.mark.parametrize("command, flag", [
+        ("predict", "--scores"), ("evaluate", "--test")])
+    def test_model_of_another_class_count(self, tmp_path, synth_files,
+                                          capsys, command, flag):
+        model, out = tmp_path / "m.model", tmp_path / "out"
+        assert run_cli(
+            "calibrate", "--formulation", "average-size", "--kbar", 1.5,
+            "--scores", synth_files["calib"], "--model", model,
+        ) == 0
+        other = tmp_path / "other.csv"
+        io.write_scores(
+            other, ScoreSet(ids=["a"], probs=[[0.6, 0.4]], labels=[1]))
+        capsys.readouterr()
+        assert run_cli(command, "--model", model, flag, other,
+                       "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: ClassCountMismatch: model was fit with L=6, "
+            "scores have L=2\n"
+        )
+        assert not out.exists()
+
     def test_calibrate_writes_theta(self, tmp_path, synth_files, capsys):
         model = tmp_path / "m.model"
         code = run_cli(
@@ -1174,6 +1219,14 @@ class TestCliCalibratePredictEvaluate:
 
 
 class TestCliSweep:
+    def test_help_names_offset_and_temperature(self, capsys):
+        for command in ("calibrate", "sweep"):
+            with pytest.raises(SystemExit):
+                run_cli(command, "--help")
+            help_text = " ".join(capsys.readouterr().out.split())
+            assert "a number or 'auto' for sqrt(L/n)" in help_text
+            assert "a number, or 'fit' to learn it from logits" in help_text
+
     def test_topk_curve_columns(self, tmp_path, synth_files):
         out = tmp_path / "curve.csv"
         code = run_cli(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -723,6 +724,15 @@ class TestSamplerBitForBit:
             s = sample_scores(HAND_BUILT, 200, 1, noise=noise)
         assert "never" not in s.meta["x_ids"]
         assert np.isneginf(s.logits[np.array(s.meta["x_ids"]) == "a", 1]).all()
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_zero_probability_warns_of_nothing(self, noise):
+        dist = DiscreteDistribution(
+            ["a", "b"], [0.5, 0.5], [[0, 0.3, 0.7], [0.2, 0.3, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sample_scores(dist, 100, 1, noise=noise)
+        assert np.isneginf(s.logits[np.array(s.meta["x_ids"]) == "a", 0]).all()
 
     def test_fortran_ordered_cond(self):
         dist = make_distribution("dirichlet-like", 10, 5)
