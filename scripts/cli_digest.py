@@ -50,7 +50,10 @@ child, while the L=100 ones (500 rows of 200 floats) are written and read
 in one, so a diff against another tree compares both write paths and both
 read paths.  By the same rule the row-blocked kernels run on the L=1000
 sets in pieces, a thread each, and on the L=100 ones in one piece; under
-``taskset -c 0`` everything runs in one piece.  Prints a ``#`` line naming
+``taskset -c 0`` everything runs in one piece.  The point-wise mask's two
+pieces of 250 rows at L=1000 sum their heads over a first block and one
+short group each, so no digest covers a group of more than 500 rows; the
+unit tests do.  Prints a ``#`` line naming
 the numpy and Python versions, then one ``sha256  name`` line per output
 file and per command's stdout and exit code.  Two trees that behave
 alike print identical text:

@@ -18,16 +18,19 @@ row: a sort or partition, a running sum, a comparison with the cut,
 rows into contiguous pieces, one per usable CPU and each of at least 2**17
 floats (:func:`_cuts`, the rule the CSV reader and writer fork by).  The
 caller runs the first piece and a short-lived thread each later one, all
-joined before the kernel returns; numpy releases the interpreter lock in
-these sorts, sums, ``exp`` and ``einsum``.  At many classes one pass over
-a whole piece no longer fits in cache, so each piece works through
-:func:`row_blocks` with buffers of its own: 512 KiB of float64 rows (one
-row when a row is wider), whose two or three float temporaries still fit
-a 2 MiB L2 cache between passes.  Every step is per row, so each row sees
-the same operations in the same order: results are identical to one pass
-over the whole matrix, whatever the number of CPUs.  :func:`cut_mask`
-compares each entry with its row's cut once; only rows whose ties
-straddle the cut compare again.
+joined before the kernel returns.  numpy releases the interpreter lock in
+these sorts, partitions, comparisons, reductions, ``exp`` and ``einsum``,
+but in a running sum (``np.cumsum`` along rows) only over more than
+``_ACCUMULATE_ROWS`` = 500 rows, so beside other pieces the point-wise
+error mask sums groups of row blocks (:func:`_head_groups`).  At many
+classes one pass over a whole piece no longer fits in cache, so each piece
+works through :func:`row_blocks` with buffers of its own: 512 KiB of
+float64 rows (one row when a row is wider), whose two or three float
+temporaries still fit a 2 MiB L2 cache between passes.  Every step is per
+row, so each row sees the same operations in the same order: results are
+identical to one pass over the whole matrix, whatever the number of CPUs.
+:func:`cut_mask` compares each entry with its row's cut once; only rows
+whose ties straddle the cut compare again.
 Per-row mask sizes are :func:`row_counts`, int16 sums about 4 times faster
 at L = 1000 than numpy's int64 count.  A row sum is one short reduction
 per row, so a mask at most ``_NARROW_L`` = 32 wide is summed across its
@@ -65,6 +68,11 @@ from .errors import (
 DEFAULT_SUM_TOL = 1e-6
 
 _BLOCK_BYTES = 1 << 19  # float64 bytes per row block: 512 KiB
+# np.cumsum along rows releases the interpreter lock only in calls of more
+# than 500 rows (numpy's NPY_BEGIN_THREADS_THRESHOLDED): 4000 x 1000 rows in
+# 500-row calls took 16.1 ms on two threads, 15.4 on one; in 501-row calls
+# 9.8 on two (2-CPU Xeon, median of 9)
+_ACCUMULATE_ROWS = 500
 # Widest mask row_counts sums across columns: on 10 000 rows that took 50 us
 # vs the row sum's 197 at L = 10, 156 vs 224 at L = 32, but 424 vs 267 at 64.
 _NARROW_L = 32
@@ -74,6 +82,20 @@ def row_blocks(n: int, L: int) -> list[slice]:
     """Slices of ``max(1, _BLOCK_BYTES // (8 L))`` rows covering ``range(n)``."""
     step = max(1, _BLOCK_BYTES // (8 * L))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _head_groups(n: int, L: int, side_by_side: bool) -> list[slice]:
+    """:func:`row_blocks`; but where other row pieces run side by side and
+    a block holds at most ``_ACCUMULATE_ROWS`` rows, the first block and
+    then near-equal groups of more than ``_ACCUMULATE_ROWS`` rows each, or
+    one shorter group where no more rows are left."""
+    blocks = row_blocks(n, L)
+    first = blocks[0].stop if blocks else n
+    if not side_by_side or first == n or first > _ACCUMULATE_ROWS:
+        return blocks
+    q = max(1, (n - first) // (_ACCUMULATE_ROWS + 1))
+    cuts = [first + (n - first) * j // q for j in range(q + 1)]
+    return [blocks[0], *map(slice, cuts, cuts[1:])]
 
 
 def _pieces(floats: int) -> int:
@@ -296,7 +318,10 @@ class ScoreSet:
                 raise ClassCountMismatch(
                     f"logits shape {self.logits.shape} != probs {self.probs.shape}"
                 )
-            expected = softmax(self.logits)
+            # a row whose largest logit is not finite softmaxes to NaN
+            # (inf - inf), which is refused below like a NaN logit
+            with np.errstate(invalid="ignore"):
+                expected = softmax(self.logits)
             close = np.isclose(expected, self.probs, atol=1e-6).all(axis=1)
             if not close.all():
                 raise LogitsMismatch(

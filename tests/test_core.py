@@ -1,9 +1,12 @@
 """Core primitives: validation, top-k selection, thresholding."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from predsets import core
 from predsets.calibration import CalibratedClassifier
 from predsets.core import (
     DEFAULT_SUM_TOL,
@@ -244,6 +247,34 @@ class TestScoreSet:
     def test_row_sum_checked(self):
         with pytest.raises(SumOutOfTolerance):
             ScoreSet(ids=["a"], probs=[[0.7, 0.7]])
+
+    @pytest.mark.parametrize("pieces", [1, 2])
+    @pytest.mark.parametrize(
+        "bad",
+        [[-np.inf, -np.inf], [np.inf, 0.0], [np.inf, np.inf], [0.0, np.inf],
+         [np.nan, 0.0]],
+        ids=["all--inf", "inf-0", "inf-inf", "0-inf", "nan-0"],
+    )
+    def test_non_finite_logit_row_max_is_refused(self, monkeypatch, pieces,
+                                                 bad):
+        # refused as the NaN row is, naming the row, and warning of nothing
+        # on this thread or a piece's (Tier-1 turns a RuntimeWarning into an
+        # error; warnings.simplefilter says so outside it too)
+        monkeypatch.setattr(core, "_pieces", lambda floats: pieces)
+        logits = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LogitsMismatch) as exc:
+                ScoreSet(ids=list("abcd"), probs=[[0.5, 0.5]] * 4,
+                         logits=logits)
+        assert str(exc.value) == "row 3: probs are not softmax(logits)"
+
+    def test_minus_inf_logit_beside_a_finite_max_is_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = ScoreSet(ids=["a", "b"], probs=[[1.0, 0.0], [0.5, 0.5]],
+                         logits=[[0.0, -np.inf], [1.0, 1.0]])
+        assert s.logits[0, 1] == -np.inf
 
     @pytest.mark.parametrize(
         "fields, error, row",

@@ -1,5 +1,6 @@
 """Prediction rules: examples pinned by hand, invariants by hypothesis."""
 
+import itertools
 import threading
 
 import numpy as np
@@ -729,6 +730,22 @@ def per_piece_count(monkeypatch, kernel, pieces):
     return out
 
 
+def head_fallbacks(khat, L, pieces):
+    """Blocks or groups of the point-wise mask whose rows need more than
+    the partitioned top it sums, at set sizes ``khat``, in ``pieces`` even
+    row pieces: the full-row fallbacks, counted as the mask keeps its
+    prefix length."""
+    n, count = len(khat), 0
+    cuts = [n * i // pieces for i in range(pieces + 1)]
+    for a, b in itertools.pairwise(cuts):
+        m = L
+        for group in core._head_groups(b - a, L, pieces > 1):
+            top = int(khat[a:b][group].max())
+            count += 2 * m <= L and top > m
+            m = min(L, top + 1 + L // 16)
+    return count
+
+
 class TestRowPieces:
     """The kernels give the same bits whatever the number of row pieces,
     wherever a piece boundary falls against the row blocks."""
@@ -758,25 +775,24 @@ class TestRowPieces:
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_pointwise_at_the_full_row_fallback(self, monkeypatch):
-        # 1000 classes, 65-row blocks: peaked rows, then flat ones whose
-        # block falls back to full rows; 2 pieces cut where the flat rows
-        # start, 3 inside the second and third blocks
-        n, L = 201, 1000
+        # 1000 classes, 65-row blocks: 300 peaked rows, then 300 flat ones,
+        # twice over.  The flat rows of a block or group after peaked rows
+        # fall back to full rows: in one piece the block of rows 260-324;
+        # in two pieces the group of rows 65-599 of each piece (535 rows);
+        # in three the short group of rows 65-399 of the first piece
+        n, L = 1200, 1000
         rng = np.random.default_rng(2)
-        ints = np.vstack([rng.integers(0, 2, size=(100, L)),
-                          rng.integers(2, 40, size=(n - 100, L))])
-        ints = ints.astype(float)
-        ints[:100, 0] = 20.0 * L
+        flat = np.arange(n) % 600 >= 300
+        ints = rng.integers(0, 2, size=(n, L)).astype(float)
+        ints[flat] = rng.integers(2, 40, size=(flat.sum(), L))
+        ints[~flat, 0] = 20.0 * L
         P = ints / ints.sum(axis=1, keepdims=True)
 
         want = per_piece_count(monkeypatch, lambda: pointwise_masks(P), 1)
-        fallbacks, m = 0, L
-        for rows in core.row_blocks(n, L):  # the prefix one piece keeps
-            khat = want[2][rows].sum(axis=1)  # eps = 0.1, no offset
-            fallbacks += 2 * m <= L and khat.max() > m
-            m = min(L, int(khat.max()) + 1 + L // 16)
-        assert fallbacks
+        khat = want[2].sum(axis=1)  # eps = 0.1, no offset
+        assert head_fallbacks(khat, L, 1)
         for pieces in (2, 3):
+            assert head_fallbacks(khat, L, pieces)
             got = per_piece_count(monkeypatch, lambda: pointwise_masks(P),
                                   pieces)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -828,6 +844,103 @@ class TestRowPieces:
         assert not started
         per_piece_count(monkeypatch, lambda: core.softmax(z), 3)
         assert len(started) == 2
+
+
+class TestHeadGroups:
+    """Where row pieces run side by side, the wide point-wise mask sums the
+    heads of each piece's rows after its first block in groups of more
+    than ``core._ACCUMULATE_ROWS`` rows (numpy's running sum runs without
+    the interpreter lock only there); the masks stay the argsort rule's."""
+
+    @staticmethod
+    def peaked_and_flat(n, L, seed):
+        # rows 4-7 of every 8 flat: a group after peaked rows falls back
+        rng = np.random.default_rng(seed)
+        ints = rng.integers(0, 2, size=(n, L)).astype(float)
+        flat = np.arange(n) % 8 >= 4
+        ints[flat] = rng.integers(2, 4, size=(flat.sum(), L))
+        ints[~flat, 0] = 3.0 * L
+        return ints / ints.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("pieces", [1, 2, 3])
+    def test_masks_at_every_group_boundary(self, monkeypatch, pieces):
+        # 3-row blocks, groups of more than 10 rows: past a piece's first
+        # block, 1 or 10 rows are one short group, 11 and 21 rows one
+        # group, 22 and 23 rows two, 33 rows three
+        L = 40
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * L * 3)
+        monkeypatch.setattr(core, "_ACCUMULATE_ROWS", 10)
+        sizes = set()
+        fallbacks = 0
+        for rest in (0, 1, 10, 11, 21, 22, 23, 33):
+            n = pieces * (3 + rest)
+            P = self.peaked_and_flat(n, L, seed=rest)
+            for eps in (0.1, 0.5):
+                for offset in (0.0, eps / 2):
+                    want = argsort_pointwise(P, eps, offset)
+                    got = per_piece_count(
+                        monkeypatch,
+                        lambda: pointwise_error_mask(P, eps, offset), pieces)
+                    assert np.array_equal(got, want)
+                    fallbacks += head_fallbacks(want.sum(axis=1), L, pieces)
+            groups = core._head_groups(3 + rest, L, pieces > 1)
+            if pieces == 1:
+                assert groups == core.row_blocks(3 + rest, L)
+            sizes.update(g.stop - g.start for g in groups[1:])
+        assert fallbacks
+        if pieces > 1:  # short groups, one group, then two and three
+            assert sizes == {1, 10, 11, 12, 21}
+
+    @pytest.mark.parametrize("L", [130, 131, 1000])
+    def test_first_grouped_widths_unpatched(self, monkeypatch, L):
+        # at L = 131 a 512 KiB block holds 500 rows, the first width that
+        # groups; at 130 it holds 504, so the blocks stay row_blocks'
+        n = {130: 2200, 131: 2200, 1000: 1400}[L]
+        P = self.peaked_and_flat(n, L, seed=L)
+        half = n // 2
+        grouped = core._head_groups(half, L, True)
+        assert (grouped == core.row_blocks(half, L)) == (L == 130)
+        assert core._head_groups(half, L, False) == core.row_blocks(half, L)
+        for eps in (0.1, 0.5):
+            want = argsort_pointwise(P, eps)
+            for pieces in (1, 2, 3):
+                got = per_piece_count(
+                    monkeypatch, lambda: pointwise_error_mask(P, eps), pieces)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2000, 5000])
+    def test_head_sums_run_without_the_lock(self, monkeypatch, n):
+        # two pieces at L = 1000: every running sum of the heads after a
+        # piece's first (65-row) block covers more than 500 rows; one
+        # piece sums row_blocks' blocks
+        L = 1000
+        P = np.random.default_rng(n).random((n, L)) ** 4
+        P /= P.sum(axis=1, keepdims=True)
+        heads, cumsum = [], np.cumsum
+
+        def recorded(a, axis=None, dtype=None, out=None):
+            if out is not None:  # a head sum; the full-row fallback's has none
+                heads.append((threading.get_ident(), len(a)))
+            return cumsum(a, axis=axis, dtype=dtype, out=out)
+
+        monkeypatch.setattr(np, "cumsum", recorded)
+        blocks = [len(range(n)[b]) for b in core.row_blocks(n, L)]
+        for eps in (0.1, 0.5):
+            heads.clear()
+            one = per_piece_count(
+                monkeypatch, lambda: pointwise_error_mask(P, eps), 1)
+            assert [rows for _, rows in heads] == blocks
+            heads.clear()
+            two = per_piece_count(
+                monkeypatch, lambda: pointwise_error_mask(P, eps), 2)
+            assert np.array_equal(one, two)
+            per_thread = {}
+            for thread, rows in heads:
+                per_thread.setdefault(thread, []).append(rows)
+            assert len(per_thread) == 2
+            for first, *rest in per_thread.values():
+                assert first == 65 and rest
+                assert min(rest) > core._ACCUMULATE_ROWS == 500
 
 
 # --- narrow rows: the comparator network --------------------------------------
